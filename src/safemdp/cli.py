@@ -22,18 +22,16 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from .explorer import (
-    BASELINES,
+    STRATEGIES,
     ConfigError,
     ExplorationTrace,
     ExplorerConfig,
-    GpBandModel,
-    STRATEGY_SAFEMDP,
     run_baseline,
-    run_safemdp,
 )
 from .gp import ConstantBeta, Kernel, MATERN52, SQUARED_EXPONENTIAL
 from .mdp import GRID_STAY
@@ -60,18 +58,7 @@ TRACE_HEADER = "t,target,width,path_length,observation,safe_size,ergodic_size,ex
 SNAPSHOT_HEADER = "t,safe,ergodic,expanders"
 ORACLE_HEADER = "state,in_r_eps,in_r_zero"
 
-_STRATEGIES = {
-    "safemdp": STRATEGY_SAFEMDP,
-    "no-expanders": "no_expanders",
-    "non-ergodic": "non_ergodic",
-    "unsafe": "unsafe",
-    "random": "random",
-}
 _KERNELS = {"matern52": MATERN52, "squared-exponential": SQUARED_EXPONENTIAL}
-
-_CRATER_KEYS = ("base_height", "tilt_row", "tilt_col", "hill_row", "hill_col",
-                "hill_height", "hill_radius", "crater_row", "crater_col",
-                "crater_depth", "crater_radius", "roughness")
 
 
 @dataclass
@@ -88,70 +75,156 @@ class Metrics:
     oracle_zero_size: int
 
 
-@dataclass
-class ExperimentConfig:
-    """Fully resolved experiment description."""
+# ---------------------------------------------------------------------------
+# config schema
 
-    source: str
-    dem_path: str | None
-    synth_kind: str | None
-    rows: int | None
-    cols: int | None
-    cell_size: float | None
-    terrain_seed: int
-    crater: CraterHillParams
-    safety: TerrainSafetySpec
-    kernel: Kernel
-    noise_std: float
-    strategy: str
-    observation_model: str
-    beta: float
-    mode: str
-    lipschitz: float
-    epsilon: float
-    max_iterations: int
-    max_steps: int | None
-    measure_along_path: bool
-    seed_row: int
-    seed_col: int
-    seeds: tuple[int, ...]
-    out_dir: str
+REQUIRED = object()
 
 
-def _parse_int(field, raw):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{field}: expected an integer, got {raw!r}") from None
+def _always(values) -> bool:
+    return True
 
 
-def _parse_float(field, raw):
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"{field}: expected a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{field}: must be finite, got {raw!r}")
-    return value
+@dataclass(frozen=True)
+class Field:
+    """One config key.
+
+    ``parse(name, text)`` turns the text given for ``section.key`` into its
+    value, or raises :class:`ConfigError` naming the key.  ``when(values)``
+    decides from the keys parsed before this one whether it applies; a key
+    that does not apply is rejected as unknown and its value is ``None``.
+    """
+
+    section: str
+    key: str
+    parse: Callable[[str, str], Any]
+    default: Any = REQUIRED
+    when: Callable[[dict], bool] = _always
 
 
-def _parse_bool(field, raw):
-    lowered = raw.strip().lower()
+#: Range checks for :func:`_number`: what the value must be, and the test.
+_POSITIVE = ("positive", lambda v: v > 0)
+_NON_NEGATIVE = ("non-negative", lambda v: v >= 0)
+_ANGLE = ("strictly between 0 and 90 degrees", lambda v: 0 < v < 90)
+
+
+def _number(kind, bound=None):
+    """Parser for an integer (``kind=int``) or a finite float in ``bound``."""
+    expected = "an integer" if kind is int else "a number"
+
+    def parse(name, text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ConfigError(f"{name}: expected {expected}, got {text!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{name}: must be finite, got {text!r}")
+        if bound is not None and not bound[1](value):
+            raise ConfigError(f"{name}: must be {bound[0]}, got {text!r}")
+        return value
+    return parse
+
+
+def _text(name, text):
+    return text
+
+
+def _bool(name, text):
+    lowered = text.strip().lower()
     if lowered in ("true", "yes", "1", "on"):
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"{field}: expected a boolean, got {raw!r}")
+    raise ConfigError(f"{name}: expected a boolean, got {text!r}")
 
 
-def _parse_choice(field, raw, choices):
-    if raw not in choices:
-        raise ConfigError(f"{field}: expected one of {sorted(choices)}, got {raw!r}")
-    return raw
+def _choice(*options):
+    def parse(name, text):
+        if text not in options:
+            raise ConfigError(f"{name}: expected one of {sorted(options)}, got {text!r}")
+        return text
+    return parse
 
 
-def _section(parser: configparser.ConfigParser, name: str) -> dict:
-    return dict(parser[name]) if parser.has_section(name) else {}
+def _seeds(name, text):
+    try:
+        seeds = tuple(int(tok) for tok in text.replace(",", " ").split())
+    except ValueError:
+        raise ConfigError(f"{name}: expected whitespace-separated integers") from None
+    if not seeds:
+        raise ConfigError(f"{name}: needs at least one seed")
+    if min(seeds) < 0:
+        raise ConfigError(f"{name}: seeds must be non-negative")
+    return seeds
+
+
+def _dem(values):
+    return values["source"] == "dem"
+
+
+def _synth(values):
+    return values["source"] == "synth"
+
+
+def _crater_hill(values):
+    return values["kind"] == "crater-hill"
+
+
+_RADII = ("hill_radius", "crater_radius")
+
+#: Every config key, in the order they are parsed and written to
+#: ``manifest.txt``.  A ``when`` condition reads only keys above it.
+SCHEMA = (
+    Field("terrain", "source", _choice("synth", "dem")),
+    Field("terrain", "terrain_seed", _number(int, _NON_NEGATIVE), 0),
+    Field("terrain", "dem_path", _text, when=_dem),
+    Field("terrain", "kind", _choice("crater-hill", "gp-sample"), when=_synth),
+    Field("terrain", "rows", _number(int, _POSITIVE), when=_synth),
+    Field("terrain", "cols", _number(int, _POSITIVE), when=_synth),
+    Field("terrain", "cell_size", _number(float, _POSITIVE), when=_synth),
+    *(Field("terrain", f.name, _number(float, _POSITIVE) if f.name in _RADII else _number(float),
+            f.default, _crater_hill) for f in fields(CraterHillParams)),
+    Field("safety", "max_slope_deg", _number(float, _ANGLE), 30.0),
+    Field("safety", "conservative_slope_deg", _number(float, _ANGLE), 25.0),
+    Field("gp", "kernel", _choice(*_KERNELS), "matern52"),
+    Field("gp", "lengthscale", _number(float, _POSITIVE), 14.5),
+    Field("gp", "prior_std", _number(float, _POSITIVE), 10.0),
+    Field("gp", "noise_std", _number(float, _NON_NEGATIVE), 0.075),
+    Field("explorer", "strategy", _choice(*STRATEGIES), "safemdp"),
+    Field("explorer", "observation_model", _choice("difference", "heights"), "difference"),
+    Field("explorer", "beta", _number(float, _POSITIVE), 2.0),
+    Field("explorer", "mode", _choice("gp-direct", "lipschitz"), "gp-direct"),
+    Field("explorer", "lipschitz", _number(float, _NON_NEGATIVE), 1.0),
+    Field("explorer", "epsilon", _number(float, _POSITIVE), 0.15),
+    Field("explorer", "max_iterations", _number(int, _POSITIVE), 525),
+    Field("explorer", "measure_along_path", _bool, False),
+    Field("explorer", "seed_row", _number(int)),
+    Field("explorer", "seed_col", _number(int)),
+    Field("explorer", "seeds", _seeds, (0,)),
+    Field("explorer", "max_steps", _number(int, _NON_NEGATIVE), None),
+    Field("output", "directory", _text),
+)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Fully resolved experiment description: one attribute per
+    :data:`SCHEMA` key, ``None`` where the key does not apply, plus the
+    library objects those values describe."""
+
+    __annotations__ = {field.key: Any for field in SCHEMA}
+
+    @property
+    def safety(self) -> TerrainSafetySpec:
+        return TerrainSafetySpec(self.max_slope_deg, self.conservative_slope_deg)
+
+    @property
+    def crater(self) -> CraterHillParams:
+        return CraterHillParams(**{f.name: getattr(self, f.name) for f in fields(CraterHillParams)})
+
+    @property
+    def gp_kernel(self) -> Kernel:
+        return Kernel(_KERNELS[self.kernel], self.lengthscale, self.prior_std)
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -166,115 +239,33 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config file {path} is not valid INI: {exc}") from None
 
-    known_sections = {"terrain", "safety", "gp", "explorer", "output"}
+    texts = {field.section: {} for field in SCHEMA}
     for section in parser.sections():
-        if section not in known_sections:
+        if section not in texts:
             raise ConfigError(f"unknown config section [{section}]")
+        texts[section] = dict(parser[section])
 
-    used: dict[str, set] = {name: set() for name in known_sections}
-    raw = {name: _section(parser, name) for name in known_sections}
+    values = {}
+    for field in SCHEMA:
+        name = f"{field.section}.{field.key}"
+        given = texts[field.section]
+        if not field.when(values):
+            values[field.key] = None
+        elif field.key in given:
+            values[field.key] = field.parse(name, given.pop(field.key))
+        elif field.default is REQUIRED:
+            raise ConfigError(f"missing required config field {name}")
+        else:
+            values[field.key] = field.default
+    for section, unknown in texts.items():
+        for key in unknown:
+            raise ConfigError(f"unknown config field {section}.{key}")
 
-    def take(section, key, parse, default=None, required=False):
-        used[section].add(key)
-        if key not in raw[section]:
-            if required:
-                raise ConfigError(f"missing required config field {section}.{key}")
-            return default
-        return parse(f"{section}.{key}", raw[section][key])
-
-    source = take("terrain", "source", lambda f, v: _parse_choice(f, v, {"synth", "dem"}),
-                  required=True)
-    dem_path = None
-    synth_kind = rows = cols = cell_size = None
-    terrain_seed = take("terrain", "terrain_seed", _parse_int, default=0)
-    crater_kwargs = {}
-    if source == "dem":
-        dem_path = take("terrain", "dem_path", lambda f, v: v, required=True)
-    else:
-        synth_kind = take("terrain", "kind",
-                          lambda f, v: _parse_choice(f, v, {"crater-hill", "gp-sample"}),
-                          required=True)
-        rows = take("terrain", "rows", _parse_int, required=True)
-        cols = take("terrain", "cols", _parse_int, required=True)
-        cell_size = take("terrain", "cell_size", _parse_float, required=True)
-        if synth_kind == "crater-hill":
-            for key in _CRATER_KEYS:
-                value = take("terrain", key, _parse_float)
-                if value is not None:
-                    crater_kwargs[key] = value
-    for key in raw["terrain"]:
-        if key not in used["terrain"]:
-            raise ConfigError(f"unknown config field terrain.{key}")
-
-    safety = TerrainSafetySpec(
-        max_slope_deg=take("safety", "max_slope_deg", _parse_float, default=30.0),
-        conservative_slope_deg=take("safety", "conservative_slope_deg", _parse_float,
-                                    default=25.0),
-    )
-    for key in raw["safety"]:
-        if key not in used["safety"]:
-            raise ConfigError(f"unknown config field safety.{key}")
-
-    kernel_kind = take("gp", "kernel", lambda f, v: _parse_choice(f, v, set(_KERNELS)),
-                       default="matern52")
-    kernel = Kernel(_KERNELS[kernel_kind],
-                    lengthscale=take("gp", "lengthscale", _parse_float, default=14.5),
-                    prior_std=take("gp", "prior_std", _parse_float, default=10.0))
-    noise_std = take("gp", "noise_std", _parse_float, default=0.075)
-    if noise_std < 0:
-        raise ConfigError("gp.noise_std: must be non-negative")
-    for key in raw["gp"]:
-        if key not in used["gp"]:
-            raise ConfigError(f"unknown config field gp.{key}")
-
-    strategy = take("explorer", "strategy",
-                    lambda f, v: _parse_choice(f, v, set(_STRATEGIES)), default="safemdp")
-    observation_model = take("explorer", "observation_model",
-                             lambda f, v: _parse_choice(f, v, {"difference", "heights"}),
-                             default="difference")
-    beta = take("explorer", "beta", _parse_float, default=2.0)
-    if beta <= 0:
-        raise ConfigError("explorer.beta: must be positive")
-    mode = take("explorer", "mode",
-                lambda f, v: _parse_choice(f, v, {"gp-direct", "lipschitz"}),
-                default="gp-direct")
-    lipschitz = take("explorer", "lipschitz", _parse_float, default=1.0)
-    epsilon = take("explorer", "epsilon", _parse_float, default=0.15)
-    max_iterations = take("explorer", "max_iterations", _parse_int, default=525)
-    max_steps = take("explorer", "max_steps", _parse_int)
-    measure_along_path = take("explorer", "measure_along_path", _parse_bool, default=False)
-    seed_row = take("explorer", "seed_row", _parse_int, required=True)
-    seed_col = take("explorer", "seed_col", _parse_int, required=True)
-
-    def parse_seeds(field, value):
-        try:
-            seeds = tuple(int(tok) for tok in value.replace(",", " ").split())
-        except ValueError:
-            raise ConfigError(f"{field}: expected whitespace-separated integers") from None
-        if not seeds:
-            raise ConfigError(f"{field}: needs at least one seed")
-        return seeds
-
-    seeds = take("explorer", "seeds", parse_seeds, default=(0,))
-    for key in raw["explorer"]:
-        if key not in used["explorer"]:
-            raise ConfigError(f"unknown config field explorer.{key}")
-
-    out_dir = take("output", "directory", lambda f, v: v, required=True)
-    for key in raw["output"]:
-        if key not in used["output"]:
-            raise ConfigError(f"unknown config field output.{key}")
-
-    return ExperimentConfig(
-        source=source, dem_path=dem_path, synth_kind=synth_kind, rows=rows, cols=cols,
-        cell_size=cell_size, terrain_seed=terrain_seed,
-        crater=CraterHillParams(**crater_kwargs), safety=safety, kernel=kernel,
-        noise_std=noise_std, strategy=strategy, observation_model=observation_model,
-        beta=beta, mode=mode, lipschitz=lipschitz, epsilon=epsilon,
-        max_iterations=max_iterations, max_steps=max_steps,
-        measure_along_path=measure_along_path, seed_row=seed_row, seed_col=seed_col,
-        seeds=seeds, out_dir=out_dir,
-    )
+    if values["conservative_slope_deg"] > values["max_slope_deg"]:
+        raise ConfigError("safety.conservative_slope_deg: must not exceed safety.max_slope_deg")
+    if values["mode"] == "lipschitz" and values["lipschitz"] == 0:
+        raise ConfigError("explorer.lipschitz: must be positive in lipschitz mode")
+    return ExperimentConfig(**values)
 
 
 def build_grid(cfg: ExperimentConfig) -> TerrainGrid:
@@ -284,8 +275,8 @@ def build_grid(cfg: ExperimentConfig) -> TerrainGrid:
                 return load_esri_ascii(handle)
         except FileNotFoundError:
             raise ConfigError(f"terrain.dem_path: file {cfg.dem_path!r} does not exist") from None
-    if cfg.synth_kind == "gp-sample":
-        kind = GpSample(cfg.kernel, cfg.terrain_seed)
+    if cfg.kind == "gp-sample":
+        kind = GpSample(cfg.gp_kernel, cfg.terrain_seed)
     else:
         kind = CraterHill(cfg.crater, cfg.terrain_seed)
     return synth_terrain(kind, cfg.rows, cfg.cols, cfg.cell_size)
@@ -325,9 +316,9 @@ def _band_model(cfg, aug, seed, threshold):
     schedule = ConstantBeta(cfg.beta)
     if cfg.observation_model == "heights":
         return HeightGpBandModel(
-            height_gp(aug, cfg.kernel, cfg.noise_std, aug.base.metric.cell_size),
+            height_gp(aug, cfg.gp_kernel, cfg.noise_std, aug.base.metric.cell_size),
             aug, schedule, seed, threshold)
-    return difference_band_model(aug, cfg.kernel, cfg.noise_std,
+    return difference_band_model(aug, cfg.gp_kernel, cfg.noise_std,
                                  aug.base.metric.cell_size, schedule, seed, threshold)
 
 
@@ -404,63 +395,45 @@ def write_metrics(metrics: Metrics, path: Path) -> None:
 
 
 def write_manifest(cfg: ExperimentConfig, seed: int, path: Path) -> None:
+    """Write ``cfg`` as a config file that reproduces the run of ``seed``."""
     out = configparser.ConfigParser()
-    out["terrain"] = {"source": cfg.source, "terrain_seed": str(cfg.terrain_seed)}
-    if cfg.source == "dem":
-        out["terrain"]["dem_path"] = str(cfg.dem_path)
-    else:
-        out["terrain"].update({"kind": cfg.synth_kind, "rows": str(cfg.rows),
-                               "cols": str(cfg.cols), "cell_size": _fmt(cfg.cell_size)})
-        if cfg.synth_kind == "crater-hill":
-            for key in _CRATER_KEYS:
-                out["terrain"][key] = _fmt(getattr(cfg.crater, key))
-    out["safety"] = {"max_slope_deg": _fmt(cfg.safety.max_slope_deg),
-                     "conservative_slope_deg": _fmt(cfg.safety.conservative_slope_deg)}
-    kernel_name = {v: k for k, v in _KERNELS.items()}[cfg.kernel.kind]
-    out["gp"] = {"kernel": kernel_name, "lengthscale": _fmt(cfg.kernel.lengthscale),
-                 "prior_std": _fmt(cfg.kernel.prior_std), "noise_std": _fmt(cfg.noise_std)}
-    out["explorer"] = {
-        "strategy": cfg.strategy, "observation_model": cfg.observation_model,
-        "beta": _fmt(cfg.beta), "mode": cfg.mode, "lipschitz": _fmt(cfg.lipschitz),
-        "epsilon": _fmt(cfg.epsilon), "max_iterations": str(cfg.max_iterations),
-        "measure_along_path": str(cfg.measure_along_path).lower(),
-        "seed_row": str(cfg.seed_row), "seed_col": str(cfg.seed_col),
-        "seed": str(seed),
-    }
-    if cfg.max_steps is not None:
-        out["explorer"]["max_steps"] = str(cfg.max_steps)
-    out["output"] = {"directory": cfg.out_dir}
+    for field in SCHEMA:
+        value = seed if field.key == "seeds" else getattr(cfg, field.key)
+        if value is None:
+            continue
+        if not out.has_section(field.section):
+            out.add_section(field.section)
+        out[field.section][field.key] = str(value).lower() if isinstance(value, bool) else _fmt(value)
     with open(path, "w") as handle:
         out.write(handle)
 
 
-def cmd_explore(config_path: str) -> int:
-    """Run the configured strategy for every seed and write its artifacts."""
+def _prepare(config_path: str):
+    """What both commands build first: the config, the grid, the augmented
+    MDP, the seed mask, and the oracle masks for ``epsilon`` and for zero."""
     cfg = load_experiment_config(config_path)
     grid = build_grid(cfg)
-    aug, probe_env = build_terrain_environment(grid, cfg.safety, cfg.noise_std, 0)
+    aug, env = build_terrain_environment(grid, cfg.safety, cfg.noise_std, 0)
     seed_mask = _seed_mask(aug, grid, cfg)
-    threshold = cfg.safety.safety_threshold(grid.cell_size)
-    oracle_eps = r_eps_fixpoint(aug, seed_mask, probe_env.true_safety, cfg.epsilon,
-                                cfg.lipschitz, threshold)
-    oracle_zero = r_eps_fixpoint(aug, seed_mask, probe_env.true_safety, 0.0,
-                                 cfg.lipschitz, threshold)
-    out_root = resolve_output_dir(cfg.out_dir)
+    oracle = tuple(r_eps_fixpoint(aug, seed_mask, env.true_safety, eps, cfg.lipschitz,
+                                  env.threshold) for eps in (cfg.epsilon, 0.0))
+    return cfg, grid, aug, seed_mask, oracle
+
+
+def cmd_explore(config_path: str) -> int:
+    """Run the configured strategy for every seed and write its artifacts."""
+    cfg, grid, aug, seed_mask, oracle = _prepare(config_path)
+    out_root = resolve_output_dir(cfg.directory)
     for seed in cfg.seeds:
         _, env = build_terrain_environment(grid, cfg.safety, cfg.noise_std, seed)
-        band_model = _band_model(cfg, aug, seed_mask, threshold)
-        run_cfg = _explorer_config(cfg, seed_mask)
-        strategy = _STRATEGIES[cfg.strategy]
-        if strategy == STRATEGY_SAFEMDP:
-            trace = run_safemdp(aug, env, run_cfg, band_model)
-        else:
-            trace = run_baseline(strategy, aug, env, run_cfg, band_model)
+        band_model = _band_model(cfg, aug, seed_mask, env.threshold)
+        trace = run_baseline(cfg.strategy, aug, env, _explorer_config(cfg, seed_mask),
+                             band_model)
         run_dir = out_root / f"seed_{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         write_trace_csv(trace, run_dir / "trace.csv")
         write_snapshots_csv(trace, run_dir / "snapshots.csv")
-        write_metrics(compute_metrics(trace, oracle_eps, oracle_zero),
-                      run_dir / "metrics.txt")
+        write_metrics(compute_metrics(trace, *oracle), run_dir / "metrics.txt")
         write_manifest(cfg, seed, run_dir / "manifest.txt")
         print(f"wrote {run_dir}")
     return 0
@@ -468,16 +441,8 @@ def cmd_explore(config_path: str) -> int:
 
 def cmd_oracle(config_path: str) -> int:
     """Write exact safely-explorable sets for the configured environment."""
-    cfg = load_experiment_config(config_path)
-    grid = build_grid(cfg)
-    aug, env = build_terrain_environment(grid, cfg.safety, cfg.noise_std, 0)
-    seed_mask = _seed_mask(aug, grid, cfg)
-    threshold = cfg.safety.safety_threshold(grid.cell_size)
-    oracle_eps = r_eps_fixpoint(aug, seed_mask, env.true_safety, cfg.epsilon,
-                                cfg.lipschitz, threshold)
-    oracle_zero = r_eps_fixpoint(aug, seed_mask, env.true_safety, 0.0,
-                                 cfg.lipschitz, threshold)
-    out_root = resolve_output_dir(cfg.out_dir)
+    cfg, _, aug, _, (oracle_eps, oracle_zero) = _prepare(config_path)
+    out_root = resolve_output_dir(cfg.directory)
     out_root.mkdir(parents=True, exist_ok=True)
     lines = [ORACLE_HEADER]
     for s in range(aug.num_states):
@@ -491,19 +456,15 @@ def cmd_oracle(config_path: str) -> int:
 def cmd_synth(args) -> int:
     """Synthesize terrain from command-line flags and write an .asc file."""
     if args.kind == "gp-sample":
-        kernel = Kernel(_KERNELS[args.kernel], args.lengthscale, args.prior_std)
-        kind = GpSample(kernel, args.seed)
+        kind = GpSample(Kernel(_KERNELS[args.kernel], args.lengthscale, args.prior_std),
+                        args.seed)
     else:
-        kind = CraterHill(CraterHillParams(
-            base_height=args.base_height, tilt_row=args.tilt_row, tilt_col=args.tilt_col,
-            hill_row=args.hill_row, hill_col=args.hill_col, hill_height=args.hill_height,
-            hill_radius=args.hill_radius, crater_row=args.crater_row,
-            crater_col=args.crater_col, crater_depth=args.crater_depth,
-            crater_radius=args.crater_radius, roughness=args.roughness), args.seed)
+        params = CraterHillParams(**{f.name: getattr(args, f.name)
+                                     for f in fields(CraterHillParams)})
+        kind = CraterHill(params, args.seed)
     grid = synth_terrain(kind, args.rows, args.cols, args.cell_size)
-    out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out = resolve_output_dir(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(dump_esri_ascii(grid))
     print(f"wrote {out}")
     return 0
@@ -531,10 +492,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--kernel", choices=sorted(_KERNELS), default="matern52")
     p_synth.add_argument("--lengthscale", type=float, default=14.5)
     p_synth.add_argument("--prior-std", type=float, default=10.0)
-    for key in _CRATER_KEYS:
-        default = getattr(CraterHillParams(), key)
-        p_synth.add_argument(f"--{key.replace('_', '-')}", type=float, default=default,
-                             dest=key)
+    for f in fields(CraterHillParams):
+        p_synth.add_argument(f"--{f.name.replace('_', '-')}", type=float, default=f.default,
+                             dest=f.name)
     return parser
 
 

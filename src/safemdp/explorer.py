@@ -11,7 +11,9 @@ that no truly unsafe state is ever visited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable
 
 import numpy as np
 
@@ -27,13 +29,6 @@ from .safeset import (
     compute_safe_sets,
     expanders,
 )
-
-STRATEGY_SAFEMDP = "safemdp"
-STRATEGY_NO_EXPANDERS = "no_expanders"
-STRATEGY_NON_ERGODIC = "non_ergodic"
-STRATEGY_UNSAFE = "unsafe"
-STRATEGY_RANDOM = "random"
-BASELINES = (STRATEGY_NO_EXPANDERS, STRATEGY_NON_ERGODIC, STRATEGY_UNSAFE, STRATEGY_RANDOM)
 
 REASON_CONVERGED = "converged"
 REASON_EXPANDERS_EMPTY = "expanders_empty"
@@ -203,28 +198,30 @@ def validate_config(mdp: Mdp, cfg: ExplorerConfig) -> None:
 def run_safemdp(mdp: Mdp, env: Environment, cfg: ExplorerConfig,
                 band_model: GpBandModel) -> ExplorationTrace:
     """Run the full safe-exploration algorithm and return its trace."""
-    return _run(mdp, env, cfg, band_model, STRATEGY_SAFEMDP)
+    return _run(mdp, env, cfg, band_model, "safemdp")
 
 
 def run_baseline(strategy: str, mdp: Mdp, env: Environment, cfg: ExplorerConfig,
                  band_model: GpBandModel) -> ExplorationTrace:
-    """Run one of the baseline strategies.
+    """Run the strategy named ``strategy``, one of :data:`STRATEGIES`.
 
     ``no_expanders`` targets the most uncertain ergodic state instead of an
     expander; ``non_ergodic`` drops the returnability requirement and may
     get stuck; ``unsafe`` targets the most uncertain state anywhere and
     plans over the full MDP; ``random`` takes uniformly random actions and
-    measures every state it lands on.
+    measures every state it lands on.  ``safemdp`` runs the algorithm
+    itself, as :func:`run_safemdp` does.
     """
-    if strategy not in BASELINES:
-        raise ConfigError(f"unknown baseline {strategy!r}; expected one of {BASELINES}")
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {strategy!r}; expected one of {tuple(STRATEGIES)}")
     return _run(mdp, env, cfg, band_model, strategy)
 
 
-def _run(mdp, env, cfg, band_model, strategy):
+def _run(mdp, env, cfg, band_model, name):
     validate_config(mdp, cfg)
     if env.num_states != mdp.num_states:
         raise ConfigError("environment and MDP disagree on the number of states")
+    strategy = STRATEGIES[name]
     seed = np.asarray(cfg.seed_set, dtype=bool)
     current = int(np.flatnonzero(seed)[0])
     action_rng = np.random.default_rng([env.rng_seed, _ACTION_STREAM])
@@ -239,48 +236,26 @@ def _run(mdp, env, cfg, band_model, strategy):
     if not env.is_safe(current):
         # The claimed-safe start state is already a violation.
         bands = band_model.bands
-        final_sets = SafeSets(seed.copy(), seed.copy(), np.zeros_like(seed),
-                              np.zeros(mdp.num_states, dtype=int), bands.width())
-        return ExplorationTrace(strategy, records, REASON_VIOLATION, 0, 0, current,
+        final_sets = SafeSets(seed.copy(), seed.copy(), np.zeros_like(seed), bands.width())
+        return ExplorationTrace(name, records, REASON_VIOLATION, 0, 0, current,
                                 final_sets, bands.collapses)
 
     for t in range(1, cfg.max_iterations + 1):
         bands = band_model.advance(t)
-        sets = _classify(mdp, bands, prev_ergodic, env.threshold, cfg, strategy)
+        sets = strategy.classify(mdp, bands, prev_ergodic, env.threshold, cfg)
         final_sets = sets
         prev_ergodic = sets.ergodic
 
-        if strategy == STRATEGY_RANDOM:
-            label, succ = _random_action(mdp, current, action_rng)
-            plan = PathPlan([label], [current, succ])
-            steps += 1
-            current = succ
-            observation = np.nan
-            if not env.is_safe(current):
-                violation_step = steps
-            else:
-                observation = band_model.measure(env, current)
-            records.append(IterationRecord(t, current, float(bands.width()[current]),
-                                           plan, observation, sets, bands.digest()))
-            if violation_step is not None:
-                reason = REASON_VIOLATION
-                break
-            if cfg.max_steps is not None and steps >= cfg.max_steps:
-                reason = REASON_MAX_ITERATIONS
-                break
-            continue
-
-        target = _pick_target(sets, strategy)
-        if target is None:
-            reason = REASON_EXPANDERS_EMPTY
-            break
-        width_at_target = float(bands.width()[target])
-        allowed = _allowed_set(mdp, sets, strategy)
         try:
-            plan = shortest_safe_path(mdp, allowed, current, target)
+            plan = strategy.plan(mdp, sets, current, action_rng)
         except NoPathError:
             reason = REASON_STUCK
             break
+        if plan is None:
+            reason = REASON_EXPANDERS_EMPTY
+            break
+        target = plan.states[-1]
+        width_at_target = float(bands.width()[target])
 
         observation = np.nan
         for state in plan.states[1:]:
@@ -305,7 +280,7 @@ def _run(mdp, env, cfg, band_model, strategy):
             # max_steps expired mid-path.
             reason = REASON_MAX_ITERATIONS
             break
-        if width_at_target <= cfg.epsilon:
+        if strategy.converges and width_at_target <= cfg.epsilon:
             reason = REASON_CONVERGED
             break
         if cfg.max_steps is not None and steps >= cfg.max_steps:
@@ -319,44 +294,85 @@ def _run(mdp, env, cfg, band_model, strategy):
         # run stops early.  With measuring over, the set recursion is pure
         # computation; finish it so the reported sets are its fixpoint.
         while True:
-            closed = _classify(mdp, bands, prev_ergodic, env.threshold, cfg, strategy)
+            closed = strategy.classify(mdp, bands, prev_ergodic, env.threshold, cfg)
             final_sets = closed
             if np.array_equal(closed.ergodic, prev_ergodic):
                 break
             prev_ergodic = closed.ergodic
-    return ExplorationTrace(strategy, records, reason, violation_step, steps,
+    return ExplorationTrace(name, records, reason, violation_step, steps,
                             int(np.flatnonzero(seed)[0]), final_sets, bands.collapses)
 
 
-def _classify(mdp, bands, prev_ergodic, threshold, cfg, strategy):
-    if strategy == STRATEGY_NON_ERGODIC:
-        safe = classify_safe(mdp, bands, prev_ergodic, threshold, cfg.mode)
-        pseudo = safe & r_reach(mdp, prev_ergodic)
-        mask, counts = expanders(mdp, pseudo, safe, bands, cfg.lipschitz_for_expanders,
-                                 threshold)
-        return SafeSets(safe, pseudo, mask, counts, bands.width())
+# ---------------------------------------------------------------------------
+# strategies: their entries look library functions up as module globals at
+# call time, so that a tracer that replaces them here sees every call.
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """What one strategy classifies, where it walks, and when it stops.
+
+    ``classify(mdp, bands, prev_ergodic, threshold, cfg)`` returns the
+    round's :class:`~safemdp.safeset.SafeSets`.  ``plan(mdp, sets, current,
+    rng)`` returns the :class:`~safemdp.planner.PathPlan` to walk, ``None``
+    when there is nothing left to target, or raises
+    :class:`~safemdp.planner.NoPathError`.  A strategy that ``converges``
+    stops once the width at its target is at most ``epsilon``.
+    """
+
+    classify: Callable
+    plan: Callable
+    converges: bool = True
+
+
+def _classify(mdp, bands, prev_ergodic, threshold, cfg) -> SafeSets:
     return compute_safe_sets(mdp, bands, prev_ergodic, threshold, cfg.mode,
                              cfg.lipschitz_for_expanders)
 
 
-def _pick_target(sets: SafeSets, strategy: str):
-    if strategy == STRATEGY_NO_EXPANDERS:
-        return acquisition_target(sets.ergodic, sets.widths)
-    if strategy == STRATEGY_UNSAFE:
-        return acquisition_target(np.ones_like(sets.safe), sets.widths)
-    return acquisition_target(sets.expanders, sets.widths)
+def _classify_without_returnability(mdp, bands, prev_ergodic, threshold, cfg) -> SafeSets:
+    """Safe states one step from the previous ergodic set stand in for the
+    ergodic set; nothing checks that the agent can come back from them."""
+    safe = classify_safe(mdp, bands, prev_ergodic, threshold, cfg.mode)
+    pseudo = safe & r_reach(mdp, prev_ergodic)
+    mask, _ = expanders(mdp, pseudo, safe, bands, cfg.lipschitz_for_expanders, threshold)
+    return SafeSets(safe, pseudo, mask, bands.width())
 
 
-def _allowed_set(mdp, sets: SafeSets, strategy: str):
-    if strategy == STRATEGY_UNSAFE:
-        return np.ones(mdp.num_states, dtype=bool)
-    # Walk through the full safe set.  The returnability guarantee promises
-    # a route between any two ergodic states through safe states, not through
-    # ergodic ones, and the frontier of the ergodic set routinely lacks an
-    # ergodic continuation for one round.
-    return sets.safe
+def _everywhere(sets: SafeSets) -> np.ndarray:
+    return np.ones_like(sets.safe)
 
 
-def _random_action(mdp, state, rng):
-    acts = mdp.actions_of(state)
-    return acts[int(rng.integers(len(acts)))]
+def _walk_to(candidates, allowed):
+    """Plan to the widest state of ``candidates(sets)`` along a shortest path
+    inside ``allowed(sets)``."""
+    def plan(mdp, sets, current, rng):
+        target = acquisition_target(candidates(sets), sets.widths)
+        if target is None:
+            return None
+        return shortest_safe_path(mdp, allowed(sets), current, target)
+    return plan
+
+
+def _random_step(mdp, sets, current, rng) -> PathPlan:
+    acts = mdp.actions_of(current)
+    label, succ = acts[int(rng.integers(len(acts)))]
+    return PathPlan([label], [current, succ])
+
+
+_EXPANDERS = attrgetter("expanders")
+_ERGODIC = attrgetter("ergodic")
+# All but ``unsafe`` plan through the full safe set.  The returnability
+# guarantee promises a route between any two ergodic states through safe
+# states, not through ergodic ones, and the frontier of the ergodic set
+# routinely lacks an ergodic continuation for one round.
+_SAFE = attrgetter("safe")
+
+#: Every strategy by name: the algorithm and its four flawed baselines.
+STRATEGIES = {
+    "safemdp": Strategy(_classify, _walk_to(_EXPANDERS, _SAFE)),
+    "no_expanders": Strategy(_classify, _walk_to(_ERGODIC, _SAFE)),
+    "non_ergodic": Strategy(_classify_without_returnability, _walk_to(_EXPANDERS, _SAFE)),
+    "unsafe": Strategy(_classify, _walk_to(_everywhere, _everywhere)),
+    "random": Strategy(_classify, _random_step, converges=False),
+}

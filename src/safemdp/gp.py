@@ -248,15 +248,6 @@ class GpModel:
         grown[n, n] = math.sqrt(d_sq)
         return grown
 
-    def rebuilt(self) -> "GpModel":
-        """Same posterior, but with a freshly factorized covariance."""
-        if not self._points:
-            return self
-        chol, jitter = _factorize(self.cov, self._points, self.noise_std**2, self._jitter)
-        alpha = _solve_chol(chol, self._values)
-        return GpModel(self.cov, self.noise_std, _points=self._points, _values=self._values,
-                       _chol=chol, _alpha=alpha, _jitter=jitter, _since_rebuild=0)
-
     def posterior(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at each id in ``points``.
 
@@ -279,25 +270,9 @@ class GpModel:
             raise GpError(f"posterior variance {low:g} fell below the numerical floor")
         return means, np.maximum(variances, 0.0)
 
-    def posterior_cov(self, a: int, b: int) -> float:
-        """Posterior covariance between the points ``a`` and ``b``."""
-        prior = float(self.cov.matrix([a], [b])[0, 0])
-        if not self._points:
-            value = prior
-        else:
-            ka = self.cov.matrix(self._points, [int(a)])[:, 0]
-            kb = self.cov.matrix(self._points, [int(b)])[:, 0]
-            va = solve_triangular(self._chol, ka, lower=True)
-            vb = solve_triangular(self._chol, kb, lower=True)
-            value = prior - float(va @ vb)
-        if a == b:
-            if value < VARIANCE_FLOOR:
-                raise GpError(f"posterior variance {value:g} fell below the numerical floor")
-            value = max(value, 0.0)
-        return value
-
     def posterior_cov_pairs(self, left, right) -> np.ndarray:
-        """Vectorized ``posterior_cov`` over two equally long id sequences."""
+        """Posterior covariance between ``left[i]`` and ``right[i]`` for each
+        ``i`` of two equally long id sequences."""
         left = np.asarray(left, dtype=int)
         right = np.asarray(right, dtype=int)
         prior = np.asarray(self.cov.pairwise(left, right), dtype=float)

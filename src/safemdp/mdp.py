@@ -289,13 +289,6 @@ class AugmentedMdp(Mdp):
         the degenerate pair ``(s, s)``."""
         return np.stack([self.owner, self.landing], axis=1)
 
-    def origin(self, aug_id: int):
-        """``(state, None)`` for originals, ``(state, label)`` for
-        action-states."""
-        if self.is_action_state[aug_id]:
-            return int(self.owner[aug_id]), int(self.action_label[aug_id])
-        return int(self.owner[aug_id]), None
-
 
 def augment(mdp: Mdp, half_step: float | None = None) -> AugmentedMdp:
     """Insert an action-state into every transition of ``mdp``.

@@ -47,15 +47,13 @@ ClassifierMode = Union[LipschitzMode, GpDirectMode]
 class SafeSets:
     """Snapshot of one classification round.
 
-    ``expanders <= ergodic <= safe`` always holds, ``expander_counts`` is
-    positive exactly on the expanders, and ``widths`` are the band widths
-    the acquisition rule maximizes over.
+    ``expanders <= ergodic <= safe`` always holds, and ``widths`` are the
+    band widths the acquisition rule maximizes over.
     """
 
     safe: np.ndarray
     ergodic: np.ndarray
     expanders: np.ndarray
-    expander_counts: np.ndarray
     widths: np.ndarray
 
     def __post_init__(self):
@@ -63,8 +61,6 @@ class SafeSets:
             raise ValueError("ergodic set must be contained in the safe set")
         if (self.expanders & ~self.ergodic).any():
             raise ValueError("expanders must be contained in the ergodic set")
-        if not np.array_equal(self.expanders, self.expander_counts > 0):
-            raise ValueError("expander_counts must be positive exactly on the expanders")
 
 
 def classify_safe(mdp: Mdp, bands: ConfidenceBands, prev_ergodic, threshold: float,
@@ -139,5 +135,5 @@ def compute_safe_sets(mdp: Mdp, bands: ConfidenceBands, prev_ergodic, threshold:
     """One full classification round, as used per exploration iteration."""
     safe = classify_safe(mdp, bands, prev_ergodic, threshold, mode)
     ergodic = ergodic_safe(mdp, safe, prev_ergodic)
-    mask, counts = expanders(mdp, ergodic, safe, bands, expander_lipschitz, threshold)
-    return SafeSets(safe, ergodic, mask, counts, bands.width())
+    mask, _ = expanders(mdp, ergodic, safe, bands, expander_lipschitz, threshold)
+    return SafeSets(safe, ergodic, mask, bands.width())

@@ -184,6 +184,10 @@ class CraterHillParams:
     crater_radius: float = 1.0
     roughness: float = 0.0
 
+    def __post_init__(self):
+        if not (self.hill_radius > 0 and self.crater_radius > 0):
+            raise ValueError("hill_radius and crater_radius must be positive")
+
 
 @dataclass(frozen=True)
 class CraterHill:

@@ -1,11 +1,12 @@
 """Command-line interface tests: config schema, artifacts, exit codes."""
 
+import dataclasses
 import textwrap
 
 import numpy as np
 import pytest
 
-from safemdp.cli import load_experiment_config, main
+from safemdp.cli import load_experiment_config, main, write_manifest
 from safemdp.explorer import ConfigError
 from safemdp.terrain import load_esri_ascii
 
@@ -46,7 +47,7 @@ def write_config(tmp_path, out_dir, **overrides):
         if value is None:
             fields[section].pop(key, None)
         else:
-            fields[section][key] = value
+            fields.setdefault(section, {})[key] = value
     text = ""
     for section, body in fields.items():
         text += f"[{section}]\n"
@@ -66,7 +67,7 @@ def test_config_defaults_and_parsing(tmp_path):
     assert cfg.beta == 2.0
     assert cfg.max_iterations == 60
     assert cfg.seeds == (0,)
-    assert cfg.kernel.lengthscale == 3.0
+    assert cfg.gp_kernel.lengthscale == 3.0
     assert cfg.safety.conservative_slope_deg == 25.0
 
 
@@ -85,24 +86,56 @@ def test_unknown_keys_and_sections_are_rejected(tmp_path):
         load_experiment_config(path)
 
 
-def test_bad_values_name_their_field(tmp_path):
-    cases = {
-        "explorer.max_iterations": ("soon", "explorer.max_iterations"),
-        "explorer.strategy": ("greedy", "explorer.strategy"),
-        "explorer.beta": ("-1", "explorer.beta"),
-        "gp.noise_std": ("-0.1", "gp.noise_std"),
-        "terrain.cell_size": ("wide", "terrain.cell_size"),
-        "explorer.seeds": ("one two", "explorer.seeds"),
-    }
-    for dotted, (value, needle) in cases.items():
-        path = write_config(tmp_path, tmp_path / "out", **{dotted: value})
+def test_bad_values_name_their_field(tmp_path, capsys):
+    cases = [
+        ({"explorer.max_iterations": "soon"}, "explorer.max_iterations"),
+        ({"explorer.strategy": "greedy"}, "explorer.strategy"),
+        ({"explorer.strategy": "no-expanders"}, "explorer.strategy"),
+        ({"explorer.beta": "-1"}, "explorer.beta"),
+        ({"gp.noise_std": "-0.1"}, "gp.noise_std"),
+        ({"terrain.cell_size": "wide"}, "terrain.cell_size"),
+        ({"explorer.seeds": "one two"}, "explorer.seeds"),
+        ({"terrain.rows": "0"}, "terrain.rows"),
+        ({"terrain.cell_size": "-1"}, "terrain.cell_size"),
+        ({"gp.lengthscale": "0"}, "gp.lengthscale"),
+        ({"safety.max_slope_deg": "95"}, "safety.max_slope_deg"),
+        ({"safety.max_slope_deg": "20"}, "safety.conservative_slope_deg"),
+        ({"explorer.mode": "lipschitz", "explorer.lipschitz": "-1"}, "explorer.lipschitz"),
+        ({"explorer.mode": "lipschitz", "explorer.lipschitz": "0"}, "explorer.lipschitz"),
+        ({"terrain.crater_depth": "4.0", "terrain.crater_radius": "0"},
+         "terrain.crater_radius"),
+        ({"terrain.hill_height": "2.0", "terrain.hill_radius": "0"}, "terrain.hill_radius"),
+    ]
+    for overrides, needle in cases:
+        path = write_config(tmp_path, tmp_path / "out", **overrides)
         with pytest.raises(ConfigError, match=needle):
             load_experiment_config(path)
+        assert main(["explore", str(path)]) == 2
+        assert needle in capsys.readouterr().err
 
 
 def test_multiple_seeds_parse_with_commas(tmp_path):
     path = write_config(tmp_path, tmp_path / "out", **{"explorer.seeds": "3, 5 8"})
     assert load_experiment_config(path).seeds == (3, 5, 8)
+
+
+def test_manifest_reparses_to_the_run_config(tmp_path):
+    asc = tmp_path / "terrain.asc"
+    assert main(["synth", "--rows", "4", "--cols", "4", "--out", str(asc)]) == 0
+    configs = {
+        "crater-hill": {"terrain.crater_depth": "3.0", "explorer.max_steps": "9"},
+        "gp-sample": {"terrain.kind": "gp-sample", "explorer.strategy": "no_expanders",
+                      "explorer.measure_along_path": "yes"},
+        "dem": {"terrain.source": "dem", "terrain.kind": None, "terrain.rows": None,
+                "terrain.cols": None, "terrain.cell_size": None,
+                "terrain.dem_path": str(asc)},
+    }
+    for name, overrides in configs.items():
+        cfg = load_experiment_config(
+            write_config(tmp_path, tmp_path / name, **{"explorer.seeds": "3 5", **overrides}))
+        manifest = tmp_path / f"{name}-manifest.txt"
+        write_manifest(cfg, 5, manifest)
+        assert load_experiment_config(manifest) == dataclasses.replace(cfg, seeds=(5,)), name
 
 
 def test_missing_config_file_is_a_config_error(tmp_path):
@@ -179,6 +212,8 @@ def test_output_root_env_var_rebases_relative_dirs(tmp_path, monkeypatch):
     path = write_config(tmp_path, "runs/flat")
     assert main(["explore", str(path)]) == 0
     assert (tmp_path / "root" / "runs" / "flat" / "seed_0" / "trace.csv").exists()
+    assert main(["synth", "--rows", "2", "--cols", "2", "--out", "rel/t.asc"]) == 0
+    assert (tmp_path / "root" / "rel" / "t.asc").exists()
 
 
 def test_explore_reads_dem_sources(tmp_path, capsys):

@@ -170,7 +170,8 @@ def test_posterior_cov_matches_dense_solve():
         for b in range(10):
             prior = _oracle_kernel(MATERN52, 1.0, 1.0, float(np.linalg.norm(coords[a] - coords[b])))
             expected = prior - kvec(obs, a) @ np.linalg.solve(big_k, kvec(obs, b))
-            assert model.posterior_cov(a, b) == pytest.approx(expected, rel=1e-8, abs=1e-10)
+            got = model.posterior_cov_pairs([a], [b])[0]
+            assert got == pytest.approx(expected, rel=1e-8, abs=1e-10)
 
 
 def test_posterior_cov_diagonal_equals_posterior_variance():
@@ -179,20 +180,8 @@ def test_posterior_cov_diagonal_equals_posterior_variance():
     cov = StationaryCovariance(Kernel(SQUARED_EXPONENTIAL, 1.0, 1.2), coords)
     model = GpModel.from_data(cov, 0.1, [1, 4, 4, 6], [0.1, -0.2, 0.0, 0.5])
     _, variances = model.posterior(range(8))
-    for s in range(8):
-        assert model.posterior_cov(s, s) == pytest.approx(variances[s], abs=1e-12)
-
-
-def test_posterior_cov_pairs_matches_scalar():
-    rng = np.random.default_rng(5)
-    coords = rng.normal(size=(9, 2))
-    cov = StationaryCovariance(Kernel(MATERN52, 1.5, 0.8), coords)
-    model = GpModel.from_data(cov, 0.15, [0, 3, 7], [0.2, 0.1, -0.4])
-    left = np.array([0, 2, 5, 8])
-    right = np.array([1, 2, 6, 0])
-    batch = model.posterior_cov_pairs(left, right)
-    for i, (a, b) in enumerate(zip(left, right)):
-        assert batch[i] == pytest.approx(model.posterior_cov(int(a), int(b)), abs=1e-12)
+    np.testing.assert_allclose(model.posterior_cov_pairs(range(8), range(8)), variances,
+                               rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +223,7 @@ def test_rebuild_reproduces_posterior():
     model = GpModel(cov, 0.05)
     for _ in range(70):  # crosses the periodic-refactorization boundary
         model = model.add_observation(int(rng.integers(20)), float(rng.normal()))
-    fresh = model.rebuilt()
+    fresh = GpModel.from_data(cov, 0.05, model.points, model.values)
     m1, v1 = model.posterior(range(20))
     m2, v2 = fresh.posterior(range(20))
     np.testing.assert_allclose(m1, m2, rtol=1e-10, atol=1e-12)

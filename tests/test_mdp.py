@@ -196,15 +196,13 @@ def test_augment_counts_and_structure():
             assert aug.action_label[mid] == label
 
 
-def test_augment_pairs_and_origin():
+def test_augment_pairs():
     aug = augment(grid_mdp(2, 2, 1.0))
     pairs = aug.pairs()
     for s in range(aug.num_base_states):
         assert tuple(pairs[s]) == (s, s)
-        assert aug.origin(s) == (s, None)
     for (s, label), mid in aug.action_state_of.items():
         assert tuple(pairs[mid]) == (s, aug.landing[mid])
-        assert aug.origin(mid) == (s, label)
 
 
 def test_augmented_metric_values_on_a_grid():

@@ -122,6 +122,11 @@ def test_synth_rejects_bad_dimensions():
         synth_terrain(CraterHill(), 3, 3, 0.0)
     with pytest.raises(TypeError):
         synth_terrain("plane", 3, 3, 1.0)
+    # A zero radius would divide 0 by 0 at the centre and leave NaN heights.
+    with pytest.raises(ValueError):
+        CraterHillParams(crater_depth=4.0, crater_radius=0.0)
+    with pytest.raises(ValueError):
+        CraterHillParams(hill_height=2.0, hill_radius=-1.0)
 
 
 def test_roughness_varies_with_seed_but_not_shape():

@@ -470,6 +470,19 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _flag(key):
+    """Argparse type for a ``synth`` flag: the parser of the config key
+    ``key``, so a value out of its range exits 2 naming the flag."""
+    parse = next(field.parse for field in SCHEMA if field.key == key)
+
+    def convert(text):
+        try:
+            return parse(key, text)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc).removeprefix(f"{key}: ")) from None
+    return convert
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="safemdp",
                                      description="Safe exploration of terrain MDPs.")
@@ -484,17 +497,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="write synthetic terrain as ESRI ASCII")
     p_synth.add_argument("--kind", choices=("crater-hill", "gp-sample"),
                          default="crater-hill")
-    p_synth.add_argument("--rows", type=int, required=True)
-    p_synth.add_argument("--cols", type=int, required=True)
-    p_synth.add_argument("--cell-size", type=float, default=1.0)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--rows", type=_flag("rows"), required=True)
+    p_synth.add_argument("--cols", type=_flag("cols"), required=True)
+    p_synth.add_argument("--cell-size", type=_flag("cell_size"), default=1.0)
+    p_synth.add_argument("--seed", type=_flag("terrain_seed"), default=0)
     p_synth.add_argument("--out", required=True, help="output .asc path")
     p_synth.add_argument("--kernel", choices=sorted(_KERNELS), default="matern52")
-    p_synth.add_argument("--lengthscale", type=float, default=14.5)
-    p_synth.add_argument("--prior-std", type=float, default=10.0)
+    p_synth.add_argument("--lengthscale", type=_flag("lengthscale"), default=14.5)
+    p_synth.add_argument("--prior-std", type=_flag("prior_std"), default=10.0)
     for f in fields(CraterHillParams):
-        p_synth.add_argument(f"--{f.name.replace('_', '-')}", type=float, default=f.default,
-                             dest=f.name)
+        p_synth.add_argument(f"--{f.name.replace('_', '-')}", type=_flag(f.name),
+                             default=f.default, dest=f.name)
     return parser
 
 

@@ -3,7 +3,9 @@
 States are dense integer ids.  Each state carries a sorted list of
 ``(action label, successor)`` pairs; transitions are deterministic.  A
 metric between states supports the Lipschitz arguments used by the safety
-operators, and grids get the Manhattan metric scaled by the cell size.
+operators through one primitive, the Lipschitz envelope
+``max_{w in W} v(w) - L * d(s, w)`` (:meth:`Metric.envelope`), and grids
+get the Manhattan metric scaled by the cell size.
 
 ``augment`` re-expresses safety-on-transitions as safety-on-states by
 inserting one artificial "action-state" per (state, action) pair, so that
@@ -22,16 +24,20 @@ GRID_STAY = 4
 
 _GRID_MOVES = ((GRID_UP, -1, 0), (GRID_DOWN, 1, 0), (GRID_LEFT, 0, -1), (GRID_RIGHT, 0, 1))
 
+#: Columns of the distance block :meth:`Metric.envelope` holds at a time.
+_ENVELOPE_CHUNK = 256
+
 
 class UnknownActionError(ValueError):
     """An action label not offered by the queried state."""
 
 
 class Metric:
-    """Distance between states; subclasses implement ``pair``."""
+    """Distance between states; subclasses implement ``pair`` or ``block``,
+    and each defaults to the other."""
 
     def pair(self, i: int, j: int) -> float:
-        raise NotImplementedError
+        return float(self.block([i], [j])[0, 0])
 
     def block(self, a, b) -> np.ndarray:
         """Distance matrix between id arrays ``a`` (rows) and ``b`` (cols)."""
@@ -41,6 +47,27 @@ class Metric:
         for i, s in enumerate(a):
             for j, s2 in enumerate(b):
                 out[i, j] = self.pair(int(s), int(s2))
+        return out
+
+    def envelope(self, values, mask, lipschitz: float) -> np.ndarray:
+        """Lipschitz envelope of ``values`` from the states in ``mask``.
+
+        Returns, for every state ``s``, ``max_{w in mask} values[w] -
+        lipschitz * d(s, w)``, or ``-inf`` when ``mask`` is empty.  This
+        version works for any metric: it takes the maximum over column
+        chunks of :meth:`block`, so memory stays linear in the number of
+        states, and each term is computed as ``values[w] - lipschitz * d``.
+        """
+        values = np.asarray(values, dtype=float)
+        mask = np.asarray(mask, dtype=bool)
+        out = np.full(len(mask), -np.inf)
+        witnesses = np.flatnonzero(mask)
+        if not witnesses.size:
+            return out
+        top = values[witnesses][:, None]
+        for start in range(0, len(mask), _ENVELOPE_CHUNK):
+            cols = np.arange(start, min(start + _ENVELOPE_CHUNK, len(mask)))
+            out[cols] = (top - lipschitz * self.block(witnesses, cols)).max(axis=0)
         return out
 
 
@@ -69,6 +96,28 @@ class ManhattanMetric(Metric):
         pb = self.coords[np.asarray(b, dtype=int)]
         return np.abs(pa[:, None, :] - pb[None, :, :]).sum(axis=2) * self.cell_size
 
+    def envelope(self, values, mask, lipschitz):
+        """Exact L1 distance transform of a sampled function (Felzenszwalb
+        & Huttenlocher, 2012) on the coordinates' bounding box: one
+        forward and one backward running maximum per axis, O(box) time and
+        memory.  Box cells without a witness start at ``-inf``."""
+        values = np.asarray(values, dtype=float)
+        mask = np.asarray(mask, dtype=bool)
+        cells = self.coords.astype(int)
+        cells -= cells.min(axis=0)
+        box = np.full(tuple(cells.max(axis=0) + 1), -np.inf)
+        np.maximum.at(box, tuple(cells[mask].T), values[mask])
+        step = lipschitz * self.cell_size
+        for axis in range(box.ndim):
+            shape = [1] * box.ndim
+            shape[axis] = -1
+            ramp = step * np.arange(box.shape[axis], dtype=float).reshape(shape)
+            forward = np.maximum.accumulate(box + ramp, axis=axis) - ramp
+            backward = np.flip(np.maximum.accumulate(np.flip(box - ramp, axis), axis=axis),
+                               axis) + ramp
+            box = np.maximum(forward, backward)
+        return box[tuple(cells.T)]
+
 
 class AugmentedMetric(Metric):
     """Metric over an augmented state space.
@@ -85,18 +134,6 @@ class AugmentedMetric(Metric):
         self.landing = np.asarray(landing, dtype=int)
         self.is_action = np.asarray(is_action, dtype=bool)
         self.half_step = float(half_step)
-
-    def pair(self, i, j):
-        if i == j:
-            return 0.0
-        if self.is_action[i] and not self.is_action[j]:
-            if self.owner[i] == j or self.landing[i] == j:
-                return self.half_step
-        if self.is_action[j] and not self.is_action[i]:
-            if self.owner[j] == i or self.landing[j] == i:
-                return self.half_step
-        extra = self.half_step * (int(self.is_action[i]) + int(self.is_action[j]))
-        return self.base.pair(int(self.owner[i]), int(self.owner[j])) + extra
 
     def block(self, a, b):
         a = np.asarray(a, dtype=int)
@@ -116,6 +153,30 @@ class AugmentedMetric(Metric):
         )
         out[adj_a | adj_b] = self.half_step
         out[a[:, None] == b[None, :]] = 0.0
+        return out
+
+    def envelope(self, values, mask, lipschitz):
+        """Fold every witness into its owner cell at ``half_step`` per
+        action-state endpoint, take the base metric's envelope over cells,
+        then apply the two exceptions in O(N): a witness is at distance 0
+        from itself, and an action-state and its landing state are
+        ``half_step`` apart (owner adjacency already matches the fold)."""
+        values = np.asarray(values, dtype=float)
+        mask = np.asarray(mask, dtype=bool)
+        offset = lipschitz * self.half_step
+        shifted = values - offset
+        cells = np.full(np.count_nonzero(~self.is_action), -np.inf)
+        np.maximum.at(cells, self.owner[mask], np.where(self.is_action, shifted, values)[mask])
+        out = self.base.envelope(cells, cells > -np.inf, lipschitz)[self.owner]
+        out[self.is_action] -= offset
+        out[mask] = np.maximum(out[mask], values[mask])
+        # An original state is half_step from each witnessing action-state
+        # that lands on it,
+        acting = mask & self.is_action
+        np.maximum.at(out, self.landing[acting], shifted[acting])
+        # and an action-state is half_step from its landing state.
+        landed = self.is_action & mask[self.landing]
+        out[landed] = np.maximum(out[landed], shifted[self.landing[landed]])
         return out
 
 
@@ -153,6 +214,7 @@ class Mdp:
         self.metric = metric
         self.coords = None if coords is None else np.asarray(coords)
         self._edges = None
+        self._predecessors = None
 
     def actions_of(self, s: int):
         """Sorted ``(label, successor)`` pairs available in state ``s``."""
@@ -181,8 +243,22 @@ class Mdp:
             )
         return self._edges
 
+    def predecessors(self):
+        """Reverse adjacency as ``(starts, sources)``: the states with an
+        action leading into ``t`` are ``sources[starts[t]:starts[t + 1]]``."""
+        if self._predecessors is None:
+            src, _, dst = self.edges()
+            order = np.argsort(dst, kind="stable")
+            starts = np.zeros(self.num_states + 1, dtype=int)
+            np.cumsum(np.bincount(dst, minlength=self.num_states), out=starts[1:])
+            self._predecessors = (starts, src[order])
+        return self._predecessors
+
     def distances(self, a, b) -> np.ndarray:
-        """Metric distance matrix between id arrays ``a`` and ``b``."""
+        """Metric distance matrix between id arrays ``a`` and ``b``: the
+        dense block, for tests and brute-force checks.  The safety
+        operators read the metric through :meth:`Metric.envelope`, which
+        needs no block."""
         return self.metric.block(a, b)
 
 

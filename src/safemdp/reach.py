@@ -3,7 +3,11 @@
 All operators take and return boolean masks over the states of an
 :class:`~safemdp.mdp.Mdp`.  They are monotone in their set arguments, which
 the exploration algorithm relies on, and the fixpoint variants stabilize
-after at most ``|S|`` (respectively ``|S| + 1``) applications.
+after at most ``|S|`` (respectively ``|S| + 1``) applications.  Lipschitz
+safety reads one number per state from the metric's envelope
+(:meth:`~safemdp.mdp.Metric.envelope`), and returnability is one reverse
+breadth-first search, so an application costs O(N + E) time and memory on
+grids and their augmentations.
 """
 
 from __future__ import annotations
@@ -24,18 +28,13 @@ def r_safe_eps(mdp: Mdp, base, r_values, eps: float, lipschitz: float, threshold
     """States whose safety follows from ``base`` by a Lipschitz argument.
 
     A state ``s`` is included when some ``s'`` in ``base`` satisfies
-    ``r(s') - eps - lipschitz * d(s, s') >= threshold``; ``base`` itself is
-    always included.
+    ``r(s') - eps - lipschitz * d(s, s') >= threshold``, that is when the
+    envelope of ``r - eps`` over ``base`` clears the threshold; ``base``
+    itself is always included.
     """
     base = _as_mask(mdp, base)
-    r_values = np.asarray(r_values, dtype=float)
-    out = base.copy()
-    witnesses = np.flatnonzero(base)
-    if witnesses.size:
-        dist = mdp.distances(witnesses, np.arange(mdp.num_states))
-        bound = r_values[witnesses][:, None] - eps - lipschitz * dist
-        out |= (bound >= threshold).any(axis=0)
-    return out
+    values = np.asarray(r_values, dtype=float) - eps
+    return base | (mdp.metric.envelope(values, base, lipschitz) >= threshold)
 
 
 def r_reach(mdp: Mdp, base) -> np.ndarray:
@@ -62,18 +61,27 @@ def r_ret_one(mdp: Mdp, through, target) -> np.ndarray:
 def r_ret_fixpoint(mdp: Mdp, through, target, *, count: bool = False):
     """States that can return to ``target`` along a path inside ``through``.
 
-    Iterates :func:`r_ret_one` to its least fixpoint, which takes at most
-    ``|S|`` applications.  With ``count=True`` the number of applications is
-    returned alongside the mask.
+    This is the least fixpoint of :func:`r_ret_one`, found by one reverse
+    breadth-first search from ``target`` that enters only ``through``
+    states, in O(N + E).  With ``count=True`` the number of
+    :func:`r_ret_one` applications the fixpoint takes (the search depth
+    plus one, at most ``|S|``) is returned alongside the mask.
     """
+    through = _as_mask(mdp, through)
     current = _as_mask(mdp, target).copy()
-    applications = 0
-    while True:
-        grown = r_ret_one(mdp, through, current)
-        applications += 1
-        if np.array_equal(grown, current):
-            break
-        current = grown
+    starts, sources = mdp.predecessors()
+    frontier = np.flatnonzero(current)
+    applications = 1
+    while frontier.size:
+        lo, hi = starts[frontier], starts[frontier + 1]
+        # Concatenate the predecessor runs sources[lo:hi] of every frontier state.
+        sizes = hi - lo
+        runs = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        found = sources[runs]
+        frontier = np.unique(found[through[found] & ~current[found]])
+        current[frontier] = True
+        if frontier.size:
+            applications += 1
     if count:
         return current, applications
     return current

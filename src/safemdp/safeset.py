@@ -68,20 +68,19 @@ def classify_safe(mdp: Mdp, bands: ConfidenceBands, prev_ergodic, threshold: flo
     """States currently believed safe.
 
     In Lipschitz mode a state qualifies when some previous ergodic witness
-    ``s'`` has ``lower(s') - lipschitz * d(s, s') >= threshold``; in direct
-    mode its own lower band must clear the threshold.  The previous ergodic
-    set is kept safe in both modes so that a noisy dip of a band can never
-    shrink the safe set.
+    ``s'`` has ``lower(s') - lipschitz * d(s, s') >= threshold``, that is
+    when the envelope of the lower bands over the previous ergodic set
+    clears the threshold; in direct mode its own lower band must clear it.
+    The previous ergodic set is kept safe in both modes so that a noisy dip
+    of a band can never shrink the safe set.
     """
     prev_ergodic = np.asarray(prev_ergodic, dtype=bool)
     if not prev_ergodic.any():
         raise ValueError("prev_ergodic must not be empty")
     if isinstance(mode, GpDirectMode):
         return prev_ergodic | (bands.lower >= threshold)
-    witnesses = np.flatnonzero(prev_ergodic)
-    dist = mdp.distances(witnesses, np.arange(mdp.num_states))
-    bound = bands.lower[witnesses][:, None] - mode.lipschitz * dist
-    return prev_ergodic | (bound >= threshold).any(axis=0)
+    return prev_ergodic | (mdp.metric.envelope(bands.lower, prev_ergodic, mode.lipschitz)
+                           >= threshold)
 
 
 def ergodic_safe(mdp: Mdp, safe, prev_ergodic) -> np.ndarray:
@@ -101,19 +100,20 @@ def expanders(mdp: Mdp, ergodic, safe, bands: ConfidenceBands, lipschitz: float,
               threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Ergodic states whose optimistic band could certify an outside state.
 
-    Returns the expander mask together with per-state counts of outside
-    states ``s'`` satisfying ``upper(s) - lipschitz * d(s, s') >= threshold``.
+    A state ``s`` is an expander when it is ergodic and
+    ``upper(s) - lipschitz * d(s, s') >= threshold`` for some ``s'``
+    outside ``safe``; the nearest outside state decides, so this is
+    ``upper(s) - lipschitz * nearest(s) >= threshold``.  Returns the
+    expander mask together with ``nearest``, the distance from every state
+    to the nearest state outside ``safe`` (the negated envelope of zeros
+    with slope 1), which is ``inf`` everywhere when every state is safe.
     """
     ergodic = np.asarray(ergodic, dtype=bool)
-    safe = np.asarray(safe, dtype=bool)
-    counts = np.zeros(mdp.num_states, dtype=int)
-    inside = np.flatnonzero(ergodic)
-    outside = np.flatnonzero(~safe)
-    if inside.size and outside.size:
-        dist = mdp.distances(inside, outside)
-        bound = bands.upper[inside][:, None] - lipschitz * dist
-        counts[inside] = (bound >= threshold).sum(axis=1)
-    return counts > 0, counts
+    outside = ~np.asarray(safe, dtype=bool)
+    nearest = -mdp.metric.envelope(np.zeros(mdp.num_states), outside, 1.0)
+    if not outside.any():
+        return np.zeros(mdp.num_states, dtype=bool), nearest
+    return ergodic & (bands.upper - lipschitz * nearest >= threshold), nearest
 
 
 def acquisition_target(candidates, widths) -> int | None:

@@ -15,6 +15,7 @@ exercised, not dodged; see the comments next to each parameter block.
 import itertools
 import statistics
 import time
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -32,6 +33,7 @@ from safemdp.explorer import (
     run_safemdp,
 )
 from safemdp.gp import (
+    ConfidenceBands,
     ConstantBeta,
     GpModel,
     Kernel,
@@ -40,7 +42,7 @@ from safemdp.gp import (
     kernel_eval,
     update_bands,
 )
-from safemdp.mdp import FunctionMetric, ManhattanMetric, Mdp, grid_mdp
+from safemdp.mdp import GRID_STAY, FunctionMetric, ManhattanMetric, Mdp, augment, grid_mdp
 from safemdp.planner import NoPathError, shortest_safe_path
 from safemdp.reach import (
     r_eps,
@@ -50,7 +52,13 @@ from safemdp.reach import (
     r_ret_one,
     r_safe_eps,
 )
-from safemdp.safeset import GpDirectMode, LipschitzMode
+from safemdp.safeset import (
+    GpDirectMode,
+    LipschitzMode,
+    classify_safe,
+    compute_safe_sets,
+    expanders,
+)
 from safemdp.terrain import (
     CraterHill,
     CraterHillParams,
@@ -233,11 +241,14 @@ def bf_ret_one(mdp, through, target):
 
 
 def bf_ret_fix(mdp, through, target):
-    current = set(target)
+    """Least fixpoint of :func:`bf_ret_one` and the number of applications
+    it took, the last one (which changes nothing) included."""
+    current, applications = set(target), 0
     while True:
         grown = bf_ret_one(mdp, through, current)
+        applications += 1
         if grown == current:
-            return current
+            return current, applications
         current = grown
 
 
@@ -245,7 +256,7 @@ def bf_eps(mdp, dist, base, r, eps, lip, h):
     if not base:
         return set()
     safe = bf_safe(mdp, dist, base, r, eps, lip, h)
-    return safe & bf_reach(mdp, base) & bf_ret_fix(mdp, safe, base)
+    return safe & bf_reach(mdp, base) & bf_ret_fix(mdp, safe, base)[0]
 
 
 def bf_eps_fix(mdp, dist, seed, r, eps, lip, h):
@@ -274,7 +285,7 @@ def check_all_operators(mdp, dist, rng):
     bad += to_set(r_reach(mdp, bm)) != bf_reach(mdp, base)
     bad += to_set(r_ret_one(mdp, tm, gm)) != bf_ret_one(mdp, through, target)
     got, k = r_ret_fixpoint(mdp, tm, gm, count=True)
-    bad += to_set(got) != bf_ret_fix(mdp, through, target) or k > n
+    bad += (to_set(got), k) != bf_ret_fix(mdp, through, target)
     bad += to_set(r_eps(mdp, bm, r, eps, lip, h)) != bf_eps(mdp, dist, base, r, eps, lip, h)
     got, k = r_eps_fixpoint(mdp, bm, r, eps, lip, h, count=True)
     bad += to_set(got) != bf_eps_fix(mdp, dist, base, r, eps, lip, h) or k > n
@@ -313,6 +324,98 @@ def test_set_operators_match_bruteforce(capsys):
             mismatches == 0 and elapsed < 60.0,
             f"{n_exhaustive} exhaustive + 200 random MDPs, "
             f"{mismatches} mismatches, {elapsed:.1f}s (< 60s)")
+
+
+def random_grid(rng, cell_size):
+    """A small grid with about a fifth of its cells invalid."""
+    rows, cols = (int(v) for v in rng.integers(1, 7, size=2))
+    valid = rng.random(rows * cols) < 0.8
+    valid[int(rng.integers(rows * cols))] = True
+    return grid_mdp(rows, cols, cell_size, valid)
+
+
+def test_envelope_matches_bruteforce(capsys):
+    """The grid and augmented-grid envelopes (distance transforms, not
+    blocks) against the dense block, and the three operators built on them
+    against python-set brute force over that block."""
+    rng = np.random.default_rng(8)
+    worst = 0.0
+    mismatches = 0
+    trials = 240
+    for i in range(trials):
+        grid = random_grid(rng, (1.0, 0.3, 2.5)[i % 3])
+        mdp = grid if i % 2 else augment(grid)
+        n = mdp.num_states
+        ids = np.arange(n)
+        dist = mdp.distances(ids, ids)
+        lip = 0.0 if i % 7 == 0 else float(rng.uniform(0, 2))
+        witnesses = (np.zeros(n, bool), np.ones(n, bool), rng.random(n) < 0.3)[i % 3]
+        values = rng.normal(size=n)
+
+        got = mdp.metric.envelope(values, witnesses, lip)
+        expected = np.full(n, -np.inf)
+        if witnesses.any():
+            expected = (values[witnesses][:, None] - lip * dist[witnesses]).max(axis=0)
+        mismatches += not np.array_equal(np.isinf(got), np.isinf(expected))
+        finite = np.isfinite(expected)
+        if finite.any():
+            worst = max(worst, float(np.abs(got[finite] - expected[finite]).max()))
+
+        h = float(rng.normal(scale=0.5))
+        eps = float(rng.uniform(0, 0.4))
+        base = to_set(witnesses)
+        mismatches += to_set(r_safe_eps(mdp, witnesses, values, eps, lip, h)) != bf_safe(
+            mdp, dist, base, values, eps, lip, h)
+        bands = ConfidenceBands(values, values + rng.uniform(0, 2, size=n))
+        if base:  # LipschitzMode needs a positive constant and a witness
+            mode_lip = max(lip, 1e-3)
+            got_safe = classify_safe(mdp, bands, witnesses, h, LipschitzMode(mode_lip))
+            mismatches += to_set(got_safe) != bf_safe(mdp, dist, base, bands.lower, 0.0,
+                                                      mode_lip, h)
+        safe = witnesses | (rng.random(n) < 0.5)
+        ergodic = safe & (rng.random(n) < 0.7)
+        got_exp, nearest = expanders(mdp, ergodic, safe, bands, lip, h)
+        outside = np.flatnonzero(~safe)
+        mismatches += not np.array_equal(
+            nearest, dist[:, outside].min(axis=1) if outside.size else np.full(n, np.inf))
+        mismatches += to_set(got_exp) != {
+            s for s in to_set(ergodic)
+            if any(bands.upper[s] - lip * dist[s][o] >= h for o in outside)}
+
+    verdict(capsys, "envelope vs brute force",
+            mismatches == 0 and worst <= 1e-12,
+            f"{trials} grids and augmented grids, {mismatches} mismatches, "
+            f"max envelope dev {worst:.1e} (<= 1e-12)")
+
+
+def test_operators_need_no_quadratic_memory(capsys):
+    """Both oracle fixpoints and a Lipschitz-mode classification round on
+    an augmented 30x30 grid (N=5280), where one dense witness block would
+    take up to 223 MB."""
+    grid = grid_mdp(30, 30, 1.0)
+    aug = augment(grid)
+    n = aug.num_states
+    rng = np.random.default_rng(3)
+    # Flat cells; transitions mostly gentle, about 1% steeper than h = -0.5.
+    r = np.where(aug.is_action_state, rng.normal(scale=0.2, size=n), 0.0)
+    seed = np.zeros(n, dtype=bool)
+    seed[[0, aug.action_state_of[(0, GRID_STAY)]]] = True
+    bands = ConfidenceBands(r - 0.05, r + 0.05)
+    upper_half = grid.coords[aug.owner, 0] < 15
+    tracemalloc.start()
+    try:
+        grown = r_eps_fixpoint(aug, seed, r, 0.05, 0.2, -0.5)
+        sets = compute_safe_sets(aug, bands, upper_half, -0.5, LipschitzMode(0.2), 0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    peak_mb = peak / 2**20
+    verdict(capsys, "linear memory",
+            peak_mb < 8.0 and grown.sum() == n and upper_half.sum() < sets.safe.sum() < n
+            and sets.expanders.any(),
+            f"N={n}, oracle grew {int(seed.sum())} -> {int(grown.sum())} states, "
+            f"safe set {int(upper_half.sum())} -> {int(sets.safe.sum())}, "
+            f"peak {peak_mb:.1f} MB (< 8 MB)")
 
 
 # ---------------------------------------------------------------------------

@@ -310,3 +310,15 @@ def test_synth_failure_is_a_runtime_error(tmp_path, capsys):
     assert main(["synth", "--rows", "60", "--cols", "60", "--kind", "gp-sample",
                  "--out", str(tmp_path / "big.asc")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--rows", "0"), ("--cell-size", "-1"),
+                                         ("--crater-radius", "0")])
+def test_synth_out_of_range_flags_are_usage_errors(tmp_path, capsys, flag, value):
+    # The flags share their config keys' range checks: exit 2, naming the flag.
+    out = tmp_path / "t.asc"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--rows", "3", "--cols", "3", "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+    assert not out.exists()

@@ -209,29 +209,26 @@ def test_augmented_metric_values_on_a_grid():
     base = grid_mdp(3, 3, 2.0)
     aug = augment(base)  # default half_step = half a cell = 1.0
     assert aug.half_step == 1.0
+
+    def d(i, j):
+        return aug.distances([i], [j])[0, 0]
+
     x = aug.action_state_of[(0, GRID_RIGHT)]  # between states 0 and 1
-    assert aug.metric.pair(x, 0) == 1.0
-    assert aug.metric.pair(0, x) == 1.0
-    assert aug.metric.pair(x, 1) == 1.0
+    assert d(x, 0) == 1.0
+    assert d(0, x) == 1.0
+    assert d(x, 1) == 1.0
     # Non-adjacent originals sit at owner distance plus the offset.
-    assert aug.metric.pair(x, 2) == base.metric.pair(0, 2) + 1.0
+    assert d(x, 2) == base.metric.pair(0, 2) + 1.0
     # Between action-states: owner distance plus one offset per endpoint.
     y = aug.action_state_of[(1, GRID_RIGHT)]
-    assert aug.metric.pair(x, y) == base.metric.pair(0, 1) + 2.0
-    assert aug.metric.pair(x, x) == 0.0
+    assert d(x, y) == base.metric.pair(0, 1) + 2.0
+    assert d(x, x) == 0.0
     # A stay action-state is half_step from its owner in both roles.
     z = aug.action_state_of[(4, GRID_STAY)]
-    assert aug.metric.pair(z, 4) == 1.0
-
-
-def test_augmented_block_matches_pair_exhaustively():
-    aug = augment(grid_mdp(2, 3, 1.0))
+    assert d(z, 4) == 1.0
     ids = np.arange(aug.num_states)
     block = aug.distances(ids, ids)
-    for i in ids:
-        for j in ids:
-            assert block[i, j] == aug.metric.pair(int(i), int(j)), (i, j)
-    np.testing.assert_allclose(block, block.T)
+    np.testing.assert_array_equal(block, block.T)
     assert (np.diag(block) == 0).all()
 
 

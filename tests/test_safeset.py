@@ -184,23 +184,24 @@ def test_ergodic_matches_operator_composition():
 def test_no_outside_states_means_no_expanders():
     mdp = grid_mdp(2, 2, 1.0)
     bands = bands_of([1.0] * 4, [5.0] * 4)
-    mask_, counts = expanders(mdp, np.ones(4, bool), np.ones(4, bool), bands, 1.0, 0.0)
-    assert not mask_.any()
-    assert (counts == 0).all()
+    # With lip = 0 the infinite distance must not turn into 0 * inf = NaN.
+    for lip in (1.0, 0.0):
+        mask_, nearest = expanders(mdp, np.ones(4, bool), np.ones(4, bool), bands, lip, 0.0)
+        assert not mask_.any()
+        assert (nearest == np.inf).all()
 
 
 def test_boundary_certificate_counts_inclusively():
     mdp = grid_mdp(1, 2, 1.0)
     h, lip = 0.0, 0.5  # exactly representable so the boundary really is exact
-    # u(s0) - L*d(s0,s1) == h; inclusive comparison makes s0 an expander
-    # with count 1.
+    # u(s0) - L*d(s0,s1) == h; inclusive comparison makes s0 an expander.
     bands = bands_of([h, -1.0], [h + lip * 1.0, -0.5])
-    mask_, counts = expanders(mdp, mask(2, {0}), mask(2, {0}), bands, lip, h)
+    mask_, nearest = expanders(mdp, mask(2, {0}), mask(2, {0}), bands, lip, h)
     np.testing.assert_array_equal(mask_, [True, False])
-    np.testing.assert_array_equal(counts, [1, 0])
+    np.testing.assert_array_equal(nearest, [1.0, 0.0])
     # An upper band a hair lower misses the certificate.
     bands = bands_of([h, -1.0], [h + lip - 1e-9, -0.5])
-    mask_, counts = expanders(mdp, mask(2, {0}), mask(2, {0}), bands, lip, h)
+    mask_, nearest = expanders(mdp, mask(2, {0}), mask(2, {0}), bands, lip, h)
     assert not mask_.any()
 
 
@@ -214,14 +215,16 @@ def test_expanders_match_bruteforce():
         safe = rng.random(n) < 0.6
         ergodic = safe & (rng.random(n) < 0.7)
         lip = float(rng.uniform(0.05, 1.5))
-        got_mask, got_counts = expanders(mdp, ergodic, safe, bands, lip, h)
-        expected = np.zeros(n, dtype=int)
+        got_mask, got_nearest = expanders(mdp, ergodic, safe, bands, lip, h)
+        nearest = np.array([min((mdp.metric.pair(s, int(s2)) for s2 in np.flatnonzero(~safe)),
+                                default=np.inf) for s in range(n)])
+        expected = np.zeros(n, dtype=bool)
         for s in np.flatnonzero(ergodic):
             for s2 in np.flatnonzero(~safe):
                 if bands.upper[s] - lip * mdp.metric.pair(int(s), int(s2)) >= h:
-                    expected[s] += 1
-        np.testing.assert_array_equal(got_counts, expected)
-        np.testing.assert_array_equal(got_mask, expected > 0)
+                    expected[s] = True
+        np.testing.assert_array_equal(got_nearest, nearest)
+        np.testing.assert_array_equal(got_mask, expected)
 
 
 def test_shrinking_upper_bands_never_add_expanders():

@@ -325,7 +325,7 @@ def _band_model(cfg, aug, seed, threshold):
 def _explorer_config(cfg: ExperimentConfig, seed_mask) -> ExplorerConfig:
     mode = GpDirectMode() if cfg.mode == "gp-direct" else LipschitzMode(cfg.lipschitz)
     return ExplorerConfig(
-        beta=ConstantBeta(cfg.beta), mode=mode, lipschitz_for_expanders=cfg.lipschitz,
+        mode=mode, lipschitz_for_expanders=cfg.lipschitz,
         epsilon=cfg.epsilon, max_iterations=cfg.max_iterations, seed_set=seed_mask,
         measure_along_path=cfg.measure_along_path, max_steps=cfg.max_steps)
 
@@ -410,19 +410,28 @@ def write_manifest(cfg: ExperimentConfig, seed: int, path: Path) -> None:
 
 def _prepare(config_path: str):
     """What both commands build first: the config, the grid, the augmented
-    MDP, the seed mask, and the oracle masks for ``epsilon`` and for zero."""
+    MDP with its environment, the seed mask, and the oracle masks for
+    ``epsilon`` and for zero."""
     cfg = load_experiment_config(config_path)
     grid = build_grid(cfg)
     aug, env = build_terrain_environment(grid, cfg.safety, cfg.noise_std, 0)
     seed_mask = _seed_mask(aug, grid, cfg)
     oracle = tuple(r_eps_fixpoint(aug, seed_mask, env.true_safety, eps, cfg.lipschitz,
                                   env.threshold) for eps in (cfg.epsilon, 0.0))
-    return cfg, grid, aug, seed_mask, oracle
+    return cfg, grid, aug, env, seed_mask, oracle
 
 
 def cmd_explore(config_path: str) -> int:
     """Run the configured strategy for every seed and write its artifacts."""
-    cfg, grid, aug, seed_mask, oracle = _prepare(config_path)
+    cfg, grid, aug, env, seed_mask, oracle = _prepare(config_path)
+    # The seed pocket is declared safe unmeasured; an unsafe state in it
+    # breaks the safety promise before the first step.
+    unsafe = int(np.count_nonzero(seed_mask & (env.true_safety < env.threshold)))
+    if unsafe:
+        raise ConfigError(
+            f"explorer.seed_row/seed_col: the seed pocket of cell ({cfg.seed_row}, "
+            f"{cfg.seed_col}) holds {unsafe} unsafe state(s), transitions steeper than "
+            f"safety.conservative_slope_deg; choose a flatter start cell")
     out_root = resolve_output_dir(cfg.directory)
     for seed in cfg.seeds:
         _, env = build_terrain_environment(grid, cfg.safety, cfg.noise_std, seed)
@@ -441,7 +450,7 @@ def cmd_explore(config_path: str) -> int:
 
 def cmd_oracle(config_path: str) -> int:
     """Write exact safely-explorable sets for the configured environment."""
-    cfg, _, aug, _, (oracle_eps, oracle_zero) = _prepare(config_path)
+    cfg, _, aug, _, _, (oracle_eps, oracle_zero) = _prepare(config_path)
     out_root = resolve_output_dir(cfg.directory)
     out_root.mkdir(parents=True, exist_ok=True)
     lines = [ORACLE_HEADER]

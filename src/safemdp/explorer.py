@@ -93,7 +93,6 @@ class ExplorerConfig:
     Lipschitz mode).
     """
 
-    beta: BetaSchedule
     mode: ClassifierMode
     lipschitz_for_expanders: float
     epsilon: float
@@ -106,9 +105,10 @@ class ExplorerConfig:
 class GpBandModel:
     """Keeps a GP over the working states and the intersected bands.
 
-    The model owns the running :class:`~safemdp.gp.ConfidenceBands`; each
-    ``advance`` recomputes the posterior over all states and intersects the
-    new intervals into the bands.
+    The model owns the GP, the beta schedule and the running
+    :class:`~safemdp.gp.ConfidenceBands`; each ``advance`` recomputes the
+    posterior over all states and intersects the new intervals into the
+    bands, and each ``measure`` conditions the GP in place.
     """
 
     def __init__(self, gp: GpModel, schedule: BetaSchedule, num_states: int,
@@ -127,7 +127,7 @@ class GpBandModel:
     def measure(self, env: Environment, state: int) -> float:
         """Take one measurement at ``state`` and fold it into the GP."""
         value = env.observe(state)
-        self.gp = self.gp.add_observation(state, value)
+        self.gp.add_observation(state, value)
         return value
 
 
@@ -143,7 +143,6 @@ class IterationRecord:
     path: PathPlan
     observation: float
     sets: SafeSets
-    bands_digest: str
 
 
 @dataclass
@@ -235,10 +234,9 @@ def _run(mdp, env, cfg, band_model, name):
 
     if not env.is_safe(current):
         # The claimed-safe start state is already a violation.
-        bands = band_model.bands
-        final_sets = SafeSets(seed.copy(), seed.copy(), np.zeros_like(seed), bands.width())
+        final_sets = SafeSets(seed.copy(), seed.copy(), np.zeros_like(seed))
         return ExplorationTrace(name, records, REASON_VIOLATION, 0, 0, current,
-                                final_sets, bands.collapses)
+                                final_sets, band_model.bands.collapses)
 
     for t in range(1, cfg.max_iterations + 1):
         bands = band_model.advance(t)
@@ -246,8 +244,9 @@ def _run(mdp, env, cfg, band_model, name):
         final_sets = sets
         prev_ergodic = sets.ergodic
 
+        widths = bands.width()
         try:
-            plan = strategy.plan(mdp, sets, current, action_rng)
+            plan = strategy.plan(mdp, sets, widths, current, action_rng)
         except NoPathError:
             reason = REASON_STUCK
             break
@@ -255,7 +254,7 @@ def _run(mdp, env, cfg, band_model, name):
             reason = REASON_EXPANDERS_EMPTY
             break
         target = plan.states[-1]
-        width_at_target = float(bands.width()[target])
+        width_at_target = float(widths[target])
 
         observation = np.nan
         for state in plan.states[1:]:
@@ -270,8 +269,7 @@ def _run(mdp, env, cfg, band_model, name):
                 break
         if violation_step is None and current == target:
             observation = band_model.measure(env, target)
-        records.append(IterationRecord(t, target, width_at_target, plan, observation,
-                                       sets, bands.digest()))
+        records.append(IterationRecord(t, target, width_at_target, plan, observation, sets))
 
         if violation_step is not None:
             reason = REASON_VIOLATION
@@ -313,8 +311,9 @@ class Strategy:
     """What one strategy classifies, where it walks, and when it stops.
 
     ``classify(mdp, bands, prev_ergodic, threshold, cfg)`` returns the
-    round's :class:`~safemdp.safeset.SafeSets`.  ``plan(mdp, sets, current,
-    rng)`` returns the :class:`~safemdp.planner.PathPlan` to walk, ``None``
+    round's :class:`~safemdp.safeset.SafeSets`.  ``plan(mdp, sets, widths,
+    current, rng)``, given the round's band widths, returns the
+    :class:`~safemdp.planner.PathPlan` to walk, ``None``
     when there is nothing left to target, or raises
     :class:`~safemdp.planner.NoPathError`.  A strategy that ``converges``
     stops once the width at its target is at most ``epsilon``.
@@ -336,7 +335,7 @@ def _classify_without_returnability(mdp, bands, prev_ergodic, threshold, cfg) ->
     safe = classify_safe(mdp, bands, prev_ergodic, threshold, cfg.mode)
     pseudo = safe & r_reach(mdp, prev_ergodic)
     mask, _ = expanders(mdp, pseudo, safe, bands, cfg.lipschitz_for_expanders, threshold)
-    return SafeSets(safe, pseudo, mask, bands.width())
+    return SafeSets(safe, pseudo, mask)
 
 
 def _everywhere(sets: SafeSets) -> np.ndarray:
@@ -346,15 +345,15 @@ def _everywhere(sets: SafeSets) -> np.ndarray:
 def _walk_to(candidates, allowed):
     """Plan to the widest state of ``candidates(sets)`` along a shortest path
     inside ``allowed(sets)``."""
-    def plan(mdp, sets, current, rng):
-        target = acquisition_target(candidates(sets), sets.widths)
+    def plan(mdp, sets, widths, current, rng):
+        target = acquisition_target(candidates(sets), widths)
         if target is None:
             return None
         return shortest_safe_path(mdp, allowed(sets), current, target)
     return plan
 
 
-def _random_step(mdp, sets, current, rng) -> PathPlan:
+def _random_step(mdp, sets, widths, current, rng) -> PathPlan:
     acts = mdp.actions_of(current)
     label, succ = acts[int(rng.integers(len(acts)))]
     return PathPlan([label], [current, succ])

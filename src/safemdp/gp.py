@@ -8,7 +8,6 @@ confidence-interval width, and monotonically intersected confidence bands.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -115,10 +114,6 @@ class StationaryCovariance:
         self.kernel = kernel
         self.coords = coords
 
-    @property
-    def num_points(self) -> int:
-        return self.coords.shape[0]
-
     def matrix(self, a, b) -> np.ndarray:
         """Full covariance matrix between the id sequences ``a`` and ``b``."""
         pa = self.coords[np.asarray(a, dtype=int)]
@@ -133,10 +128,6 @@ class StationaryCovariance:
         pb = self.coords[np.asarray(b, dtype=int)]
         dist = np.linalg.norm(pa - pb, axis=-1)
         return kernel_eval(self.kernel, dist)
-
-    def diag(self, a) -> np.ndarray:
-        """Prior variance of each id in ``a``."""
-        return np.full(len(np.asarray(a, dtype=int)), self.kernel.prior_std**2)
 
 
 def _factorize(cov, points, noise_var, start_jitter):
@@ -156,34 +147,32 @@ def _factorize(cov, points, noise_var, start_jitter):
 
 
 class GpModel:
-    """Exact GP posterior with immutable-snapshot update semantics.
+    """Exact GP posterior, conditioned in place.
 
-    ``add_observation`` returns a new model and never mutates the receiver,
-    so earlier snapshots stay valid while exploration continues.  The
-    Cholesky factor of ``K + noise_std**2 I`` is grown by rank-1 appends and
-    refactorized from scratch every :data:`REBUILD_PERIOD` updates.
+    ``add_observation`` updates the model itself.  The Cholesky factor of
+    ``K + noise_std**2 I`` is grown by rank-1 appends and refactorized from
+    scratch every :data:`REBUILD_PERIOD` updates.
 
     Parameters
     ----------
     cov :
-        Covariance object with ``matrix(a, b)``, ``pairwise(a, b)`` and
-        ``diag(a)`` methods over integer point ids.
+        Covariance object with ``matrix(a, b)`` and ``pairwise(a, b)``
+        methods over integer point ids.
     noise_std : float
         Non-negative observation noise standard deviation.
     """
 
-    def __init__(self, cov, noise_std: float, *, _points=(), _values=None, _chol=None,
-                 _alpha=None, _jitter=0.0, _since_rebuild=0):
+    def __init__(self, cov, noise_std: float):
         if noise_std < 0:
             raise ValueError("noise_std must be non-negative")
         self.cov = cov
         self.noise_std = float(noise_std)
-        self._points = tuple(_points)
-        self._values = np.zeros(0) if _values is None else _values
-        self._chol = _chol
-        self._alpha = _alpha
-        self._jitter = _jitter
-        self._since_rebuild = _since_rebuild
+        self._points = ()
+        self._values = np.zeros(0)
+        self._chol = None
+        self._alpha = None
+        self._jitter = 0.0
+        self._since_rebuild = 0
 
     @classmethod
     def from_data(cls, cov, noise_std: float, points: Sequence[int], values) -> "GpModel":
@@ -192,12 +181,10 @@ class GpModel:
         values = np.asarray(values, dtype=float)
         if len(points) != len(values):
             raise ValueError("points and values must have equal length")
-        if not points:
-            return cls(cov, noise_std)
-        chol, jitter = _factorize(cov, points, noise_std**2, 0.0)
-        alpha = _solve_chol(chol, values)
-        return cls(cov, noise_std, _points=points, _values=values, _chol=chol,
-                   _alpha=alpha, _jitter=jitter)
+        model = cls(cov, noise_std)
+        if points:
+            model._refactorize(points, values)
+        return model
 
     @property
     def num_observations(self) -> int:
@@ -215,28 +202,37 @@ class GpModel:
     def jitter(self) -> float:
         return self._jitter
 
-    def add_observation(self, point: int, value: float) -> "GpModel":
-        """Return a new model that also conditions on ``(point, value)``."""
+    def add_observation(self, point: int, value: float) -> None:
+        """Condition the model on ``(point, value)`` as well.
+
+        If the factor cannot be rebuilt, :class:`SingularSystemError` is
+        raised and the model is left as it was.
+        """
         point = int(point)
         points = self._points + (point,)
         values = np.append(self._values, float(value))
-        noise_var = self.noise_std**2
-        jitter = self._jitter
-        since = self._since_rebuild + 1
         chol = None
-        if self._chol is not None and since < REBUILD_PERIOD:
-            chol = self._try_append(point, noise_var + jitter)
+        if self._chol is not None and self._since_rebuild + 1 < REBUILD_PERIOD:
+            chol = self._try_append(point, self.noise_std**2 + self._jitter)
         if chol is None:
-            chol, jitter = _factorize(self.cov, points, noise_var, jitter)
-            since = 0
-        alpha = _solve_chol(chol, values)
-        return GpModel(self.cov, self.noise_std, _points=points, _values=values,
-                       _chol=chol, _alpha=alpha, _jitter=jitter, _since_rebuild=since)
+            self._refactorize(points, values)
+            return
+        self._points, self._values, self._chol = points, values, chol
+        self._alpha = _solve_chol(chol, values)
+        self._since_rebuild += 1
+
+    def _refactorize(self, points, values):
+        """Condition on exactly ``points`` and ``values``, factorizing from
+        scratch; the jitter ladder starts at the current jitter."""
+        chol, jitter = _factorize(self.cov, points, self.noise_std**2, self._jitter)
+        self._points, self._values, self._chol, self._jitter = points, values, chol, jitter
+        self._alpha = _solve_chol(chol, values)
+        self._since_rebuild = 0
 
     def _try_append(self, point, diag_boost):
         """Grow the Cholesky factor by one row, or ``None`` if unstable."""
         k_vec = self.cov.matrix(self._points, [point])[:, 0]
-        k_pp = float(self.cov.diag([point])[0]) + diag_boost
+        k_pp = float(self.cov.pairwise([point], [point])[0]) + diag_boost
         c = solve_triangular(self._chol, k_vec, lower=True)
         d_sq = k_pp - c @ c
         if not d_sq > max(k_pp, 1.0) * 1e-12:
@@ -258,9 +254,9 @@ class GpModel:
             clamping raises :class:`GpError`.
         """
         ids = np.asarray(list(points), dtype=int)
-        prior_var = np.asarray(self.cov.diag(ids), dtype=float)
+        prior_var = np.asarray(self.cov.pairwise(ids, ids), dtype=float)
         if not self._points:
-            return np.zeros(len(ids)), prior_var.copy()
+            return np.zeros(len(ids)), prior_var
         k_cross = self.cov.matrix(self._points, ids)
         means = k_cross.T @ self._alpha
         v = solve_triangular(self._chol, k_cross, lower=True)
@@ -365,11 +361,6 @@ class ConfidenceBands:
 
     def width(self) -> np.ndarray:
         return self.upper - self.lower
-
-    def digest(self) -> str:
-        """Stable fingerprint of the current bands, for trace records."""
-        payload = np.ascontiguousarray(self.lower).tobytes() + np.ascontiguousarray(self.upper).tobytes()
-        return hashlib.sha256(payload).hexdigest()
 
 
 def initial_bands(num_states: int, safe_seed, threshold: float) -> ConfidenceBands:

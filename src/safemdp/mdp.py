@@ -88,9 +88,6 @@ class ManhattanMetric(Metric):
         self.coords = np.asarray(coords, dtype=float)
         self.cell_size = float(cell_size)
 
-    def pair(self, i, j):
-        return float(np.abs(self.coords[i] - self.coords[j]).sum() * self.cell_size)
-
     def block(self, a, b):
         pa = self.coords[np.asarray(a, dtype=int)]
         pb = self.coords[np.asarray(b, dtype=int)]

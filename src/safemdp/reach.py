@@ -68,23 +68,25 @@ def r_ret_fixpoint(mdp: Mdp, through, target, *, count: bool = False):
     plus one, at most ``|S|``) is returned alongside the mask.
     """
     through = _as_mask(mdp, through)
-    current = _as_mask(mdp, target).copy()
+    target = _as_mask(mdp, target)
     starts, sources = mdp.predecessors()
-    frontier = np.flatnonzero(current)
+    open_ = through & ~target  # through states the search has not entered
+    frontier = np.flatnonzero(target)
     applications = 1
     while frontier.size:
-        lo, hi = starts[frontier], starts[frontier + 1]
-        # Concatenate the predecessor runs sources[lo:hi] of every frontier state.
-        sizes = hi - lo
-        runs = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-        found = sources[runs]
-        frontier = np.unique(found[through[found] & ~current[found]])
-        current[frontier] = True
-        if frontier.size:
-            applications += 1
-    if count:
-        return current, applications
-    return current
+        # The predecessor runs sources[lo:lo + size] of the frontier states,
+        # kept where open and deduped on a mask.
+        lo = starts[frontier]
+        sizes = starts[frontier + 1] - lo
+        ends = np.cumsum(sizes)
+        found = sources[np.repeat(lo - ends + sizes, sizes) + np.arange(ends[-1])]
+        layer = np.zeros_like(open_)
+        layer[found[open_[found]]] = True
+        frontier = np.flatnonzero(layer)
+        open_[frontier] = False
+        applications += bool(frontier.size)
+    current = target | (through & ~open_)
+    return (current, applications) if count else current
 
 
 def r_eps(mdp: Mdp, base, r_values, eps: float, lipschitz: float, threshold: float) -> np.ndarray:

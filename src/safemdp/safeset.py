@@ -47,14 +47,12 @@ ClassifierMode = Union[LipschitzMode, GpDirectMode]
 class SafeSets:
     """Snapshot of one classification round.
 
-    ``expanders <= ergodic <= safe`` always holds, and ``widths`` are the
-    band widths the acquisition rule maximizes over.
+    ``expanders <= ergodic <= safe`` always holds.
     """
 
     safe: np.ndarray
     ergodic: np.ndarray
     expanders: np.ndarray
-    widths: np.ndarray
 
     def __post_init__(self):
         if (self.ergodic & ~self.safe).any():
@@ -136,4 +134,4 @@ def compute_safe_sets(mdp: Mdp, bands: ConfidenceBands, prev_ergodic, threshold:
     safe = classify_safe(mdp, bands, prev_ergodic, threshold, mode)
     ergodic = ergodic_safe(mdp, safe, prev_ergodic)
     mask, _ = expanders(mdp, ergodic, safe, bands, expander_lipschitz, threshold)
-    return SafeSets(safe, ergodic, mask, bands.width())
+    return SafeSets(safe, ergodic, mask)

@@ -320,9 +320,6 @@ class DifferenceCovariance:
         return (hc(pa[:, 0], pb[:, 0]) - hc(pa[:, 0], pb[:, 1])
                 - hc(pa[:, 1], pb[:, 0]) + hc(pa[:, 1], pb[:, 1]))
 
-    def diag(self, a) -> np.ndarray:
-        return self.pairwise(a, a)
-
 
 def difference_gp(aug: AugmentedMdp, kernel: Kernel, noise_std: float,
                   cell_size: float) -> GpModel:
@@ -380,11 +377,11 @@ class HeightGpBandModel(GpBandModel):
         owner = int(self.aug.owner[state])
         landing = int(self.aug.landing[state])
         y_owner = env.observe_height(owner)
-        self.gp = self.gp.add_observation(owner, y_owner)
+        self.gp.add_observation(owner, y_owner)
         if landing == owner:
             return 0.0
         y_landing = env.observe_height(landing)
-        self.gp = self.gp.add_observation(landing, y_landing)
+        self.gp.add_observation(landing, y_landing)
         return y_owner - y_landing
 
 

@@ -130,8 +130,7 @@ def run_strategy(aug, env, mask, threshold, kern, strategy, budget, *,
                  eps=0.15, noise=0.075):
     bands = difference_band_model(aug, kern, noise, 1.0, ConstantBeta(2.0),
                                   mask, threshold)
-    cfg = ExplorerConfig(beta=ConstantBeta(2.0), mode=GpDirectMode(),
-                         lipschitz_for_expanders=0.2, epsilon=eps,
+    cfg = ExplorerConfig(mode=GpDirectMode(), lipschitz_for_expanders=0.2, epsilon=eps,
                          max_iterations=budget, seed_set=mask)
     if strategy == "safemdp":
         return run_safemdp(aug, env, cfg, bands)
@@ -169,7 +168,7 @@ def test_gp_posterior_matches_dense_solve(capsys):
         batch = GpModel.from_data(cov, noise, obs.tolist(), vals)
         incremental = GpModel(cov, noise)
         for p, v in zip(obs, vals):
-            incremental = incremental.add_observation(int(p), float(v))
+            incremental.add_observation(int(p), float(v))
 
         # Dense reference: solve K alpha = y directly, no Cholesky reuse.
         d_oo = np.linalg.norm(coords[obs][:, None] - coords[obs][None, :], axis=-1)
@@ -624,8 +623,7 @@ def test_strategy_comparison_on_shared_fixtures(capsys):
         env = Environment(r, 0.0, 1e-3, seed)
         cov = StationaryCovariance(Kernel("matern52", 1.0, 1.0), coords)
         bands = GpBandModel(GpModel(cov, 1e-3), ConstantBeta(4.0), 4, seed_mask, 0.0)
-        cfg = ExplorerConfig(ConstantBeta(4.0), LipschitzMode(0.5), 0.5, 0.05,
-                             30, seed_mask)
+        cfg = ExplorerConfig(LipschitzMode(0.5), 0.5, 0.05, 30, seed_mask)
         trace = run_baseline("non_ergodic", mdp, env, cfg, bands)
         benchmark = r_eps_fixpoint(mdp, seed_mask, r, 0.05, 0.5, 0.0)
         frac = float((trace.final_sets.ergodic & benchmark).sum() / benchmark.sum())

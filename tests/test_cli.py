@@ -1,7 +1,9 @@
 """Command-line interface tests: config schema, artifacts, exit codes."""
 
+import configparser
 import dataclasses
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,13 +193,16 @@ def test_explore_is_byte_deterministic(tmp_path):
 
 
 def test_violation_is_a_result_not_a_failure(tmp_path):
+    # The crater sits in the far corner, so the seed pocket at (0, 0) is
+    # truly safe and the violation happens on the way.
     out = tmp_path / "out"
     path = write_config(
         tmp_path, out,
         **{
-            "terrain.crater_row": "2", "terrain.crater_col": "2",
+            "terrain.crater_row": "3", "terrain.crater_col": "3",
             "terrain.crater_depth": "8.0", "terrain.crater_radius": "1.2",
             "explorer.strategy": "unsafe", "explorer.max_iterations": "30",
+            "explorer.seed_row": "0", "explorer.seed_col": "0",
         },
     )
     assert main(["explore", str(path)]) == 0
@@ -205,6 +210,27 @@ def test_violation_is_a_result_not_a_failure(tmp_path):
                    (out / "seed_0" / "metrics.txt").read_text().splitlines())
     assert metrics["terminal_reason"] == "violation"
     assert metrics["violation_step"] != ""
+
+
+def test_unsafe_seed_pocket_is_a_config_error(tmp_path, capsys):
+    # On this 20x20 gp-sample terrain, terrain seed 1 puts two transitions
+    # steeper than the conservative slope into the start cell's seed pocket;
+    # terrain seed 0 puts none there.
+    config = Path(__file__).parents[1] / "perfbench" / "configs" / "explore-diff.ini"
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read(config)
+    parser["explorer"].update(seeds="0", max_iterations="2")
+    for terrain_seed, code in (("1", 2), ("0", 0)):
+        parser["terrain"]["terrain_seed"] = terrain_seed
+        parser["output"]["directory"] = str(tmp_path / f"terrain_{terrain_seed}")
+        path = tmp_path / f"terrain_{terrain_seed}.ini"
+        with open(path, "w") as handle:
+            parser.write(handle)
+        assert main(["explore", str(path)]) == code
+    err = capsys.readouterr().err
+    assert "cell (10, 10) holds 2 unsafe state(s)" in err
+    assert not (tmp_path / "terrain_1").exists()
+    assert (tmp_path / "terrain_0" / "seed_0" / "trace.csv").exists()
 
 
 def test_output_root_env_var_rebases_relative_dirs(tmp_path, monkeypatch):

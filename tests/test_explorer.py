@@ -31,7 +31,7 @@ def meadow():
     mdp = grid_mdp(3, 3, 1.0)
     seed = np.zeros(9, bool)
     seed[4] = True
-    cfg = ExplorerConfig(ConstantBeta(4.0), LipschitzMode(0.5), 0.5, 0.1, 50, seed)
+    cfg = ExplorerConfig(LipschitzMode(0.5), 0.5, 0.1, 50, seed)
     return mdp, seed, cfg
 
 
@@ -41,7 +41,7 @@ def wall():
     seed = np.zeros(9, bool)
     seed[4] = True
     r = np.where(np.arange(9) == 4, 1.0, -1.0)
-    cfg = ExplorerConfig(ConstantBeta(4.0), GpDirectMode(), 1.0, 0.1, 30, seed)
+    cfg = ExplorerConfig(GpDirectMode(), 1.0, 0.1, 30, seed)
     return mdp, seed, r, cfg
 
 
@@ -63,7 +63,7 @@ def trapdoor():
     seed = np.zeros(4, bool)
     seed[0] = True
     r = np.array([1.0, 1.0, -5.0, 1.0])
-    cfg = ExplorerConfig(ConstantBeta(4.0), LipschitzMode(0.5), 0.5, 0.05, 30, seed)
+    cfg = ExplorerConfig(LipschitzMode(0.5), 0.5, 0.05, 30, seed)
     return mdp, coords, seed, r, cfg
 
 
@@ -101,7 +101,7 @@ def test_safety_check_is_inclusive_at_the_threshold():
 def test_config_validation_errors():
     mdp = grid_mdp(1, 3, 1.0)
     seed = np.array([True, False, False])
-    good = ExplorerConfig(ConstantBeta(2.0), GpDirectMode(), 1.0, 0.1, 10, seed)
+    good = ExplorerConfig(GpDirectMode(), 1.0, 0.1, 10, seed)
     env = Environment(np.ones(3), 0.0, 0.1, 1)
 
     def run_with(**changes):
@@ -168,7 +168,7 @@ def test_wall_keeps_the_agent_home():
 def test_everything_already_safe_terminates_immediately():
     mdp = grid_mdp(2, 2, 1.0)
     seed = np.ones(4, bool)
-    cfg = ExplorerConfig(ConstantBeta(4.0), GpDirectMode(), 1.0, 0.1, 10, seed)
+    cfg = ExplorerConfig(GpDirectMode(), 1.0, 0.1, 10, seed)
     env = Environment(np.ones(4), 0.0, 1e-3, 5)
     trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
     assert trace.terminal_reason == REASON_EXPANDERS_EMPTY
@@ -209,17 +209,23 @@ def test_max_steps_cuts_the_run_short():
 
 def test_identical_seeds_reproduce_the_trace_bitwise():
     mdp, seed, cfg = meadow()
-    runs = []
+    runs, models = [], []
     for _ in range(2):
         env = Environment(np.ones(9), 0.0, 1e-3, 42)
-        runs.append(run_safemdp(mdp, env, cfg, band_model(mdp.coords, seed, 0.0)))
+        models.append(band_model(mdp.coords, seed, 0.0))
+        runs.append(run_safemdp(mdp, env, cfg, models[-1]))
     a, b = runs
     assert a.terminal_reason == b.terminal_reason
     assert a.agent_steps == b.agent_steps
-    assert [r.target for r in a.records] == [r.target for r in b.records]
-    assert [r.observation for r in a.records] == [r.observation for r in b.records]
-    assert [r.bands_digest for r in a.records] == [r.bands_digest for r in b.records]
-    assert [r.path.actions for r in a.records] == [r.path.actions for r in b.records]
+    for ra, rb in zip(a.records, b.records, strict=True):
+        assert ra.target == rb.target
+        assert ra.width_at_target == rb.width_at_target
+        assert ra.observation == rb.observation
+        assert ra.path.actions == rb.path.actions
+        for name in ("safe", "ergodic", "expanders"):
+            np.testing.assert_array_equal(getattr(ra.sets, name), getattr(rb.sets, name))
+    for name in ("lower", "upper"):
+        assert getattr(models[0].bands, name).tobytes() == getattr(models[1].bands, name).tobytes()
 
 
 def test_measurements_happen_only_at_targets_by_default():
@@ -286,7 +292,7 @@ def test_no_expanders_baseline_keeps_sampling_when_nothing_is_outside():
     # while the width-over-ergodic baseline keeps measuring until converged.
     mdp = grid_mdp(2, 2, 1.0)
     seed = np.ones(4, bool)
-    cfg = ExplorerConfig(ConstantBeta(4.0), GpDirectMode(), 1.0, 0.1, 25, seed)
+    cfg = ExplorerConfig(GpDirectMode(), 1.0, 0.1, 25, seed)
     env = Environment(np.ones(4), 0.0, 1e-3, 5)
     trace = run_baseline("no_expanders", mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
     assert trace.terminal_reason == REASON_CONVERGED

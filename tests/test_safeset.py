@@ -259,13 +259,12 @@ def test_safe_sets_validation():
         safe=mask(3, {0, 1}),
         ergodic=mask(3, {0}),
         expanders=mask(3, {0}),
-        widths=np.zeros(3),
     )
     assert ok.expanders[0]
     with pytest.raises(ValueError):
-        SafeSets(mask(3, {0}), mask(3, {0, 1}), mask(3, set()), np.zeros(3))
+        SafeSets(mask(3, {0}), mask(3, {0, 1}), mask(3, set()))
     with pytest.raises(ValueError):
-        SafeSets(mask(3, {0, 1}), mask(3, {0}), mask(3, {1}), np.zeros(3))
+        SafeSets(mask(3, {0, 1}), mask(3, {0}), mask(3, {1}))
 
 
 def test_compute_safe_sets_nesting_on_random_instances():
@@ -279,7 +278,6 @@ def test_compute_safe_sets_nesting_on_random_instances():
         sets = compute_safe_sets(mdp, bands, prev, h, mode, expander_lipschitz=0.5)
         assert not (sets.ergodic & ~sets.safe).any()
         assert not (sets.expanders & ~sets.ergodic).any()
-        assert (sets.widths >= 0).all()
 
 
 def test_safe_and_ergodic_sets_grow_under_monotone_bands():

@@ -39,10 +39,8 @@ from .mdp import (
 )
 from .reach import r_eps, r_eps_fixpoint, r_reach, r_ret_fixpoint, r_ret_one, r_safe_eps
 from .safeset import (
-    ClassifierMode,
+    CLASSIFIER_MODES,
     ErgodicPreconditionError,
-    GpDirectMode,
-    LipschitzMode,
     SafeSets,
     acquisition_target,
     classify_safe,
@@ -79,6 +77,7 @@ from .terrain import (
     height_gp,
     height_gp_to_difference_bands,
     load_esri_ascii,
+    seed_pocket,
     synth_terrain,
 )
 

@@ -34,14 +34,14 @@ from .explorer import (
     run_baseline,
 )
 from .gp import ConstantBeta, Kernel, MATERN52, SQUARED_EXPONENTIAL
-from .mdp import GRID_STAY
 from .reach import r_eps_fixpoint
-from .safeset import GpDirectMode, LipschitzMode
+from .safeset import CLASSIFIER_MODES
 from .terrain import (
     CraterHill,
     CraterHillParams,
     GpSample,
     HeightGpBandModel,
+    TerrainEnvironment,
     TerrainGrid,
     TerrainSafetySpec,
     build_terrain_environment,
@@ -49,6 +49,7 @@ from .terrain import (
     dump_esri_ascii,
     height_gp,
     load_esri_ascii,
+    seed_pocket,
     synth_terrain,
 )
 
@@ -193,7 +194,7 @@ SCHEMA = (
     Field("explorer", "strategy", _choice(*STRATEGIES), "safemdp"),
     Field("explorer", "observation_model", _choice("difference", "heights"), "difference"),
     Field("explorer", "beta", _number(float, _POSITIVE), 2.0),
-    Field("explorer", "mode", _choice("gp-direct", "lipschitz"), "gp-direct"),
+    Field("explorer", "mode", _choice(*CLASSIFIER_MODES), "gp-direct"),
     Field("explorer", "lipschitz", _number(float, _NON_NEGATIVE), 1.0),
     Field("explorer", "epsilon", _number(float, _POSITIVE), 0.15),
     Field("explorer", "max_iterations", _number(int, _POSITIVE), 525),
@@ -292,24 +293,7 @@ def _seed_mask(aug, grid, cfg):
     if not valid[cell]:
         raise ConfigError(
             f"explorer.seed_row/seed_col: cell ({cfg.seed_row}, {cfg.seed_col}) has no data")
-    base_state = int(np.searchsorted(np.flatnonzero(valid), cell))
-    # Seed the smallest mutually-returnable pocket around the start cell
-    # that contains measurable transitions: the cell itself, its outgoing
-    # moves, the landing neighbours, and their moves straight back.  A bare
-    # cell would leave the difference model with nothing of nonzero width
-    # to target, so exploration could never leave the gate.
-    seed = np.zeros(aug.num_states, dtype=bool)
-    seed[base_state] = True
-    seed[aug.action_state_of[(base_state, GRID_STAY)]] = True
-    for label, neighbour in aug.base.actions_of(base_state):
-        seed[aug.action_state_of[(base_state, label)]] = True
-        if neighbour == base_state:
-            continue
-        seed[neighbour] = True
-        for back_label, back_succ in aug.base.actions_of(neighbour):
-            if back_succ == base_state:
-                seed[aug.action_state_of[(neighbour, back_label)]] = True
-    return seed
+    return seed_pocket(aug, int(np.searchsorted(np.flatnonzero(valid), cell)))
 
 
 def _band_model(cfg, aug, seed, threshold):
@@ -323,9 +307,8 @@ def _band_model(cfg, aug, seed, threshold):
 
 
 def _explorer_config(cfg: ExperimentConfig, seed_mask) -> ExplorerConfig:
-    mode = GpDirectMode() if cfg.mode == "gp-direct" else LipschitzMode(cfg.lipschitz)
     return ExplorerConfig(
-        mode=mode, lipschitz_for_expanders=cfg.lipschitz,
+        mode=cfg.mode, lipschitz=cfg.lipschitz,
         epsilon=cfg.epsilon, max_iterations=cfg.max_iterations, seed_set=seed_mask,
         measure_along_path=cfg.measure_along_path, max_steps=cfg.max_steps)
 
@@ -409,21 +392,21 @@ def write_manifest(cfg: ExperimentConfig, seed: int, path: Path) -> None:
 
 
 def _prepare(config_path: str):
-    """What both commands build first: the config, the grid, the augmented
-    MDP with its environment, the seed mask, and the oracle masks for
-    ``epsilon`` and for zero."""
+    """What both commands build first: the config, the augmented MDP with
+    its environment, the seed mask, and the oracle masks for ``epsilon``
+    and for zero."""
     cfg = load_experiment_config(config_path)
     grid = build_grid(cfg)
     aug, env = build_terrain_environment(grid, cfg.safety, cfg.noise_std, 0)
     seed_mask = _seed_mask(aug, grid, cfg)
     oracle = tuple(r_eps_fixpoint(aug, seed_mask, env.true_safety, eps, cfg.lipschitz,
                                   env.threshold) for eps in (cfg.epsilon, 0.0))
-    return cfg, grid, aug, env, seed_mask, oracle
+    return cfg, aug, env, seed_mask, oracle
 
 
 def cmd_explore(config_path: str) -> int:
     """Run the configured strategy for every seed and write its artifacts."""
-    cfg, grid, aug, env, seed_mask, oracle = _prepare(config_path)
+    cfg, aug, env, seed_mask, oracle = _prepare(config_path)
     # The seed pocket is declared safe unmeasured; an unsafe state in it
     # breaks the safety promise before the first step.
     unsafe = int(np.count_nonzero(seed_mask & (env.true_safety < env.threshold)))
@@ -434,7 +417,8 @@ def cmd_explore(config_path: str) -> int:
             f"safety.conservative_slope_deg; choose a flatter start cell")
     out_root = resolve_output_dir(cfg.directory)
     for seed in cfg.seeds:
-        _, env = build_terrain_environment(grid, cfg.safety, cfg.noise_std, seed)
+        env = TerrainEnvironment(env.true_safety, env.threshold, cfg.noise_std, seed,
+                                 env.base_heights)
         band_model = _band_model(cfg, aug, seed_mask, env.threshold)
         trace = run_baseline(cfg.strategy, aug, env, _explorer_config(cfg, seed_mask),
                              band_model)
@@ -450,7 +434,7 @@ def cmd_explore(config_path: str) -> int:
 
 def cmd_oracle(config_path: str) -> int:
     """Write exact safely-explorable sets for the configured environment."""
-    cfg, _, aug, _, _, (oracle_eps, oracle_zero) = _prepare(config_path)
+    cfg, aug, _, _, (oracle_eps, oracle_zero) = _prepare(config_path)
     out_root = resolve_output_dir(cfg.directory)
     out_root.mkdir(parents=True, exist_ok=True)
     lines = [ORACLE_HEADER]

@@ -22,7 +22,7 @@ from .mdp import Mdp
 from .planner import NoPathError, PathPlan, shortest_safe_path
 from .reach import r_reach, r_ret_fixpoint
 from .safeset import (
-    ClassifierMode,
+    CLASSIFIER_MODES,
     SafeSets,
     acquisition_target,
     classify_safe,
@@ -87,14 +87,15 @@ class ExplorerConfig:
     """Parameters of one exploration run.
 
     ``seed_set`` is the boolean mask of states known safe a priori; the
-    agent starts on its lowest id.  ``epsilon`` is the accuracy at which an
-    expander counts as resolved, and ``lipschitz_for_expanders`` is the
-    Lipschitz constant used by the expander test (and by the classifier in
-    Lipschitz mode).
+    agent starts on its lowest id.  ``mode`` is one of
+    :data:`~safemdp.safeset.CLASSIFIER_MODES`, and ``lipschitz`` is the one
+    Lipschitz constant of the run: the classifier reads it in
+    ``lipschitz`` mode and the expander test in both.  ``epsilon`` is the
+    accuracy at which an expander counts as resolved.
     """
 
-    mode: ClassifierMode
-    lipschitz_for_expanders: float
+    mode: str
+    lipschitz: float
     epsilon: float
     max_iterations: int
     seed_set: np.ndarray
@@ -179,8 +180,10 @@ def validate_config(mdp: Mdp, cfg: ExplorerConfig) -> None:
         raise ConfigError("epsilon must be positive")
     if cfg.max_iterations < 1:
         raise ConfigError("max_iterations must be at least 1")
-    if cfg.lipschitz_for_expanders < 0:
-        raise ConfigError("lipschitz_for_expanders must be non-negative")
+    if cfg.mode not in CLASSIFIER_MODES:
+        raise ConfigError(f"unknown mode {cfg.mode!r}; expected one of {CLASSIFIER_MODES}")
+    if not (cfg.lipschitz > 0 or cfg.lipschitz == 0 and cfg.mode == "gp-direct"):
+        raise ConfigError("lipschitz must be positive, or zero in gp-direct mode")
     if cfg.max_steps is not None and cfg.max_steps < 0:
         raise ConfigError("max_steps must be non-negative")
     for s in np.flatnonzero(seed):
@@ -220,8 +223,14 @@ def _run(mdp, env, cfg, band_model, name):
     validate_config(mdp, cfg)
     if env.num_states != mdp.num_states:
         raise ConfigError("environment and MDP disagree on the number of states")
-    strategy = STRATEGIES[name]
     seed = np.asarray(cfg.seed_set, dtype=bool)
+    # The seed set is declared safe unmeasured; a truly unsafe state in it
+    # breaks the safety promise before the first step.
+    unsafe = np.flatnonzero(seed & (env.true_safety < env.threshold))
+    if unsafe.size:
+        raise ConfigError(f"{unsafe.size} seed state(s) are truly unsafe "
+                          f"(first ids: {unsafe[:5].tolist()})")
+    strategy = STRATEGIES[name]
     current = int(np.flatnonzero(seed)[0])
     action_rng = np.random.default_rng([env.rng_seed, _ACTION_STREAM])
 
@@ -231,12 +240,6 @@ def _run(mdp, env, cfg, band_model, name):
     violation_step = None
     reason = REASON_MAX_ITERATIONS
     final_sets = None
-
-    if not env.is_safe(current):
-        # The claimed-safe start state is already a violation.
-        final_sets = SafeSets(seed.copy(), seed.copy(), np.zeros_like(seed))
-        return ExplorationTrace(name, records, REASON_VIOLATION, 0, 0, current,
-                                final_sets, band_model.bands.collapses)
 
     for t in range(1, cfg.max_iterations + 1):
         bands = band_model.advance(t)
@@ -325,16 +328,15 @@ class Strategy:
 
 
 def _classify(mdp, bands, prev_ergodic, threshold, cfg) -> SafeSets:
-    return compute_safe_sets(mdp, bands, prev_ergodic, threshold, cfg.mode,
-                             cfg.lipschitz_for_expanders)
+    return compute_safe_sets(mdp, bands, prev_ergodic, threshold, cfg.mode, cfg.lipschitz)
 
 
 def _classify_without_returnability(mdp, bands, prev_ergodic, threshold, cfg) -> SafeSets:
     """Safe states one step from the previous ergodic set stand in for the
     ergodic set; nothing checks that the agent can come back from them."""
-    safe = classify_safe(mdp, bands, prev_ergodic, threshold, cfg.mode)
+    safe = classify_safe(mdp, bands, prev_ergodic, threshold, cfg.mode, cfg.lipschitz)
     pseudo = safe & r_reach(mdp, prev_ergodic)
-    mask, _ = expanders(mdp, pseudo, safe, bands, cfg.lipschitz_for_expanders, threshold)
+    mask, _ = expanders(mdp, pseudo, safe, bands, cfg.lipschitz, threshold)
     return SafeSets(safe, pseudo, mask)
 
 

@@ -9,13 +9,12 @@ observation could enlarge the safe set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .gp import ConfidenceBands
 from .mdp import Mdp
-from .reach import r_reach, r_ret_fixpoint
+from .reach import r_reach, r_ret_fixpoint, r_safe_eps
 
 
 class ErgodicPreconditionError(ValueError):
@@ -23,24 +22,10 @@ class ErgodicPreconditionError(ValueError):
     confidence bands collapsed upstream."""
 
 
-@dataclass(frozen=True)
-class LipschitzMode:
-    """Classify via Lipschitz generalization from ergodic witnesses."""
-
-    lipschitz: float
-
-    def __post_init__(self):
-        if not self.lipschitz > 0:
-            raise ValueError("lipschitz constant must be positive")
-
-
-@dataclass(frozen=True)
-class GpDirectMode:
-    """Classify a state safe exactly when its own lower band clears the
-    threshold (the generalization step is left to the expanders)."""
-
-
-ClassifierMode = Union[LipschitzMode, GpDirectMode]
+#: Classifier modes, named as the ``explorer.mode`` config key names them:
+#: ``gp-direct`` certifies a state by its own lower band, ``lipschitz`` by
+#: a Lipschitz argument from the previous ergodic set.
+CLASSIFIER_MODES = ("gp-direct", "lipschitz")
 
 
 @dataclass
@@ -62,23 +47,22 @@ class SafeSets:
 
 
 def classify_safe(mdp: Mdp, bands: ConfidenceBands, prev_ergodic, threshold: float,
-                  mode: ClassifierMode) -> np.ndarray:
+                  mode: str, lipschitz: float) -> np.ndarray:
     """States currently believed safe.
 
-    In Lipschitz mode a state qualifies when some previous ergodic witness
-    ``s'`` has ``lower(s') - lipschitz * d(s, s') >= threshold``, that is
-    when the envelope of the lower bands over the previous ergodic set
-    clears the threshold; in direct mode its own lower band must clear it.
-    The previous ergodic set is kept safe in both modes so that a noisy dip
-    of a band can never shrink the safe set.
+    In ``lipschitz`` mode a state qualifies when some previous ergodic
+    witness ``s'`` has ``lower(s') - lipschitz * d(s, s') >= threshold``:
+    this is the oracle's :func:`~safemdp.reach.r_safe_eps` over the lower
+    bands with ``eps = 0``.  In ``gp-direct`` mode its own lower band must
+    clear the threshold.  The previous ergodic set is kept safe in both
+    modes so that a noisy dip of a band can never shrink the safe set.
     """
     prev_ergodic = np.asarray(prev_ergodic, dtype=bool)
     if not prev_ergodic.any():
         raise ValueError("prev_ergodic must not be empty")
-    if isinstance(mode, GpDirectMode):
+    if mode == "gp-direct":
         return prev_ergodic | (bands.lower >= threshold)
-    return prev_ergodic | (mdp.metric.envelope(bands.lower, prev_ergodic, mode.lipschitz)
-                           >= threshold)
+    return r_safe_eps(mdp, prev_ergodic, bands.lower, 0.0, lipschitz, threshold)
 
 
 def ergodic_safe(mdp: Mdp, safe, prev_ergodic) -> np.ndarray:
@@ -129,9 +113,11 @@ def acquisition_target(candidates, widths) -> int | None:
 
 
 def compute_safe_sets(mdp: Mdp, bands: ConfidenceBands, prev_ergodic, threshold: float,
-                      mode: ClassifierMode, expander_lipschitz: float) -> SafeSets:
-    """One full classification round, as used per exploration iteration."""
-    safe = classify_safe(mdp, bands, prev_ergodic, threshold, mode)
+                      mode: str, lipschitz: float) -> SafeSets:
+    """One full classification round, as used per exploration iteration;
+    ``lipschitz`` is the one constant of both the classifier and the
+    expanders."""
+    safe = classify_safe(mdp, bands, prev_ergodic, threshold, mode, lipschitz)
     ergodic = ergodic_safe(mdp, safe, prev_ergodic)
-    mask, _ = expanders(mdp, ergodic, safe, bands, expander_lipschitz, threshold)
+    mask, _ = expanders(mdp, ergodic, safe, bands, lipschitz, threshold)
     return SafeSets(safe, ergodic, mask)

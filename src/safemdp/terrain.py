@@ -287,6 +287,26 @@ def build_terrain_environment(grid: TerrainGrid, spec: TerrainSafetySpec, noise_
     return aug, env
 
 
+def seed_pocket(aug: AugmentedMdp, base_state: int) -> np.ndarray:
+    """Smallest mutually-returnable seed set around the cell ``base_state``,
+    a state of ``aug.base`` (a cell's index among the cells with data).
+
+    The cell itself, its action-states, the cells they move to, and those
+    cells' action-states that lead straight back.  A bare cell would leave
+    the difference model with nothing of nonzero width to target, so
+    exploration could never leave it.
+    """
+    seed = np.zeros(aug.num_states, dtype=bool)
+    seed[base_state] = True
+    for label, neighbour in aug.base.actions_of(base_state):
+        seed[aug.action_state_of[(base_state, label)]] = True
+        seed[neighbour] = True
+        for back_label, back_succ in aug.base.actions_of(neighbour):
+            if back_succ == base_state:
+                seed[aug.action_state_of[(neighbour, back_label)]] = True
+    return seed
+
+
 def height_covariance(aug: AugmentedMdp, kernel: Kernel, cell_size: float) -> StationaryCovariance:
     """Kernel covariance between base cells, at metric (not cell) scale."""
     return StationaryCovariance(kernel, aug.base.coords * cell_size)

@@ -1,8 +1,11 @@
 """End-to-end tests of the exploration loop and its baselines."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from safemdp import cli
 from safemdp.explorer import (
     REASON_CONVERGED,
     REASON_EXPANDERS_EMPTY,
@@ -18,7 +21,7 @@ from safemdp.explorer import (
 )
 from safemdp.gp import ConstantBeta, GpModel, Kernel, StationaryCovariance
 from safemdp.mdp import ManhattanMetric, Mdp, grid_mdp
-from safemdp.safeset import GpDirectMode, LipschitzMode
+from safemdp.terrain import build_terrain_environment
 
 
 def band_model(coords, seed, h, *, noise=1e-3, ell=2.0, b=4.0):
@@ -31,7 +34,7 @@ def meadow():
     mdp = grid_mdp(3, 3, 1.0)
     seed = np.zeros(9, bool)
     seed[4] = True
-    cfg = ExplorerConfig(LipschitzMode(0.5), 0.5, 0.1, 50, seed)
+    cfg = ExplorerConfig("lipschitz", 0.5, 0.1, 50, seed)
     return mdp, seed, cfg
 
 
@@ -41,7 +44,7 @@ def wall():
     seed = np.zeros(9, bool)
     seed[4] = True
     r = np.where(np.arange(9) == 4, 1.0, -1.0)
-    cfg = ExplorerConfig(GpDirectMode(), 1.0, 0.1, 30, seed)
+    cfg = ExplorerConfig("gp-direct", 1.0, 0.1, 30, seed)
     return mdp, seed, r, cfg
 
 
@@ -63,7 +66,7 @@ def trapdoor():
     seed = np.zeros(4, bool)
     seed[0] = True
     r = np.array([1.0, 1.0, -5.0, 1.0])
-    cfg = ExplorerConfig(LipschitzMode(0.5), 0.5, 0.05, 30, seed)
+    cfg = ExplorerConfig("lipschitz", 0.5, 0.05, 30, seed)
     return mdp, coords, seed, r, cfg
 
 
@@ -101,7 +104,7 @@ def test_safety_check_is_inclusive_at_the_threshold():
 def test_config_validation_errors():
     mdp = grid_mdp(1, 3, 1.0)
     seed = np.array([True, False, False])
-    good = ExplorerConfig(GpDirectMode(), 1.0, 0.1, 10, seed)
+    good = ExplorerConfig("gp-direct", 1.0, 0.1, 10, seed)
     env = Environment(np.ones(3), 0.0, 0.1, 1)
 
     def run_with(**changes):
@@ -117,7 +120,12 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         run_with(max_iterations=0)
     with pytest.raises(ConfigError):
-        run_with(lipschitz_for_expanders=-1.0)
+        run_with(lipschitz=-1.0)
+    with pytest.raises(ConfigError):
+        run_with(mode="lipschitz", lipschitz=0.0)
+    with pytest.raises(ConfigError):
+        run_with(mode="lipshitz")
+    run_with(lipschitz=0.0)  # zero is allowed where only the expanders read it
     with pytest.raises(ConfigError):
         run_with(max_steps=-1)
     # Seed states 0 and 2 cannot reach each other without crossing the
@@ -168,7 +176,7 @@ def test_wall_keeps_the_agent_home():
 def test_everything_already_safe_terminates_immediately():
     mdp = grid_mdp(2, 2, 1.0)
     seed = np.ones(4, bool)
-    cfg = ExplorerConfig(GpDirectMode(), 1.0, 0.1, 10, seed)
+    cfg = ExplorerConfig("gp-direct", 1.0, 0.1, 10, seed)
     env = Environment(np.ones(4), 0.0, 1e-3, 5)
     trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
     assert trace.terminal_reason == REASON_EXPANDERS_EMPTY
@@ -184,23 +192,34 @@ def test_wide_epsilon_converges_on_the_first_target():
     assert trace.iterations == 1
 
 
-def test_unsafe_start_state_is_an_immediate_violation():
+def test_unsafe_seed_state_is_a_config_error():
+    # The seed set is declared safe unmeasured, so every seed state is
+    # checked against the truth, not just the start state.
     mdp, seed, cfg = meadow()
     r = np.ones(9)
     r[4] = -1.0
     env = Environment(r, 0.0, 1e-3, 2)
-    trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
-    assert trace.terminal_reason == REASON_VIOLATION
-    assert trace.violation_step == 0
-    assert trace.iterations == 0 and trace.agent_steps == 0
+    with pytest.raises(ConfigError, match=r"1 seed state\(s\) are truly unsafe"):
+        run_safemdp(mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
+
+    # A seed pocket whose start cell is safe but which holds 4 truly unsafe
+    # transitions: without the check the run violates safety at step 1.
+    ini = Path(__file__).parents[1] / "perfbench" / "configs" / "steep-oracle.ini"
+    xcfg = cli.load_experiment_config(ini)
+    grid = cli.build_grid(xcfg)
+    aug, env = build_terrain_environment(grid, xcfg.safety, xcfg.noise_std, 0)
+    pocket = cli._seed_mask(aug, grid, xcfg)
+    assert env.is_safe(int(np.flatnonzero(pocket)[0]))
+    with pytest.raises(ConfigError, match=r"4 seed state\(s\) are truly unsafe"):
+        run_safemdp(aug, env, cli._explorer_config(xcfg, pocket),
+                    cli._band_model(xcfg, aug, pocket, env.threshold))
 
 
 def test_max_steps_cuts_the_run_short():
     # True value 1.2 keeps the Lipschitz certificate clear of the exact
     # d = 1 boundary, so the second target is a neighbour one hop away.
     mdp, seed, cfg = meadow()
-    cfg = ExplorerConfig(**{**cfg.__dict__, "lipschitz_for_expanders": 1.0,
-                            "mode": LipschitzMode(1.0), "max_steps": 1})
+    cfg = ExplorerConfig(**{**cfg.__dict__, "lipschitz": 1.0, "max_steps": 1})
     env = Environment(np.full(9, 1.2), 0.0, 1e-3, 11)
     trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
     assert trace.terminal_reason == REASON_MAX_ITERATIONS
@@ -292,7 +311,7 @@ def test_no_expanders_baseline_keeps_sampling_when_nothing_is_outside():
     # while the width-over-ergodic baseline keeps measuring until converged.
     mdp = grid_mdp(2, 2, 1.0)
     seed = np.ones(4, bool)
-    cfg = ExplorerConfig(GpDirectMode(), 1.0, 0.1, 25, seed)
+    cfg = ExplorerConfig("gp-direct", 1.0, 0.1, 25, seed)
     env = Environment(np.ones(4), 0.0, 1e-3, 5)
     trace = run_baseline("no_expanders", mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
     assert trace.terminal_reason == REASON_CONVERGED

@@ -7,8 +7,6 @@ from safemdp.gp import ConfidenceBands
 from safemdp.mdp import FunctionMetric, Mdp, grid_mdp
 from safemdp.safeset import (
     ErgodicPreconditionError,
-    GpDirectMode,
-    LipschitzMode,
     SafeSets,
     acquisition_target,
     classify_safe,
@@ -43,7 +41,7 @@ def test_lipschitz_witness_certifies_a_neighbour():
     bands = bands_of([h + 2.0, -10.0, -10.0], [h + 3.0, 0.0, 0.0])
     # l(s0) - L*d = h+2-1.25 >= h certifies the neighbour; at distance 2 the
     # margin h+2-2.5 falls short.
-    safe = classify_safe(mdp, bands, mask(3, {0}), h, LipschitzMode(1.25))
+    safe = classify_safe(mdp, bands, mask(3, {0}), h, "lipschitz", 1.25)
     np.testing.assert_array_equal(safe, [True, True, False])
 
 
@@ -54,7 +52,7 @@ def test_dipped_witness_keeps_only_the_previous_set():
     mdp = grid_mdp(1, 3, 1.0)
     h = 0.0
     bands = bands_of([h - 0.01, -5.0, -5.0], [1.0, 1.0, 1.0])
-    safe = classify_safe(mdp, bands, mask(3, {0}), h, LipschitzMode(1.0))
+    safe = classify_safe(mdp, bands, mask(3, {0}), h, "lipschitz", 1.0)
     np.testing.assert_array_equal(safe, [True, False, False])
 
 
@@ -62,7 +60,7 @@ def test_direct_mode_reads_each_lower_band():
     mdp = grid_mdp(1, 4, 1.0)
     h = 0.2
     bands = bands_of([h - 1.0, h, h + 0.3, h - 0.1], [2.0, 2.0, 2.0, 2.0])
-    safe = classify_safe(mdp, bands, mask(4, {0}), h, GpDirectMode())
+    safe = classify_safe(mdp, bands, mask(4, {0}), h, "gp-direct", 0.0)
     # Own band decides (inclusive >=); the previous set stays regardless.
     np.testing.assert_array_equal(safe, [True, True, True, False])
 
@@ -70,7 +68,7 @@ def test_direct_mode_reads_each_lower_band():
 def test_classify_requires_a_nonempty_previous_set():
     mdp = grid_mdp(1, 2, 1.0)
     with pytest.raises(ValueError):
-        classify_safe(mdp, bands_of([0, 0], [1, 1]), mask(2, set()), 0.0, GpDirectMode())
+        classify_safe(mdp, bands_of([0, 0], [1, 1]), mask(2, set()), 0.0, "gp-direct", 0.0)
 
 
 def test_classify_matches_bruteforce_double_loop():
@@ -83,7 +81,7 @@ def test_classify_matches_bruteforce_double_loop():
         prev = mask(n, set(rng.choice(n, size=int(rng.integers(1, 6)), replace=False).tolist()))
         lip = float(rng.uniform(0.05, 1.5))
 
-        got = classify_safe(mdp, bands, prev, h, LipschitzMode(lip))
+        got = classify_safe(mdp, bands, prev, h, "lipschitz", lip)
         expected = set(np.flatnonzero(prev).tolist())
         for s in range(n):
             for w in np.flatnonzero(prev):
@@ -91,7 +89,7 @@ def test_classify_matches_bruteforce_double_loop():
                     expected.add(s)
         assert set(np.flatnonzero(got).tolist()) == expected
 
-        got = classify_safe(mdp, bands, prev, h, GpDirectMode())
+        got = classify_safe(mdp, bands, prev, h, "gp-direct", 0.0)
         direct = set(np.flatnonzero(prev).tolist()) | set(
             np.flatnonzero(bands.lower >= h).tolist()
         )
@@ -107,17 +105,10 @@ def test_lipschitz_mode_is_contained_in_direct_mode_when_bands_clear_threshold()
     lower = h + rng.uniform(0.0, 2.0, size=9)
     bands = ConfidenceBands(lower, lower + 1.0)
     prev = mask(9, {4})
-    lipschitz = classify_safe(mdp, bands, prev, h, LipschitzMode(0.7))
-    direct = classify_safe(mdp, bands, prev, h, GpDirectMode())
+    lipschitz = classify_safe(mdp, bands, prev, h, "lipschitz", 0.7)
+    direct = classify_safe(mdp, bands, prev, h, "gp-direct", 0.0)
     assert not (lipschitz & ~direct).any()
     assert direct.all()
-
-
-def test_lipschitz_mode_rejects_nonpositive_constants():
-    with pytest.raises(ValueError):
-        LipschitzMode(0.0)
-    with pytest.raises(ValueError):
-        LipschitzMode(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +265,11 @@ def test_compute_safe_sets_nesting_on_random_instances():
         h = float(rng.normal(scale=0.4))
         bands = random_bands(rng, mdp.num_states, h)
         prev = mask(16, {int(rng.integers(16))})
-        mode = LipschitzMode(float(rng.uniform(0.1, 1.0))) if rng.random() < 0.5 else GpDirectMode()
-        sets = compute_safe_sets(mdp, bands, prev, h, mode, expander_lipschitz=0.5)
+        if rng.random() < 0.5:
+            mode, lip = "lipschitz", float(rng.uniform(0.1, 1.0))
+        else:
+            mode, lip = "gp-direct", 0.5
+        sets = compute_safe_sets(mdp, bands, prev, h, mode, lip)
         assert not (sets.ergodic & ~sets.safe).any()
         assert not (sets.expanders & ~sets.ergodic).any()
 
@@ -295,7 +289,7 @@ def test_safe_and_ergodic_sets_grow_under_monotone_bands():
     for _ in range(12):
         lift = rng.uniform(0.0, 0.35, size=16)
         bands = ConfidenceBands(bands.lower + lift, bands.upper - rng.uniform(0, 0.1, size=16))
-        sets = compute_safe_sets(mdp, bands, prev, h, LipschitzMode(1.0), 1.0)
+        sets = compute_safe_sets(mdp, bands, prev, h, "lipschitz", 1.0)
         assert not (prev_safe & ~sets.safe).any()
         assert not (prev & ~sets.ergodic).any()
         prev, prev_safe = sets.ergodic, sets.safe

@@ -11,7 +11,6 @@ simulator where safety means never climbing too steep a slope.
 
 from .gp import (
     ConfidenceBands,
-    ConstantBeta,
     GpError,
     GpModel,
     Kernel,
@@ -19,8 +18,6 @@ from .gp import (
     SQUARED_EXPONENTIAL,
     SingularSystemError,
     StationaryCovariance,
-    TheoreticalBeta,
-    beta,
     initial_bands,
     kernel_eval,
     update_bands,
@@ -33,7 +30,6 @@ from .mdp import (
     GRID_STAY,
     GRID_UP,
     Mdp,
-    UnknownActionError,
     augment,
     grid_mdp,
 )

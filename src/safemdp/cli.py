@@ -33,12 +33,14 @@ from .explorer import (
     ExplorerConfig,
     run_baseline,
 )
-from .gp import ConstantBeta, Kernel, MATERN52, SQUARED_EXPONENTIAL
+from .gp import Kernel, MATERN52, SQUARED_EXPONENTIAL
 from .reach import r_eps_fixpoint
 from .safeset import CLASSIFIER_MODES
 from .terrain import (
     CraterHill,
     CraterHillParams,
+    EsriAsciiError,
+    GP_SAMPLE_MAX_CELLS,
     GpSample,
     HeightGpBandModel,
     TerrainEnvironment,
@@ -264,6 +266,10 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
     if values["conservative_slope_deg"] > values["max_slope_deg"]:
         raise ConfigError("safety.conservative_slope_deg: must not exceed safety.max_slope_deg")
+    if values["kind"] == "gp-sample" and values["rows"] * values["cols"] > GP_SAMPLE_MAX_CELLS:
+        raise ConfigError(
+            f"terrain.rows/terrain.cols: gp-sample terrain is limited to {GP_SAMPLE_MAX_CELLS} "
+            f"cells, got {values['rows']}x{values['cols']} = {values['rows'] * values['cols']}")
     if values["mode"] == "lipschitz" and values["lipschitz"] == 0:
         raise ConfigError("explorer.lipschitz: must be positive in lipschitz mode")
     return ExperimentConfig(**values)
@@ -273,9 +279,14 @@ def build_grid(cfg: ExperimentConfig) -> TerrainGrid:
     if cfg.source == "dem":
         try:
             with open(cfg.dem_path) as handle:
-                return load_esri_ascii(handle)
+                grid = load_esri_ascii(handle)
         except FileNotFoundError:
             raise ConfigError(f"terrain.dem_path: file {cfg.dem_path!r} does not exist") from None
+        except EsriAsciiError as exc:
+            raise ConfigError(f"terrain.dem_path: {cfg.dem_path!r}: {exc}") from None
+        if grid.nodata_mask.all():
+            raise ConfigError(f"terrain.dem_path: {cfg.dem_path!r} has no cells with data")
+        return grid
     if cfg.kind == "gp-sample":
         kind = GpSample(cfg.gp_kernel, cfg.terrain_seed)
     else:
@@ -297,13 +308,12 @@ def _seed_mask(aug, grid, cfg):
 
 
 def _band_model(cfg, aug, seed, threshold):
-    schedule = ConstantBeta(cfg.beta)
     if cfg.observation_model == "heights":
         return HeightGpBandModel(
             height_gp(aug, cfg.gp_kernel, cfg.noise_std, aug.base.metric.cell_size),
-            aug, schedule, seed, threshold)
+            aug, cfg.beta, seed, threshold)
     return difference_band_model(aug, cfg.gp_kernel, cfg.noise_std,
-                                 aug.base.metric.cell_size, schedule, seed, threshold)
+                                 aug.base.metric.cell_size, cfg.beta, seed, threshold)
 
 
 def _explorer_config(cfg: ExperimentConfig, seed_mask) -> ExplorerConfig:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gp import BetaSchedule, ConfidenceBands, GpModel, beta, initial_bands, update_bands
+from .gp import ConfidenceBands, GpModel, initial_bands, update_bands
 from .mdp import Mdp
 from .planner import NoPathError, PathPlan, shortest_safe_path
 from .reach import r_reach, r_ret_fixpoint
@@ -106,23 +106,26 @@ class ExplorerConfig:
 class GpBandModel:
     """Keeps a GP over the working states and the intersected bands.
 
-    The model owns the GP, the beta schedule and the running
+    The model owns the GP, the confidence scale ``beta`` (a positive
+    float; intervals are ``mean +- sqrt(beta * variance)``) and the running
     :class:`~safemdp.gp.ConfidenceBands`; each ``advance`` recomputes the
     posterior over all states and intersects the new intervals into the
     bands, and each ``measure`` conditions the GP in place.
     """
 
-    def __init__(self, gp: GpModel, schedule: BetaSchedule, num_states: int,
+    def __init__(self, gp: GpModel, beta: float, num_states: int,
                  seed_set, threshold: float):
+        if not beta > 0:
+            raise ValueError(f"beta must be positive, got {beta!r}")
         self.gp = gp
-        self.schedule = schedule
+        self.beta = float(beta)
         self.num_states = int(num_states)
         self.bands = initial_bands(self.num_states, seed_set, threshold)
         self._all_states = np.arange(self.num_states)
 
-    def advance(self, t: int) -> ConfidenceBands:
+    def advance(self) -> ConfidenceBands:
         means, variances = self.gp.posterior(self._all_states)
-        self.bands = update_bands(self.bands, means, variances, beta(self.schedule, t))
+        self.bands = update_bands(self.bands, means, variances, self.beta)
         return self.bands
 
     def measure(self, env: Environment, state: int) -> float:
@@ -242,7 +245,7 @@ def _run(mdp, env, cfg, band_model, name):
     final_sets = None
 
     for t in range(1, cfg.max_iterations + 1):
-        bands = band_model.advance(t)
+        bands = band_model.advance()
         sets = strategy.classify(mdp, bands, prev_ergodic, env.threshold, cfg)
         final_sets = sets
         prev_ergodic = sets.ergodic

@@ -2,15 +2,15 @@
 
 This module provides the statistical machinery used to estimate the unknown
 safety feature: stationary kernels evaluated on distances, an exact GP
-posterior with incremental Cholesky updates, scaling schedules for the
-confidence-interval width, and monotonically intersected confidence bands.
+posterior with incremental Cholesky updates, and monotonically intersected
+confidence bands.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -286,62 +286,6 @@ def _solve_chol(chol, values):
     return solve_triangular(chol.T, tmp, lower=False)
 
 
-@dataclass(frozen=True)
-class ConstantBeta:
-    """Fixed confidence-interval scaling, as used in the experiments."""
-
-    value: float
-
-    def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError("beta must be positive")
-
-
-@dataclass(frozen=True)
-class TheoreticalBeta:
-    """Iteration-dependent scaling ``2 B + 300 gamma(t) ln(t / delta)**3``.
-
-    Parameters
-    ----------
-    rkhs_bound : float
-        Positive bound on the RKHS norm of the safety feature.
-    failure_probability : float
-        Tolerated probability, in ``(0, 1)``, of the bands ever excluding
-        the true function.
-    info_capacity : callable
-        Maps the iteration index ``t`` to the non-negative information
-        capacity of the kernel after ``t`` observations.
-    """
-
-    rkhs_bound: float
-    failure_probability: float
-    info_capacity: Callable[[int], float]
-
-    def __post_init__(self):
-        if not self.rkhs_bound > 0:
-            raise ValueError("rkhs_bound must be positive")
-        if not 0 < self.failure_probability < 1:
-            raise ValueError("failure_probability must lie in (0, 1)")
-
-
-BetaSchedule = Union[ConstantBeta, TheoreticalBeta]
-
-
-def beta(schedule: BetaSchedule, t: int) -> float:
-    """Confidence scaling for iteration ``t`` (1-based)."""
-    if t < 1:
-        raise ValueError("iteration index must be >= 1")
-    if isinstance(schedule, ConstantBeta):
-        return schedule.value
-    ratio = t / schedule.failure_probability
-    if ratio <= 1.0:
-        raise ValueError(f"t / failure_probability = {ratio:g} must exceed 1")
-    capacity = schedule.info_capacity(t)
-    if capacity < 0:
-        raise ValueError("info_capacity must be non-negative")
-    return 2.0 * schedule.rkhs_bound + 300.0 * capacity * math.log(ratio) ** 3
-
-
 @dataclass
 class ConfidenceBands:
     """Monotonically shrinking safety-feature intervals, one per state.
@@ -387,8 +331,8 @@ def update_bands(prev: ConfidenceBands, means, variances, beta_t: float) -> Conf
     variances = np.asarray(variances, dtype=float)
     if means.shape != (prev.num_states,) or variances.shape != (prev.num_states,):
         raise ValueError("means and variances must match the number of states")
-    if beta_t <= 0:
-        raise ValueError("beta_t must be positive")
+    if not beta_t > 0:
+        raise ValueError(f"beta must be positive, got {beta_t!r}")
     radius = np.sqrt(beta_t) * np.sqrt(np.maximum(variances, 0.0))
     lower = np.maximum(prev.lower, means - radius)
     upper = np.minimum(prev.upper, means + radius)

@@ -2,10 +2,11 @@
 
 States are dense integer ids.  Each state carries a sorted list of
 ``(action label, successor)`` pairs; transitions are deterministic.  A
-metric between states supports the Lipschitz arguments used by the safety
-operators through one primitive, the Lipschitz envelope
-``max_{w in W} v(w) - L * d(s, w)`` (:meth:`Metric.envelope`), and grids
-get the Manhattan metric scaled by the cell size.
+metric between states has two methods: ``block(a, b)``, the dense distance
+matrix between two id arrays, for tests and brute-force checks, and
+``envelope(values, mask, lipschitz)``, the Lipschitz envelope
+``max_{w in W} v(w) - L * d(s, w)`` through which the safety operators read
+the metric.  Grids get the Manhattan metric scaled by the cell size.
 
 ``augment`` re-expresses safety-on-transitions as safety-on-states by
 inserting one artificial "action-state" per (state, action) pair, so that
@@ -24,80 +25,27 @@ GRID_STAY = 4
 
 _GRID_MOVES = ((GRID_UP, -1, 0), (GRID_DOWN, 1, 0), (GRID_LEFT, 0, -1), (GRID_RIGHT, 0, 1))
 
-#: Columns of the distance block :meth:`Metric.envelope` holds at a time.
-_ENVELOPE_CHUNK = 256
 
-
-class UnknownActionError(ValueError):
-    """An action label not offered by the queried state."""
-
-
-class Metric:
-    """Distance between states; subclasses implement ``pair`` or ``block``,
-    and each defaults to the other."""
-
-    def pair(self, i: int, j: int) -> float:
-        return float(self.block([i], [j])[0, 0])
-
-    def block(self, a, b) -> np.ndarray:
-        """Distance matrix between id arrays ``a`` (rows) and ``b`` (cols)."""
-        a = np.asarray(a, dtype=int)
-        b = np.asarray(b, dtype=int)
-        out = np.empty((len(a), len(b)))
-        for i, s in enumerate(a):
-            for j, s2 in enumerate(b):
-                out[i, j] = self.pair(int(s), int(s2))
-        return out
-
-    def envelope(self, values, mask, lipschitz: float) -> np.ndarray:
-        """Lipschitz envelope of ``values`` from the states in ``mask``.
-
-        Returns, for every state ``s``, ``max_{w in mask} values[w] -
-        lipschitz * d(s, w)``, or ``-inf`` when ``mask`` is empty.  This
-        version works for any metric: it takes the maximum over column
-        chunks of :meth:`block`, so memory stays linear in the number of
-        states, and each term is computed as ``values[w] - lipschitz * d``.
-        """
-        values = np.asarray(values, dtype=float)
-        mask = np.asarray(mask, dtype=bool)
-        out = np.full(len(mask), -np.inf)
-        witnesses = np.flatnonzero(mask)
-        if not witnesses.size:
-            return out
-        top = values[witnesses][:, None]
-        for start in range(0, len(mask), _ENVELOPE_CHUNK):
-            cols = np.arange(start, min(start + _ENVELOPE_CHUNK, len(mask)))
-            out[cols] = (top - lipschitz * self.block(witnesses, cols)).max(axis=0)
-        return out
-
-
-class FunctionMetric(Metric):
-    """Wraps an arbitrary ``d(i, j)`` callable."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def pair(self, i, j):
-        return float(self.fn(i, j))
-
-
-class ManhattanMetric(Metric):
+class ManhattanMetric:
     """Manhattan distance between per-state integer coordinates, scaled."""
 
     def __init__(self, coords, cell_size: float):
         self.coords = np.asarray(coords, dtype=float)
         self.cell_size = float(cell_size)
 
-    def block(self, a, b):
+    def block(self, a, b) -> np.ndarray:
+        """Distance matrix between id arrays ``a`` (rows) and ``b`` (cols)."""
         pa = self.coords[np.asarray(a, dtype=int)]
         pb = self.coords[np.asarray(b, dtype=int)]
         return np.abs(pa[:, None, :] - pb[None, :, :]).sum(axis=2) * self.cell_size
 
-    def envelope(self, values, mask, lipschitz):
-        """Exact L1 distance transform of a sampled function (Felzenszwalb
-        & Huttenlocher, 2012) on the coordinates' bounding box: one
-        forward and one backward running maximum per axis, O(box) time and
-        memory.  Box cells without a witness start at ``-inf``."""
+    def envelope(self, values, mask, lipschitz) -> np.ndarray:
+        """Lipschitz envelope of ``values`` from the states in ``mask``
+        (``-inf`` everywhere when ``mask`` is empty), as the exact L1
+        distance transform of a sampled function (Felzenszwalb &
+        Huttenlocher, 2012) on the coordinates' bounding box: one forward
+        and one backward running maximum per axis, O(box) time and memory.
+        Box cells without a witness start at ``-inf``."""
         values = np.asarray(values, dtype=float)
         mask = np.asarray(mask, dtype=bool)
         cells = self.coords.astype(int)
@@ -116,7 +64,7 @@ class ManhattanMetric(Metric):
         return box[tuple(cells.T)]
 
 
-class AugmentedMetric(Metric):
+class AugmentedMetric:
     """Metric over an augmented state space.
 
     An action-state sits halfway along its transition: it is ``half_step``
@@ -125,14 +73,14 @@ class AugmentedMetric(Metric):
     distance between owners plus ``half_step`` per action-state endpoint.
     """
 
-    def __init__(self, base: Metric, owner, landing, is_action, half_step: float):
+    def __init__(self, base, owner, landing, is_action, half_step: float):
         self.base = base
         self.owner = np.asarray(owner, dtype=int)
         self.landing = np.asarray(landing, dtype=int)
         self.is_action = np.asarray(is_action, dtype=bool)
         self.half_step = float(half_step)
 
-    def block(self, a, b):
+    def block(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=int)
         b = np.asarray(b, dtype=int)
         out = self.base.block(self.owner[a], self.owner[b])
@@ -152,7 +100,7 @@ class AugmentedMetric(Metric):
         out[a[:, None] == b[None, :]] = 0.0
         return out
 
-    def envelope(self, values, mask, lipschitz):
+    def envelope(self, values, mask, lipschitz) -> np.ndarray:
         """Fold every witness into its owner cell at ``half_step`` per
         action-state endpoint, take the base metric's envelope over cells,
         then apply the two exceptions in O(N): a witness is at distance 0
@@ -185,14 +133,15 @@ class Mdp:
     actions :
         One sequence of ``(label, successor)`` pairs per state.  Labels must
         be unique within a state and every state needs at least one action.
-    metric : Metric
-        State metric used by the Lipschitz-based safety operators.
+    metric :
+        State metric with the two methods ``block`` and ``envelope``
+        described in the module docstring.
     coords : array_like, optional
         Per-state coordinates (e.g. grid cells); kept for callers that need
         geometry, ignored by the dynamics.
     """
 
-    def __init__(self, actions, metric: Metric, coords=None):
+    def __init__(self, actions, metric, coords=None):
         table = []
         for s, acts in enumerate(actions):
             acts = sorted((int(label), int(succ)) for label, succ in acts)
@@ -216,13 +165,6 @@ class Mdp:
     def actions_of(self, s: int):
         """Sorted ``(label, successor)`` pairs available in state ``s``."""
         return self._actions[s]
-
-    def step(self, s: int, a: int) -> int:
-        """Deterministic successor of taking action ``a`` in state ``s``."""
-        for label, succ in self._actions[s]:
-            if label == a:
-                return succ
-        raise UnknownActionError(f"state {s} has no action {a}")
 
     def edges(self):
         """All transitions as parallel arrays ``(sources, labels, successors)``."""
@@ -254,8 +196,8 @@ class Mdp:
     def distances(self, a, b) -> np.ndarray:
         """Metric distance matrix between id arrays ``a`` and ``b``: the
         dense block, for tests and brute-force checks.  The safety
-        operators read the metric through :meth:`Metric.envelope`, which
-        needs no block."""
+        operators read the metric through its ``envelope``, which needs no
+        block."""
         return self.metric.block(a, b)
 
 
@@ -375,14 +317,10 @@ def augment(mdp: Mdp, half_step: float | None = None) -> AugmentedMdp:
         (half a cell on grids), or 0.5 if every action is a self-loop.
     """
     if half_step is None:
-        shortest = None
-        for s in range(mdp.num_states):
-            for _, succ in mdp.actions_of(s):
-                if succ != s:
-                    d = mdp.metric.pair(s, succ)
-                    if d > 0 and (shortest is None or d < shortest):
-                        shortest = d
-        half_step = 0.5 if shortest is None else 0.5 * shortest
+        src, _, dst = mdp.edges()
+        lengths = [mdp.distances([s], [t])[0, 0] for s, t in zip(src, dst) if s != t]
+        moves = [d for d in lengths if d > 0]
+        half_step = 0.5 * min(moves) if moves else 0.5
     if not half_step > 0:
         raise ValueError("half_step must be positive")
     return AugmentedMdp(mdp, half_step)

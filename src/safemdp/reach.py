@@ -4,10 +4,9 @@ All operators take and return boolean masks over the states of an
 :class:`~safemdp.mdp.Mdp`.  They are monotone in their set arguments, which
 the exploration algorithm relies on, and the fixpoint variants stabilize
 after at most ``|S|`` (respectively ``|S| + 1``) applications.  Lipschitz
-safety reads one number per state from the metric's envelope
-(:meth:`~safemdp.mdp.Metric.envelope`), and returnability is one reverse
-breadth-first search, so an application costs O(N + E) time and memory on
-grids and their augmentations.
+safety reads one number per state from the metric's ``envelope``, and
+returnability is one reverse breadth-first search, so an application costs
+O(N + E) time and memory on grids and their augmentations.
 """
 
 from __future__ import annotations
@@ -58,21 +57,18 @@ def r_ret_one(mdp: Mdp, through, target) -> np.ndarray:
     return out
 
 
-def r_ret_fixpoint(mdp: Mdp, through, target, *, count: bool = False):
+def r_ret_fixpoint(mdp: Mdp, through, target) -> np.ndarray:
     """States that can return to ``target`` along a path inside ``through``.
 
     This is the least fixpoint of :func:`r_ret_one`, found by one reverse
     breadth-first search from ``target`` that enters only ``through``
-    states, in O(N + E).  With ``count=True`` the number of
-    :func:`r_ret_one` applications the fixpoint takes (the search depth
-    plus one, at most ``|S|``) is returned alongside the mask.
+    states, in O(N + E).
     """
     through = _as_mask(mdp, through)
     target = _as_mask(mdp, target)
     starts, sources = mdp.predecessors()
     open_ = through & ~target  # through states the search has not entered
     frontier = np.flatnonzero(target)
-    applications = 1
     while frontier.size:
         # The predecessor runs sources[lo:lo + size] of the frontier states,
         # kept where open and deduped on a mask.
@@ -84,9 +80,7 @@ def r_ret_fixpoint(mdp: Mdp, through, target, *, count: bool = False):
         layer[found[open_[found]]] = True
         frontier = np.flatnonzero(layer)
         open_[frontier] = False
-        applications += bool(frontier.size)
-    current = target | (through & ~open_)
-    return (current, applications) if count else current
+    return target | (through & ~open_)
 
 
 def r_eps(mdp: Mdp, base, r_values, eps: float, lipschitz: float, threshold: float) -> np.ndarray:
@@ -102,17 +96,12 @@ def r_eps(mdp: Mdp, base, r_values, eps: float, lipschitz: float, threshold: flo
 
 
 def r_eps_fixpoint(mdp: Mdp, seed, r_values, eps: float, lipschitz: float,
-                   threshold: float, *, count: bool = False):
+                   threshold: float) -> np.ndarray:
     """Largest set safely explorable from ``seed``: the least fixpoint of
     :func:`r_eps`, reached within ``|S| + 1`` applications."""
     current = _as_mask(mdp, seed).copy()
-    applications = 0
     while True:
         grown = r_eps(mdp, current, r_values, eps, lipschitz, threshold)
-        applications += 1
         if np.array_equal(grown, current):
-            break
+            return current
         current = grown
-    if count:
-        return current, applications
-    return current

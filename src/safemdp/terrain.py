@@ -29,7 +29,6 @@ from .gp import (
     GpModel,
     Kernel,
     StationaryCovariance,
-    beta as beta_value,
     kernel_eval,
     update_bands,
 )
@@ -106,6 +105,9 @@ def load_esri_ascii(source) -> TerrainGrid:
                 header[key] = float(tokens[1])
             except ValueError:
                 raise EsriAsciiError(f"header value {tokens[1]!r} is not a number", lineno) from None
+            if key == "cellsize" and not 0 < header[key] < math.inf:
+                raise EsriAsciiError(f"cellsize must be positive and finite, got {tokens[1]!r}",
+                                     lineno)
             continue
         for tok in tokens:
             try:
@@ -354,14 +356,14 @@ def height_gp(aug: AugmentedMdp, kernel: Kernel, noise_std: float,
     return GpModel(height_covariance(aug, kernel, cell_size), noise_std)
 
 
-def height_gp_to_difference_bands(height_model: GpModel, aug: AugmentedMdp, beta_t: float,
+def height_gp_to_difference_bands(height_model: GpModel, aug: AugmentedMdp, beta: float,
                                   prev: ConfidenceBands) -> ConfidenceBands:
     """Difference bands derived from a GP over cell heights.
 
     For the action-state of ``s -> s'`` the interval is centered on
     ``mean(s) - mean(s')`` with variance
     ``var(s) + var(s') - 2 cov(s, s')`` (clamped at zero), scaled by
-    ``sqrt(beta_t)`` and intersected into ``prev``.
+    ``sqrt(beta)`` and intersected into ``prev``.
     """
     cells = np.arange(aug.num_base_states)
     means, variances = height_model.posterior(cells)
@@ -372,7 +374,7 @@ def height_gp_to_difference_bands(height_model: GpModel, aug: AugmentedMdp, beta
     if diff_var.min(initial=0.0) < -1e-8:
         raise ValueError(f"difference variance {diff_var.min():g} fell below the numerical floor")
     diff_var = np.maximum(diff_var, 0.0)
-    return update_bands(prev, diff_mean, diff_var, beta_t)
+    return update_bands(prev, diff_mean, diff_var, beta)
 
 
 class HeightGpBandModel(GpBandModel):
@@ -383,14 +385,13 @@ class HeightGpBandModel(GpBandModel):
     the height posterior via :func:`height_gp_to_difference_bands`.
     """
 
-    def __init__(self, height_model: GpModel, aug: AugmentedMdp, schedule, seed_set,
+    def __init__(self, height_model: GpModel, aug: AugmentedMdp, beta: float, seed_set,
                  threshold: float):
-        super().__init__(height_model, schedule, aug.num_states, seed_set, threshold)
+        super().__init__(height_model, beta, aug.num_states, seed_set, threshold)
         self.aug = aug
 
-    def advance(self, t: int) -> ConfidenceBands:
-        self.bands = height_gp_to_difference_bands(self.gp, self.aug,
-                                                   beta_value(self.schedule, t), self.bands)
+    def advance(self) -> ConfidenceBands:
+        self.bands = height_gp_to_difference_bands(self.gp, self.aug, self.beta, self.bands)
         return self.bands
 
     def measure(self, env: TerrainEnvironment, state: int) -> float:
@@ -406,8 +407,8 @@ class HeightGpBandModel(GpBandModel):
 
 
 def difference_band_model(aug: AugmentedMdp, kernel: Kernel, noise_std: float,
-                          cell_size: float, schedule, seed_set,
+                          cell_size: float, beta: float, seed_set,
                           threshold: float) -> GpBandModel:
     """Default observation model: a GP directly over height differences."""
-    return GpBandModel(difference_gp(aug, kernel, noise_std, cell_size), schedule,
+    return GpBandModel(difference_gp(aug, kernel, noise_std, cell_size), beta,
                        aug.num_states, seed_set, threshold)

@@ -34,7 +34,6 @@ from safemdp.explorer import (
 )
 from safemdp.gp import (
     ConfidenceBands,
-    ConstantBeta,
     GpModel,
     Kernel,
     StationaryCovariance,
@@ -42,7 +41,7 @@ from safemdp.gp import (
     kernel_eval,
     update_bands,
 )
-from safemdp.mdp import GRID_STAY, FunctionMetric, ManhattanMetric, Mdp, augment, grid_mdp
+from safemdp.mdp import GRID_STAY, ManhattanMetric, Mdp, augment, grid_mdp
 from safemdp.planner import NoPathError, shortest_safe_path
 from safemdp.reach import (
     r_eps,
@@ -62,6 +61,8 @@ from safemdp.terrain import (
     seed_pocket,
     synth_terrain,
 )
+
+from oracles import DenseMetric, step
 
 SAFETY = TerrainSafetySpec()
 
@@ -102,8 +103,7 @@ def terrain_setup(params, rows, cols, seed, *, noise=0.075, start=(1, 1)):
 
 def run_strategy(aug, env, mask, threshold, kern, strategy, budget, *,
                  eps=0.15, noise=0.075):
-    bands = difference_band_model(aug, kern, noise, 1.0, ConstantBeta(2.0),
-                                  mask, threshold)
+    bands = difference_band_model(aug, kern, noise, 1.0, 2.0, mask, threshold)
     cfg = ExplorerConfig(mode="gp-direct", lipschitz=0.2, epsilon=eps,
                          max_iterations=budget, seed_set=mask)
     if strategy == "safemdp":
@@ -214,14 +214,12 @@ def bf_ret_one(mdp, through, target):
 
 
 def bf_ret_fix(mdp, through, target):
-    """Least fixpoint of :func:`bf_ret_one` and the number of applications
-    it took, the last one (which changes nothing) included."""
-    current, applications = set(target), 0
+    """Least fixpoint of :func:`bf_ret_one`."""
+    current = set(target)
     while True:
         grown = bf_ret_one(mdp, through, current)
-        applications += 1
         if grown == current:
-            return current, applications
+            return current
         current = grown
 
 
@@ -229,7 +227,7 @@ def bf_eps(mdp, dist, base, r, eps, lip, h):
     if not base:
         return set()
     safe = bf_safe(mdp, dist, base, r, eps, lip, h)
-    return safe & bf_reach(mdp, base) & bf_ret_fix(mdp, safe, base)[0]
+    return safe & bf_reach(mdp, base) & bf_ret_fix(mdp, safe, base)
 
 
 def bf_eps_fix(mdp, dist, seed, r, eps, lip, h):
@@ -257,11 +255,10 @@ def check_all_operators(mdp, dist, rng):
     bad += to_set(r_safe_eps(mdp, bm, r, eps, lip, h)) != bf_safe(mdp, dist, base, r, eps, lip, h)
     bad += to_set(r_reach(mdp, bm)) != bf_reach(mdp, base)
     bad += to_set(r_ret_one(mdp, tm, gm)) != bf_ret_one(mdp, through, target)
-    got, k = r_ret_fixpoint(mdp, tm, gm, count=True)
-    bad += (to_set(got), k) != bf_ret_fix(mdp, through, target)
+    bad += to_set(r_ret_fixpoint(mdp, tm, gm)) != bf_ret_fix(mdp, through, target)
     bad += to_set(r_eps(mdp, bm, r, eps, lip, h)) != bf_eps(mdp, dist, base, r, eps, lip, h)
-    got, k = r_eps_fixpoint(mdp, bm, r, eps, lip, h, count=True)
-    bad += to_set(got) != bf_eps_fix(mdp, dist, base, r, eps, lip, h) or k > n
+    got = r_eps_fixpoint(mdp, bm, r, eps, lip, h)
+    bad += to_set(got) != bf_eps_fix(mdp, dist, base, r, eps, lip, h)
     return bad
 
 
@@ -275,8 +272,8 @@ def test_set_operators_match_bruteforce(capsys):
     # identical, so dynamics are enumerated as successor sets of size 1-2:
     # ten per state, 10^4 machines in total.
     successor_sets = [c for k in (1, 2) for c in itertools.combinations(range(4), k)]
-    metric4 = FunctionMetric(lambda i, j: np.abs(i - j) * 1.0)
     dist4 = [[abs(i - j) * 1.0 for j in range(4)] for i in range(4)]
+    metric4 = DenseMetric(dist4)
     n_exhaustive = 0
     for combo in itertools.product(successor_sets, repeat=4):
         mdp = Mdp([[(a, s) for a, s in enumerate(ss)] for ss in combo], metric4)
@@ -289,7 +286,7 @@ def test_set_operators_match_bruteforce(capsys):
         actions = [[(a, int(rng.integers(n))) for a in range(int(rng.integers(1, 4)))]
                    for _ in range(n)]
         dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2).astype(float)
-        mdp = Mdp(actions, FunctionMetric(lambda i, j, d=dist: d[i, j]), coords=coords)
+        mdp = Mdp(actions, DenseMetric(dist), coords=coords)
         mismatches += check_all_operators(mdp, dist, rng)
 
     elapsed = time.time() - t0
@@ -406,7 +403,7 @@ def test_operator_and_band_monotonicity(capsys):
         actions = [[(a, int(rng.integers(n))) for a in range(int(rng.integers(1, 4)))]
                    for _ in range(n)]
         dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2).astype(float)
-        mdp = Mdp(actions, FunctionMetric(lambda i, j, d=dist: d[i, j]), coords=coords)
+        mdp = Mdp(actions, DenseMetric(dist), coords=coords)
         r = rng.normal(size=n)
         eps = float(rng.uniform(0, 0.4))
         lip = float(rng.uniform(0, 1.2))
@@ -604,7 +601,7 @@ def test_strategy_comparison_on_shared_fixtures(capsys):
     for seed in range(20):
         env = Environment(r, 0.0, 1e-3, seed)
         cov = StationaryCovariance(Kernel("matern52", 1.0, 1.0), coords)
-        bands = GpBandModel(GpModel(cov, 1e-3), ConstantBeta(4.0), 4, seed_mask, 0.0)
+        bands = GpBandModel(GpModel(cov, 1e-3), 4.0, 4, seed_mask, 0.0)
         cfg = ExplorerConfig("lipschitz", 0.5, 0.05, 30, seed_mask)
         trace = run_baseline("non_ergodic", mdp, env, cfg, bands)
         benchmark = r_eps_fixpoint(mdp, seed_mask, r, 0.05, 0.5, 0.0)
@@ -665,7 +662,7 @@ def test_planner_matches_bfs_distances(capsys):
             continue
         planned += 1
         off_allowed = sum(not allowed[s] for s in plan.states)
-        relinked = [mdp.step(s, a) for s, a in zip(plan.states, plan.actions)]
+        relinked = [step(mdp, s, a) for s, a in zip(plan.states, plan.actions)]
         mismatches += (len(plan) != oracle or off_allowed > 0
                        or relinked != plan.states[1:])
     elapsed = time.time() - t0

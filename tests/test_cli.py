@@ -107,6 +107,8 @@ def test_bad_values_name_their_field(tmp_path, capsys):
         ({"terrain.crater_depth": "4.0", "terrain.crater_radius": "0"},
          "terrain.crater_radius"),
         ({"terrain.hill_height": "2.0", "terrain.hill_radius": "0"}, "terrain.hill_radius"),
+        ({"terrain.kind": "gp-sample", "terrain.rows": "60", "terrain.cols": "60"},
+         "terrain.rows/terrain.cols"),
     ]
     for overrides, needle in cases:
         path = write_config(tmp_path, tmp_path / "out", **overrides)
@@ -253,14 +255,27 @@ def test_explore_reads_dem_sources(tmp_path, capsys):
     )
     assert main(["explore", str(path)]) == 0
     assert (out / "seed_0" / "trace.csv").exists()
-    missing = write_config(
-        tmp_path, out,
-        **{"terrain.source": "dem", "terrain.kind": None, "terrain.rows": None,
-           "terrain.cols": None, "terrain.cell_size": None,
-           "terrain.dem_path": str(tmp_path / "gone.asc")},
-    )
-    assert main(["explore", str(missing)]) == 2
-    assert "terrain.dem_path" in capsys.readouterr().err
+    # A missing file, a non-positive cell size and a grid without data are
+    # config errors naming the key.
+    unusable = {
+        "gone.asc": (None, "does not exist"),
+        "zero_cell.asc": ("ncols 2\nnrows 1\ncellsize 0\n1 2\n",
+                          "line 3: cellsize must be positive"),
+        "no_data.asc": ("ncols 2\nnrows 1\ncellsize 1\nNODATA_value -1\n-1 -1\n",
+                        "no cells with data"),
+    }
+    for name, (text, needle) in unusable.items():
+        if text is not None:
+            (tmp_path / name).write_text(text)
+        bad = write_config(
+            tmp_path, out,
+            **{"terrain.source": "dem", "terrain.kind": None, "terrain.rows": None,
+               "terrain.cols": None, "terrain.cell_size": None,
+               "terrain.dem_path": str(tmp_path / name)},
+        )
+        assert main(["explore", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: terrain.dem_path:" in err and needle in err
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,16 @@ from safemdp.explorer import (
     run_baseline,
     run_safemdp,
 )
-from safemdp.gp import ConstantBeta, GpModel, Kernel, StationaryCovariance
+from safemdp.gp import GpModel, Kernel, StationaryCovariance
 from safemdp.mdp import ManhattanMetric, Mdp, grid_mdp
 from safemdp.terrain import build_terrain_environment
+
+from oracles import step
 
 
 def band_model(coords, seed, h, *, noise=1e-3, ell=2.0, b=4.0):
     cov = StationaryCovariance(Kernel("matern52", ell, 1.0), coords)
-    return GpBandModel(GpModel(cov, noise), ConstantBeta(b), len(np.asarray(coords)), seed, h)
+    return GpBandModel(GpModel(cov, noise), b, len(np.asarray(coords)), seed, h)
 
 
 def meadow():
@@ -291,7 +293,7 @@ def test_random_baseline_on_safe_ground_never_violates():
     assert trace.agent_steps == trace.iterations == 40
     for rec in trace.records:
         assert len(rec.path.actions) == 1
-        assert mdp.step(rec.path.states[0], rec.path.actions[0]) == rec.path.states[1]
+        assert step(mdp, rec.path.states[0], rec.path.actions[0]) == rec.path.states[1]
 
 
 def test_random_baseline_respects_max_steps_and_reproduces():

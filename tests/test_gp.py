@@ -1,4 +1,4 @@
-"""GP regression, beta schedules and confidence bands."""
+"""GP regression, the confidence scale beta and confidence bands."""
 
 import math
 
@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from safemdp.explorer import GpBandModel
 from safemdp.gp import (
     ConfidenceBands,
-    ConstantBeta,
     GpError,
     GpModel,
     Kernel,
@@ -16,12 +16,12 @@ from safemdp.gp import (
     SQUARED_EXPONENTIAL,
     SingularSystemError,
     StationaryCovariance,
-    TheoreticalBeta,
-    beta,
     initial_bands,
     kernel_eval,
     update_bands,
 )
+from safemdp.mdp import augment, grid_mdp
+from safemdp.terrain import HeightGpBandModel, difference_band_model, height_gp
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -267,46 +267,39 @@ def test_singular_system_error_when_jitter_cannot_help():
 
 
 # ---------------------------------------------------------------------------
-# beta schedules
+# the confidence scale beta
 
 
 def test_constant_beta_ignores_iteration():
-    schedule = ConstantBeta(2.0)
-    assert beta(schedule, 1) == 2.0
-    assert beta(schedule, 57) == 2.0
-
-
-def test_theoretical_beta_reference_point():
-    # 2*1 + 300*1*ln(e)^3 = 302 when t/delta = e.
-    schedule = TheoreticalBeta(1.0, 1.0 / math.e, lambda t: 1.0)
-    assert beta(schedule, 1) == pytest.approx(302.0)
-
-
-def test_theoretical_beta_monotone_for_monotone_capacity():
-    schedule = TheoreticalBeta(2.0, 0.05, lambda t: math.log(1 + t))
-    values = [beta(schedule, t) for t in range(1, 40)]
-    assert all(b2 >= b1 for b1, b2 in zip(values, values[1:]))
+    # The band model holds one beta: every advance scales the posterior
+    # standard deviation by sqrt(beta), however many came before.
+    cov = StationaryCovariance(Kernel(MATERN52, 1.0, 2.0), np.arange(3.0))
+    model = GpBandModel(GpModel(cov, 0.1), 2.25, 3, np.zeros(3, bool), 0.0)
+    for _ in range(3):
+        bands = model.advance()
+        np.testing.assert_allclose(bands.upper, 1.5 * 2.0)
+        np.testing.assert_allclose(bands.lower, -1.5 * 2.0)
+    model.gp.add_observation(1, 0.5)
+    means, variances = model.gp.posterior(np.arange(3))
+    bands = model.advance()
+    np.testing.assert_allclose(bands.upper, means + 1.5 * np.sqrt(variances))
+    np.testing.assert_allclose(bands.lower, means - 1.5 * np.sqrt(variances))
 
 
 def test_beta_domain_errors():
-    with pytest.raises(ValueError):
-        beta(ConstantBeta(2.0), 0)
-    with pytest.raises(ValueError):
-        ConstantBeta(0.0)
-    with pytest.raises(ValueError):
-        TheoreticalBeta(1.0, 1.5, lambda t: 1.0)
-    with pytest.raises(ValueError):
-        TheoreticalBeta(0.0, 0.5, lambda t: 1.0)
-    # t / failure_probability must exceed one for the log cube to make sense;
-    # smuggle in an out-of-range probability to hit the defensive branch.
-    odd = TheoreticalBeta.__new__(TheoreticalBeta)
-    object.__setattr__(odd, "rkhs_bound", 1.0)
-    object.__setattr__(odd, "failure_probability", 2.0)
-    object.__setattr__(odd, "info_capacity", lambda t: 1.0)
-    with pytest.raises(ValueError):
-        beta(odd, 1)
-    with pytest.raises(ValueError):
-        beta(TheoreticalBeta(1.0, 0.5, lambda t: -1.0), 5)
+    kernel = Kernel(MATERN52, 1.0, 1.0)
+    aug = augment(grid_mdp(2, 2, 1.0))
+    seed = np.zeros(aug.num_states, bool)
+    cov = StationaryCovariance(kernel, np.arange(3.0))
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="beta"):
+            GpBandModel(GpModel(cov, 0.1), bad, 3, np.zeros(3, bool), 0.0)
+        with pytest.raises(ValueError, match="beta"):
+            HeightGpBandModel(height_gp(aug, kernel, 0.1, 1.0), aug, bad, seed, 0.0)
+        with pytest.raises(ValueError, match="beta"):
+            difference_band_model(aug, kernel, 0.1, 1.0, bad, seed, 0.0)
+        with pytest.raises(ValueError, match="beta"):
+            update_bands(initial_bands(1, [False], 0.0), [0.0], [1.0], bad)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ from safemdp.mdp import (
     GRID_RIGHT,
     GRID_STAY,
     GRID_UP,
-    FunctionMetric,
     ManhattanMetric,
     Mdp,
-    UnknownActionError,
     augment,
     grid_mdp,
 )
+
+from oracles import DenseMetric, step
 
 MOVES = {GRID_UP: (-1, 0), GRID_DOWN: (1, 0), GRID_LEFT: (0, -1), GRID_RIGHT: (0, 1)}
 
@@ -27,16 +27,13 @@ MOVES = {GRID_UP: (-1, 0), GRID_DOWN: (1, 0), GRID_LEFT: (0, -1), GRID_RIGHT: (0
 
 
 def test_actions_are_sorted_and_validated():
-    mdp = Mdp([[(3, 1), (0, 0)], [(1, 1)]], FunctionMetric(lambda i, j: abs(i - j)))
+    mdp = Mdp([[(3, 1), (0, 0)], [(1, 1)]], DenseMetric([[0, 1], [1, 0]]))
     assert mdp.actions_of(0) == ((0, 0), (3, 1))
-    assert mdp.step(0, 3) == 1
-    assert mdp.step(1, 1) == 1
-    with pytest.raises(UnknownActionError):
-        mdp.step(1, 0)
+    assert mdp.actions_of(1) == ((1, 1),)
 
 
 def test_constructor_rejects_malformed_tables():
-    metric = FunctionMetric(lambda i, j: 0.0)
+    metric = DenseMetric(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         Mdp([[(0, 0)], []], metric)  # state without actions
     with pytest.raises(ValueError):
@@ -58,13 +55,6 @@ def test_edges_match_action_table():
     assert len(listed) == sum(len(mdp.actions_of(s)) for s in range(mdp.num_states))
 
 
-def test_function_metric_and_generic_block():
-    metric = FunctionMetric(lambda i, j: float(abs(i - j) ** 2))
-    assert metric.pair(1, 4) == 9.0
-    block = metric.block([0, 2], [1, 2, 3])
-    np.testing.assert_allclose(block, [[1.0, 4.0, 9.0], [1.0, 0.0, 1.0]])
-
-
 # ---------------------------------------------------------------------------
 # grid construction
 
@@ -82,22 +72,19 @@ def test_grid_counts_and_action_sets():
 def test_grid_moves_go_where_expected():
     mdp = grid_mdp(3, 4, 1.0)
     # Row-major ids: state r * 4 + c.
-    assert mdp.step(5, GRID_UP) == 1
-    assert mdp.step(5, GRID_DOWN) == 9
-    assert mdp.step(5, GRID_LEFT) == 4
-    assert mdp.step(5, GRID_RIGHT) == 6
-    with pytest.raises(UnknownActionError):
-        mdp.step(0, GRID_UP)
-    with pytest.raises(UnknownActionError):
-        mdp.step(3, GRID_RIGHT)
+    assert step(mdp, 5, GRID_UP) == 1
+    assert step(mdp, 5, GRID_DOWN) == 9
+    assert step(mdp, 5, GRID_LEFT) == 4
+    assert step(mdp, 5, GRID_RIGHT) == 6
+    # Moves off the grid are absent.
+    assert GRID_UP not in dict(mdp.actions_of(0))
+    assert GRID_RIGHT not in dict(mdp.actions_of(3))
 
 
 def test_grid_metric_scales_manhattan_distance_by_cell_size():
     mdp = grid_mdp(3, 3, 2.0)
     # Opposite corners are four cells apart: 4 * 2.0 = 8.0.
-    assert mdp.metric.pair(0, 8) == 8.0
-    assert mdp.metric.pair(0, 1) == 2.0
-    assert mdp.metric.pair(3, 1) == 4.0
+    np.testing.assert_array_equal(mdp.distances([0, 3], [8, 1]), [[8.0, 2.0], [6.0, 4.0]])
 
 
 def test_grid_rejects_bad_shapes():
@@ -162,12 +149,14 @@ def test_manhattan_metric_axioms_exhaustively():
 
 
 def test_manhattan_block_matches_pairwise_calls():
-    metric = ManhattanMetric([[0, 0], [2, 1], [5, 5]], 0.5)
+    coords = [[0, 0], [2, 1], [5, 5]]
+    metric = ManhattanMetric(coords, 0.5)
     a, b = [0, 2], [0, 1, 2]
     block = metric.block(a, b)
     for i, s in enumerate(a):
         for j, s2 in enumerate(b):
-            assert block[i, j] == metric.pair(s, s2)
+            dr, dc = coords[s][0] - coords[s2][0], coords[s][1] - coords[s2][1]
+            assert block[i, j] == (abs(dr) + abs(dc)) * 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +207,10 @@ def test_augmented_metric_values_on_a_grid():
     assert d(0, x) == 1.0
     assert d(x, 1) == 1.0
     # Non-adjacent originals sit at owner distance plus the offset.
-    assert d(x, 2) == base.metric.pair(0, 2) + 1.0
+    assert d(x, 2) == base.distances([0], [2])[0, 0] + 1.0
     # Between action-states: owner distance plus one offset per endpoint.
     y = aug.action_state_of[(1, GRID_RIGHT)]
-    assert d(x, y) == base.metric.pair(0, 1) + 2.0
+    assert d(x, y) == base.distances([0], [1])[0, 0] + 2.0
     assert d(x, x) == 0.0
     # A stay action-state is half_step from its owner in both roles.
     z = aug.action_state_of[(4, GRID_STAY)]
@@ -234,8 +223,19 @@ def test_augmented_metric_values_on_a_grid():
 
 def test_augment_half_step_defaults():
     assert augment(grid_mdp(2, 2, 3.0)).half_step == 1.5
-    loops = Mdp([[(0, 0)], [(0, 1)]], FunctionMetric(lambda i, j: float(i != j)))
+    loops = Mdp([[(0, 0)], [(0, 1)]], DenseMetric([[0, 1], [1, 0]]))
     assert augment(loops).half_step == 0.5
+    # Off the grid: three points on a line at 0, 0.6 and 1.6; the shortest
+    # move, 0 -> 1, is 0.6 long.
+    x = np.array([0.0, 0.6, 1.6])
+    line = Mdp([[(0, 0), (1, 1)], [(0, 2), (1, 0)], [(0, 2)]],
+               DenseMetric(np.abs(x[:, None] - x[None, :])))
+    aug = augment(line)
+    assert aug.half_step == 0.3
+    there = aug.action_state_of[(0, 1)]  # 0 -> 1
+    onward = aug.action_state_of[(1, 0)]  # 1 -> 2
+    np.testing.assert_allclose(aug.distances([there], [0, 1, 2, onward]),
+                               [[0.3, 0.3, 1.9, 1.2]], rtol=1e-15)
     with pytest.raises(ValueError):
         augment(grid_mdp(2, 2, 1.0), half_step=0.0)
 
@@ -262,7 +262,7 @@ def test_paths_correspond_two_to_one(seed):
     path, acts = _random_base_walk(base, rng, int(rng.integers(1, 8)))
     pos = path[0]
     for label, nxt in zip(acts, path[1:]):
-        mid = aug.step(pos, label)
+        mid = step(aug, pos, label)
         assert mid == aug.action_state_of[(pos, label)]
-        pos = aug.step(mid, label)
+        pos = step(aug, mid, label)
         assert pos == nxt

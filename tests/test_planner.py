@@ -8,6 +8,8 @@ import pytest
 from safemdp.mdp import GRID_DOWN, GRID_RIGHT, grid_mdp
 from safemdp.planner import NoPathError, PathPlan, shortest_safe_path
 
+from oracles import step
+
 
 def bfs_distance(mdp, allowed, start, goal):
     """Hop distance inside ``allowed``, or None when unreachable."""
@@ -83,7 +85,7 @@ def test_plan_replays_through_the_dynamics():
         assert plan.states[0] == start and plan.states[-1] == goal
         assert all(allowed[s] for s in plan.states)
         for s, a, nxt in zip(plan.states, plan.actions, plan.states[1:]):
-            assert mdp.step(s, a) == nxt
+            assert step(mdp, s, a) == nxt
 
 
 def test_hop_count_matches_bfs_oracle():

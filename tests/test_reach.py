@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safemdp.mdp import FunctionMetric, Mdp, grid_mdp
+from safemdp.mdp import Mdp, grid_mdp
 from safemdp.reach import (
     r_eps,
     r_eps_fixpoint,
@@ -18,6 +18,12 @@ from safemdp.reach import (
     r_ret_one,
     r_safe_eps,
 )
+
+from oracles import DenseMetric
+
+#: A three-state chain 0 -> 1 -> 2 with a self-loop on 2.
+CHAIN = Mdp([[(0, 1)], [(0, 2)], [(0, 2)]],
+            DenseMetric(np.abs(np.subtract.outer(np.arange(3), np.arange(3)))))
 
 
 def random_mdp(rng, n_states=None, max_actions=3):
@@ -29,7 +35,7 @@ def random_mdp(rng, n_states=None, max_actions=3):
         k = int(rng.integers(1, max_actions + 1))
         actions.append([(a, int(rng.integers(n))) for a in range(k)])
     dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2).astype(float)
-    return Mdp(actions, FunctionMetric(lambda i, j, d=dist: d[i, j]), coords=coords), dist
+    return Mdp(actions, DenseMetric(dist), coords=coords), dist
 
 
 def to_set(mask):
@@ -151,18 +157,16 @@ def test_reach_adds_one_step_successors():
 
 
 def test_ret_one_small_cases():
-    chain = Mdp([[(0, 1)], [(0, 2)], [(0, 2)]], FunctionMetric(lambda i, j: abs(i - j)))
-    assert not r_ret_one(chain, np.zeros(3, bool), np.zeros(3, bool)).any()
-    out = r_ret_one(chain, from_set(3, {1}), from_set(3, {2}))
+    assert not r_ret_one(CHAIN, np.zeros(3, bool), np.zeros(3, bool)).any()
+    out = r_ret_one(CHAIN, from_set(3, {1}), from_set(3, {2}))
     assert to_set(out) == {1, 2}
     # A through-state whose actions all miss the target is not added.
-    out = r_ret_one(chain, from_set(3, {0}), from_set(3, {2}))
+    out = r_ret_one(CHAIN, from_set(3, {0}), from_set(3, {2}))
     assert to_set(out) == {2}
 
 
 def test_ret_fixpoint_small_cases():
-    chain = Mdp([[(0, 1)], [(0, 2)], [(0, 2)]], FunctionMetric(lambda i, j: abs(i - j)))
-    out = r_ret_fixpoint(chain, from_set(3, {0, 1}), from_set(3, {2}))
+    out = r_ret_fixpoint(CHAIN, from_set(3, {0, 1}), from_set(3, {2}))
     assert to_set(out) == {0, 1, 2}
     # Strongly connected grid, full through-set: everything returns.
     mdp = grid_mdp(3, 3, 1.0)
@@ -298,6 +302,18 @@ def test_operators_contain_their_base_sets(seed):
     assert (r_eps_fixpoint(mdp, base, r, 0.1, 1.0, h) | ~base).all()
 
 
+def iterate_to_fixpoint(operator, start):
+    """Apply ``operator`` from ``start`` until nothing changes; returns the
+    fixpoint and the number of applications, the last one included."""
+    current, applications = start, 0
+    while True:
+        grown = operator(current)
+        applications += 1
+        if np.array_equal(grown, current):
+            return current, applications
+        current = grown
+
+
 def test_fixpoints_stabilize_within_state_count_bounds():
     rng = np.random.default_rng(11)
     for _ in range(60):
@@ -306,11 +322,14 @@ def test_fixpoints_stabilize_within_state_count_bounds():
         r = rng.normal(size=n)
         through = from_set(n, random_subset(rng, n))
         target = from_set(n, random_subset(rng, n))
-        _, k = r_ret_fixpoint(mdp, through, target, count=True)
+        fix, k = iterate_to_fixpoint(lambda cur: r_ret_one(mdp, through, cur), target)
         assert k <= n
+        np.testing.assert_array_equal(fix, r_ret_fixpoint(mdp, through, target))
         seed = from_set(n, random_subset(rng, n))
-        _, k = r_eps_fixpoint(mdp, seed, r, 0.1, 0.8, float(rng.normal()), count=True)
+        h = float(rng.normal())
+        fix, k = iterate_to_fixpoint(lambda cur: r_eps(mdp, cur, r, 0.1, 0.8, h), seed)
         assert k <= n + 1
+        np.testing.assert_array_equal(fix, r_eps_fixpoint(mdp, seed, r, 0.1, 0.8, h))
 
 
 def test_larger_eps_never_grows_the_explorable_set():

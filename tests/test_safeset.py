@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from safemdp.gp import ConfidenceBands
-from safemdp.mdp import FunctionMetric, Mdp, grid_mdp
+from safemdp.mdp import Mdp, grid_mdp
 from safemdp.safeset import (
     ErgodicPreconditionError,
     SafeSets,
@@ -14,6 +14,8 @@ from safemdp.safeset import (
     ergodic_safe,
     expanders,
 )
+
+from oracles import DenseMetric
 
 
 def bands_of(lower, upper):
@@ -75,6 +77,7 @@ def test_classify_matches_bruteforce_double_loop():
     rng = np.random.default_rng(5)
     mdp = grid_mdp(4, 4, 1.0)
     n = mdp.num_states
+    dist = mdp.distances(np.arange(n), np.arange(n))
     for _ in range(60):
         h = float(rng.normal(scale=0.5))
         bands = random_bands(rng, n, h)
@@ -85,7 +88,7 @@ def test_classify_matches_bruteforce_double_loop():
         expected = set(np.flatnonzero(prev).tolist())
         for s in range(n):
             for w in np.flatnonzero(prev):
-                if bands.lower[w] - lip * mdp.metric.pair(s, int(w)) >= h:
+                if bands.lower[w] - lip * dist[s, w] >= h:
                     expected.add(s)
         assert set(np.flatnonzero(got).tolist()) == expected
 
@@ -122,8 +125,7 @@ def test_ergodic_is_previous_set_when_nothing_new_is_safe():
 
 
 def test_ergodic_adds_reachable_returnable_states():
-    metric = FunctionMetric(lambda i, j: float(abs(i - j)))
-    mdp = Mdp([[(0, 0), (1, 1)], [(0, 0)]], metric)
+    mdp = Mdp([[(0, 0), (1, 1)], [(0, 0)]], DenseMetric([[0, 1], [1, 0]]))
     out = ergodic_safe(mdp, mask(2, {0, 1}), mask(2, {0}))
     assert out.all()
 
@@ -200,6 +202,7 @@ def test_expanders_match_bruteforce():
     rng = np.random.default_rng(21)
     mdp = grid_mdp(4, 4, 1.0)
     n = mdp.num_states
+    dist = mdp.distances(np.arange(n), np.arange(n))
     for _ in range(60):
         h = float(rng.normal(scale=0.5))
         bands = random_bands(rng, n, h)
@@ -207,12 +210,12 @@ def test_expanders_match_bruteforce():
         ergodic = safe & (rng.random(n) < 0.7)
         lip = float(rng.uniform(0.05, 1.5))
         got_mask, got_nearest = expanders(mdp, ergodic, safe, bands, lip, h)
-        nearest = np.array([min((mdp.metric.pair(s, int(s2)) for s2 in np.flatnonzero(~safe)),
+        nearest = np.array([min((dist[s, s2] for s2 in np.flatnonzero(~safe)),
                                 default=np.inf) for s in range(n)])
         expected = np.zeros(n, dtype=bool)
         for s in np.flatnonzero(ergodic):
             for s2 in np.flatnonzero(~safe):
-                if bands.upper[s] - lip * mdp.metric.pair(int(s), int(s2)) >= h:
+                if bands.upper[s] - lip * dist[s, s2] >= h:
                     expected[s] = True
         np.testing.assert_array_equal(got_nearest, nearest)
         np.testing.assert_array_equal(got_mask, expected)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from safemdp.gp import ConstantBeta, GpModel, Kernel, initial_bands, kernel_eval
+from safemdp.gp import GpModel, Kernel, initial_bands, kernel_eval
 from safemdp.terrain import (
     CraterHill,
     CraterHillParams,
@@ -75,6 +75,10 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(EsriAsciiError) as err:
         load_esri_ascii("ncols 2\nncols 2\nnrows 1\ncellsize 1\n1 2\n")
     assert err.value.line == 2
+    for cellsize in ("0", "-2", "inf", "nan"):
+        with pytest.raises(EsriAsciiError, match="cellsize must be positive") as err:
+            load_esri_ascii(f"ncols 1\nnrows 1\ncellsize {cellsize}\n1\n")
+        assert err.value.line == 3
     with pytest.raises(EsriAsciiError, match="missing header key 'cellsize'"):
         load_esri_ascii("ncols 1\nnrows 1\n5.0\n")
     with pytest.raises(EsriAsciiError, match="expected 4 grid values"):
@@ -276,12 +280,12 @@ def test_noiseless_height_measurements_collapse_the_difference_band():
     # Model noise 5e-7 keeps the residual std of a two-cell difference
     # under 1e-6 (each observed height contributes its own noise floor).
     model = HeightGpBandModel(height_gp(aug, KERNEL, 5e-7, 1.0), aug,
-                              ConstantBeta(2.0), seed, env.threshold)
+                              2.0, seed, env.threshold)
     target = aug.action_state_of[(4, 3)]  # centre cell, move right
     observed = model.measure(env, target)
     truth = env.true_safety[target]
     assert observed == pytest.approx(truth, abs=1e-9)
-    bands = model.advance(1)
+    bands = model.advance()
     assert bands.width()[target] <= 2.0 * math.sqrt(2.0) * 1e-6
 
 
@@ -292,7 +296,7 @@ def test_stay_measurement_observes_one_cell_and_returns_zero():
     seed = np.zeros(aug.num_states, bool)
     seed[0] = True
     model = HeightGpBandModel(height_gp(aug, KERNEL, 0.075, 1.0), aug,
-                              ConstantBeta(2.0), seed, env.threshold)
+                              2.0, seed, env.threshold)
     stay = aug.action_state_of[(4, 4)]
     assert model.measure(env, stay) == 0.0
     assert model.gp.num_observations == 1

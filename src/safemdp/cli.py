@@ -266,13 +266,18 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
     if values["conservative_slope_deg"] > values["max_slope_deg"]:
         raise ConfigError("safety.conservative_slope_deg: must not exceed safety.max_slope_deg")
-    if values["kind"] == "gp-sample" and values["rows"] * values["cols"] > GP_SAMPLE_MAX_CELLS:
-        raise ConfigError(
-            f"terrain.rows/terrain.cols: gp-sample terrain is limited to {GP_SAMPLE_MAX_CELLS} "
-            f"cells, got {values['rows']}x{values['cols']} = {values['rows'] * values['cols']}")
+    _check_cell_count(values["kind"], values["rows"], values["cols"], "terrain.rows/terrain.cols")
     if values["mode"] == "lipschitz" and values["lipschitz"] == 0:
         raise ConfigError("explorer.lipschitz: must be positive in lipschitz mode")
     return ExperimentConfig(**values)
+
+
+def _check_cell_count(kind, rows, cols, name):
+    """Reject a gp-sample grid over :data:`GP_SAMPLE_MAX_CELLS` cells with a
+    :class:`ConfigError` naming ``name``."""
+    if kind == "gp-sample" and rows * cols > GP_SAMPLE_MAX_CELLS:
+        raise ConfigError(f"{name}: gp-sample terrain is limited to {GP_SAMPLE_MAX_CELLS} "
+                          f"cells, got {rows}x{cols} = {rows * cols}")
 
 
 def build_grid(cfg: ExperimentConfig) -> TerrainGrid:
@@ -458,6 +463,7 @@ def cmd_oracle(config_path: str) -> int:
 
 def cmd_synth(args) -> int:
     """Synthesize terrain from command-line flags and write an .asc file."""
+    _check_cell_count(args.kind, args.rows, args.cols, "--rows/--cols")
     if args.kind == "gp-sample":
         kind = GpSample(Kernel(_KERNELS[args.kernel], args.lengthscale, args.prior_std),
                         args.seed)

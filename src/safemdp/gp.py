@@ -1,9 +1,9 @@
 """Exact Gaussian-process regression over a finite index set.
 
 This module provides the statistical machinery used to estimate the unknown
-safety feature: stationary kernels evaluated on distances, an exact GP
-posterior with incremental Cholesky updates, and monotonically intersected
-confidence bands.
+safety feature: stationary kernels evaluated on distances (each kernel row
+once, memoized per observed point), an exact GP posterior with incremental
+Cholesky updates, and monotonically intersected confidence bands.
 """
 
 from __future__ import annotations
@@ -105,6 +105,15 @@ class StationaryCovariance:
 
     Points are integer ids into ``coords``; the kernel is evaluated on the
     Euclidean distance between coordinates.
+
+    ``matrix(a, b)`` reads from a memo of kernel rows.  The first time an id
+    appears in ``a``, its row against every point is evaluated and kept, so
+    each row is evaluated once however often it is read.  :class:`GpModel`
+    only puts its observed points in ``a``, so the memo holds one row per
+    distinct observed point: at most (distinct observed points) x (number
+    of points) floats in use.  Its storage doubles when full, so it
+    allocates less than twice that, and never more than a square block over
+    all points.
     """
 
     def __init__(self, kernel: Kernel, coords):
@@ -113,14 +122,32 @@ class StationaryCovariance:
             coords = coords[:, None]
         self.kernel = kernel
         self.coords = coords
+        self._slot = np.full(len(coords), -1, dtype=np.intp)
+        self._rows = np.empty((0, len(coords)))
+        self._num_rows = 0
 
     def matrix(self, a, b) -> np.ndarray:
         """Full covariance matrix between the id sequences ``a`` and ``b``."""
-        pa = self.coords[np.asarray(a, dtype=int)]
-        pb = self.coords[np.asarray(b, dtype=int)]
-        diff = pa[:, None, :] - pb[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        return kernel_eval(self.kernel, dist)
+        a = np.asarray(a, dtype=int)
+        if (self._slot[a] < 0).any():
+            new = np.zeros(len(self._slot), dtype=bool)
+            new[a] = True
+            self._evaluate(np.flatnonzero(new & (self._slot < 0)))
+        return self._rows[self._slot[a]][:, np.asarray(b, dtype=int)]
+
+    def _evaluate(self, ids):
+        """Evaluate and memoize the rows of the distinct, new ``ids``."""
+        diff = self.coords[ids][:, None, :] - self.coords[None, :, :]
+        values = kernel_eval(self.kernel, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
+        start, stop = self._num_rows, self._num_rows + len(ids)
+        if stop > len(self._rows):
+            capacity = min(max(stop, 2 * len(self._rows)), len(self.coords))
+            grown = np.empty((capacity, len(self.coords)))
+            grown[:start] = self._rows[:start]
+            self._rows = grown
+        self._rows[start:stop] = values
+        self._slot[ids] = np.arange(start, stop)
+        self._num_rows = stop
 
     def pairwise(self, a, b) -> np.ndarray:
         """Element-wise covariance between equally long id sequences."""

@@ -29,7 +29,6 @@ from .gp import (
     GpModel,
     Kernel,
     StationaryCovariance,
-    kernel_eval,
     update_bands,
 )
 from .mdp import AugmentedMdp, augment, grid_mdp
@@ -81,7 +80,8 @@ def load_esri_ascii(source) -> TerrainGrid:
     """Parse an ESRI ASCII grid from a string, bytes or text stream.
 
     The header keys are matched case-insensitively and ``NODATA_value`` may
-    be omitted (defaulting to -9999).  Parse problems raise
+    be omitted (defaulting to -9999).  Parse problems, including a grid
+    value that is neither finite nor ``NODATA_value``, raise
     :class:`EsriAsciiError` with the line number.
     """
     if isinstance(source, bytes):
@@ -131,7 +131,11 @@ def load_esri_ascii(source) -> TerrainGrid:
         )
     nodata = header.get("nodata_value", -9999.0)
     heights = np.asarray(data)
-    mask = heights == nodata
+    mask = np.isnan(heights) if math.isnan(nodata) else heights == nodata
+    bad = np.flatnonzero(~(mask | np.isfinite(heights)))
+    if bad.size:
+        raise EsriAsciiError(f"grid value {data[bad[0]]!r} is not finite",
+                             data_line_of[bad[0]])
     return TerrainGrid(rows, cols, float(header["cellsize"]), heights, mask,
                        xllcorner=header.get("xllcorner", 0.0),
                        yllcorner=header.get("yllcorner", 0.0),
@@ -212,9 +216,9 @@ def synth_terrain(kind: SynthKind, rows: int, cols: int, cell_size: float) -> Te
             raise ValueError(
                 f"GpSample terrain is limited to {GP_SAMPLE_MAX_CELLS} cells, got {rows * cols}"
             )
+        ids = np.arange(rows * cols)
         coords = np.stack([rr, cc], axis=1) * cell_size
-        diff = coords[:, None, :] - coords[None, :, :]
-        cov = kernel_eval(kind.kernel, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
+        cov = StationaryCovariance(kind.kernel, coords).matrix(ids, ids)
         chol = np.linalg.cholesky(cov + 1e-10 * np.eye(rows * cols))
         rng = np.random.default_rng(kind.seed)
         heights = chol @ rng.standard_normal(rows * cols)

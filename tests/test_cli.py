@@ -255,14 +255,18 @@ def test_explore_reads_dem_sources(tmp_path, capsys):
     )
     assert main(["explore", str(path)]) == 0
     assert (out / "seed_0" / "trace.csv").exists()
-    # A missing file, a non-positive cell size and a grid without data are
-    # config errors naming the key.
+    # A missing file, a non-positive cell size, a grid without data and a
+    # height that is not finite are config errors naming the key.
     unusable = {
         "gone.asc": (None, "does not exist"),
         "zero_cell.asc": ("ncols 2\nnrows 1\ncellsize 0\n1 2\n",
                           "line 3: cellsize must be positive"),
         "no_data.asc": ("ncols 2\nnrows 1\ncellsize 1\nNODATA_value -1\n-1 -1\n",
                         "no cells with data"),
+        "nan_cell.asc": ("ncols 2\nnrows 1\ncellsize 1\n1 nan\n",
+                         "line 4: grid value nan is not finite"),
+        "inf_cell.asc": ("ncols 2\nnrows 2\ncellsize 1\n1 2\n-inf 3\n",
+                         "line 5: grid value -inf is not finite"),
     }
     for name, (text, needle) in unusable.items():
         if text is not None:
@@ -346,11 +350,17 @@ def test_synth_crater_flags_shape_the_surface(tmp_path):
     assert grid.height_at(0, 0) == pytest.approx(0.0, abs=0.1)
 
 
-def test_synth_failure_is_a_runtime_error(tmp_path, capsys):
-    # GpSample above the dense-solve limit exits 1 (runtime), not 2 (config).
+def test_synth_over_the_cell_limit_is_a_config_error(tmp_path, capsys):
+    # GpSample above the dense-solve limit exits 2 naming the flags, with the
+    # check that names terrain.rows/terrain.cols in a config.
+    out = tmp_path / "big.asc"
     assert main(["synth", "--rows", "60", "--cols", "60", "--kind", "gp-sample",
-                 "--out", str(tmp_path / "big.asc")]) == 1
-    assert "error" in capsys.readouterr().err
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --rows/--cols: gp-sample terrain is limited to 2500 cells" in err
+    assert not out.exists()
+    # The limit is gp-sample's own.
+    assert main(["synth", "--rows", "60", "--cols", "60", "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("flag, value", [("--rows", "0"), ("--cell-size", "-1"),

@@ -13,6 +13,7 @@ from safemdp.gp import (
     GpModel,
     Kernel,
     MATERN52,
+    REBUILD_PERIOD,
     SQUARED_EXPONENTIAL,
     SingularSystemError,
     StationaryCovariance,
@@ -21,7 +22,8 @@ from safemdp.gp import (
     update_bands,
 )
 from safemdp.mdp import augment, grid_mdp
-from safemdp.terrain import HeightGpBandModel, difference_band_model, height_gp
+from safemdp import gp as gp_module
+from safemdp.terrain import HeightGpBandModel, difference_band_model, difference_gp, height_gp
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -92,6 +94,103 @@ def test_stationary_covariance_matrix_matches_pairwise():
     np.testing.assert_allclose(np.diag(cov.matrix(a, a)), cov.pairwise(a, a))
     np.testing.assert_allclose(full[np.arange(5), np.arange(5)], cov.pairwise(a, b))
     np.testing.assert_allclose(cov.matrix(a, a), cov.matrix(a, a).T)
+
+
+def _direct_matrix(cov, a, b):
+    """The kernel block between ``a`` and ``b`` in one expression, no memo."""
+    pa, pb = cov.coords[np.asarray(a, dtype=int)], cov.coords[np.asarray(b, dtype=int)]
+    diff = pa[:, None, :] - pb[None, :, :]
+    return kernel_eval(cov.kernel, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
+
+
+@pytest.mark.parametrize("kind", [MATERN52, SQUARED_EXPONENTIAL])
+def test_memoized_matrix_equals_the_direct_formula_bit_for_bit(kind):
+    rng = np.random.default_rng(5)
+    coords = rng.normal(size=(30, 2)) * 4
+    kernel = Kernel(kind, 1.7, 0.9)
+    calls = [(rng.integers(0, 30, size=rng.integers(1, 12)),
+              rng.integers(0, 30, size=rng.integers(1, 40))) for _ in range(20)]
+    calls += [([3, 3, 7, 3], [7, 7, 3, 0]), ([], [1, 2]), (np.arange(30), np.arange(30))]
+    for order in (np.arange(len(calls)), rng.permutation(len(calls))):
+        cov = StationaryCovariance(kernel, coords)
+        for a, b in [calls[i] for i in order] * 2:  # the second pass reads the memo
+            np.testing.assert_array_equal(cov.matrix(a, b), _direct_matrix(cov, a, b))
+
+
+def test_each_kernel_row_is_evaluated_once_and_only_for_observed_points(monkeypatch):
+    # The row of id p is the one kernel_eval sees with a zero distance at p.
+    evaluated = []
+
+    def recording(kernel, distance):
+        if np.ndim(distance) == 2:
+            evaluated.extend(int(np.flatnonzero(row == 0)[0]) for row in distance)
+        return kernel_eval(kernel, distance)
+
+    monkeypatch.setattr(gp_module, "kernel_eval", recording)
+    rng = np.random.default_rng(13)
+    cov = StationaryCovariance(Kernel(MATERN52, 1.5, 1.0), rng.normal(size=(40, 2)) * 3)
+    model = GpModel(cov, 0.1)
+    observed = set()
+    for step in range(REBUILD_PERIOD + 10):  # crosses a refactorization
+        point = int(rng.integers(0, 12))
+        model.add_observation(point, float(rng.normal()))
+        observed.add(point)
+        if step % 5 == 0:
+            model.posterior(range(40))
+            model.posterior_cov_pairs(rng.integers(0, 40, 10), rng.integers(0, 40, 10))
+    model.posterior(range(40))
+    assert sorted(evaluated) == sorted(observed)
+
+
+def test_memo_storage_doubles_up_to_one_row_per_point():
+    cov = StationaryCovariance(Kernel(MATERN52, 1.0, 1.0), np.arange(100, dtype=float))
+    capacities = []
+    for point in range(100):
+        cov.matrix([point], [0])
+        if not capacities or len(cov._rows) != capacities[-1]:
+            capacities.append(len(cov._rows))
+    assert capacities == [1, 2, 4, 8, 16, 32, 64, 100]
+
+
+def test_incremental_difference_gp_matches_batch_and_dense_solve():
+    aug = augment(grid_mdp(6, 6, 1.0), half_step=0.5)
+    kernel = Kernel(MATERN52, 3.0, 2.0)
+    noise = 0.075
+    rng = np.random.default_rng(31)
+    obs = rng.integers(0, aug.num_states, size=REBUILD_PERIOD + 30)
+    vals = rng.normal(size=len(obs))
+    incremental = difference_gp(aug, kernel, noise, 1.0)
+    for p, v in zip(obs, vals):
+        incremental.add_observation(int(p), float(v))
+    batch = GpModel.from_data(difference_gp(aug, kernel, noise, 1.0).cov, noise, obs, vals)
+
+    # Dense reference: the four-term difference kernel and np.linalg.solve.
+    coords, pairs = aug.base.coords, aug.pairs()
+
+    def k(u, v):
+        return kernel_eval(kernel, np.linalg.norm(coords[u][:, None] - coords[v][None], axis=-1))
+
+    def k_diff(a, b):
+        (u, w), (x, y) = pairs[a].T, pairs[b].T
+        return k(u, x) - k(u, y) - k(w, x) + k(w, y)
+
+    states = np.arange(aug.num_states)
+    gram = k_diff(obs, obs) + noise**2 * np.eye(len(obs))
+    cross = k_diff(obs, states)
+    mean_ref = cross.T @ np.linalg.solve(gram, vals)
+    prior = 2.0 * (kernel.prior_std**2 - kernel_eval(
+        kernel, np.linalg.norm(coords[pairs[:, 0]] - coords[pairs[:, 1]], axis=-1)))
+    var_ref = prior - np.einsum("ij,ij->j", cross, np.linalg.solve(gram, cross))
+
+    def rel(a, b):  # acceptance gate 1's measure and bound
+        return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
+
+    mean_i, var_i = incremental.posterior(states)
+    mean_b, var_b = batch.posterior(states)
+    for mean, var in ((mean_i, var_i), (mean_b, var_b)):
+        assert rel(mean, mean_ref) <= 1e-8
+        assert rel(var, np.maximum(var_ref, 0.0)) <= 1e-8
+    assert rel(mean_i, mean_b) <= 1e-8 and rel(var_i, var_b) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,8 @@ def test_nodata_cells_are_masked():
     grid = load_esri_ascii(text)
     np.testing.assert_array_equal(grid.nodata_mask, [True, False])
     assert grid.heights[1] == 3.5
+    grid = load_esri_ascii("ncols 2\nnrows 1\ncellsize 1\nNODATA_value nan\nnan 3.5\n")
+    np.testing.assert_array_equal(grid.nodata_mask, [True, False])
 
 
 def test_headers_are_case_insensitive_and_nodata_is_optional():
@@ -85,6 +87,11 @@ def test_parse_errors_carry_line_numbers():
         load_esri_ascii("ncols 2\nnrows 2\ncellsize 1\n1 2 3\n")
     with pytest.raises(EsriAsciiError, match="positive integers"):
         load_esri_ascii("ncols 1.5\nnrows 1\ncellsize 1\n1 2\n")
+    # A height that is not finite and not NODATA_value is not a height.
+    for value in ("nan", "inf", "-inf", "NaN"):
+        with pytest.raises(EsriAsciiError, match="is not finite") as err:
+            load_esri_ascii(f"ncols 2\nnrows 2\ncellsize 1\n1 2\n3 {value}\n")
+        assert err.value.line == 5
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +111,21 @@ def test_gp_sample_is_deterministic_and_size_limited():
     assert not np.array_equal(a.heights, c.heights)
     with pytest.raises(ValueError, match="2500"):
         synth_terrain(GpSample(KERNEL), 51, 51, 1.0)
+
+
+@pytest.mark.parametrize("rows, cols, seed", [(20, 20, 0), (30, 30, 0), (5, 5, 2), (4, 7, 1)])
+def test_gp_sample_heights_match_the_direct_kernel_formula(rows, cols, seed):
+    # The prior covariance comes from StationaryCovariance.matrix; the draw
+    # is bit for bit the one of the explicit distance/kernel formula.
+    kernel = Kernel("matern52", 10.0, 5.0)
+    rr, cc = np.divmod(np.arange(rows * cols), cols)
+    coords = np.stack([rr, cc], axis=1) * 1.0
+    diff = coords[:, None, :] - coords[None, :, :]
+    cov = kernel_eval(kernel, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
+    chol = np.linalg.cholesky(cov + 1e-10 * np.eye(rows * cols))
+    expected = chol @ np.random.default_rng(seed).standard_normal(rows * cols)
+    grid = synth_terrain(GpSample(kernel, seed), rows, cols, 1.0)
+    np.testing.assert_array_equal(grid.heights, expected)
 
 
 def test_crater_rim_has_a_forbidden_drop():

@@ -313,12 +313,10 @@ def _seed_mask(aug, grid, cfg):
 
 
 def _band_model(cfg, aug, seed, threshold):
+    # seed and threshold are unused (the run builds its bands); perfbench still passes them.
     if cfg.observation_model == "heights":
-        return HeightGpBandModel(
-            height_gp(aug, cfg.gp_kernel, cfg.noise_std, aug.base.metric.cell_size),
-            aug, cfg.beta, seed, threshold)
-    return difference_band_model(aug, cfg.gp_kernel, cfg.noise_std,
-                                 aug.base.metric.cell_size, cfg.beta, seed, threshold)
+        return HeightGpBandModel(height_gp(aug, cfg.gp_kernel, cfg.noise_std), aug, cfg.beta)
+    return difference_band_model(aug, cfg.gp_kernel, cfg.noise_std, cfg.beta)
 
 
 def _explorer_config(cfg: ExperimentConfig, seed_mask) -> ExplorerConfig:
@@ -358,7 +356,7 @@ def write_trace_csv(trace: ExplorationTrace, path: Path) -> None:
 
 
 def _bits(mask) -> str:
-    return "".join("1" if b else "0" for b in mask)
+    return (np.asarray(mask, dtype=np.uint8) + ord("0")).tobytes().decode()
 
 
 def write_snapshots_csv(trace: ExplorationTrace, path: Path) -> None:
@@ -378,7 +376,7 @@ def compute_metrics(trace: ExplorationTrace, oracle_eps, oracle_zero) -> Metrics
         iterations=trace.iterations,
         agent_steps=trace.agent_steps,
         terminal_reason=trace.terminal_reason,
-        band_collapses=trace.band_collapses,
+        band_collapses=trace.final_bands.collapses,
         oracle_eps_size=eps_size,
         oracle_zero_size=int(oracle_zero.sum()),
     )

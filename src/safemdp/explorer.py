@@ -86,7 +86,8 @@ class Environment:
 class ExplorerConfig:
     """Parameters of one exploration run.
 
-    ``seed_set`` is the boolean mask of states known safe a priori; the
+    ``seed_set`` is the boolean mask of states known safe a priori: the
+    run's lower bands start at the environment's threshold there, and the
     agent starts on its lowest id.  ``mode`` is one of
     :data:`~safemdp.safeset.CLASSIFIER_MODES`, and ``lipschitz`` is the one
     Lipschitz constant of the run: the classifier reads it in
@@ -104,29 +105,24 @@ class ExplorerConfig:
 
 
 class GpBandModel:
-    """Keeps a GP over the working states and the intersected bands.
+    """Tightens the run's confidence bands with a GP over the working states.
 
-    The model owns the GP, the confidence scale ``beta`` (a positive
-    float; intervals are ``mean +- sqrt(beta * variance)``) and the running
-    :class:`~safemdp.gp.ConfidenceBands`; each ``advance`` recomputes the
-    posterior over all states and intersects the new intervals into the
-    bands, and each ``measure`` conditions the GP in place.
+    The model holds the GP and the confidence scale ``beta`` (a positive
+    float; intervals are ``mean +- sqrt(beta * variance)``).  The run owns
+    the bands: each ``advance`` intersects the posterior intervals of all
+    states into the bands it is handed, and each ``measure`` conditions the
+    GP in place.
     """
 
-    def __init__(self, gp: GpModel, beta: float, num_states: int,
-                 seed_set, threshold: float):
+    def __init__(self, gp: GpModel, beta: float):
         if not beta > 0:
             raise ValueError(f"beta must be positive, got {beta!r}")
         self.gp = gp
         self.beta = float(beta)
-        self.num_states = int(num_states)
-        self.bands = initial_bands(self.num_states, seed_set, threshold)
-        self._all_states = np.arange(self.num_states)
 
-    def advance(self) -> ConfidenceBands:
-        means, variances = self.gp.posterior(self._all_states)
-        self.bands = update_bands(self.bands, means, variances, self.beta)
-        return self.bands
+    def advance(self, prev: ConfidenceBands) -> ConfidenceBands:
+        means, variances = self.gp.posterior(np.arange(prev.num_states))
+        return update_bands(prev, means, variances, self.beta)
 
     def measure(self, env: Environment, state: int) -> float:
         """Take one measurement at ``state`` and fold it into the GP."""
@@ -151,7 +147,8 @@ class IterationRecord:
 
 @dataclass
 class ExplorationTrace:
-    """Complete record of a run."""
+    """Complete record of a run; ``final_bands`` are the bands of its last
+    ``advance``."""
 
     strategy: str
     records: list[IterationRecord]
@@ -160,7 +157,7 @@ class ExplorationTrace:
     agent_steps: int
     start_state: int
     final_sets: SafeSets
-    band_collapses: int = 0
+    final_bands: ConfidenceBands
 
     @property
     def iterations(self) -> int:
@@ -243,9 +240,10 @@ def _run(mdp, env, cfg, band_model, name):
     violation_step = None
     reason = REASON_MAX_ITERATIONS
     final_sets = None
+    bands = initial_bands(mdp.num_states, seed, env.threshold)
 
     for t in range(1, cfg.max_iterations + 1):
-        bands = band_model.advance()
+        bands = band_model.advance(bands)
         sets = strategy.classify(mdp, bands, prev_ergodic, env.threshold, cfg)
         final_sets = sets
         prev_ergodic = sets.ergodic
@@ -291,7 +289,6 @@ def _run(mdp, env, cfg, band_model, name):
             reason = REASON_MAX_ITERATIONS
             break
 
-    bands = band_model.bands
     if reason != REASON_VIOLATION and final_sets is not None:
         # The ergodic set grows by at most one reachability step per
         # iteration, so it lags behind the classified-safe set whenever the
@@ -304,7 +301,7 @@ def _run(mdp, env, cfg, band_model, name):
                 break
             prev_ergodic = closed.ergodic
     return ExplorationTrace(name, records, reason, violation_step, steps,
-                            int(np.flatnonzero(seed)[0]), final_sets, bands.collapses)
+                            int(np.flatnonzero(seed)[0]), final_sets, bands)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 This module provides the statistical machinery used to estimate the unknown
 safety feature: stationary kernels evaluated on distances (each kernel row
 once, memoized per observed point), an exact GP posterior with incremental
-Cholesky updates, and monotonically intersected confidence bands.
+Cholesky updates, and monotonically intersected confidence bands.  The bands
+belong to the exploration run, which starts them with :func:`initial_bands`
+and hands them to its band model to tighten with :func:`update_bands`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 #: Posterior variances below zero by more than this margin indicate a real
 #: numerical problem rather than round-off and raise :class:`GpError`.
 VARIANCE_FLOOR = -1e-8
+
+#: New memo rows are evaluated in blocks whose coordinate differences take
+#: at most this many bytes, rather than all at once: at 2500 points that
+#: would be a 95 MiB temporary.  Smaller blocks would save little, as the
+#: memo itself holds 48 MiB at 2500 points.
+_EVALUATE_BLOCK_BYTES = 16 * 2**20
 
 
 class GpError(Exception):
@@ -132,7 +140,10 @@ class StationaryCovariance:
         if (self._slot[a] < 0).any():
             new = np.zeros(len(self._slot), dtype=bool)
             new[a] = True
-            self._evaluate(np.flatnonzero(new & (self._slot < 0)))
+            ids = np.flatnonzero(new & (self._slot < 0))
+            step = max(1, _EVALUATE_BLOCK_BYTES // self.coords.nbytes)
+            for lo in range(0, len(ids), step):
+                self._evaluate(ids[lo:lo + step])
         return self._rows[self._slot[a]][:, np.asarray(b, dtype=int)]
 
     def _evaluate(self, ids):
@@ -178,7 +189,10 @@ class GpModel:
 
     ``add_observation`` updates the model itself.  The Cholesky factor of
     ``K + noise_std**2 I`` is grown by rank-1 appends and refactorized from
-    scratch every :data:`REBUILD_PERIOD` updates.
+    scratch every :data:`REBUILD_PERIOD` updates.  The prior (co)variances
+    that ``posterior`` and ``posterior_cov_pairs`` start from never change,
+    so each is evaluated once per model for each id sequence asked about:
+    the band models ask about the same states on every advance.
 
     Parameters
     ----------
@@ -200,6 +214,7 @@ class GpModel:
         self._alpha = None
         self._jitter = 0.0
         self._since_rebuild = 0
+        self._priors = {}
 
     @classmethod
     def from_data(cls, cov, noise_std: float, points: Sequence[int], values) -> "GpModel":
@@ -281,9 +296,9 @@ class GpModel:
             clamping raises :class:`GpError`.
         """
         ids = np.asarray(list(points), dtype=int)
-        prior_var = np.asarray(self.cov.pairwise(ids, ids), dtype=float)
+        prior_var = self._prior(ids, ids)
         if not self._points:
-            return np.zeros(len(ids)), prior_var
+            return np.zeros(len(ids)), prior_var.copy()
         k_cross = self.cov.matrix(self._points, ids)
         means = k_cross.T @ self._alpha
         v = solve_triangular(self._chol, k_cross, lower=True)
@@ -298,14 +313,21 @@ class GpModel:
         ``i`` of two equally long id sequences."""
         left = np.asarray(left, dtype=int)
         right = np.asarray(right, dtype=int)
-        prior = np.asarray(self.cov.pairwise(left, right), dtype=float)
+        prior = self._prior(left, right)
         if not self._points:
-            return prior
+            return prior.copy()
         kl = self.cov.matrix(self._points, left)
         kr = self.cov.matrix(self._points, right)
         vl = solve_triangular(self._chol, kl, lower=True)
         vr = solve_triangular(self._chol, kr, lower=True)
         return prior - np.einsum("ij,ij->j", vl, vr)
+
+    def _prior(self, a, b) -> np.ndarray:
+        """``cov.pairwise(a, b)``, evaluated on the first call for these ids."""
+        key = (a.tobytes(), b.tobytes())
+        if key not in self._priors:
+            self._priors[key] = np.asarray(self.cov.pairwise(a, b), dtype=float)
+        return self._priors[key]
 
 
 def _solve_chol(chol, values):

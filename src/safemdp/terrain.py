@@ -313,9 +313,9 @@ def seed_pocket(aug: AugmentedMdp, base_state: int) -> np.ndarray:
     return seed
 
 
-def height_covariance(aug: AugmentedMdp, kernel: Kernel, cell_size: float) -> StationaryCovariance:
+def height_covariance(aug: AugmentedMdp, kernel: Kernel) -> StationaryCovariance:
     """Kernel covariance between base cells, at metric (not cell) scale."""
-    return StationaryCovariance(kernel, aug.base.coords * cell_size)
+    return StationaryCovariance(kernel, aug.base.coords * aug.base.metric.cell_size)
 
 
 class DifferenceCovariance:
@@ -347,17 +347,15 @@ class DifferenceCovariance:
                 - hc(pa[:, 1], pb[:, 0]) + hc(pa[:, 1], pb[:, 1]))
 
 
-def difference_gp(aug: AugmentedMdp, kernel: Kernel, noise_std: float,
-                  cell_size: float) -> GpModel:
+def difference_gp(aug: AugmentedMdp, kernel: Kernel, noise_std: float) -> GpModel:
     """Empty GP over augmented states with the induced difference kernel."""
-    cov = DifferenceCovariance(height_covariance(aug, kernel, cell_size), aug.pairs())
+    cov = DifferenceCovariance(height_covariance(aug, kernel), aug.pairs())
     return GpModel(cov, noise_std)
 
 
-def height_gp(aug: AugmentedMdp, kernel: Kernel, noise_std: float,
-              cell_size: float) -> GpModel:
+def height_gp(aug: AugmentedMdp, kernel: Kernel, noise_std: float) -> GpModel:
     """Empty GP over base cells, for the measured-heights observation model."""
-    return GpModel(height_covariance(aug, kernel, cell_size), noise_std)
+    return GpModel(height_covariance(aug, kernel), noise_std)
 
 
 def height_gp_to_difference_bands(height_model: GpModel, aug: AugmentedMdp, beta: float,
@@ -385,18 +383,18 @@ class HeightGpBandModel(GpBandModel):
     """Band model that measures cell heights instead of differences.
 
     Visiting an action-state yields two noisy height measurements (of the
-    transition's two cells); bands over augmented states are derived from
-    the height posterior via :func:`height_gp_to_difference_bands`.
+    transition's two cells); ``advance`` derives bands over augmented
+    states from the height posterior via
+    :func:`height_gp_to_difference_bands` and intersects them into the
+    run's bands.
     """
 
-    def __init__(self, height_model: GpModel, aug: AugmentedMdp, beta: float, seed_set,
-                 threshold: float):
-        super().__init__(height_model, beta, aug.num_states, seed_set, threshold)
+    def __init__(self, height_model: GpModel, aug: AugmentedMdp, beta: float):
+        super().__init__(height_model, beta)
         self.aug = aug
 
-    def advance(self) -> ConfidenceBands:
-        self.bands = height_gp_to_difference_bands(self.gp, self.aug, self.beta, self.bands)
-        return self.bands
+    def advance(self, prev: ConfidenceBands) -> ConfidenceBands:
+        return height_gp_to_difference_bands(self.gp, self.aug, self.beta, prev)
 
     def measure(self, env: TerrainEnvironment, state: int) -> float:
         owner = int(self.aug.owner[state])
@@ -411,8 +409,6 @@ class HeightGpBandModel(GpBandModel):
 
 
 def difference_band_model(aug: AugmentedMdp, kernel: Kernel, noise_std: float,
-                          cell_size: float, beta: float, seed_set,
-                          threshold: float) -> GpBandModel:
+                          beta: float) -> GpBandModel:
     """Default observation model: a GP directly over height differences."""
-    return GpBandModel(difference_gp(aug, kernel, noise_std, cell_size), beta,
-                       aug.num_states, seed_set, threshold)
+    return GpBandModel(difference_gp(aug, kernel, noise_std), beta)

@@ -101,9 +101,8 @@ def terrain_setup(params, rows, cols, seed, *, noise=0.075, start=(1, 1)):
     return aug, env, mask, SAFETY.safety_threshold(1.0)
 
 
-def run_strategy(aug, env, mask, threshold, kern, strategy, budget, *,
-                 eps=0.15, noise=0.075):
-    bands = difference_band_model(aug, kern, noise, 1.0, 2.0, mask, threshold)
+def run_strategy(aug, env, mask, kern, strategy, budget, *, eps=0.15, noise=0.075):
+    bands = difference_band_model(aug, kern, noise, 2.0)
     cfg = ExplorerConfig(mode="gp-direct", lipschitz=0.2, epsilon=eps,
                          max_iterations=budget, seed_set=mask)
     if strategy == "safemdp":
@@ -484,8 +483,8 @@ def test_ergodic_sets_stay_mutually_connected(capsys):
     bad_plans = 0
     plans = 0
     for seed in range(50):
-        aug, env, mask, h = terrain_setup(CRATER, 6, 6, seed)
-        trace = run_strategy(aug, env, mask, h, KERN_LOCAL, "safemdp", 40)
+        aug, env, mask, _ = terrain_setup(CRATER, 6, 6, seed)
+        trace = run_strategy(aug, env, mask, KERN_LOCAL, "safemdp", 40)
         rng = np.random.default_rng(seed)
         for rec in trace.records:
             states = rec.path.states
@@ -517,7 +516,7 @@ def test_exploration_only_visits_truly_safe_states(capsys):
     bad_runs = 0
     for seed in range(100):
         aug, env, mask, h = terrain_setup(RAMP, *RAMP_SHAPE, seed)
-        trace = run_strategy(aug, env, mask, h, KERN_WIDE, "safemdp", 120)
+        trace = run_strategy(aug, env, mask, KERN_WIDE, "safemdp", 120)
         visited = {trace.start_state}
         for rec in trace.records:
             visited.update(rec.path.states)
@@ -551,7 +550,7 @@ def test_terminal_set_brackets_reach_benchmarks(capsys):
     natural_stops = 0
     for i in range(10):
         aug, env, mask, h = terrain_setup(bracketing_fixture(i), 5, 5, i, noise=1e-6)
-        trace = run_strategy(aug, env, mask, h, KERN_LOCAL, "safemdp", 200,
+        trace = run_strategy(aug, env, mask, KERN_LOCAL, "safemdp", 200,
                              eps=0.05, noise=1e-6)
         attained = trace.final_sets.ergodic
         floor = r_eps_fixpoint(aug, mask, env.true_safety, 0.05, 0.2, h)
@@ -588,12 +587,12 @@ def test_strategy_comparison_on_shared_fixtures(capsys):
     sm_cov, ne_cov, unsafe_violations = [], [], 0
     for seed in range(20):
         aug, env, mask, h = terrain_setup(RAMP, *RAMP_SHAPE, seed)
-        sm = run_strategy(aug, env, mask, h, KERN_LOCAL, "safemdp", 120)
+        sm = run_strategy(aug, env, mask, KERN_LOCAL, "safemdp", 120)
         sm_cov.append(coverage(aug, env, mask, h, sm))
-        ne = run_strategy(aug, env, mask, h, KERN_LOCAL, "no_expanders",
+        ne = run_strategy(aug, env, mask, KERN_LOCAL, "no_expanders",
                           max(1, sm.iterations))
         ne_cov.append(coverage(aug, env, mask, h, ne))
-        unsafe = run_strategy(aug, env, mask, h, KERN_LOCAL, "unsafe", 120)
+        unsafe = run_strategy(aug, env, mask, KERN_LOCAL, "unsafe", 120)
         unsafe_violations += unsafe.terminal_reason == REASON_VIOLATION
 
     stuck_or_low = 0
@@ -601,7 +600,7 @@ def test_strategy_comparison_on_shared_fixtures(capsys):
     for seed in range(20):
         env = Environment(r, 0.0, 1e-3, seed)
         cov = StationaryCovariance(Kernel("matern52", 1.0, 1.0), coords)
-        bands = GpBandModel(GpModel(cov, 1e-3), 4.0, 4, seed_mask, 0.0)
+        bands = GpBandModel(GpModel(cov, 1e-3), 4.0)
         cfg = ExplorerConfig("lipschitz", 0.5, 0.05, 30, seed_mask)
         trace = run_baseline("non_ergodic", mdp, env, cfg, bands)
         benchmark = r_eps_fixpoint(mdp, seed_mask, r, 0.05, 0.5, 0.0)

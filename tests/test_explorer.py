@@ -26,9 +26,9 @@ from safemdp.terrain import build_terrain_environment
 from oracles import step
 
 
-def band_model(coords, seed, h, *, noise=1e-3, ell=2.0, b=4.0):
+def band_model(coords, *, noise=1e-3, ell=2.0, b=4.0):
     cov = StationaryCovariance(Kernel("matern52", ell, 1.0), coords)
-    return GpBandModel(GpModel(cov, noise), b, len(np.asarray(coords)), seed, h)
+    return GpBandModel(GpModel(cov, noise), b)
 
 
 def meadow():
@@ -111,7 +111,7 @@ def test_config_validation_errors():
 
     def run_with(**changes):
         cfg = ExplorerConfig(**{**good.__dict__, **changes})
-        run_safemdp(mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
+        run_safemdp(mdp, env, cfg, band_model(mdp.coords))
 
     with pytest.raises(ConfigError):
         run_with(seed_set=np.zeros(3, bool))
@@ -140,14 +140,14 @@ def test_environment_size_must_match_the_mdp():
     mdp, seed, cfg = meadow()
     env = Environment(np.ones(4), 0.0, 0.1, 1)
     with pytest.raises(ConfigError):
-        run_safemdp(mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
+        run_safemdp(mdp, env, cfg, band_model(mdp.coords))
 
 
 def test_unknown_baseline_is_rejected():
     mdp, seed, cfg = meadow()
     env = Environment(np.ones(9), 0.0, 0.1, 1)
     with pytest.raises(ConfigError):
-        run_baseline("greedy", mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
+        run_baseline("greedy", mdp, env, cfg, band_model(mdp.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def test_unknown_baseline_is_rejected():
 def test_meadow_is_fully_explored_without_violation():
     mdp, seed, cfg = meadow()
     env = Environment(np.ones(9), 0.0, 1e-3, 11)
-    trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
+    trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords))
     assert trace.violation_step is None
     assert trace.terminal_reason == REASON_EXPANDERS_EMPTY
     assert trace.final_sets.ergodic.all()
@@ -168,7 +168,7 @@ def test_meadow_is_fully_explored_without_violation():
 def test_wall_keeps_the_agent_home():
     mdp, seed, r, cfg = wall()
     env = Environment(r, 0.0, 1e-3, 7)
-    trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
+    trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords))
     assert trace.terminal_reason == REASON_CONVERGED
     assert trace.violation_step is None
     assert trace.agent_steps == 0
@@ -180,7 +180,7 @@ def test_everything_already_safe_terminates_immediately():
     seed = np.ones(4, bool)
     cfg = ExplorerConfig("gp-direct", 1.0, 0.1, 10, seed)
     env = Environment(np.ones(4), 0.0, 1e-3, 5)
-    trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
+    trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords))
     assert trace.terminal_reason == REASON_EXPANDERS_EMPTY
     assert trace.iterations == 0 and trace.agent_steps == 0
 
@@ -189,7 +189,7 @@ def test_wide_epsilon_converges_on_the_first_target():
     mdp, seed, cfg = meadow()
     cfg = ExplorerConfig(**{**cfg.__dict__, "epsilon": 10.0})
     env = Environment(np.ones(9), 0.0, 1e-3, 11)
-    trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
+    trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords))
     assert trace.terminal_reason == REASON_CONVERGED
     assert trace.iterations == 1
 
@@ -202,7 +202,7 @@ def test_unsafe_seed_state_is_a_config_error():
     r[4] = -1.0
     env = Environment(r, 0.0, 1e-3, 2)
     with pytest.raises(ConfigError, match=r"1 seed state\(s\) are truly unsafe"):
-        run_safemdp(mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
+        run_safemdp(mdp, env, cfg, band_model(mdp.coords))
 
     # A seed pocket whose start cell is safe but which holds 4 truly unsafe
     # transitions: without the check the run violates safety at step 1.
@@ -223,18 +223,17 @@ def test_max_steps_cuts_the_run_short():
     mdp, seed, cfg = meadow()
     cfg = ExplorerConfig(**{**cfg.__dict__, "lipschitz": 1.0, "max_steps": 1})
     env = Environment(np.full(9, 1.2), 0.0, 1e-3, 11)
-    trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
+    trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords))
     assert trace.terminal_reason == REASON_MAX_ITERATIONS
     assert trace.agent_steps == 1
 
 
 def test_identical_seeds_reproduce_the_trace_bitwise():
     mdp, seed, cfg = meadow()
-    runs, models = [], []
+    runs = []
     for _ in range(2):
         env = Environment(np.ones(9), 0.0, 1e-3, 42)
-        models.append(band_model(mdp.coords, seed, 0.0))
-        runs.append(run_safemdp(mdp, env, cfg, models[-1]))
+        runs.append(run_safemdp(mdp, env, cfg, band_model(mdp.coords)))
     a, b = runs
     assert a.terminal_reason == b.terminal_reason
     assert a.agent_steps == b.agent_steps
@@ -246,19 +245,19 @@ def test_identical_seeds_reproduce_the_trace_bitwise():
         for name in ("safe", "ergodic", "expanders"):
             np.testing.assert_array_equal(getattr(ra.sets, name), getattr(rb.sets, name))
     for name in ("lower", "upper"):
-        assert getattr(models[0].bands, name).tobytes() == getattr(models[1].bands, name).tobytes()
+        assert getattr(a.final_bands, name).tobytes() == getattr(b.final_bands, name).tobytes()
 
 
 def test_measurements_happen_only_at_targets_by_default():
     mdp, seed, cfg = meadow()
     env = Environment(np.ones(9), 0.0, 1e-3, 11)
-    bm = band_model(mdp.coords, seed, 0.0)
+    bm = band_model(mdp.coords)
     trace = run_safemdp(mdp, env, cfg, bm)
     assert bm.gp.num_observations == trace.iterations
 
     cfg = ExplorerConfig(**{**cfg.__dict__, "measure_along_path": True})
     env = Environment(np.ones(9), 0.0, 1e-3, 11)
-    bm = band_model(mdp.coords, seed, 0.0)
+    bm = band_model(mdp.coords)
     trace = run_safemdp(mdp, env, cfg, bm)
     assert bm.gp.num_observations > trace.iterations
 
@@ -266,7 +265,7 @@ def test_measurements_happen_only_at_targets_by_default():
 def test_snapshots_keep_growing_and_stay_nested():
     mdp, seed, cfg = meadow()
     env = Environment(np.ones(9), 0.0, 1e-3, 11)
-    trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
+    trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords))
     prev_safe = seed
     prev_erg = seed
     for rec in trace.records:
@@ -286,7 +285,7 @@ def test_random_baseline_on_safe_ground_never_violates():
     mdp, seed, cfg = meadow()
     env = Environment(np.ones(9), 0.0, 1e-3, 13)
     cfg = ExplorerConfig(**{**cfg.__dict__, "max_iterations": 40})
-    trace = run_baseline("random", mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
+    trace = run_baseline("random", mdp, env, cfg, band_model(mdp.coords))
     assert trace.terminal_reason == REASON_MAX_ITERATIONS
     assert trace.violation_step is None
     # One action per iteration: movement and measurement counts coincide.
@@ -302,7 +301,7 @@ def test_random_baseline_respects_max_steps_and_reproduces():
     paths = []
     for _ in range(2):
         env = Environment(np.ones(9), 0.0, 1e-3, 29)
-        trace = run_baseline("random", mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
+        trace = run_baseline("random", mdp, env, cfg, band_model(mdp.coords))
         assert trace.agent_steps == 5
         paths.append([tuple(r.path.states) for r in trace.records])
     assert paths[0] == paths[1]
@@ -315,7 +314,7 @@ def test_no_expanders_baseline_keeps_sampling_when_nothing_is_outside():
     seed = np.ones(4, bool)
     cfg = ExplorerConfig("gp-direct", 1.0, 0.1, 25, seed)
     env = Environment(np.ones(4), 0.0, 1e-3, 5)
-    trace = run_baseline("no_expanders", mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
+    trace = run_baseline("no_expanders", mdp, env, cfg, band_model(mdp.coords))
     assert trace.terminal_reason == REASON_CONVERGED
     assert trace.iterations > 0
 
@@ -323,7 +322,7 @@ def test_no_expanders_baseline_keeps_sampling_when_nothing_is_outside():
 def test_unsafe_baseline_marches_into_the_wall():
     mdp, seed, r, cfg = wall()
     env = Environment(r, 0.0, 1e-3, 7)
-    trace = run_baseline("unsafe", mdp, env, cfg, band_model(mdp.coords, seed, 0.0))
+    trace = run_baseline("unsafe", mdp, env, cfg, band_model(mdp.coords))
     assert trace.terminal_reason == REASON_VIOLATION
     assert trace.violation_step == 1
     assert np.isnan(trace.records[-1].observation)
@@ -333,7 +332,7 @@ def test_non_ergodic_baseline_gets_stuck_in_the_trapdoor():
     mdp, coords, seed, r, cfg = trapdoor()
     env = Environment(r, 0.0, 1e-3, 3)
     trace = run_baseline("non_ergodic", mdp, env, cfg,
-                         band_model(coords, seed, 0.0, ell=1.0))
+                         band_model(coords, ell=1.0))
     assert trace.terminal_reason == REASON_STUCK
     assert 1 in {s for rec in trace.records for s in rec.path.states}
     assert trace.violation_step is None
@@ -342,7 +341,7 @@ def test_non_ergodic_baseline_gets_stuck_in_the_trapdoor():
 def test_safemdp_avoids_the_trapdoor_entirely():
     mdp, coords, seed, r, cfg = trapdoor()
     env = Environment(r, 0.0, 1e-3, 3)
-    trace = run_safemdp(mdp, env, cfg, band_model(coords, seed, 0.0, ell=1.0))
+    trace = run_safemdp(mdp, env, cfg, band_model(coords, ell=1.0))
     assert trace.terminal_reason == REASON_EXPANDERS_EMPTY
     visited = {s for rec in trace.records for s in rec.path.states}
     assert 1 not in visited and 2 not in visited

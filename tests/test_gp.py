@@ -21,9 +21,19 @@ from safemdp.gp import (
     kernel_eval,
     update_bands,
 )
-from safemdp.mdp import augment, grid_mdp
+from safemdp.mdp import GRID_DOWN, GRID_LEFT, GRID_RIGHT, augment, grid_mdp
 from safemdp import gp as gp_module
-from safemdp.terrain import HeightGpBandModel, difference_band_model, difference_gp, height_gp
+from safemdp.terrain import (
+    CraterHill,
+    CraterHillParams,
+    HeightGpBandModel,
+    TerrainSafetySpec,
+    build_terrain_environment,
+    difference_band_model,
+    difference_gp,
+    height_gp,
+    synth_terrain,
+)
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -104,17 +114,21 @@ def _direct_matrix(cov, a, b):
 
 
 @pytest.mark.parametrize("kind", [MATERN52, SQUARED_EXPONENTIAL])
-def test_memoized_matrix_equals_the_direct_formula_bit_for_bit(kind):
+def test_memoized_matrix_equals_the_direct_formula_bit_for_bit(kind, monkeypatch):
     rng = np.random.default_rng(5)
     coords = rng.normal(size=(30, 2)) * 4
     kernel = Kernel(kind, 1.7, 0.9)
     calls = [(rng.integers(0, 30, size=rng.integers(1, 12)),
               rng.integers(0, 30, size=rng.integers(1, 40))) for _ in range(20)]
     calls += [([3, 3, 7, 3], [7, 7, 3, 0]), ([], [1, 2]), (np.arange(30), np.arange(30))]
-    for order in (np.arange(len(calls)), rng.permutation(len(calls))):
-        cov = StationaryCovariance(kernel, coords)
-        for a, b in [calls[i] for i in order] * 2:  # the second pass reads the memo
-            np.testing.assert_array_equal(cov.matrix(a, b), _direct_matrix(cov, a, b))
+    orders = (np.arange(len(calls)), rng.permutation(len(calls)))
+    # New rows in one block, then in blocks of 7 rows.
+    for block_bytes in (gp_module._EVALUATE_BLOCK_BYTES, 7 * coords.nbytes):
+        monkeypatch.setattr(gp_module, "_EVALUATE_BLOCK_BYTES", block_bytes)
+        for order in orders:
+            cov = StationaryCovariance(kernel, coords)
+            for a, b in [calls[i] for i in order] * 2:  # the second pass reads the memo
+                np.testing.assert_array_equal(cov.matrix(a, b), _direct_matrix(cov, a, b))
 
 
 def test_each_kernel_row_is_evaluated_once_and_only_for_observed_points(monkeypatch):
@@ -152,6 +166,34 @@ def test_memo_storage_doubles_up_to_one_row_per_point():
     assert capacities == [1, 2, 4, 8, 16, 32, 64, 100]
 
 
+@pytest.mark.parametrize("observation_model", ["difference", "heights"])
+def test_prior_variances_are_evaluated_once_per_model(monkeypatch, observation_model):
+    calls = []
+    pairwise = StationaryCovariance.pairwise
+
+    def counting(self, a, b):
+        calls.append(len(a))
+        return pairwise(self, a, b)
+
+    monkeypatch.setattr(StationaryCovariance, "pairwise", counting)
+    grid = synth_terrain(CraterHill(CraterHillParams(tilt_col=0.1)), 4, 4, 1.0)
+    aug, env = build_terrain_environment(grid, TerrainSafetySpec(), 0.075, 3)
+    kernel = Kernel(MATERN52, 3.0, 2.0)
+    if observation_model == "heights":
+        model = HeightGpBandModel(height_gp(aug, kernel, 0.075), aug, 2.0)
+    else:
+        model = difference_band_model(aug, kernel, 0.075, 2.0)
+    bands = initial_bands(aug.num_states, np.zeros(aug.num_states, bool), env.threshold)
+    per_advance = []
+    for label in (GRID_RIGHT, GRID_DOWN, GRID_LEFT, GRID_RIGHT):
+        model.measure(env, aug.action_state_of[(5, label)])
+        before = len(calls)
+        bands = model.advance(bands)
+        per_advance.append(len(calls) - before)
+    assert per_advance[0] > 0
+    assert per_advance[1:] == [0, 0, 0]
+
+
 def test_incremental_difference_gp_matches_batch_and_dense_solve():
     aug = augment(grid_mdp(6, 6, 1.0), half_step=0.5)
     kernel = Kernel(MATERN52, 3.0, 2.0)
@@ -159,10 +201,10 @@ def test_incremental_difference_gp_matches_batch_and_dense_solve():
     rng = np.random.default_rng(31)
     obs = rng.integers(0, aug.num_states, size=REBUILD_PERIOD + 30)
     vals = rng.normal(size=len(obs))
-    incremental = difference_gp(aug, kernel, noise, 1.0)
+    incremental = difference_gp(aug, kernel, noise)
     for p, v in zip(obs, vals):
         incremental.add_observation(int(p), float(v))
-    batch = GpModel.from_data(difference_gp(aug, kernel, noise, 1.0).cov, noise, obs, vals)
+    batch = GpModel.from_data(difference_gp(aug, kernel, noise).cov, noise, obs, vals)
 
     # Dense reference: the four-term difference kernel and np.linalg.solve.
     coords, pairs = aug.base.coords, aug.pairs()
@@ -219,6 +261,8 @@ def test_posterior_of_empty_model_is_prior():
     means, variances = model.posterior(range(6))
     np.testing.assert_array_equal(means, 0.0)
     np.testing.assert_allclose(variances, 1.5**2)
+    variances[:] = -1.0  # the caller's copy, not the model's prior
+    np.testing.assert_allclose(model.posterior(range(6))[1], 1.5**2)
 
 
 def test_single_noiseless_observation_interpolates():
@@ -373,14 +417,15 @@ def test_constant_beta_ignores_iteration():
     # The band model holds one beta: every advance scales the posterior
     # standard deviation by sqrt(beta), however many came before.
     cov = StationaryCovariance(Kernel(MATERN52, 1.0, 2.0), np.arange(3.0))
-    model = GpBandModel(GpModel(cov, 0.1), 2.25, 3, np.zeros(3, bool), 0.0)
+    model = GpBandModel(GpModel(cov, 0.1), 2.25)
+    bands = initial_bands(3, np.zeros(3, bool), 0.0)
     for _ in range(3):
-        bands = model.advance()
+        bands = model.advance(bands)
         np.testing.assert_allclose(bands.upper, 1.5 * 2.0)
         np.testing.assert_allclose(bands.lower, -1.5 * 2.0)
     model.gp.add_observation(1, 0.5)
     means, variances = model.gp.posterior(np.arange(3))
-    bands = model.advance()
+    bands = model.advance(bands)
     np.testing.assert_allclose(bands.upper, means + 1.5 * np.sqrt(variances))
     np.testing.assert_allclose(bands.lower, means - 1.5 * np.sqrt(variances))
 
@@ -388,15 +433,14 @@ def test_constant_beta_ignores_iteration():
 def test_beta_domain_errors():
     kernel = Kernel(MATERN52, 1.0, 1.0)
     aug = augment(grid_mdp(2, 2, 1.0))
-    seed = np.zeros(aug.num_states, bool)
     cov = StationaryCovariance(kernel, np.arange(3.0))
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="beta"):
-            GpBandModel(GpModel(cov, 0.1), bad, 3, np.zeros(3, bool), 0.0)
+            GpBandModel(GpModel(cov, 0.1), bad)
         with pytest.raises(ValueError, match="beta"):
-            HeightGpBandModel(height_gp(aug, kernel, 0.1, 1.0), aug, bad, seed, 0.0)
+            HeightGpBandModel(height_gp(aug, kernel, 0.1), aug, bad)
         with pytest.raises(ValueError, match="beta"):
-            difference_band_model(aug, kernel, 0.1, 1.0, bad, seed, 0.0)
+            difference_band_model(aug, kernel, 0.1, bad)
         with pytest.raises(ValueError, match="beta"):
             update_bands(initial_bands(1, [False], 0.0), [0.0], [1.0], bad)
 

@@ -1,6 +1,7 @@
 """Terrain I/O, synthesis, and the induced difference-GP machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,19 @@ def test_gp_sample_heights_match_the_direct_kernel_formula(rows, cols, seed):
     np.testing.assert_array_equal(grid.heights, expected)
 
 
+def test_gp_sample_peak_memory_at_the_cell_limit():
+    # At 2500 cells the kernel rows, their gather and the prior are 48 MiB
+    # each; rows evaluated a block at a time add no 2500 x 2500 x 2
+    # coordinate-difference tensor (95 MiB) with its squares on top.
+    tracemalloc.start()
+    try:
+        synth_terrain(GpSample(Kernel("matern52", 10.0, 5.0)), 50, 50, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * 2**20
+
+
 def test_crater_rim_has_a_forbidden_drop():
     params = CraterHillParams(crater_row=5, crater_col=5, crater_depth=10.0, crater_radius=3.0)
     grid = synth_terrain(CraterHill(params), 10, 10, 1.0)
@@ -236,7 +250,7 @@ def test_prior_difference_variance_doubles_for_independent_cells():
     # so the prior variance of their height difference is 2 sigma^2.
     aug = flat_aug()
     kernel = Kernel("matern52", 1e-3, 10.0)
-    gp = difference_gp(aug, kernel, 0.075, 1.0)
+    gp = difference_gp(aug, kernel, 0.075)
     moving = aug.is_action_state & (aug.owner != aug.landing)
     _, variances = gp.posterior(np.flatnonzero(moving))
     np.testing.assert_allclose(variances, 200.0, rtol=1e-6)
@@ -244,7 +258,7 @@ def test_prior_difference_variance_doubles_for_independent_cells():
 
 def test_self_pairs_have_zero_mean_and_variance():
     aug = flat_aug()
-    gp = difference_gp(aug, KERNEL, 0.075, 1.0)
+    gp = difference_gp(aug, KERNEL, 0.075)
     degenerate = ~aug.is_action_state | (aug.owner == aug.landing)
     means, variances = gp.posterior(np.flatnonzero(degenerate))
     np.testing.assert_allclose(means, 0.0, atol=1e-12)
@@ -253,7 +267,7 @@ def test_self_pairs_have_zero_mean_and_variance():
 
 def test_difference_prior_variance_formula():
     aug = flat_aug()
-    gp = difference_gp(aug, KERNEL, 0.075, 1.0)
+    gp = difference_gp(aug, KERNEL, 0.075)
     moving = np.flatnonzero(aug.is_action_state & (aug.owner != aug.landing))
     _, variances = gp.posterior(moving)
     # Adjacent cells sit one cell_size apart: var = 2 (k(0) - k(d)).
@@ -265,7 +279,7 @@ def test_height_bands_match_dense_joint_covariance_oracle():
     rng = np.random.default_rng(6)
     aug = flat_aug()
     n_cells = aug.num_base_states
-    cov = height_covariance(aug, KERNEL, 1.0)
+    cov = height_covariance(aug, KERNEL)
     obs_points = [0, 3, 4, 4, 7, 8]
     obs_values = rng.normal(scale=3.0, size=len(obs_points)).tolist()
     noise = 0.075
@@ -301,13 +315,12 @@ def test_noiseless_height_measurements_collapse_the_difference_band():
     seed[0] = True
     # Model noise 5e-7 keeps the residual std of a two-cell difference
     # under 1e-6 (each observed height contributes its own noise floor).
-    model = HeightGpBandModel(height_gp(aug, KERNEL, 5e-7, 1.0), aug,
-                              2.0, seed, env.threshold)
+    model = HeightGpBandModel(height_gp(aug, KERNEL, 5e-7), aug, 2.0)
     target = aug.action_state_of[(4, 3)]  # centre cell, move right
     observed = model.measure(env, target)
     truth = env.true_safety[target]
     assert observed == pytest.approx(truth, abs=1e-9)
-    bands = model.advance()
+    bands = model.advance(initial_bands(aug.num_states, seed, env.threshold))
     assert bands.width()[target] <= 2.0 * math.sqrt(2.0) * 1e-6
 
 
@@ -315,10 +328,7 @@ def test_stay_measurement_observes_one_cell_and_returns_zero():
     aug = flat_aug()
     grid = synth_terrain(CraterHill(), 3, 3, 1.0)
     _, env = build_terrain_environment(grid, TerrainSafetySpec(), 0.075, 5)
-    seed = np.zeros(aug.num_states, bool)
-    seed[0] = True
-    model = HeightGpBandModel(height_gp(aug, KERNEL, 0.075, 1.0), aug,
-                              2.0, seed, env.threshold)
+    model = HeightGpBandModel(height_gp(aug, KERNEL, 0.075), aug, 2.0)
     stay = aug.action_state_of[(4, 4)]
     assert model.measure(env, stay) == 0.0
     assert model.gp.num_observations == 1
@@ -329,7 +339,7 @@ def test_stay_measurement_observes_one_cell_and_returns_zero():
 
 def test_difference_covariance_blocks_are_consistent():
     aug = flat_aug()
-    gp = difference_gp(aug, KERNEL, 0.075, 1.0)
+    gp = difference_gp(aug, KERNEL, 0.075)
     ids = np.arange(aug.num_states)
     full = gp.cov.matrix(ids, ids)
     np.testing.assert_allclose(np.diag(full), gp.cov.pairwise(ids, ids), atol=1e-12)

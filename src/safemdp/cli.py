@@ -464,11 +464,11 @@ def cmd_synth(args) -> int:
     _check_cell_count(args.kind, args.rows, args.cols, "--rows/--cols")
     if args.kind == "gp-sample":
         kind = GpSample(Kernel(_KERNELS[args.kernel], args.lengthscale, args.prior_std),
-                        args.seed)
+                        args.terrain_seed)
     else:
         params = CraterHillParams(**{f.name: getattr(args, f.name)
                                      for f in fields(CraterHillParams)})
-        kind = CraterHill(params, args.seed)
+        kind = CraterHill(params, args.terrain_seed)
     grid = synth_terrain(kind, args.rows, args.cols, args.cell_size)
     out = resolve_output_dir(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -477,17 +477,20 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _flag(key):
-    """Argparse type for a ``synth`` flag: the parser of the config key
-    ``key``, so a value out of its range exits 2 naming the flag."""
-    parse = next(field.parse for field in SCHEMA if field.key == key)
+def _add_flag(parser, flag, key, **kwargs):
+    """Add the ``synth`` flag for the config key ``key``.  It is parsed by
+    the key's :data:`SCHEMA` parser, so a bad value exits 2 naming the flag,
+    and defaults to the key's default, if it has one."""
+    field = next(field for field in SCHEMA if field.key == key)
 
     def convert(text):
         try:
-            return parse(key, text)
+            return field.parse(key, text)
         except ConfigError as exc:
             raise argparse.ArgumentTypeError(str(exc).removeprefix(f"{key}: ")) from None
-    return convert
+    if field.default is not REQUIRED:
+        kwargs.setdefault("default", field.default)
+    parser.add_argument(flag, type=convert, dest=key, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -504,17 +507,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="write synthetic terrain as ESRI ASCII")
     p_synth.add_argument("--kind", choices=("crater-hill", "gp-sample"),
                          default="crater-hill")
-    p_synth.add_argument("--rows", type=_flag("rows"), required=True)
-    p_synth.add_argument("--cols", type=_flag("cols"), required=True)
-    p_synth.add_argument("--cell-size", type=_flag("cell_size"), default=1.0)
-    p_synth.add_argument("--seed", type=_flag("terrain_seed"), default=0)
+    _add_flag(p_synth, "--rows", "rows", required=True)
+    _add_flag(p_synth, "--cols", "cols", required=True)
+    _add_flag(p_synth, "--cell-size", "cell_size", default=1.0)
+    _add_flag(p_synth, "--seed", "terrain_seed")
     p_synth.add_argument("--out", required=True, help="output .asc path")
-    p_synth.add_argument("--kernel", choices=sorted(_KERNELS), default="matern52")
-    p_synth.add_argument("--lengthscale", type=_flag("lengthscale"), default=14.5)
-    p_synth.add_argument("--prior-std", type=_flag("prior_std"), default=10.0)
+    _add_flag(p_synth, "--kernel", "kernel")
+    _add_flag(p_synth, "--lengthscale", "lengthscale")
+    _add_flag(p_synth, "--prior-std", "prior_std")
     for f in fields(CraterHillParams):
-        p_synth.add_argument(f"--{f.name.replace('_', '-')}", type=_flag(f.name),
-                             default=f.default, dest=f.name)
+        _add_flag(p_synth, f"--{f.name.replace('_', '-')}", f.name)
     return parser
 
 

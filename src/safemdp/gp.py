@@ -292,10 +292,10 @@ class GpModel:
         Returns
         -------
         (means, variances) : tuple of np.ndarray
-            Variances are clamped at zero; a value below ``-1e-8`` before
-            clamping raises :class:`GpError`.
+            Variances are clamped at zero; a value below
+            :data:`VARIANCE_FLOOR` before clamping raises :class:`GpError`.
         """
-        ids = np.asarray(list(points), dtype=int)
+        ids = np.asarray(points, dtype=int)
         prior_var = self._prior(ids, ids)
         if not self._points:
             return np.zeros(len(ids)), prior_var.copy()
@@ -310,17 +310,21 @@ class GpModel:
 
     def posterior_cov_pairs(self, left, right) -> np.ndarray:
         """Posterior covariance between ``left[i]`` and ``right[i]`` for each
-        ``i`` of two equally long id sequences."""
+        ``i`` of two equally long id sequences.
+
+        Each distinct id is whitened once, however often it repeats: a
+        triangular solve's columns do not depend on which other columns
+        share the call, so this equals whitening ``left`` and ``right``
+        separately, bit for bit.
+        """
         left = np.asarray(left, dtype=int)
         right = np.asarray(right, dtype=int)
         prior = self._prior(left, right)
         if not self._points:
             return prior.copy()
-        kl = self.cov.matrix(self._points, left)
-        kr = self.cov.matrix(self._points, right)
-        vl = solve_triangular(self._chol, kl, lower=True)
-        vr = solve_triangular(self._chol, kr, lower=True)
-        return prior - np.einsum("ij,ij->j", vl, vr)
+        ids, slots = np.unique(np.concatenate([left, right]), return_inverse=True)
+        v = solve_triangular(self._chol, self.cov.matrix(self._points, ids), lower=True)
+        return prior - np.einsum("ij,ij->j", v[:, slots[:len(left)]], v[:, slots[len(left):]])
 
     def _prior(self, a, b) -> np.ndarray:
         """``cov.pairwise(a, b)``, evaluated on the first call for these ids."""

@@ -250,59 +250,44 @@ def grid_mdp(rows: int, cols: int, cell_size: float, valid=None) -> Mdp:
 class AugmentedMdp(Mdp):
     """MDP whose states are the original states plus one per transition.
 
-    Original states keep their ids; action-states are appended after them.
-    In an original state, action ``a`` leads to the action-state of
-    ``(s, a)``; an action-state has exactly one action, landing on the
-    original transition's successor.  Every length-``k`` path of the base
-    MDP corresponds to a length-``2k`` path here and vice versa.
+    Original states keep their ids; action-states are appended after them,
+    in the order of the base's ``edges()``, by state and then by label.  In
+    an original state, action ``a`` leads to the action-state of ``(s, a)``;
+    an action-state has exactly one action, landing on the original
+    transition's successor.  Every length-``k`` path of the base MDP
+    corresponds to a length-``2k`` path here and vice versa.
 
     Attributes
     ----------
     base : Mdp
         The MDP that was augmented.
-    action_state_of : dict
-        Maps ``(state, label)`` to the action-state id.
-    half_step : float
-        Metric offset of an action-state from its two adjacent originals.
+    num_base_states : int
+        Number of original states; action-states have ids from here on.
+    owner, landing : np.ndarray of int
+        Per state, the base state an action-state's transition leaves from
+        and the one it lands on; an original state ``s`` maps to ``(s, s)``.
+    is_action_state : np.ndarray of bool
+        Per state, whether it is an action-state.
+
+    The metric (an :class:`AugmentedMetric`) reads these same three arrays.
     """
 
     def __init__(self, base: Mdp, half_step: float):
         n = base.num_states
-        owner = list(range(n))
-        landing = list(range(n))
-        labels = [-1] * n
-        action_state_of = {}
-        actions = [None] * n
-        aug_actions = []
-        for s in range(n):
-            acts = []
-            for label, succ in base.actions_of(s):
-                aug_id = n + len(aug_actions)
-                action_state_of[(s, label)] = aug_id
-                owner.append(s)
-                landing.append(succ)
-                labels.append(label)
-                aug_actions.append(((label, succ),))
-                acts.append((label, aug_id))
-            actions[s] = acts
-        # Action-states land on original ids, which are unchanged.
-        actions.extend(aug_actions)
-        is_action = np.arange(n + len(aug_actions)) >= n
-        metric = AugmentedMetric(base.metric, owner, landing, is_action, half_step)
-        super().__init__(actions, metric)
+        src, labels, dst = base.edges()
+        ids = np.arange(n, n + len(src))
         self.base = base
         self.num_base_states = n
-        self.action_state_of = action_state_of
-        self.owner = np.asarray(owner, dtype=int)
-        self.landing = np.asarray(landing, dtype=int)
-        self.action_label = np.asarray(labels, dtype=int)
-        self.is_action_state = is_action
-        self.half_step = float(half_step)
-
-    def pairs(self) -> np.ndarray:
-        """Per-state ``(owner, landing)`` base ids; originals map to
-        the degenerate pair ``(s, s)``."""
-        return np.stack([self.owner, self.landing], axis=1)
+        self.owner = np.concatenate([np.arange(n), src])
+        self.landing = np.concatenate([np.arange(n), dst])
+        self.is_action_state = np.arange(n + len(src)) >= n
+        starts = np.searchsorted(src, np.arange(n + 1))
+        actions = [tuple(zip(labels[lo:hi].tolist(), ids[lo:hi].tolist()))
+                   for lo, hi in zip(starts[:-1], starts[1:])]
+        # Action-states land on original ids, which are unchanged.
+        actions += [((label, succ),) for label, succ in zip(labels.tolist(), dst.tolist())]
+        super().__init__(actions, AugmentedMetric(base.metric, self.owner, self.landing,
+                                                  self.is_action_state, half_step))
 
 
 def augment(mdp: Mdp, half_step: float | None = None) -> AugmentedMdp:

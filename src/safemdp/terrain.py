@@ -25,7 +25,9 @@ import numpy as np
 
 from .explorer import Environment, GpBandModel
 from .gp import (
+    VARIANCE_FLOOR,
     ConfidenceBands,
+    GpError,
     GpModel,
     Kernel,
     StationaryCovariance,
@@ -286,8 +288,7 @@ def build_terrain_environment(grid: TerrainGrid, spec: TerrainSafetySpec, noise_
     base = grid_mdp(grid.rows, grid.cols, grid.cell_size, valid=valid)
     aug = augment(base, half_step=grid.cell_size / 2.0)
     base_heights = grid.heights[valid]
-    pairs = aug.pairs()
-    true_safety = base_heights[pairs[:, 0]] - base_heights[pairs[:, 1]]
+    true_safety = base_heights[aug.owner] - base_heights[aug.landing]
     threshold = spec.safety_threshold(grid.cell_size)
     env = TerrainEnvironment(true_safety, threshold, noise_std, rng_seed, base_heights)
     return aug, env
@@ -304,12 +305,12 @@ def seed_pocket(aug: AugmentedMdp, base_state: int) -> np.ndarray:
     """
     seed = np.zeros(aug.num_states, dtype=bool)
     seed[base_state] = True
-    for label, neighbour in aug.base.actions_of(base_state):
-        seed[aug.action_state_of[(base_state, label)]] = True
-        seed[neighbour] = True
-        for back_label, back_succ in aug.base.actions_of(neighbour):
-            if back_succ == base_state:
-                seed[aug.action_state_of[(neighbour, back_label)]] = True
+    for _, move in aug.actions_of(base_state):
+        neighbour = aug.landing[move]
+        seed[[move, neighbour]] = True
+        for _, back in aug.actions_of(neighbour):
+            if aug.landing[back] == base_state:
+                seed[back] = True
     return seed
 
 
@@ -321,36 +322,36 @@ def height_covariance(aug: AugmentedMdp, kernel: Kernel) -> StationaryCovariance
 class DifferenceCovariance:
     """Covariance that a GP over cell heights induces on height differences.
 
-    Points are augmented state ids; each maps to its ``(owner, landing)``
+    Points are ids of ``aug``'s states; each maps to its ``(owner, landing)``
     cell pair and covariances expand to the four-term combination
     ``k(s,u) - k(s,u') - k(s',u) + k(s',u')``.  Original states map to the
     degenerate pair ``(s, s)`` and so have zero variance — their "height
     difference" is identically zero.
     """
 
-    def __init__(self, height_cov: StationaryCovariance, pairs):
+    def __init__(self, height_cov: StationaryCovariance, aug: AugmentedMdp):
         self.height_cov = height_cov
-        self.pairs = np.asarray(pairs, dtype=int)
+        self.aug = aug
 
     def matrix(self, a, b) -> np.ndarray:
-        pa = self.pairs[np.asarray(a, dtype=int)]
-        pb = self.pairs[np.asarray(b, dtype=int)]
-        hc = self.height_cov.matrix
-        return (hc(pa[:, 0], pb[:, 0]) - hc(pa[:, 0], pb[:, 1])
-                - hc(pa[:, 1], pb[:, 0]) + hc(pa[:, 1], pb[:, 1]))
+        return self._four_terms(self.height_cov.matrix, a, b)
 
     def pairwise(self, a, b) -> np.ndarray:
-        pa = self.pairs[np.asarray(a, dtype=int)]
-        pb = self.pairs[np.asarray(b, dtype=int)]
-        hc = self.height_cov.pairwise
-        return (hc(pa[:, 0], pb[:, 0]) - hc(pa[:, 0], pb[:, 1])
-                - hc(pa[:, 1], pb[:, 0]) + hc(pa[:, 1], pb[:, 1]))
+        return self._four_terms(self.height_cov.pairwise, a, b)
+
+    def _four_terms(self, k, a, b) -> np.ndarray:
+        """The height covariance ``k`` expanded over the cell pairs of ``a``
+        and ``b``."""
+        a = np.asarray(a, dtype=int)
+        b = np.asarray(b, dtype=int)
+        owner, landing = self.aug.owner, self.aug.landing
+        oa, la, ob, lb = owner[a], landing[a], owner[b], landing[b]
+        return k(oa, ob) - k(oa, lb) - k(la, ob) + k(la, lb)
 
 
 def difference_gp(aug: AugmentedMdp, kernel: Kernel, noise_std: float) -> GpModel:
     """Empty GP over augmented states with the induced difference kernel."""
-    cov = DifferenceCovariance(height_covariance(aug, kernel), aug.pairs())
-    return GpModel(cov, noise_std)
+    return GpModel(DifferenceCovariance(height_covariance(aug, kernel), aug), noise_std)
 
 
 def height_gp(aug: AugmentedMdp, kernel: Kernel, noise_std: float) -> GpModel:
@@ -364,17 +365,18 @@ def height_gp_to_difference_bands(height_model: GpModel, aug: AugmentedMdp, beta
 
     For the action-state of ``s -> s'`` the interval is centered on
     ``mean(s) - mean(s')`` with variance
-    ``var(s) + var(s') - 2 cov(s, s')`` (clamped at zero), scaled by
-    ``sqrt(beta)`` and intersected into ``prev``.
+    ``var(s) + var(s') - 2 cov(s, s')``, scaled by ``sqrt(beta)`` and
+    intersected into ``prev``.  As in :meth:`GpModel.posterior`, variances
+    are clamped at zero, and one below ``VARIANCE_FLOOR`` raises
+    :class:`GpError`.
     """
-    cells = np.arange(aug.num_base_states)
-    means, variances = height_model.posterior(cells)
-    pairs = aug.pairs()
-    cross = height_model.posterior_cov_pairs(pairs[:, 0], pairs[:, 1])
-    diff_mean = means[pairs[:, 0]] - means[pairs[:, 1]]
-    diff_var = variances[pairs[:, 0]] + variances[pairs[:, 1]] - 2.0 * cross
-    if diff_var.min(initial=0.0) < -1e-8:
-        raise ValueError(f"difference variance {diff_var.min():g} fell below the numerical floor")
+    means, variances = height_model.posterior(np.arange(aug.num_base_states))
+    cross = height_model.posterior_cov_pairs(aug.owner, aug.landing)
+    diff_mean = means[aug.owner] - means[aug.landing]
+    diff_var = variances[aug.owner] + variances[aug.landing] - 2.0 * cross
+    low = diff_var.min(initial=0.0)
+    if low < VARIANCE_FLOOR:
+        raise GpError(f"difference variance {low:g} fell below the numerical floor")
     diff_var = np.maximum(diff_var, 0.0)
     return update_bands(prev, diff_mean, diff_var, beta)
 

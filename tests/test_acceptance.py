@@ -366,7 +366,7 @@ def test_operators_need_no_quadratic_memory(capsys):
     # Flat cells; transitions mostly gentle, about 1% steeper than h = -0.5.
     r = np.where(aug.is_action_state, rng.normal(scale=0.2, size=n), 0.0)
     seed = np.zeros(n, dtype=bool)
-    seed[[0, aug.action_state_of[(0, GRID_STAY)]]] = True
+    seed[[0, step(aug, 0, GRID_STAY)]] = True
     bands = ConfidenceBands(r - 0.05, r + 0.05)
     upper_half = grid.coords[aug.owner, 0] < 15
     tracemalloc.start()

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from safemdp.cli import load_experiment_config, main, write_manifest
+from safemdp.cli import (REQUIRED, SCHEMA, _build_parser, load_experiment_config, main,
+                         write_manifest)
 from safemdp.explorer import ConfigError
 from safemdp.terrain import load_esri_ascii
 
@@ -361,6 +362,26 @@ def test_synth_over_the_cell_limit_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
     # The limit is gp-sample's own.
     assert main(["synth", "--rows", "60", "--cols", "60", "--out", str(out)]) == 0
+
+
+def test_synth_flag_defaults_are_the_config_defaults():
+    args = _build_parser().parse_args(["synth", "--rows", "3", "--cols", "3", "--out", "t.asc"])
+    checked = {field.key for field in SCHEMA
+               if field.default is not REQUIRED and hasattr(args, field.key)}
+    assert {"terrain_seed", "kernel", "lengthscale", "prior_std", "crater_radius"} <= checked
+    for field in SCHEMA:
+        if field.key in checked:
+            assert getattr(args, field.key) == field.default, field.key
+
+
+def test_synth_unknown_kernel_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "t.asc"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--rows", "3", "--cols", "3", "--kind", "gp-sample",
+              "--kernel", "rbf", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --kernel: expected one of" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--rows", "0"), ("--cell-size", "-1"),

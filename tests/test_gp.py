@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_triangular
 
 from safemdp.explorer import GpBandModel
 from safemdp.gp import (
@@ -34,6 +35,8 @@ from safemdp.terrain import (
     height_gp,
     synth_terrain,
 )
+
+from oracles import step
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -145,11 +148,11 @@ def test_each_kernel_row_is_evaluated_once_and_only_for_observed_points(monkeypa
     cov = StationaryCovariance(Kernel(MATERN52, 1.5, 1.0), rng.normal(size=(40, 2)) * 3)
     model = GpModel(cov, 0.1)
     observed = set()
-    for step in range(REBUILD_PERIOD + 10):  # crosses a refactorization
+    for i in range(REBUILD_PERIOD + 10):  # crosses a refactorization
         point = int(rng.integers(0, 12))
         model.add_observation(point, float(rng.normal()))
         observed.add(point)
-        if step % 5 == 0:
+        if i % 5 == 0:
             model.posterior(range(40))
             model.posterior_cov_pairs(rng.integers(0, 40, 10), rng.integers(0, 40, 10))
     model.posterior(range(40))
@@ -186,7 +189,7 @@ def test_prior_variances_are_evaluated_once_per_model(monkeypatch, observation_m
     bands = initial_bands(aug.num_states, np.zeros(aug.num_states, bool), env.threshold)
     per_advance = []
     for label in (GRID_RIGHT, GRID_DOWN, GRID_LEFT, GRID_RIGHT):
-        model.measure(env, aug.action_state_of[(5, label)])
+        model.measure(env, step(aug, 5, label))
         before = len(calls)
         bands = model.advance(bands)
         per_advance.append(len(calls) - before)
@@ -207,21 +210,21 @@ def test_incremental_difference_gp_matches_batch_and_dense_solve():
     batch = GpModel.from_data(difference_gp(aug, kernel, noise).cov, noise, obs, vals)
 
     # Dense reference: the four-term difference kernel and np.linalg.solve.
-    coords, pairs = aug.base.coords, aug.pairs()
+    coords, owner, landing = aug.base.coords, aug.owner, aug.landing
 
     def k(u, v):
         return kernel_eval(kernel, np.linalg.norm(coords[u][:, None] - coords[v][None], axis=-1))
 
     def k_diff(a, b):
-        (u, w), (x, y) = pairs[a].T, pairs[b].T
-        return k(u, x) - k(u, y) - k(w, x) + k(w, y)
+        return (k(owner[a], owner[b]) - k(owner[a], landing[b])
+                - k(landing[a], owner[b]) + k(landing[a], landing[b]))
 
     states = np.arange(aug.num_states)
     gram = k_diff(obs, obs) + noise**2 * np.eye(len(obs))
     cross = k_diff(obs, states)
     mean_ref = cross.T @ np.linalg.solve(gram, vals)
     prior = 2.0 * (kernel.prior_std**2 - kernel_eval(
-        kernel, np.linalg.norm(coords[pairs[:, 0]] - coords[pairs[:, 1]], axis=-1)))
+        kernel, np.linalg.norm(coords[owner] - coords[landing], axis=-1)))
     var_ref = prior - np.einsum("ij,ij->j", cross, np.linalg.solve(gram, cross))
 
     def rel(a, b):  # acceptance gate 1's measure and bound
@@ -316,6 +319,31 @@ def test_posterior_cov_matches_dense_solve():
             expected = prior - kvec(obs, a) @ np.linalg.solve(big_k, kvec(obs, b))
             got = model.posterior_cov_pairs([a], [b])[0]
             assert got == pytest.approx(expected, rel=1e-8, abs=1e-10)
+
+
+def test_posterior_cov_pairs_whitens_each_distinct_point_once(monkeypatch):
+    rng = np.random.default_rng(17)
+    cov = StationaryCovariance(Kernel(MATERN52, 1.5, 1.0), rng.normal(size=(30, 2)) * 3)
+    model = GpModel(cov, 0.1)
+    for point in rng.integers(0, 30, size=12):
+        model.add_observation(int(point), float(rng.normal()))
+    # Repeats within each side and ids shared between the sides.
+    left = rng.integers(0, 12, size=60)
+    right = rng.integers(6, 18, size=60)
+    chol = model._chol
+    vl = solve_triangular(chol, cov.matrix(model.points, left), lower=True)
+    vr = solve_triangular(chol, cov.matrix(model.points, right), lower=True)
+    separately = cov.pairwise(left, right) - np.einsum("ij,ij->j", vl, vr)
+
+    columns = []
+
+    def counting(a, b, **kwargs):
+        columns.append(b.shape[1])
+        return solve_triangular(a, b, **kwargs)
+
+    monkeypatch.setattr(gp_module, "solve_triangular", counting)
+    np.testing.assert_array_equal(model.posterior_cov_pairs(left, right), separately)
+    assert columns == [len(set(left.tolist()) | set(right.tolist()))]
 
 
 def test_posterior_cov_diagonal_equals_posterior_variance():

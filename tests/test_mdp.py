@@ -170,50 +170,54 @@ def test_augment_counts_and_structure():
     assert transitions == 33
     assert aug.num_base_states == 9
     assert aug.num_states == 9 + 33
-    assert len(aug.action_state_of) == transitions
     assert not aug.is_action_state[:9].any()
     assert aug.is_action_state[9:].all()
+    # Action-states are numbered after the originals, by state and label.
+    mid = 9
     for s in range(9):
         base_acts = base.actions_of(s)
         aug_acts = aug.actions_of(s)
         assert [label for label, _ in aug_acts] == [label for label, _ in base_acts]
-        for (label, succ), (_, mid) in zip(base_acts, aug_acts):
-            assert mid == aug.action_state_of[(s, label)]
+        for (label, succ), (_, got) in zip(base_acts, aug_acts):
+            assert got == mid
             assert aug.actions_of(mid) == ((label, succ),)
             assert aug.owner[mid] == s
             assert aug.landing[mid] == succ
-            assert aug.action_label[mid] == label
+            mid += 1
 
 
 def test_augment_pairs():
     aug = augment(grid_mdp(2, 2, 1.0))
-    pairs = aug.pairs()
     for s in range(aug.num_base_states):
-        assert tuple(pairs[s]) == (s, s)
-    for (s, label), mid in aug.action_state_of.items():
-        assert tuple(pairs[mid]) == (s, aug.landing[mid])
+        assert (aug.owner[s], aug.landing[s]) == (s, s)
+        for label, mid in aug.actions_of(s):
+            assert (aug.owner[mid], aug.landing[mid]) == (s, step(aug.base, s, label))
+    # The metric reads the very arrays the MDP holds.
+    assert aug.metric.owner is aug.owner
+    assert aug.metric.landing is aug.landing
+    assert aug.metric.is_action is aug.is_action_state
 
 
 def test_augmented_metric_values_on_a_grid():
     base = grid_mdp(3, 3, 2.0)
     aug = augment(base)  # default half_step = half a cell = 1.0
-    assert aug.half_step == 1.0
+    assert aug.metric.half_step == 1.0
 
     def d(i, j):
         return aug.distances([i], [j])[0, 0]
 
-    x = aug.action_state_of[(0, GRID_RIGHT)]  # between states 0 and 1
+    x = step(aug, 0, GRID_RIGHT)  # between states 0 and 1
     assert d(x, 0) == 1.0
     assert d(0, x) == 1.0
     assert d(x, 1) == 1.0
     # Non-adjacent originals sit at owner distance plus the offset.
     assert d(x, 2) == base.distances([0], [2])[0, 0] + 1.0
     # Between action-states: owner distance plus one offset per endpoint.
-    y = aug.action_state_of[(1, GRID_RIGHT)]
+    y = step(aug, 1, GRID_RIGHT)
     assert d(x, y) == base.distances([0], [1])[0, 0] + 2.0
     assert d(x, x) == 0.0
     # A stay action-state is half_step from its owner in both roles.
-    z = aug.action_state_of[(4, GRID_STAY)]
+    z = step(aug, 4, GRID_STAY)
     assert d(z, 4) == 1.0
     ids = np.arange(aug.num_states)
     block = aug.distances(ids, ids)
@@ -222,18 +226,18 @@ def test_augmented_metric_values_on_a_grid():
 
 
 def test_augment_half_step_defaults():
-    assert augment(grid_mdp(2, 2, 3.0)).half_step == 1.5
+    assert augment(grid_mdp(2, 2, 3.0)).metric.half_step == 1.5
     loops = Mdp([[(0, 0)], [(0, 1)]], DenseMetric([[0, 1], [1, 0]]))
-    assert augment(loops).half_step == 0.5
+    assert augment(loops).metric.half_step == 0.5
     # Off the grid: three points on a line at 0, 0.6 and 1.6; the shortest
     # move, 0 -> 1, is 0.6 long.
     x = np.array([0.0, 0.6, 1.6])
     line = Mdp([[(0, 0), (1, 1)], [(0, 2), (1, 0)], [(0, 2)]],
                DenseMetric(np.abs(x[:, None] - x[None, :])))
     aug = augment(line)
-    assert aug.half_step == 0.3
-    there = aug.action_state_of[(0, 1)]  # 0 -> 1
-    onward = aug.action_state_of[(1, 0)]  # 1 -> 2
+    assert aug.metric.half_step == 0.3
+    there = step(aug, 0, 1)  # 0 -> 1
+    onward = step(aug, 1, 0)  # 1 -> 2
     np.testing.assert_allclose(aug.distances([there], [0, 1, 2, onward]),
                                [[0.3, 0.3, 1.9, 1.2]], rtol=1e-15)
     with pytest.raises(ValueError):
@@ -263,6 +267,7 @@ def test_paths_correspond_two_to_one(seed):
     pos = path[0]
     for label, nxt in zip(acts, path[1:]):
         mid = step(aug, pos, label)
-        assert mid == aug.action_state_of[(pos, label)]
+        assert aug.is_action_state[mid]
+        assert (aug.owner[mid], aug.landing[mid]) == (pos, nxt)
         pos = step(aug, mid, label)
         assert pos == nxt

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from safemdp.gp import GpModel, Kernel, initial_bands, kernel_eval
+from safemdp.gp import VARIANCE_FLOOR, GpError, GpModel, Kernel, initial_bands, kernel_eval
+from safemdp.mdp import GRID_RIGHT, GRID_STAY, augment, grid_mdp
 from safemdp.terrain import (
     CraterHill,
     CraterHillParams,
@@ -22,8 +23,11 @@ from safemdp.terrain import (
     height_gp,
     height_gp_to_difference_bands,
     load_esri_ascii,
+    seed_pocket,
     synth_terrain,
 )
+
+from oracles import step
 
 KERNEL = Kernel("matern52", 14.5, 10.0)
 
@@ -235,6 +239,35 @@ def test_empty_terrain_is_rejected():
         build_terrain_environment(grid, TerrainSafetySpec(), 0.0, 1)
 
 
+def brute_force_pocket(base, cell):
+    """The seed pocket of ``cell`` from the base MDP alone: the cell, its
+    moves, the cells they land on, and those cells' moves straight back.
+    Action-states are numbered after the cells, by cell and then label."""
+    action_state, next_id = {}, base.num_states
+    for s in range(base.num_states):
+        for label, _ in base.actions_of(s):
+            action_state[(s, label)] = next_id
+            next_id += 1
+    pocket = {cell}
+    for label, neighbour in base.actions_of(cell):
+        pocket |= {action_state[(cell, label)], neighbour}
+        pocket |= {action_state[(neighbour, back)]
+                   for back, succ in base.actions_of(neighbour) if succ == cell}
+    return pocket
+
+
+def test_seed_pocket_matches_brute_force_on_grids_with_nodata():
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        rows, cols = (int(n) for n in rng.integers(1, 7, size=2))
+        valid = rng.random(rows * cols) >= 0.2
+        valid[rng.integers(rows * cols)] = True
+        aug = augment(grid_mdp(rows, cols, 1.0, valid=valid))
+        for cell in range(aug.num_base_states):
+            got = seed_pocket(aug, cell)
+            assert set(np.flatnonzero(got).tolist()) == brute_force_pocket(aug.base, cell)
+
+
 # ---------------------------------------------------------------------------
 # difference GP
 
@@ -308,6 +341,32 @@ def test_height_bands_match_dense_joint_covariance_oracle():
     np.testing.assert_allclose(got_rad, np.sqrt(diff_var), atol=1e-8)
 
 
+class ConstantHeightPosterior:
+    """Stands in for a height GP: zero posterior mean and variance at every
+    cell, and the same posterior covariance ``cross`` for every pair."""
+
+    def __init__(self, cross):
+        self.cross = cross
+
+    def posterior(self, points):
+        return np.zeros(len(points)), np.zeros(len(points))
+
+    def posterior_cov_pairs(self, left, right):
+        return np.full(len(left), self.cross)
+
+
+def test_difference_variance_below_the_floor_raises():
+    # Difference variance = 0 + 0 - 2 * cross, on either side of the floor.
+    aug = flat_aug()
+    prev = initial_bands(aug.num_states, np.zeros(aug.num_states, bool), 0.0)
+    above = ConstantHeightPosterior(-0.4 * VARIANCE_FLOOR)
+    bands = height_gp_to_difference_bands(above, aug, 1.0, prev)
+    assert (bands.width() == 0.0).all()
+    below = ConstantHeightPosterior(-0.6 * VARIANCE_FLOOR)
+    with pytest.raises(GpError, match="numerical floor"):
+        height_gp_to_difference_bands(below, aug, 1.0, prev)
+
+
 def test_noiseless_height_measurements_collapse_the_difference_band():
     grid = synth_terrain(CraterHill(CraterHillParams(tilt_col=0.1)), 3, 3, 1.0)
     aug, env = build_terrain_environment(grid, TerrainSafetySpec(), 0.0, 2)
@@ -316,7 +375,7 @@ def test_noiseless_height_measurements_collapse_the_difference_band():
     # Model noise 5e-7 keeps the residual std of a two-cell difference
     # under 1e-6 (each observed height contributes its own noise floor).
     model = HeightGpBandModel(height_gp(aug, KERNEL, 5e-7), aug, 2.0)
-    target = aug.action_state_of[(4, 3)]  # centre cell, move right
+    target = step(aug, 4, GRID_RIGHT)  # centre cell
     observed = model.measure(env, target)
     truth = env.true_safety[target]
     assert observed == pytest.approx(truth, abs=1e-9)
@@ -329,10 +388,10 @@ def test_stay_measurement_observes_one_cell_and_returns_zero():
     grid = synth_terrain(CraterHill(), 3, 3, 1.0)
     _, env = build_terrain_environment(grid, TerrainSafetySpec(), 0.075, 5)
     model = HeightGpBandModel(height_gp(aug, KERNEL, 0.075), aug, 2.0)
-    stay = aug.action_state_of[(4, 4)]
+    stay = step(aug, 4, GRID_STAY)
     assert model.measure(env, stay) == 0.0
     assert model.gp.num_observations == 1
-    moving = aug.action_state_of[(4, 3)]
+    moving = step(aug, 4, GRID_RIGHT)
     model.measure(env, moving)
     assert model.gp.num_observations == 3
 

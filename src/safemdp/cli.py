@@ -187,7 +187,6 @@ SCHEMA = (
     Field("terrain", "cell_size", _number(float, _POSITIVE), when=_synth),
     *(Field("terrain", f.name, _number(float, _POSITIVE) if f.name in _RADII else _number(float),
             f.default, _crater_hill) for f in fields(CraterHillParams)),
-    Field("safety", "max_slope_deg", _number(float, _ANGLE), 30.0),
     Field("safety", "conservative_slope_deg", _number(float, _ANGLE), 25.0),
     Field("gp", "kernel", _choice(*_KERNELS), "matern52"),
     Field("gp", "lengthscale", _number(float, _POSITIVE), 14.5),
@@ -219,7 +218,7 @@ class ExperimentConfig:
 
     @property
     def safety(self) -> TerrainSafetySpec:
-        return TerrainSafetySpec(self.max_slope_deg, self.conservative_slope_deg)
+        return TerrainSafetySpec(self.conservative_slope_deg)
 
     @property
     def crater(self) -> CraterHillParams:
@@ -264,8 +263,6 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         for key in unknown:
             raise ConfigError(f"unknown config field {section}.{key}")
 
-    if values["conservative_slope_deg"] > values["max_slope_deg"]:
-        raise ConfigError("safety.conservative_slope_deg: must not exceed safety.max_slope_deg")
     _check_cell_count(values["kind"], values["rows"], values["cols"], "terrain.rows/terrain.cols")
     if values["mode"] == "lipschitz" and values["lipschitz"] == 0:
         raise ConfigError("explorer.lipschitz: must be positive in lipschitz mode")

@@ -2,11 +2,12 @@
 
 States are dense integer ids.  Each state carries a sorted list of
 ``(action label, successor)`` pairs; transitions are deterministic.  A
-metric between states has two methods: ``block(a, b)``, the dense distance
-matrix between two id arrays, for tests and brute-force checks, and
-``envelope(values, mask, lipschitz)``, the Lipschitz envelope
-``max_{w in W} v(w) - L * d(s, w)`` through which the safety operators read
-the metric.  Grids get the Manhattan metric scaled by the cell size.
+metric between states has one method, ``envelope(values, mask, lipschitz)``,
+the Lipschitz envelope ``max_{w in W} v(w) - L * d(s, w)``; the safety
+operators read the metric only through it, and so does
+:meth:`Mdp.distances`, which derives each distance ``d(s, w)`` as
+``-envelope(0, {w}, 1)[s]``.  Grids get the Manhattan metric scaled by the
+cell size.
 
 ``augment`` re-expresses safety-on-transitions as safety-on-states by
 inserting one artificial "action-state" per (state, action) pair, so that
@@ -32,12 +33,6 @@ class ManhattanMetric:
     def __init__(self, coords, cell_size: float):
         self.coords = np.asarray(coords, dtype=float)
         self.cell_size = float(cell_size)
-
-    def block(self, a, b) -> np.ndarray:
-        """Distance matrix between id arrays ``a`` (rows) and ``b`` (cols)."""
-        pa = self.coords[np.asarray(a, dtype=int)]
-        pb = self.coords[np.asarray(b, dtype=int)]
-        return np.abs(pa[:, None, :] - pb[None, :, :]).sum(axis=2) * self.cell_size
 
     def envelope(self, values, mask, lipschitz) -> np.ndarray:
         """Lipschitz envelope of ``values`` from the states in ``mask``
@@ -80,26 +75,6 @@ class AugmentedMetric:
         self.is_action = np.asarray(is_action, dtype=bool)
         self.half_step = float(half_step)
 
-    def block(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=int)
-        b = np.asarray(b, dtype=int)
-        out = self.base.block(self.owner[a], self.owner[b])
-        out = out + self.half_step * (
-            self.is_action[a][:, None].astype(float) + self.is_action[b][None, :].astype(float)
-        )
-        # Adjacent (action-state, original) pairs collapse to half_step.
-        act_a = self.is_action[a][:, None] & ~self.is_action[b][None, :]
-        adj_a = act_a & (
-            (self.owner[a][:, None] == b[None, :]) | (self.landing[a][:, None] == b[None, :])
-        )
-        act_b = ~self.is_action[a][:, None] & self.is_action[b][None, :]
-        adj_b = act_b & (
-            (self.owner[b][None, :] == a[:, None]) | (self.landing[b][None, :] == a[:, None])
-        )
-        out[adj_a | adj_b] = self.half_step
-        out[a[:, None] == b[None, :]] = 0.0
-        return out
-
     def envelope(self, values, mask, lipschitz) -> np.ndarray:
         """Fold every witness into its owner cell at ``half_step`` per
         action-state endpoint, take the base metric's envelope over cells,
@@ -134,14 +109,11 @@ class Mdp:
         One sequence of ``(label, successor)`` pairs per state.  Labels must
         be unique within a state and every state needs at least one action.
     metric :
-        State metric with the two methods ``block`` and ``envelope``
-        described in the module docstring.
-    coords : array_like, optional
-        Per-state coordinates (e.g. grid cells); kept for callers that need
-        geometry, ignored by the dynamics.
+        State metric with the one method ``envelope`` described in the
+        module docstring.
     """
 
-    def __init__(self, actions, metric, coords=None):
+    def __init__(self, actions, metric):
         table = []
         for s, acts in enumerate(actions):
             acts = sorted((int(label), int(succ)) for label, succ in acts)
@@ -158,7 +130,6 @@ class Mdp:
                 if not 0 <= succ < self.num_states:
                     raise ValueError(f"state {s} action {label} leads to unknown state {succ}")
         self.metric = metric
-        self.coords = None if coords is None else np.asarray(coords)
         self._edges = None
         self._predecessors = None
 
@@ -194,11 +165,18 @@ class Mdp:
         return self._predecessors
 
     def distances(self, a, b) -> np.ndarray:
-        """Metric distance matrix between id arrays ``a`` and ``b``: the
-        dense block, for tests and brute-force checks.  The safety
-        operators read the metric through its ``envelope``, which needs no
-        block."""
-        return self.metric.block(a, b)
+        """Metric distance matrix between id arrays ``a`` (rows) and ``b``
+        (columns), one envelope per column: ``d(., w)`` is minus the
+        envelope of zero from the witness ``w`` at ``L = 1``."""
+        a = np.asarray(a, dtype=int)
+        b = np.asarray(b, dtype=int)
+        out = np.empty((len(a), len(b)))
+        zero = np.zeros(self.num_states)
+        for j, w in enumerate(b):
+            witness = np.zeros(self.num_states, dtype=bool)
+            witness[w] = True
+            out[:, j] = -self.metric.envelope(zero, witness, 1.0)[a]
+        return out
 
 
 def grid_mdp(rows: int, cols: int, cell_size: float, valid=None) -> Mdp:
@@ -244,7 +222,7 @@ def grid_mdp(rows: int, cols: int, cell_size: float, valid=None) -> Mdp:
                 acts.append((label, int(state_of_cell[r2 * cols + c2])))
         acts.append((GRID_STAY, s))
         actions.append(acts)
-    return Mdp(actions, ManhattanMetric(coords, cell_size), coords=coords)
+    return Mdp(actions, ManhattanMetric(coords, cell_size))
 
 
 class AugmentedMdp(Mdp):
@@ -299,13 +277,16 @@ def augment(mdp: Mdp, half_step: float | None = None) -> AugmentedMdp:
     half_step : float, optional
         Metric distance between an action-state and each original state it
         touches.  Defaults to half the shortest nonzero transition length
-        (half a cell on grids), or 0.5 if every action is a self-loop.
+        (half a cell on grids), or 0.5 if every action is a self-loop; the
+        lengths come from one :meth:`Mdp.distances` column per state, from
+        its predecessors.
     """
     if half_step is None:
-        src, _, dst = mdp.edges()
-        lengths = [mdp.distances([s], [t])[0, 0] for s, t in zip(src, dst) if s != t]
-        moves = [d for d in lengths if d > 0]
-        half_step = 0.5 * min(moves) if moves else 0.5
+        starts, sources = mdp.predecessors()
+        lengths = np.concatenate([mdp.distances(sources[starts[t]:starts[t + 1]], [t])[:, 0]
+                                  for t in range(mdp.num_states)])
+        moves = lengths[lengths > 0]
+        half_step = 0.5 * moves.min() if moves.size else 0.5
     if not half_step > 0:
         raise ValueError("half_step must be positive")
     return AugmentedMdp(mdp, half_step)

@@ -245,19 +245,19 @@ def synth_terrain(kind: SynthKind, rows: int, cols: int, cell_size: float) -> Te
 
 @dataclass(frozen=True)
 class TerrainSafetySpec:
-    """Slope limits of the rover.
+    """Slope limit of the rover.
 
-    The rover physically fails above ``max_slope_deg``; classification uses
-    the stricter ``conservative_slope_deg``, giving the safety threshold
-    ``-cell_size * tan(conservative_slope_deg)`` on height differences.
+    A transition is safe when it climbs no more steeply than
+    ``conservative_slope_deg``: the safety threshold on height differences
+    is ``-cell_size * tan(conservative_slope_deg)``, and both the
+    classifier and the violation check read it.
     """
 
-    max_slope_deg: float = 30.0
     conservative_slope_deg: float = 25.0
 
     def __post_init__(self):
-        if not 0 < self.conservative_slope_deg <= self.max_slope_deg < 90:
-            raise ValueError("need 0 < conservative_slope_deg <= max_slope_deg < 90")
+        if not 0 < self.conservative_slope_deg < 90:
+            raise ValueError("need 0 < conservative_slope_deg < 90")
 
     def safety_threshold(self, cell_size: float) -> float:
         return -cell_size * math.tan(math.radians(self.conservative_slope_deg))
@@ -316,7 +316,7 @@ def seed_pocket(aug: AugmentedMdp, base_state: int) -> np.ndarray:
 
 def height_covariance(aug: AugmentedMdp, kernel: Kernel) -> StationaryCovariance:
     """Kernel covariance between base cells, at metric (not cell) scale."""
-    return StationaryCovariance(kernel, aug.base.coords * aug.base.metric.cell_size)
+    return StationaryCovariance(kernel, aug.base.metric.coords * aug.base.metric.cell_size)
 
 
 class DifferenceCovariance:

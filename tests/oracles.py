@@ -1,12 +1,17 @@
 """Brute-force stand-ins for library pieces that only tests need.
 
-``DenseMetric`` is a metric given by an explicit distance matrix, with
-the two methods the library's metrics have: ``block`` and an ``envelope``
-that takes the plain maximum over the witness rows.  ``step`` looks up a
-deterministic successor by action label.
+``DenseMetric`` is a metric given by an explicit distance matrix, whose
+``envelope`` takes the plain maximum over the witness rows.
+``dense_distances`` is the dense distance block of an MDP's metric, from
+each metric's own closed-form definition rather than through its
+envelope: the independent reference the envelope and ``Mdp.distances``
+are checked against.  ``step`` looks up a deterministic successor by
+action label.
 """
 
 import numpy as np
+
+from safemdp.mdp import AugmentedMetric, ManhattanMetric
 
 
 class DenseMetric:
@@ -15,15 +20,46 @@ class DenseMetric:
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)
 
-    def block(self, a, b) -> np.ndarray:
-        return self.matrix[np.ix_(np.asarray(a, dtype=int), np.asarray(b, dtype=int))]
-
     def envelope(self, values, mask, lipschitz) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         mask = np.asarray(mask, dtype=bool)
         if not mask.any():
             return np.full(len(mask), -np.inf)
         return (values[mask][:, None] - lipschitz * self.matrix[mask]).max(axis=0)
+
+
+def dense_distances(mdp, a, b) -> np.ndarray:
+    """Distance matrix of ``mdp``'s metric between id arrays ``a`` (rows)
+    and ``b`` (columns)."""
+    return _block(mdp.metric, np.asarray(a, dtype=int), np.asarray(b, dtype=int))
+
+
+def _block(metric, a, b) -> np.ndarray:
+    if isinstance(metric, DenseMetric):
+        return metric.matrix[np.ix_(a, b)]
+    if isinstance(metric, ManhattanMetric):
+        pa = metric.coords[a]
+        pb = metric.coords[b]
+        return np.abs(pa[:, None, :] - pb[None, :, :]).sum(axis=2) * metric.cell_size
+    if not isinstance(metric, AugmentedMetric):
+        raise TypeError(f"no dense formula for {type(metric).__name__}")
+    # Base distance between owners plus half_step per action-state endpoint,
+    out = _block(metric.base, metric.owner[a], metric.owner[b])
+    out = out + metric.half_step * (
+        metric.is_action[a][:, None].astype(float) + metric.is_action[b][None, :].astype(float)
+    )
+    # except that adjacent (action-state, original) pairs collapse to half_step.
+    act_a = metric.is_action[a][:, None] & ~metric.is_action[b][None, :]
+    adj_a = act_a & (
+        (metric.owner[a][:, None] == b[None, :]) | (metric.landing[a][:, None] == b[None, :])
+    )
+    act_b = ~metric.is_action[a][:, None] & metric.is_action[b][None, :]
+    adj_b = act_b & (
+        (metric.owner[b][None, :] == a[:, None]) | (metric.landing[b][None, :] == a[:, None])
+    )
+    out[adj_a | adj_b] = metric.half_step
+    out[a[:, None] == b[None, :]] = 0.0
+    return out
 
 
 def step(mdp, s, a):

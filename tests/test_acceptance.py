@@ -62,7 +62,7 @@ from safemdp.terrain import (
     synth_terrain,
 )
 
-from oracles import DenseMetric, step
+from oracles import DenseMetric, dense_distances, step
 
 SAFETY = TerrainSafetySpec()
 
@@ -285,7 +285,7 @@ def test_set_operators_match_bruteforce(capsys):
         actions = [[(a, int(rng.integers(n))) for a in range(int(rng.integers(1, 4)))]
                    for _ in range(n)]
         dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2).astype(float)
-        mdp = Mdp(actions, DenseMetric(dist), coords=coords)
+        mdp = Mdp(actions, DenseMetric(dist))
         mismatches += check_all_operators(mdp, dist, rng)
 
     elapsed = time.time() - t0
@@ -305,8 +305,10 @@ def random_grid(rng, cell_size):
 
 def test_envelope_matches_bruteforce(capsys):
     """The grid and augmented-grid envelopes (distance transforms, not
-    blocks) against the dense block, and the three operators built on them
-    against python-set brute force over that block."""
+    blocks), and the ``Mdp.distances`` derived from them, against the
+    metrics' dense formulas in ``oracles.dense_distances``; and the three
+    operators built on the envelopes against python-set brute force over
+    that dense block."""
     rng = np.random.default_rng(8)
     worst = 0.0
     mismatches = 0
@@ -316,7 +318,8 @@ def test_envelope_matches_bruteforce(capsys):
         mdp = grid if i % 2 else augment(grid)
         n = mdp.num_states
         ids = np.arange(n)
-        dist = mdp.distances(ids, ids)
+        dist = dense_distances(mdp, ids, ids)
+        worst = max(worst, float(np.abs(mdp.distances(ids, ids) - dist).max()))
         lip = 0.0 if i % 7 == 0 else float(rng.uniform(0, 2))
         witnesses = (np.zeros(n, bool), np.ones(n, bool), rng.random(n) < 0.3)[i % 3]
         values = rng.normal(size=n)
@@ -352,7 +355,7 @@ def test_envelope_matches_bruteforce(capsys):
     verdict(capsys, "envelope vs brute force",
             mismatches == 0 and worst <= 1e-12,
             f"{trials} grids and augmented grids, {mismatches} mismatches, "
-            f"max envelope dev {worst:.1e} (<= 1e-12)")
+            f"max envelope and distance dev {worst:.1e} (<= 1e-12)")
 
 
 def test_operators_need_no_quadratic_memory(capsys):
@@ -368,7 +371,7 @@ def test_operators_need_no_quadratic_memory(capsys):
     seed = np.zeros(n, dtype=bool)
     seed[[0, step(aug, 0, GRID_STAY)]] = True
     bands = ConfidenceBands(r - 0.05, r + 0.05)
-    upper_half = grid.coords[aug.owner, 0] < 15
+    upper_half = grid.metric.coords[aug.owner, 0] < 15
     tracemalloc.start()
     try:
         grown = r_eps_fixpoint(aug, seed, r, 0.05, 0.2, -0.5)
@@ -402,7 +405,7 @@ def test_operator_and_band_monotonicity(capsys):
         actions = [[(a, int(rng.integers(n))) for a in range(int(rng.integers(1, 4)))]
                    for _ in range(n)]
         dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2).astype(float)
-        mdp = Mdp(actions, DenseMetric(dist), coords=coords)
+        mdp = Mdp(actions, DenseMetric(dist))
         r = rng.normal(size=n)
         eps = float(rng.uniform(0, 0.4))
         lip = float(rng.uniform(0, 1.2))
@@ -572,7 +575,7 @@ def trapdoor_mdp():
     returnability is the only way to stay out of it."""
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [-1.0, 0.0]])
     actions = [[(0, 0), (1, 1), (2, 3)], [(0, 2)], [(0, 2)], [(0, 3), (1, 0)]]
-    mdp = Mdp(actions, ManhattanMetric(coords, 1.0), coords=coords)
+    mdp = Mdp(actions, ManhattanMetric(coords, 1.0))
     seed = np.zeros(4, dtype=bool)
     seed[0] = True
     return mdp, coords, seed, np.array([1.0, 1.0, -5.0, 1.0])

@@ -101,8 +101,9 @@ def test_bad_values_name_their_field(tmp_path, capsys):
         ({"terrain.rows": "0"}, "terrain.rows"),
         ({"terrain.cell_size": "-1"}, "terrain.cell_size"),
         ({"gp.lengthscale": "0"}, "gp.lengthscale"),
-        ({"safety.max_slope_deg": "95"}, "safety.max_slope_deg"),
-        ({"safety.max_slope_deg": "20"}, "safety.conservative_slope_deg"),
+        ({"safety.conservative_slope_deg": "95"}, "safety.conservative_slope_deg"),
+        # The one slope is the conservative one; a second is an unknown key.
+        ({"safety.max_slope_deg": "30"}, "unknown config field safety.max_slope_deg"),
         ({"explorer.mode": "lipschitz", "explorer.lipschitz": "-1"}, "explorer.lipschitz"),
         ({"explorer.mode": "lipschitz", "explorer.lipschitz": "0"}, "explorer.lipschitz"),
         ({"terrain.crater_depth": "4.0", "terrain.crater_radius": "0"},

@@ -1,5 +1,6 @@
 """End-to-end tests of the exploration loop and its baselines."""
 
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +19,13 @@ from safemdp.explorer import (
     GpBandModel,
     run_baseline,
     run_safemdp,
+    validate_config,
 )
 from safemdp.gp import GpModel, Kernel, StationaryCovariance
-from safemdp.mdp import ManhattanMetric, Mdp, grid_mdp
+from safemdp.mdp import ManhattanMetric, Mdp, augment, grid_mdp
 from safemdp.terrain import build_terrain_environment
 
-from oracles import step
+from oracles import DenseMetric, step
 
 
 def band_model(coords, *, noise=1e-3, ell=2.0, b=4.0):
@@ -64,7 +66,7 @@ def trapdoor():
         [(0, 2)],
         [(0, 3), (1, 0)],
     ]
-    mdp = Mdp(actions, ManhattanMetric(coords, 1.0), coords=coords)
+    mdp = Mdp(actions, ManhattanMetric(coords, 1.0))
     seed = np.zeros(4, bool)
     seed[0] = True
     r = np.array([1.0, 1.0, -5.0, 1.0])
@@ -111,7 +113,7 @@ def test_config_validation_errors():
 
     def run_with(**changes):
         cfg = ExplorerConfig(**{**good.__dict__, **changes})
-        run_safemdp(mdp, env, cfg, band_model(mdp.coords))
+        run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords))
 
     with pytest.raises(ConfigError):
         run_with(seed_set=np.zeros(3, bool))
@@ -136,18 +138,66 @@ def test_config_validation_errors():
         run_with(seed_set=np.array([True, False, True]))
 
 
+def _first_unreachable_seed_state(mdp, seed):
+    """Per seed state ``s``, in id order, a python-set search for the seed
+    states that return to ``s`` inside the seed; the first ``s`` that some
+    seed state cannot return to, or None."""
+    inside = set(np.flatnonzero(seed).tolist())
+    for s in sorted(inside):
+        back, frontier = {s}, [s]
+        while frontier:
+            t = frontier.pop()
+            for u in inside - back:
+                if any(succ == t for _, succ in mdp.actions_of(u)):
+                    back.add(u)
+                    frontier.append(u)
+        if back != inside:
+            return s
+    return None
+
+
+def test_seed_check_matches_a_per_state_search():
+    rng = np.random.default_rng(17)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        n = int(rng.integers(1, 10))
+        actions = [[(a, int(rng.integers(n))) for a in range(int(rng.integers(1, 4)))]
+                   for _ in range(n)]
+        mdp = Mdp(actions, DenseMetric(np.zeros((n, n))))
+        seed = rng.random(n) < rng.uniform(0.2, 1.0)
+        seed[rng.integers(n)] = True
+        expected = _first_unreachable_seed_state(mdp, seed)
+        verdicts[expected is None] += 1
+        cfg = ExplorerConfig("gp-direct", 1.0, 0.1, 10, seed)
+        if expected is None:
+            validate_config(mdp, cfg)
+        else:
+            needle = rf"\(state {expected} is unreachable from part of the seed\)"
+            with pytest.raises(ConfigError, match=needle):
+                validate_config(mdp, cfg)
+    assert min(verdicts.values()) > 50
+
+
+def test_whole_grid_seed_validates_in_linear_time():
+    aug = augment(grid_mdp(30, 30, 1.0), half_step=0.5)
+    cfg = ExplorerConfig("gp-direct", 1.0, 0.1, 10, np.ones(aug.num_states, dtype=bool))
+    start = time.perf_counter()
+    validate_config(aug, cfg)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_environment_size_must_match_the_mdp():
     mdp, seed, cfg = meadow()
     env = Environment(np.ones(4), 0.0, 0.1, 1)
     with pytest.raises(ConfigError):
-        run_safemdp(mdp, env, cfg, band_model(mdp.coords))
+        run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords))
 
 
 def test_unknown_baseline_is_rejected():
     mdp, seed, cfg = meadow()
     env = Environment(np.ones(9), 0.0, 0.1, 1)
     with pytest.raises(ConfigError):
-        run_baseline("greedy", mdp, env, cfg, band_model(mdp.coords))
+        run_baseline("greedy", mdp, env, cfg, band_model(mdp.metric.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +207,7 @@ def test_unknown_baseline_is_rejected():
 def test_meadow_is_fully_explored_without_violation():
     mdp, seed, cfg = meadow()
     env = Environment(np.ones(9), 0.0, 1e-3, 11)
-    trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords))
+    trace = run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords))
     assert trace.violation_step is None
     assert trace.terminal_reason == REASON_EXPANDERS_EMPTY
     assert trace.final_sets.ergodic.all()
@@ -168,7 +218,7 @@ def test_meadow_is_fully_explored_without_violation():
 def test_wall_keeps_the_agent_home():
     mdp, seed, r, cfg = wall()
     env = Environment(r, 0.0, 1e-3, 7)
-    trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords))
+    trace = run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords))
     assert trace.terminal_reason == REASON_CONVERGED
     assert trace.violation_step is None
     assert trace.agent_steps == 0
@@ -180,7 +230,7 @@ def test_everything_already_safe_terminates_immediately():
     seed = np.ones(4, bool)
     cfg = ExplorerConfig("gp-direct", 1.0, 0.1, 10, seed)
     env = Environment(np.ones(4), 0.0, 1e-3, 5)
-    trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords))
+    trace = run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords))
     assert trace.terminal_reason == REASON_EXPANDERS_EMPTY
     assert trace.iterations == 0 and trace.agent_steps == 0
 
@@ -189,7 +239,7 @@ def test_wide_epsilon_converges_on_the_first_target():
     mdp, seed, cfg = meadow()
     cfg = ExplorerConfig(**{**cfg.__dict__, "epsilon": 10.0})
     env = Environment(np.ones(9), 0.0, 1e-3, 11)
-    trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords))
+    trace = run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords))
     assert trace.terminal_reason == REASON_CONVERGED
     assert trace.iterations == 1
 
@@ -202,7 +252,7 @@ def test_unsafe_seed_state_is_a_config_error():
     r[4] = -1.0
     env = Environment(r, 0.0, 1e-3, 2)
     with pytest.raises(ConfigError, match=r"1 seed state\(s\) are truly unsafe"):
-        run_safemdp(mdp, env, cfg, band_model(mdp.coords))
+        run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords))
 
     # A seed pocket whose start cell is safe but which holds 4 truly unsafe
     # transitions: without the check the run violates safety at step 1.
@@ -223,7 +273,7 @@ def test_max_steps_cuts_the_run_short():
     mdp, seed, cfg = meadow()
     cfg = ExplorerConfig(**{**cfg.__dict__, "lipschitz": 1.0, "max_steps": 1})
     env = Environment(np.full(9, 1.2), 0.0, 1e-3, 11)
-    trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords))
+    trace = run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords))
     assert trace.terminal_reason == REASON_MAX_ITERATIONS
     assert trace.agent_steps == 1
 
@@ -233,7 +283,7 @@ def test_identical_seeds_reproduce_the_trace_bitwise():
     runs = []
     for _ in range(2):
         env = Environment(np.ones(9), 0.0, 1e-3, 42)
-        runs.append(run_safemdp(mdp, env, cfg, band_model(mdp.coords)))
+        runs.append(run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords)))
     a, b = runs
     assert a.terminal_reason == b.terminal_reason
     assert a.agent_steps == b.agent_steps
@@ -251,13 +301,13 @@ def test_identical_seeds_reproduce_the_trace_bitwise():
 def test_measurements_happen_only_at_targets_by_default():
     mdp, seed, cfg = meadow()
     env = Environment(np.ones(9), 0.0, 1e-3, 11)
-    bm = band_model(mdp.coords)
+    bm = band_model(mdp.metric.coords)
     trace = run_safemdp(mdp, env, cfg, bm)
     assert bm.gp.num_observations == trace.iterations
 
     cfg = ExplorerConfig(**{**cfg.__dict__, "measure_along_path": True})
     env = Environment(np.ones(9), 0.0, 1e-3, 11)
-    bm = band_model(mdp.coords)
+    bm = band_model(mdp.metric.coords)
     trace = run_safemdp(mdp, env, cfg, bm)
     assert bm.gp.num_observations > trace.iterations
 
@@ -265,7 +315,7 @@ def test_measurements_happen_only_at_targets_by_default():
 def test_snapshots_keep_growing_and_stay_nested():
     mdp, seed, cfg = meadow()
     env = Environment(np.ones(9), 0.0, 1e-3, 11)
-    trace = run_safemdp(mdp, env, cfg, band_model(mdp.coords))
+    trace = run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords))
     prev_safe = seed
     prev_erg = seed
     for rec in trace.records:
@@ -285,7 +335,7 @@ def test_random_baseline_on_safe_ground_never_violates():
     mdp, seed, cfg = meadow()
     env = Environment(np.ones(9), 0.0, 1e-3, 13)
     cfg = ExplorerConfig(**{**cfg.__dict__, "max_iterations": 40})
-    trace = run_baseline("random", mdp, env, cfg, band_model(mdp.coords))
+    trace = run_baseline("random", mdp, env, cfg, band_model(mdp.metric.coords))
     assert trace.terminal_reason == REASON_MAX_ITERATIONS
     assert trace.violation_step is None
     # One action per iteration: movement and measurement counts coincide.
@@ -301,7 +351,7 @@ def test_random_baseline_respects_max_steps_and_reproduces():
     paths = []
     for _ in range(2):
         env = Environment(np.ones(9), 0.0, 1e-3, 29)
-        trace = run_baseline("random", mdp, env, cfg, band_model(mdp.coords))
+        trace = run_baseline("random", mdp, env, cfg, band_model(mdp.metric.coords))
         assert trace.agent_steps == 5
         paths.append([tuple(r.path.states) for r in trace.records])
     assert paths[0] == paths[1]
@@ -314,7 +364,7 @@ def test_no_expanders_baseline_keeps_sampling_when_nothing_is_outside():
     seed = np.ones(4, bool)
     cfg = ExplorerConfig("gp-direct", 1.0, 0.1, 25, seed)
     env = Environment(np.ones(4), 0.0, 1e-3, 5)
-    trace = run_baseline("no_expanders", mdp, env, cfg, band_model(mdp.coords))
+    trace = run_baseline("no_expanders", mdp, env, cfg, band_model(mdp.metric.coords))
     assert trace.terminal_reason == REASON_CONVERGED
     assert trace.iterations > 0
 
@@ -322,7 +372,7 @@ def test_no_expanders_baseline_keeps_sampling_when_nothing_is_outside():
 def test_unsafe_baseline_marches_into_the_wall():
     mdp, seed, r, cfg = wall()
     env = Environment(r, 0.0, 1e-3, 7)
-    trace = run_baseline("unsafe", mdp, env, cfg, band_model(mdp.coords))
+    trace = run_baseline("unsafe", mdp, env, cfg, band_model(mdp.metric.coords))
     assert trace.terminal_reason == REASON_VIOLATION
     assert trace.violation_step == 1
     assert np.isnan(trace.records[-1].observation)

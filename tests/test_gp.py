@@ -210,7 +210,7 @@ def test_incremental_difference_gp_matches_batch_and_dense_solve():
     batch = GpModel.from_data(difference_gp(aug, kernel, noise).cov, noise, obs, vals)
 
     # Dense reference: the four-term difference kernel and np.linalg.solve.
-    coords, owner, landing = aug.base.coords, aug.owner, aug.landing
+    coords, owner, landing = aug.base.metric.coords, aug.owner, aug.landing
 
     def k(u, v):
         return kernel_eval(kernel, np.linalg.norm(coords[u][:, None] - coords[v][None], axis=-1))

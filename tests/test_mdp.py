@@ -102,8 +102,8 @@ def test_masked_grid_drops_cells_and_compacts_ids():
     mdp = grid_mdp(3, 3, 1.0, valid=valid)
     assert mdp.num_states == 8
     # Ids stay row-major over the surviving cells.
-    np.testing.assert_array_equal(mdp.coords[3], [1, 0])
-    np.testing.assert_array_equal(mdp.coords[4], [1, 2])
+    np.testing.assert_array_equal(mdp.metric.coords[3], [1, 0])
+    np.testing.assert_array_equal(mdp.metric.coords[4], [1, 2])
     # No move enters the hole: cell (0,1) (state 1) cannot go down.
     labels = [label for label, _ in mdp.actions_of(1)]
     assert GRID_DOWN not in labels
@@ -149,10 +149,11 @@ def test_manhattan_metric_axioms_exhaustively():
 
 
 def test_manhattan_block_matches_pairwise_calls():
+    # Mdp.distances reads the metric's envelope, one column per witness.
     coords = [[0, 0], [2, 1], [5, 5]]
-    metric = ManhattanMetric(coords, 0.5)
+    mdp = Mdp([[(0, s)] for s in range(3)], ManhattanMetric(coords, 0.5))
     a, b = [0, 2], [0, 1, 2]
-    block = metric.block(a, b)
+    block = mdp.distances(a, b)
     for i, s in enumerate(a):
         for j, s2 in enumerate(b):
             dr, dc = coords[s][0] - coords[s2][0], coords[s][1] - coords[s2][1]

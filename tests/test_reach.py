@@ -35,7 +35,7 @@ def random_mdp(rng, n_states=None, max_actions=3):
         k = int(rng.integers(1, max_actions + 1))
         actions.append([(a, int(rng.integers(n))) for a in range(k)])
     dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2).astype(float)
-    return Mdp(actions, DenseMetric(dist), coords=coords), dist
+    return Mdp(actions, DenseMetric(dist)), dist
 
 
 def to_set(mask):

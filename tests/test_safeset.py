@@ -15,7 +15,7 @@ from safemdp.safeset import (
     expanders,
 )
 
-from oracles import DenseMetric
+from oracles import DenseMetric, dense_distances
 
 
 def bands_of(lower, upper):
@@ -77,7 +77,7 @@ def test_classify_matches_bruteforce_double_loop():
     rng = np.random.default_rng(5)
     mdp = grid_mdp(4, 4, 1.0)
     n = mdp.num_states
-    dist = mdp.distances(np.arange(n), np.arange(n))
+    dist = dense_distances(mdp, np.arange(n), np.arange(n))
     for _ in range(60):
         h = float(rng.normal(scale=0.5))
         bands = random_bands(rng, n, h)
@@ -143,7 +143,7 @@ def test_trapdoor_state_is_not_ergodic():
         else:
             acts = list(base.actions_of(s))
         actions.append(acts)
-    mdp = Mdp(actions, base.metric, coords=base.coords)
+    mdp = Mdp(actions, base.metric)
     safe = mask(16, {0, 1, 4, 5})
     prev = mask(16, {0, 1, 4})
     out = ergodic_safe(mdp, safe, prev)
@@ -202,7 +202,7 @@ def test_expanders_match_bruteforce():
     rng = np.random.default_rng(21)
     mdp = grid_mdp(4, 4, 1.0)
     n = mdp.num_states
-    dist = mdp.distances(np.arange(n), np.arange(n))
+    dist = dense_distances(mdp, np.arange(n), np.arange(n))
     for _ in range(60):
         h = float(rng.normal(scale=0.5))
         bands = random_bands(rng, n, h)

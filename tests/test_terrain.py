@@ -186,18 +186,19 @@ def test_roughness_varies_with_seed_but_not_shape():
 
 
 def test_threshold_formula():
-    spec = TerrainSafetySpec(max_slope_deg=30.0, conservative_slope_deg=25.0)
+    spec = TerrainSafetySpec(conservative_slope_deg=25.0)
     assert spec.safety_threshold(1.0) == -math.tan(math.radians(25.0))
     assert spec.safety_threshold(2.0) == -2.0 * math.tan(math.radians(25.0))
 
 
 def test_slope_spec_validation():
     with pytest.raises(ValueError):
-        TerrainSafetySpec(max_slope_deg=20.0, conservative_slope_deg=25.0)
+        TerrainSafetySpec(conservative_slope_deg=95.0)
     with pytest.raises(ValueError):
-        TerrainSafetySpec(max_slope_deg=95.0, conservative_slope_deg=95.0)
-    with pytest.raises(ValueError):
-        TerrainSafetySpec(max_slope_deg=30.0, conservative_slope_deg=0.0)
+        TerrainSafetySpec(conservative_slope_deg=0.0)
+    # The threshold's slope is the only one: no second, unread limit.
+    with pytest.raises(TypeError):
+        TerrainSafetySpec(max_slope_deg=30.0)
 
 
 def test_flat_terrain_is_safe_everywhere():

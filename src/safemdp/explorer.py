@@ -186,21 +186,15 @@ def validate_config(mdp: Mdp, cfg: ExplorerConfig) -> None:
         raise ConfigError("lipschitz must be positive, or zero in gp-direct mode")
     if cfg.max_steps is not None and cfg.max_steps < 0:
         raise ConfigError("max_steps must be non-negative")
-    # Mutually returnable: inside the seed set, every seed state returns to
-    # the lowest one, home, and home reaches every seed state.  The state
-    # named is the lowest that part of the seed cannot reach: home itself
-    # if some seed state cannot return to it.
-    home = np.zeros_like(seed)
-    home[np.argmax(seed)] = True
-    reached, grown = home, r_reach(mdp, home) & seed
-    while not np.array_equal(grown, reached):
-        reached, grown = grown, r_reach(mdp, grown) & seed
-    missed = seed & ~reached if r_ret_fixpoint(mdp, seed, home)[seed].all() else home
-    if missed.any():
-        raise ConfigError(
-            f"seed states are not mutually returnable within the seed set "
-            f"(state {int(np.argmax(missed))} is unreachable from part of the seed)"
-        )
+    for s in np.flatnonzero(seed):
+        target = np.zeros(mdp.num_states, dtype=bool)
+        target[s] = True
+        returnable = r_ret_fixpoint(mdp, seed, target)
+        if not returnable[seed].all():
+            raise ConfigError(
+                f"seed states are not mutually returnable within the seed set "
+                f"(state {int(s)} is unreachable from part of the seed)"
+            )
 
 
 def run_safemdp(mdp: Mdp, env: Environment, cfg: ExplorerConfig,

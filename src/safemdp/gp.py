@@ -322,10 +322,7 @@ class GpModel:
         prior = self._prior(left, right)
         if not self._points:
             return prior.copy()
-        both = np.concatenate([left, right])
-        seen = np.zeros(both.max(initial=-1) + 1, dtype=bool)
-        seen[both] = True  # np.unique's ids and inverse, from a mask
-        ids, slots = np.flatnonzero(seen), (np.cumsum(seen) - 1)[both]
+        ids, slots = np.unique(np.concatenate([left, right]), return_inverse=True)
         v = solve_triangular(self._chol, self.cov.matrix(self._points, ids), lower=True)
         return prior - np.einsum("ij,ij->j", v[:, slots[:len(left)]], v[:, slots[len(left):]])
 

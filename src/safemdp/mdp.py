@@ -268,25 +268,16 @@ class AugmentedMdp(Mdp):
                                                   self.is_action_state, half_step))
 
 
-def augment(mdp: Mdp, half_step: float | None = None) -> AugmentedMdp:
+def augment(mdp: Mdp, half_step: float) -> AugmentedMdp:
     """Insert an action-state into every transition of ``mdp``.
 
     Parameters
     ----------
     mdp : Mdp
-    half_step : float, optional
+    half_step : float
         Metric distance between an action-state and each original state it
-        touches.  Defaults to half the shortest nonzero transition length
-        (half a cell on grids), or 0.5 if every action is a self-loop; the
-        lengths come from one :meth:`Mdp.distances` column per state, from
-        its predecessors.
+        touches; half a cell on grids.
     """
-    if half_step is None:
-        starts, sources = mdp.predecessors()
-        lengths = np.concatenate([mdp.distances(sources[starts[t]:starts[t + 1]], [t])[:, 0]
-                                  for t in range(mdp.num_states)])
-        moves = lengths[lengths > 0]
-        half_step = 0.5 * moves.min() if moves.size else 0.5
     if not half_step > 0:
         raise ValueError("half_step must be positive")
     return AugmentedMdp(mdp, half_step)

@@ -315,7 +315,7 @@ def test_envelope_matches_bruteforce(capsys):
     trials = 240
     for i in range(trials):
         grid = random_grid(rng, (1.0, 0.3, 2.5)[i % 3])
-        mdp = grid if i % 2 else augment(grid)
+        mdp = grid if i % 2 else augment(grid, half_step=grid.metric.cell_size / 2)
         n = mdp.num_states
         ids = np.arange(n)
         dist = dense_distances(mdp, ids, ids)
@@ -363,7 +363,7 @@ def test_operators_need_no_quadratic_memory(capsys):
     an augmented 30x30 grid (N=5280), where one dense witness block would
     take up to 223 MB."""
     grid = grid_mdp(30, 30, 1.0)
-    aug = augment(grid)
+    aug = augment(grid, half_step=0.5)
     n = aug.num_states
     rng = np.random.default_rng(3)
     # Flat cells; transitions mostly gentle, about 1% steeper than h = -0.5.

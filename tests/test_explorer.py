@@ -1,6 +1,5 @@
 """End-to-end tests of the exploration loop and its baselines."""
 
-import time
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +18,12 @@ from safemdp.explorer import (
     GpBandModel,
     run_baseline,
     run_safemdp,
-    validate_config,
 )
 from safemdp.gp import GpModel, Kernel, StationaryCovariance
-from safemdp.mdp import ManhattanMetric, Mdp, augment, grid_mdp
+from safemdp.mdp import ManhattanMetric, Mdp, grid_mdp
 from safemdp.terrain import build_terrain_environment
 
-from oracles import DenseMetric, step
+from oracles import step
 
 
 def band_model(coords, *, noise=1e-3, ell=2.0, b=4.0):
@@ -136,54 +134,6 @@ def test_config_validation_errors():
     # non-seed state in between.
     with pytest.raises(ConfigError):
         run_with(seed_set=np.array([True, False, True]))
-
-
-def _first_unreachable_seed_state(mdp, seed):
-    """Per seed state ``s``, in id order, a python-set search for the seed
-    states that return to ``s`` inside the seed; the first ``s`` that some
-    seed state cannot return to, or None."""
-    inside = set(np.flatnonzero(seed).tolist())
-    for s in sorted(inside):
-        back, frontier = {s}, [s]
-        while frontier:
-            t = frontier.pop()
-            for u in inside - back:
-                if any(succ == t for _, succ in mdp.actions_of(u)):
-                    back.add(u)
-                    frontier.append(u)
-        if back != inside:
-            return s
-    return None
-
-
-def test_seed_check_matches_a_per_state_search():
-    rng = np.random.default_rng(17)
-    verdicts = {True: 0, False: 0}
-    for _ in range(400):
-        n = int(rng.integers(1, 10))
-        actions = [[(a, int(rng.integers(n))) for a in range(int(rng.integers(1, 4)))]
-                   for _ in range(n)]
-        mdp = Mdp(actions, DenseMetric(np.zeros((n, n))))
-        seed = rng.random(n) < rng.uniform(0.2, 1.0)
-        seed[rng.integers(n)] = True
-        expected = _first_unreachable_seed_state(mdp, seed)
-        verdicts[expected is None] += 1
-        cfg = ExplorerConfig("gp-direct", 1.0, 0.1, 10, seed)
-        if expected is None:
-            validate_config(mdp, cfg)
-        else:
-            needle = rf"\(state {expected} is unreachable from part of the seed\)"
-            with pytest.raises(ConfigError, match=needle):
-                validate_config(mdp, cfg)
-    assert min(verdicts.values()) > 50
-
-
-def test_whole_grid_seed_validates_in_linear_time():
-    aug = augment(grid_mdp(30, 30, 1.0), half_step=0.5)
-    cfg = ExplorerConfig("gp-direct", 1.0, 0.1, 10, np.ones(aug.num_states, dtype=bool))
-    start = time.perf_counter()
-    validate_config(aug, cfg)
-    assert time.perf_counter() - start < 1.0
 
 
 def test_environment_size_must_match_the_mdp():

@@ -460,7 +460,7 @@ def test_constant_beta_ignores_iteration():
 
 def test_beta_domain_errors():
     kernel = Kernel(MATERN52, 1.0, 1.0)
-    aug = augment(grid_mdp(2, 2, 1.0))
+    aug = augment(grid_mdp(2, 2, 1.0), half_step=0.5)
     cov = StationaryCovariance(kernel, np.arange(3.0))
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="beta"):

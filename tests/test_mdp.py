@@ -166,7 +166,7 @@ def test_manhattan_block_matches_pairwise_calls():
 
 def test_augment_counts_and_structure():
     base = grid_mdp(3, 3, 1.0)
-    aug = augment(base)
+    aug = augment(base, half_step=0.5)
     transitions = sum(len(base.actions_of(s)) for s in range(base.num_states))
     assert transitions == 33
     assert aug.num_base_states == 9
@@ -188,7 +188,7 @@ def test_augment_counts_and_structure():
 
 
 def test_augment_pairs():
-    aug = augment(grid_mdp(2, 2, 1.0))
+    aug = augment(grid_mdp(2, 2, 1.0), half_step=0.5)
     for s in range(aug.num_base_states):
         assert (aug.owner[s], aug.landing[s]) == (s, s)
         for label, mid in aug.actions_of(s):
@@ -201,7 +201,7 @@ def test_augment_pairs():
 
 def test_augmented_metric_values_on_a_grid():
     base = grid_mdp(3, 3, 2.0)
-    aug = augment(base)  # default half_step = half a cell = 1.0
+    aug = augment(base, half_step=1.0)  # half a cell
     assert aug.metric.half_step == 1.0
 
     def d(i, j):
@@ -227,15 +227,15 @@ def test_augmented_metric_values_on_a_grid():
 
 
 def test_augment_half_step_defaults():
-    assert augment(grid_mdp(2, 2, 3.0)).metric.half_step == 1.5
-    loops = Mdp([[(0, 0)], [(0, 1)]], DenseMetric([[0, 1], [1, 0]]))
-    assert augment(loops).metric.half_step == 0.5
-    # Off the grid: three points on a line at 0, 0.6 and 1.6; the shortest
-    # move, 0 -> 1, is 0.6 long.
+    # There is no default: the caller names the half-step.
+    with pytest.raises(TypeError):
+        augment(grid_mdp(2, 2, 1.0))
+    # Off the grid: three points on a line at 0, 0.6 and 1.6, with half of
+    # the shortest move, 0 -> 1, as the half-step.
     x = np.array([0.0, 0.6, 1.6])
     line = Mdp([[(0, 0), (1, 1)], [(0, 2), (1, 0)], [(0, 2)]],
                DenseMetric(np.abs(x[:, None] - x[None, :])))
-    aug = augment(line)
+    aug = augment(line, half_step=0.3)
     assert aug.metric.half_step == 0.3
     there = step(aug, 0, 1)  # 0 -> 1
     onward = step(aug, 1, 0)  # 1 -> 2
@@ -263,7 +263,7 @@ def test_paths_correspond_two_to_one(seed):
     # the matching action-states, replaying the same labels twice each.
     rng = np.random.default_rng(seed)
     base = grid_mdp(int(rng.integers(1, 4)), int(rng.integers(1, 4)), 1.0)
-    aug = augment(base)
+    aug = augment(base, half_step=0.5)
     path, acts = _random_base_walk(base, rng, int(rng.integers(1, 8)))
     pos = path[0]
     for label, nxt in zip(acts, path[1:]):

@@ -263,7 +263,7 @@ def test_seed_pocket_matches_brute_force_on_grids_with_nodata():
         rows, cols = (int(n) for n in rng.integers(1, 7, size=2))
         valid = rng.random(rows * cols) >= 0.2
         valid[rng.integers(rows * cols)] = True
-        aug = augment(grid_mdp(rows, cols, 1.0, valid=valid))
+        aug = augment(grid_mdp(rows, cols, 1.0, valid=valid), half_step=0.5)
         for cell in range(aug.num_base_states):
             got = seed_pocket(aug, cell)
             assert set(np.flatnonzero(got).tolist()) == brute_force_pocket(aug.base, cell)

@@ -1,16 +1,25 @@
-"""Behavioural contract: the CLI reproduces recorded artifacts of the README example.
+"""Behavioural contract: the CLI reproduces recorded artifacts.
 
-Every strategy runs under both observation models and both classifier modes
-on the README's 6x6 ``safemdp explore`` example, with noise seed 0.  The
-integer columns of ``trace.csv``, the whole of ``metrics.txt`` and the
+Every strategy runs under both observation models on
+
+- the README's 6x6 ``safemdp explore`` example, noise seed 0
+  (``golden/readme_example.json``), and
+- both ``perfbench/configs/smoke-explore-*.ini`` fixtures, noise seeds 0 and 1
+  (``golden/contract.json``).  The two differ only in their observation
+  model, so each runs under its own.
+
+The integer columns of ``trace.csv``, the whole of ``metrics.txt`` and the
 sha256 of ``snapshots.csv`` must match the goldens exactly.  Widths and
 observations must match within ``FLOAT_RTOL`` of each column's largest
 magnitude, because their last bits change with the BLAS thread count.
+``safemdp oracle`` must reproduce the sha256 of ``oracle.csv`` for all
+three configs (``golden/contract.json``).
 
 Re-record the goldens, only for a deliberate change of behaviour, with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import configparser
 import hashlib
 import json
 import math
@@ -21,11 +30,15 @@ import pytest
 from safemdp.cli import main
 from safemdp.explorer import STRATEGIES
 
-GOLDEN = Path(__file__).parent / "golden" / "readme_example.json"
+GOLDEN = Path(__file__).parent / "golden"
+README_GOLDEN = GOLDEN / "readme_example.json"
+CONTRACT_GOLDEN = GOLDEN / "contract.json"
+PERFBENCH_CONFIGS = Path(__file__).parents[1] / "perfbench" / "configs"
 
 FLOAT_RTOL = 1e-8
 
-#: The README's example config, with ``{placeholders}`` for the varied keys.
+#: The README's example config; each case sets its strategy, observation
+#: model and output directory.
 README_EXAMPLE = """\
 [terrain]
 source = synth
@@ -44,9 +57,6 @@ prior_std = 3.0
 noise_std = 0.075
 
 [explorer]
-strategy = {strategy}
-observation_model = {observation_model}
-mode = {mode}
 lipschitz = 0.2
 epsilon = 0.15
 max_iterations = 100
@@ -55,25 +65,62 @@ seed_col = 1
 seeds = 0
 
 [output]
-directory = {directory}
+directory = out
 """
 
-CASES = [(strategy, model, mode) for strategy in STRATEGIES
-         for model in ("difference", "heights") for mode in ("gp-direct", "lipschitz")]
+SMOKE_CONFIGS = ("smoke-explore-diff", "smoke-explore-heights")
+CONFIGS = {"readme-example": README_EXAMPLE,
+           **{name: (PERFBENCH_CONFIGS / f"{name}.ini").read_text() for name in SMOKE_CONFIGS}}
+SMOKE_SEEDS = (0, 1)
+
+MODELS = ("difference", "heights")
+RUNS = [(strategy, model) for strategy in STRATEGIES for model in MODELS]
+#: The README goldens were recorded when the classifier was a config
+#: choice; their keys and test ids keep the name of the one that is left.
+README_CASES = [pytest.param(strategy, model, id=f"{strategy}-{model}-gp-direct")
+                for strategy, model in RUNS]
+SMOKE_CASES = [(config, strategy) for config in SMOKE_CONFIGS for strategy in STRATEGIES]
 
 #: ``trace.csv`` columns compared exactly, and the float columns.
 INT_COLUMNS = ("t", "target", "path_length", "safe_size", "ergodic_size", "expander_size")
 FLOAT_COLUMNS = ("width", "observation")
 
 
-def run_case(tmp_path, strategy, model, mode) -> dict:
-    """Run one case through ``safemdp explore``; return what the goldens pin."""
+def _readme_key(strategy, model) -> str:
+    return f"{strategy}/{model}/gp-direct"
+
+
+def _smoke_key(config, strategy, seed) -> str:
+    return f"{config}/{strategy}/seed_{seed}"
+
+
+def _oracle_key(config) -> str:
+    return f"{config}/oracle.csv"
+
+
+def _run(tmp_path, command, config, seeds=None, **explorer) -> Path:
+    """Run ``safemdp command`` on ``config`` with the ``[explorer]`` keys
+    given; return the output directory."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read_string(CONFIGS[config])
+    parser["explorer"].update(explorer)
+    if seeds is not None:
+        parser["explorer"]["seeds"] = " ".join(map(str, seeds))
     out = tmp_path / "out"
-    config = tmp_path / "experiment.ini"
-    config.write_text(README_EXAMPLE.format(strategy=strategy, observation_model=model,
-                                            mode=mode, directory=out))
-    assert main(["explore", str(config)]) == 0
-    run_dir = out / "seed_0"
+    parser["output"]["directory"] = str(out)
+    path = tmp_path / "experiment.ini"
+    with open(path, "w") as handle:
+        parser.write(handle)
+    assert main([command, str(path)]) == 0
+    return out
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def pinned(run_dir: Path) -> dict:
+    """What the goldens pin of one seed's artifacts."""
     header, *rows = (line.split(",") for line in
                      (run_dir / "trace.csv").read_text().splitlines())
     columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
@@ -81,8 +128,25 @@ def run_case(tmp_path, strategy, model, mode) -> dict:
         "trace": [[int(v) for v in columns[name]] for name in INT_COLUMNS],
         **{name: [float(v) if v else None for v in columns[name]] for name in FLOAT_COLUMNS},
         "metrics": (run_dir / "metrics.txt").read_text(),
-        "snapshots_sha256": hashlib.sha256((run_dir / "snapshots.csv").read_bytes()).hexdigest(),
+        "snapshots_sha256": _sha256(run_dir / "snapshots.csv"),
     }
+
+
+def run_readme(tmp_path, strategy, model) -> dict:
+    out = _run(tmp_path, "explore", "readme-example", strategy=strategy,
+               observation_model=model)
+    return pinned(out / "seed_0")
+
+
+def run_smoke(tmp_path, config, strategy) -> dict:
+    """Every seed of one smoke case, by golden key."""
+    out = _run(tmp_path, "explore", config, SMOKE_SEEDS, strategy=strategy)
+    return {_smoke_key(config, strategy, seed): pinned(out / f"seed_{seed}")
+            for seed in SMOKE_SEEDS}
+
+
+def run_oracle(tmp_path, config) -> str:
+    return _sha256(_run(tmp_path, "oracle", config) / "oracle.csv")
 
 
 def _close(got, want) -> bool:
@@ -96,10 +160,7 @@ def _close(got, want) -> bool:
                for g, w in zip(got, want) if w is not None)
 
 
-@pytest.mark.parametrize("strategy,model,mode", CASES)
-def test_readme_example_reproduces_its_golden(tmp_path, strategy, model, mode):
-    want = json.loads(GOLDEN.read_text())[f"{strategy}/{model}/{mode}"]
-    got = run_case(tmp_path, strategy, model, mode)
+def assert_matches(got, want):
     assert got["metrics"] == want["metrics"]
     assert got["trace"] == want["trace"]
     assert got["snapshots_sha256"] == want["snapshots_sha256"]
@@ -107,14 +168,42 @@ def test_readme_example_reproduces_its_golden(tmp_path, strategy, model, mode):
         assert _close(got[name], want[name]), name
 
 
+@pytest.mark.parametrize("strategy,model", README_CASES)
+def test_readme_example_reproduces_its_golden(tmp_path, strategy, model):
+    want = json.loads(README_GOLDEN.read_text())[_readme_key(strategy, model)]
+    assert_matches(run_readme(tmp_path, strategy, model), want)
+
+
+@pytest.mark.parametrize("config,strategy", SMOKE_CASES)
+def test_smoke_config_reproduces_its_golden(tmp_path, config, strategy):
+    goldens = json.loads(CONTRACT_GOLDEN.read_text())
+    for key, got in run_smoke(tmp_path, config, strategy).items():
+        assert_matches(got, goldens[key])
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_oracle_reproduces_its_golden(tmp_path, config):
+    want = json.loads(CONTRACT_GOLDEN.read_text())[_oracle_key(config)]
+    assert run_oracle(tmp_path, config) == want
+
+
+def _write(path: Path, goldens: dict) -> None:
+    path.write_text("{\n" + ",\n".join(f"{json.dumps(key)}: {json.dumps(golden)}"
+                                        for key, golden in goldens.items()) + "\n}\n")
+    print(f"wrote {path}")
+
+
 if __name__ == "__main__":
     import tempfile
 
-    goldens = {}
-    for case in CASES:
+    def fresh(run, *args):
         with tempfile.TemporaryDirectory() as tmp:
-            goldens["/".join(case)] = run_case(Path(tmp), *case)
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text("{\n" + ",\n".join(f"{json.dumps(case)}: {json.dumps(golden)}"
-                                          for case, golden in goldens.items()) + "\n}\n")
-    print(f"wrote {GOLDEN}")
+            return run(Path(tmp), *args)
+
+    GOLDEN.mkdir(exist_ok=True)
+    _write(README_GOLDEN, {_readme_key(*case): fresh(run_readme, *case) for case in RUNS})
+    contract = {}
+    for case in SMOKE_CASES:
+        contract.update(fresh(run_smoke, *case))
+    contract.update({_oracle_key(config): fresh(run_oracle, config) for config in CONFIGS})
+    _write(CONTRACT_GOLDEN, contract)

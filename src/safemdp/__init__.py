@@ -35,7 +35,6 @@ from .mdp import (
 )
 from .reach import r_eps, r_eps_fixpoint, r_reach, r_ret_fixpoint, r_ret_one, r_safe_eps
 from .safeset import (
-    CLASSIFIER_MODES,
     ErgodicPreconditionError,
     SafeSets,
     acquisition_target,

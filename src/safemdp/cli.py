@@ -35,7 +35,6 @@ from .explorer import (
 )
 from .gp import Kernel, MATERN52, SQUARED_EXPONENTIAL
 from .reach import r_eps_fixpoint
-from .safeset import CLASSIFIER_MODES
 from .terrain import (
     CraterHill,
     CraterHillParams,
@@ -195,7 +194,8 @@ SCHEMA = (
     Field("explorer", "strategy", _choice(*STRATEGIES), "safemdp"),
     Field("explorer", "observation_model", _choice("difference", "heights"), "difference"),
     Field("explorer", "beta", _number(float, _POSITIVE), 2.0),
-    Field("explorer", "mode", _choice(*CLASSIFIER_MODES), "gp-direct"),
+    # One classifier is left; configs and manifests still name it.
+    Field("explorer", "mode", _choice("gp-direct"), "gp-direct"),
     Field("explorer", "lipschitz", _number(float, _NON_NEGATIVE), 1.0),
     Field("explorer", "epsilon", _number(float, _POSITIVE), 0.15),
     Field("explorer", "max_iterations", _number(int, _POSITIVE), 525),
@@ -221,12 +221,26 @@ class ExperimentConfig:
         return TerrainSafetySpec(self.conservative_slope_deg)
 
     @property
-    def crater(self) -> CraterHillParams:
-        return CraterHillParams(**{f.name: getattr(self, f.name) for f in fields(CraterHillParams)})
-
-    @property
     def gp_kernel(self) -> Kernel:
-        return Kernel(_KERNELS[self.kernel], self.lengthscale, self.prior_std)
+        return _gp_kernel(self)
+
+
+def _gp_kernel(values) -> Kernel:
+    return Kernel(_KERNELS[values.kernel], values.lengthscale, values.prior_std)
+
+
+def _synth_grid(values) -> TerrainGrid:
+    """The synthetic terrain ``values`` describe.  ``values`` holds the
+    ``[terrain]`` and ``[gp]`` keys as attributes: an
+    :class:`ExperimentConfig`, or the ``synth`` flags, which are named
+    after them."""
+    if values.kind == "gp-sample":
+        kind = GpSample(_gp_kernel(values), values.terrain_seed)
+    else:
+        params = CraterHillParams(**{f.name: getattr(values, f.name)
+                                     for f in fields(CraterHillParams)})
+        kind = CraterHill(params, values.terrain_seed)
+    return synth_terrain(kind, values.rows, values.cols, values.cell_size)
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -264,8 +278,6 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"unknown config field {section}.{key}")
 
     _check_cell_count(values["kind"], values["rows"], values["cols"], "terrain.rows/terrain.cols")
-    if values["mode"] == "lipschitz" and values["lipschitz"] == 0:
-        raise ConfigError("explorer.lipschitz: must be positive in lipschitz mode")
     return ExperimentConfig(**values)
 
 
@@ -289,11 +301,7 @@ def build_grid(cfg: ExperimentConfig) -> TerrainGrid:
         if grid.nodata_mask.all():
             raise ConfigError(f"terrain.dem_path: {cfg.dem_path!r} has no cells with data")
         return grid
-    if cfg.kind == "gp-sample":
-        kind = GpSample(cfg.gp_kernel, cfg.terrain_seed)
-    else:
-        kind = CraterHill(cfg.crater, cfg.terrain_seed)
-    return synth_terrain(kind, cfg.rows, cfg.cols, cfg.cell_size)
+    return _synth_grid(cfg)
 
 
 def _seed_mask(aug, grid, cfg):
@@ -318,9 +326,8 @@ def _band_model(cfg, aug, seed, threshold):
 
 def _explorer_config(cfg: ExperimentConfig, seed_mask) -> ExplorerConfig:
     return ExplorerConfig(
-        mode=cfg.mode, lipschitz=cfg.lipschitz,
-        epsilon=cfg.epsilon, max_iterations=cfg.max_iterations, seed_set=seed_mask,
-        measure_along_path=cfg.measure_along_path, max_steps=cfg.max_steps)
+        lipschitz=cfg.lipschitz, epsilon=cfg.epsilon, max_iterations=cfg.max_iterations,
+        seed_set=seed_mask, measure_along_path=cfg.measure_along_path, max_steps=cfg.max_steps)
 
 
 def resolve_output_dir(out_dir: str) -> Path:
@@ -459,14 +466,7 @@ def cmd_oracle(config_path: str) -> int:
 def cmd_synth(args) -> int:
     """Synthesize terrain from command-line flags and write an .asc file."""
     _check_cell_count(args.kind, args.rows, args.cols, "--rows/--cols")
-    if args.kind == "gp-sample":
-        kind = GpSample(Kernel(_KERNELS[args.kernel], args.lengthscale, args.prior_std),
-                        args.terrain_seed)
-    else:
-        params = CraterHillParams(**{f.name: getattr(args, f.name)
-                                     for f in fields(CraterHillParams)})
-        kind = CraterHill(params, args.terrain_seed)
-    grid = synth_terrain(kind, args.rows, args.cols, args.cell_size)
+    grid = _synth_grid(args)
     out = resolve_output_dir(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(dump_esri_ascii(grid))

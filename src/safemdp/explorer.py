@@ -22,7 +22,6 @@ from .mdp import Mdp
 from .planner import NoPathError, PathPlan, shortest_safe_path
 from .reach import r_reach, r_ret_fixpoint
 from .safeset import (
-    CLASSIFIER_MODES,
     SafeSets,
     acquisition_target,
     classify_safe,
@@ -88,14 +87,11 @@ class ExplorerConfig:
 
     ``seed_set`` is the boolean mask of states known safe a priori: the
     run's lower bands start at the environment's threshold there, and the
-    agent starts on its lowest id.  ``mode`` is one of
-    :data:`~safemdp.safeset.CLASSIFIER_MODES`, and ``lipschitz`` is the one
-    Lipschitz constant of the run: the classifier reads it in
-    ``lipschitz`` mode and the expander test in both.  ``epsilon`` is the
-    accuracy at which an expander counts as resolved.
+    agent starts on its lowest id.  ``lipschitz`` is the expander test's
+    Lipschitz constant.  ``epsilon`` is the accuracy at which an expander
+    counts as resolved.
     """
 
-    mode: str
     lipschitz: float
     epsilon: float
     max_iterations: int
@@ -180,10 +176,8 @@ def validate_config(mdp: Mdp, cfg: ExplorerConfig) -> None:
         raise ConfigError("epsilon must be positive")
     if cfg.max_iterations < 1:
         raise ConfigError("max_iterations must be at least 1")
-    if cfg.mode not in CLASSIFIER_MODES:
-        raise ConfigError(f"unknown mode {cfg.mode!r}; expected one of {CLASSIFIER_MODES}")
-    if not (cfg.lipschitz > 0 or cfg.lipschitz == 0 and cfg.mode == "gp-direct"):
-        raise ConfigError("lipschitz must be positive, or zero in gp-direct mode")
+    if not cfg.lipschitz >= 0:
+        raise ConfigError("lipschitz must be non-negative")
     if cfg.max_steps is not None and cfg.max_steps < 0:
         raise ConfigError("max_steps must be non-negative")
     for s in np.flatnonzero(seed):
@@ -328,13 +322,13 @@ class Strategy:
 
 
 def _classify(mdp, bands, prev_ergodic, threshold, cfg) -> SafeSets:
-    return compute_safe_sets(mdp, bands, prev_ergodic, threshold, cfg.mode, cfg.lipschitz)
+    return compute_safe_sets(mdp, bands, prev_ergodic, threshold, cfg.lipschitz)
 
 
 def _classify_without_returnability(mdp, bands, prev_ergodic, threshold, cfg) -> SafeSets:
     """Safe states one step from the previous ergodic set stand in for the
     ergodic set; nothing checks that the agent can come back from them."""
-    safe = classify_safe(mdp, bands, prev_ergodic, threshold, cfg.mode, cfg.lipschitz)
+    safe = classify_safe(bands, prev_ergodic, threshold)
     pseudo = safe & r_reach(mdp, prev_ergodic)
     mask, _ = expanders(mdp, pseudo, safe, bands, cfg.lipschitz, threshold)
     return SafeSets(safe, pseudo, mask)

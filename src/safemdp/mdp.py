@@ -33,6 +33,11 @@ class ManhattanMetric:
     def __init__(self, coords, cell_size: float):
         self.coords = np.asarray(coords, dtype=float)
         self.cell_size = float(cell_size)
+        # Each state's cell in the coordinates' bounding box, per axis.
+        cells = self.coords.astype(int)
+        cells -= cells.min(axis=0)
+        self._cells = tuple(cells.T)
+        self._box = tuple(cells.max(axis=0) + 1)
 
     def envelope(self, values, mask, lipschitz) -> np.ndarray:
         """Lipschitz envelope of ``values`` from the states in ``mask``
@@ -43,10 +48,8 @@ class ManhattanMetric:
         Box cells without a witness start at ``-inf``."""
         values = np.asarray(values, dtype=float)
         mask = np.asarray(mask, dtype=bool)
-        cells = self.coords.astype(int)
-        cells -= cells.min(axis=0)
-        box = np.full(tuple(cells.max(axis=0) + 1), -np.inf)
-        np.maximum.at(box, tuple(cells[mask].T), values[mask])
+        box = np.full(self._box, -np.inf)
+        np.maximum.at(box, tuple(index[mask] for index in self._cells), values[mask])
         step = lipschitz * self.cell_size
         for axis in range(box.ndim):
             shape = [1] * box.ndim
@@ -56,7 +59,7 @@ class ManhattanMetric:
             backward = np.flip(np.maximum.accumulate(np.flip(box - ramp, axis), axis=axis),
                                axis) + ramp
             box = np.maximum(forward, backward)
-        return box[tuple(cells.T)]
+        return box[self._cells]
 
 
 class AugmentedMetric:

@@ -14,18 +14,12 @@ import numpy as np
 
 from .gp import ConfidenceBands
 from .mdp import Mdp
-from .reach import r_reach, r_ret_fixpoint, r_safe_eps
+from .reach import r_reach, r_ret_fixpoint
 
 
 class ErgodicPreconditionError(ValueError):
     """The previous ergodic set escaped the safe set, which indicates the
     confidence bands collapsed upstream."""
-
-
-#: Classifier modes, named as the ``explorer.mode`` config key names them:
-#: ``gp-direct`` certifies a state by its own lower band, ``lipschitz`` by
-#: a Lipschitz argument from the previous ergodic set.
-CLASSIFIER_MODES = ("gp-direct", "lipschitz")
 
 
 @dataclass
@@ -46,23 +40,15 @@ class SafeSets:
             raise ValueError("expanders must be contained in the ergodic set")
 
 
-def classify_safe(mdp: Mdp, bands: ConfidenceBands, prev_ergodic, threshold: float,
-                  mode: str, lipschitz: float) -> np.ndarray:
-    """States currently believed safe.
-
-    In ``lipschitz`` mode a state qualifies when some previous ergodic
-    witness ``s'`` has ``lower(s') - lipschitz * d(s, s') >= threshold``:
-    this is the oracle's :func:`~safemdp.reach.r_safe_eps` over the lower
-    bands with ``eps = 0``.  In ``gp-direct`` mode its own lower band must
-    clear the threshold.  The previous ergodic set is kept safe in both
-    modes so that a noisy dip of a band can never shrink the safe set.
+def classify_safe(bands: ConfidenceBands, prev_ergodic, threshold: float) -> np.ndarray:
+    """States currently believed safe: those whose own lower band clears
+    the threshold.  The previous ergodic set stays safe, so that a noisy
+    dip of a band can never shrink the safe set.
     """
     prev_ergodic = np.asarray(prev_ergodic, dtype=bool)
     if not prev_ergodic.any():
         raise ValueError("prev_ergodic must not be empty")
-    if mode == "gp-direct":
-        return prev_ergodic | (bands.lower >= threshold)
-    return r_safe_eps(mdp, prev_ergodic, bands.lower, 0.0, lipschitz, threshold)
+    return prev_ergodic | (bands.lower >= threshold)
 
 
 def ergodic_safe(mdp: Mdp, safe, prev_ergodic) -> np.ndarray:
@@ -113,11 +99,10 @@ def acquisition_target(candidates, widths) -> int | None:
 
 
 def compute_safe_sets(mdp: Mdp, bands: ConfidenceBands, prev_ergodic, threshold: float,
-                      mode: str, lipschitz: float) -> SafeSets:
+                      lipschitz: float) -> SafeSets:
     """One full classification round, as used per exploration iteration;
-    ``lipschitz`` is the one constant of both the classifier and the
-    expanders."""
-    safe = classify_safe(mdp, bands, prev_ergodic, threshold, mode, lipschitz)
+    ``lipschitz`` is the expander test's constant."""
+    safe = classify_safe(bands, prev_ergodic, threshold)
     ergodic = ergodic_safe(mdp, safe, prev_ergodic)
     mask, _ = expanders(mdp, ergodic, safe, bands, lipschitz, threshold)
     return SafeSets(safe, ergodic, mask)

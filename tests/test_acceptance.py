@@ -51,7 +51,7 @@ from safemdp.reach import (
     r_ret_one,
     r_safe_eps,
 )
-from safemdp.safeset import classify_safe, compute_safe_sets, expanders
+from safemdp.safeset import compute_safe_sets, expanders
 from safemdp.terrain import (
     CraterHill,
     CraterHillParams,
@@ -103,8 +103,7 @@ def terrain_setup(params, rows, cols, seed, *, noise=0.075, start=(1, 1)):
 
 def run_strategy(aug, env, mask, kern, strategy, budget, *, eps=0.15, noise=0.075):
     bands = difference_band_model(aug, kern, noise, 2.0)
-    cfg = ExplorerConfig(mode="gp-direct", lipschitz=0.2, epsilon=eps,
-                         max_iterations=budget, seed_set=mask)
+    cfg = ExplorerConfig(lipschitz=0.2, epsilon=eps, max_iterations=budget, seed_set=mask)
     if strategy == "safemdp":
         return run_safemdp(aug, env, cfg, bands)
     return run_baseline(strategy, aug, env, cfg, bands)
@@ -306,7 +305,7 @@ def random_grid(rng, cell_size):
 def test_envelope_matches_bruteforce(capsys):
     """The grid and augmented-grid envelopes (distance transforms, not
     blocks), and the ``Mdp.distances`` derived from them, against the
-    metrics' dense formulas in ``oracles.dense_distances``; and the three
+    metrics' dense formulas in ``oracles.dense_distances``; and the two
     operators built on the envelopes against python-set brute force over
     that dense block."""
     rng = np.random.default_rng(8)
@@ -339,9 +338,6 @@ def test_envelope_matches_bruteforce(capsys):
         mismatches += to_set(r_safe_eps(mdp, witnesses, values, eps, lip, h)) != bf_safe(
             mdp, dist, base, values, eps, lip, h)
         bands = ConfidenceBands(values, values + rng.uniform(0, 2, size=n))
-        if base:  # classify_safe needs a witness
-            got_safe = classify_safe(mdp, bands, witnesses, h, "lipschitz", lip)
-            mismatches += to_set(got_safe) != bf_safe(mdp, dist, base, bands.lower, 0.0, lip, h)
         safe = witnesses | (rng.random(n) < 0.5)
         ergodic = safe & (rng.random(n) < 0.7)
         got_exp, nearest = expanders(mdp, ergodic, safe, bands, lip, h)
@@ -359,7 +355,7 @@ def test_envelope_matches_bruteforce(capsys):
 
 
 def test_operators_need_no_quadratic_memory(capsys):
-    """Both oracle fixpoints and a Lipschitz-mode classification round on
+    """Both oracle fixpoints and a classification round on
     an augmented 30x30 grid (N=5280), where one dense witness block would
     take up to 223 MB."""
     grid = grid_mdp(30, 30, 1.0)
@@ -375,7 +371,7 @@ def test_operators_need_no_quadratic_memory(capsys):
     tracemalloc.start()
     try:
         grown = r_eps_fixpoint(aug, seed, r, 0.05, 0.2, -0.5)
-        sets = compute_safe_sets(aug, bands, upper_half, -0.5, "lipschitz", 0.2)
+        sets = compute_safe_sets(aug, bands, upper_half, -0.5, 0.2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -598,27 +594,36 @@ def test_strategy_comparison_on_shared_fixtures(capsys):
         unsafe = run_strategy(aug, env, mask, KERN_LOCAL, "unsafe", 120)
         unsafe_violations += unsafe.terminal_reason == REASON_VIOLATION
 
-    stuck_or_low = 0
+    # The trapdoor: the baseline that skips the returnability check walks
+    # into the lure's antechamber and strands itself; the full algorithm
+    # never enters it.
+    stuck_or_low, sm_lured = 0, 0
     mdp, coords, seed_mask, r = trapdoor_mdp()
+    cfg = ExplorerConfig(0.25, 0.05, 30, seed_mask)
+    benchmark = r_eps_fixpoint(mdp, seed_mask, r, 0.05, cfg.lipschitz, 0.0)
     for seed in range(20):
-        env = Environment(r, 0.0, 1e-3, seed)
-        cov = StationaryCovariance(Kernel("matern52", 1.0, 1.0), coords)
-        bands = GpBandModel(GpModel(cov, 1e-3), 4.0)
-        cfg = ExplorerConfig("lipschitz", 0.5, 0.05, 30, seed_mask)
-        trace = run_baseline("non_ergodic", mdp, env, cfg, bands)
-        benchmark = r_eps_fixpoint(mdp, seed_mask, r, 0.05, 0.5, 0.0)
+        traces = {}
+        for strategy in ("non_ergodic", "safemdp"):
+            env = Environment(r, 0.0, 1e-3, seed)
+            cov = StationaryCovariance(Kernel("matern52", 4.0, 1.0), coords)
+            bands = GpBandModel(GpModel(cov, 1e-3), 4.0)
+            traces[strategy] = run_baseline(strategy, mdp, env, cfg, bands)
+        trace = traces["non_ergodic"]
         frac = float((trace.final_sets.ergodic & benchmark).sum() / benchmark.sum())
         stuck_or_low += trace.terminal_reason == REASON_STUCK or frac < 0.2
+        sm_lured += bool({1, 2} & {s for rec in traces["safemdp"].records
+                                   for s in rec.path.states})
 
     sm_med = statistics.median(sm_cov)
     ne_med = statistics.median(ne_cov)
     elapsed = time.time() - t0
     ok = (sm_med >= 0.7 and ne_med < sm_med and unsafe_violations >= 16
-          and stuck_or_low >= 16 and elapsed < 600.0)
+          and stuck_or_low >= 16 and sm_lured == 0 and elapsed < 600.0)
     verdict(capsys, "strategy separation", ok,
             f"coverage medians {sm_med:.3f} (full) vs {ne_med:.3f} (no expanders), "
             f"unsafe violated {unsafe_violations}/20, "
-            f"non-ergodic stuck-or-lost {stuck_or_low}/20, {elapsed:.0f}s (< 600s)")
+            f"non-ergodic stuck-or-lost {stuck_or_low}/20, "
+            f"full algorithm lured {sm_lured}/20, {elapsed:.0f}s (< 600s)")
 
 
 # ---------------------------------------------------------------------------

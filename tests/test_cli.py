@@ -104,8 +104,9 @@ def test_bad_values_name_their_field(tmp_path, capsys):
         ({"safety.conservative_slope_deg": "95"}, "safety.conservative_slope_deg"),
         # The one slope is the conservative one; a second is an unknown key.
         ({"safety.max_slope_deg": "30"}, "unknown config field safety.max_slope_deg"),
-        ({"explorer.mode": "lipschitz", "explorer.lipschitz": "-1"}, "explorer.lipschitz"),
-        ({"explorer.mode": "lipschitz", "explorer.lipschitz": "0"}, "explorer.lipschitz"),
+        # One classifier is left; the key still names it.
+        ({"explorer.mode": "lipschitz"}, "explorer.mode"),
+        ({"explorer.lipschitz": "-1"}, "explorer.lipschitz"),
         ({"terrain.crater_depth": "4.0", "terrain.crater_radius": "0"},
          "terrain.crater_radius"),
         ({"terrain.hill_height": "2.0", "terrain.hill_radius": "0"}, "terrain.hill_radius"),

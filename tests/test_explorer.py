@@ -26,7 +26,9 @@ from safemdp.terrain import build_terrain_environment
 from oracles import step
 
 
-def band_model(coords, *, noise=1e-3, ell=2.0, b=4.0):
+def band_model(coords, *, noise=1e-3, ell=3.0, b=4.0):
+    """GP band model over ``coords``; the default length scale is the
+    meadow's, at which its neighbours' own bands certify them."""
     cov = StationaryCovariance(Kernel("matern52", ell, 1.0), coords)
     return GpBandModel(GpModel(cov, noise), b)
 
@@ -36,7 +38,7 @@ def meadow():
     mdp = grid_mdp(3, 3, 1.0)
     seed = np.zeros(9, bool)
     seed[4] = True
-    cfg = ExplorerConfig("lipschitz", 0.5, 0.1, 50, seed)
+    cfg = ExplorerConfig(0.5, 0.1, 50, seed)
     return mdp, seed, cfg
 
 
@@ -46,7 +48,7 @@ def wall():
     seed = np.zeros(9, bool)
     seed[4] = True
     r = np.where(np.arange(9) == 4, 1.0, -1.0)
-    cfg = ExplorerConfig("gp-direct", 1.0, 0.1, 30, seed)
+    cfg = ExplorerConfig(1.0, 0.1, 30, seed)
     return mdp, seed, r, cfg
 
 
@@ -54,8 +56,8 @@ def trapdoor():
     """State 1 looks attractive but its only exit leads into unsafe ground.
 
     State 2 (the lure) is close enough to states 1 and 3 that their upper
-    bands keep certifying it, yet too far from any witness to ever be
-    classified safe itself.
+    bands keep certifying it, yet too far from the measured states for its
+    own lower band ever to clear the threshold.
     """
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [-1.0, 0.0]])
     actions = [
@@ -68,7 +70,7 @@ def trapdoor():
     seed = np.zeros(4, bool)
     seed[0] = True
     r = np.array([1.0, 1.0, -5.0, 1.0])
-    cfg = ExplorerConfig("lipschitz", 0.5, 0.05, 30, seed)
+    cfg = ExplorerConfig(0.25, 0.05, 30, seed)
     return mdp, coords, seed, r, cfg
 
 
@@ -106,7 +108,7 @@ def test_safety_check_is_inclusive_at_the_threshold():
 def test_config_validation_errors():
     mdp = grid_mdp(1, 3, 1.0)
     seed = np.array([True, False, False])
-    good = ExplorerConfig("gp-direct", 1.0, 0.1, 10, seed)
+    good = ExplorerConfig(1.0, 0.1, 10, seed)
     env = Environment(np.ones(3), 0.0, 0.1, 1)
 
     def run_with(**changes):
@@ -124,10 +126,8 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         run_with(lipschitz=-1.0)
     with pytest.raises(ConfigError):
-        run_with(mode="lipschitz", lipschitz=0.0)
-    with pytest.raises(ConfigError):
-        run_with(mode="lipshitz")
-    run_with(lipschitz=0.0)  # zero is allowed where only the expanders read it
+        run_with(lipschitz=float("nan"))
+    run_with(lipschitz=0.0)
     with pytest.raises(ConfigError):
         run_with(max_steps=-1)
     # Seed states 0 and 2 cannot reach each other without crossing the
@@ -168,7 +168,7 @@ def test_meadow_is_fully_explored_without_violation():
 def test_wall_keeps_the_agent_home():
     mdp, seed, r, cfg = wall()
     env = Environment(r, 0.0, 1e-3, 7)
-    trace = run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords))
+    trace = run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords, ell=2.0))
     assert trace.terminal_reason == REASON_CONVERGED
     assert trace.violation_step is None
     assert trace.agent_steps == 0
@@ -178,7 +178,7 @@ def test_wall_keeps_the_agent_home():
 def test_everything_already_safe_terminates_immediately():
     mdp = grid_mdp(2, 2, 1.0)
     seed = np.ones(4, bool)
-    cfg = ExplorerConfig("gp-direct", 1.0, 0.1, 10, seed)
+    cfg = ExplorerConfig(1.0, 0.1, 10, seed)
     env = Environment(np.ones(4), 0.0, 1e-3, 5)
     trace = run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords))
     assert trace.terminal_reason == REASON_EXPANDERS_EMPTY
@@ -218,8 +218,8 @@ def test_unsafe_seed_state_is_a_config_error():
 
 
 def test_max_steps_cuts_the_run_short():
-    # True value 1.2 keeps the Lipschitz certificate clear of the exact
-    # d = 1 boundary, so the second target is a neighbour one hop away.
+    # True value 1.2 keeps the expander test clear of the exact d = 1
+    # boundary, so the second target is a neighbour one hop away.
     mdp, seed, cfg = meadow()
     cfg = ExplorerConfig(**{**cfg.__dict__, "lipschitz": 1.0, "max_steps": 1})
     env = Environment(np.full(9, 1.2), 0.0, 1e-3, 11)
@@ -312,7 +312,7 @@ def test_no_expanders_baseline_keeps_sampling_when_nothing_is_outside():
     # while the width-over-ergodic baseline keeps measuring until converged.
     mdp = grid_mdp(2, 2, 1.0)
     seed = np.ones(4, bool)
-    cfg = ExplorerConfig("gp-direct", 1.0, 0.1, 25, seed)
+    cfg = ExplorerConfig(1.0, 0.1, 25, seed)
     env = Environment(np.ones(4), 0.0, 1e-3, 5)
     trace = run_baseline("no_expanders", mdp, env, cfg, band_model(mdp.metric.coords))
     assert trace.terminal_reason == REASON_CONVERGED
@@ -322,7 +322,7 @@ def test_no_expanders_baseline_keeps_sampling_when_nothing_is_outside():
 def test_unsafe_baseline_marches_into_the_wall():
     mdp, seed, r, cfg = wall()
     env = Environment(r, 0.0, 1e-3, 7)
-    trace = run_baseline("unsafe", mdp, env, cfg, band_model(mdp.metric.coords))
+    trace = run_baseline("unsafe", mdp, env, cfg, band_model(mdp.metric.coords, ell=2.0))
     assert trace.terminal_reason == REASON_VIOLATION
     assert trace.violation_step == 1
     assert np.isnan(trace.records[-1].observation)
@@ -332,7 +332,7 @@ def test_non_ergodic_baseline_gets_stuck_in_the_trapdoor():
     mdp, coords, seed, r, cfg = trapdoor()
     env = Environment(r, 0.0, 1e-3, 3)
     trace = run_baseline("non_ergodic", mdp, env, cfg,
-                         band_model(coords, ell=1.0))
+                         band_model(coords, ell=4.0))
     assert trace.terminal_reason == REASON_STUCK
     assert 1 in {s for rec in trace.records for s in rec.path.states}
     assert trace.violation_step is None
@@ -341,8 +341,11 @@ def test_non_ergodic_baseline_gets_stuck_in_the_trapdoor():
 def test_safemdp_avoids_the_trapdoor_entirely():
     mdp, coords, seed, r, cfg = trapdoor()
     env = Environment(r, 0.0, 1e-3, 3)
-    trace = run_safemdp(mdp, env, cfg, band_model(coords, ell=1.0))
-    assert trace.terminal_reason == REASON_EXPANDERS_EMPTY
+    trace = run_safemdp(mdp, env, cfg, band_model(coords, ell=4.0))
+    assert trace.terminal_reason == REASON_CONVERGED
     visited = {s for rec in trace.records for s in rec.path.states}
     assert 1 not in visited and 2 not in visited
     assert trace.violation_step is None
+    # State 1's own band certifies it, but the returnability check keeps it
+    # out of the ergodic set.
+    assert trace.final_sets.safe[1] and not trace.final_sets.ergodic[1]

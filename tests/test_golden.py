@@ -98,14 +98,12 @@ def _oracle_key(config) -> str:
     return f"{config}/oracle.csv"
 
 
-def _run(tmp_path, command, config, seeds=None, **explorer) -> Path:
+def _run(tmp_path, command, config, **explorer) -> Path:
     """Run ``safemdp command`` on ``config`` with the ``[explorer]`` keys
     given; return the output directory."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.read_string(CONFIGS[config])
     parser["explorer"].update(explorer)
-    if seeds is not None:
-        parser["explorer"]["seeds"] = " ".join(map(str, seeds))
     out = tmp_path / "out"
     parser["output"]["directory"] = str(out)
     path = tmp_path / "experiment.ini"
@@ -140,7 +138,8 @@ def run_readme(tmp_path, strategy, model) -> dict:
 
 def run_smoke(tmp_path, config, strategy) -> dict:
     """Every seed of one smoke case, by golden key."""
-    out = _run(tmp_path, "explore", config, SMOKE_SEEDS, strategy=strategy)
+    out = _run(tmp_path, "explore", config, strategy=strategy,
+               seeds=" ".join(map(str, SMOKE_SEEDS)))
     return {_smoke_key(config, strategy, seed): pinned(out / f"seed_{seed}")
             for seed in SMOKE_SEEDS}
 

@@ -37,81 +37,39 @@ def mask(n, members):
 # classification
 
 
-def test_lipschitz_witness_certifies_a_neighbour():
-    mdp = grid_mdp(1, 3, 1.0)
-    h = -0.5
-    bands = bands_of([h + 2.0, -10.0, -10.0], [h + 3.0, 0.0, 0.0])
-    # l(s0) - L*d = h+2-1.25 >= h certifies the neighbour; at distance 2 the
-    # margin h+2-2.5 falls short.
-    safe = classify_safe(mdp, bands, mask(3, {0}), h, "lipschitz", 1.25)
-    np.testing.assert_array_equal(safe, [True, True, False])
-
-
 def test_dipped_witness_keeps_only_the_previous_set():
-    # The sole witness's lower band sits just below the threshold: nothing
-    # new is certified, and the previous ergodic set is retained rather than
-    # letting the safe set shrink to nothing.
-    mdp = grid_mdp(1, 3, 1.0)
+    # The sole previous ergodic state's lower band dips just below the
+    # threshold: nothing new is certified, and the previous ergodic set is
+    # retained rather than letting the safe set shrink to nothing.
     h = 0.0
     bands = bands_of([h - 0.01, -5.0, -5.0], [1.0, 1.0, 1.0])
-    safe = classify_safe(mdp, bands, mask(3, {0}), h, "lipschitz", 1.0)
+    safe = classify_safe(bands, mask(3, {0}), h)
     np.testing.assert_array_equal(safe, [True, False, False])
 
 
 def test_direct_mode_reads_each_lower_band():
-    mdp = grid_mdp(1, 4, 1.0)
     h = 0.2
     bands = bands_of([h - 1.0, h, h + 0.3, h - 0.1], [2.0, 2.0, 2.0, 2.0])
-    safe = classify_safe(mdp, bands, mask(4, {0}), h, "gp-direct", 0.0)
+    safe = classify_safe(bands, mask(4, {0}), h)
     # Own band decides (inclusive >=); the previous set stays regardless.
     np.testing.assert_array_equal(safe, [True, True, True, False])
 
 
 def test_classify_requires_a_nonempty_previous_set():
-    mdp = grid_mdp(1, 2, 1.0)
     with pytest.raises(ValueError):
-        classify_safe(mdp, bands_of([0, 0], [1, 1]), mask(2, set()), 0.0, "gp-direct", 0.0)
+        classify_safe(bands_of([0, 0], [1, 1]), mask(2, set()), 0.0)
 
 
 def test_classify_matches_bruteforce_double_loop():
     rng = np.random.default_rng(5)
-    mdp = grid_mdp(4, 4, 1.0)
-    n = mdp.num_states
-    dist = dense_distances(mdp, np.arange(n), np.arange(n))
+    n = 16
     for _ in range(60):
         h = float(rng.normal(scale=0.5))
         bands = random_bands(rng, n, h)
         prev = mask(n, set(rng.choice(n, size=int(rng.integers(1, 6)), replace=False).tolist()))
-        lip = float(rng.uniform(0.05, 1.5))
-
-        got = classify_safe(mdp, bands, prev, h, "lipschitz", lip)
-        expected = set(np.flatnonzero(prev).tolist())
-        for s in range(n):
-            for w in np.flatnonzero(prev):
-                if bands.lower[w] - lip * dist[s, w] >= h:
-                    expected.add(s)
+        got = classify_safe(bands, prev, h)
+        expected = {s for s in range(n) if prev[s] or bands.lower[s] >= h}
         assert set(np.flatnonzero(got).tolist()) == expected
-
-        got = classify_safe(mdp, bands, prev, h, "gp-direct", 0.0)
-        direct = set(np.flatnonzero(prev).tolist()) | set(
-            np.flatnonzero(bands.lower >= h).tolist()
-        )
-        assert set(np.flatnonzero(got).tolist()) == direct
-
-
-def test_lipschitz_mode_is_contained_in_direct_mode_when_bands_clear_threshold():
-    # When every state's own lower band clears h, direct mode certifies all
-    # of them, so any Lipschitz-certified set is contained in it.
-    rng = np.random.default_rng(9)
-    mdp = grid_mdp(3, 3, 1.0)
-    h = -0.3
-    lower = h + rng.uniform(0.0, 2.0, size=9)
-    bands = ConfidenceBands(lower, lower + 1.0)
-    prev = mask(9, {4})
-    lipschitz = classify_safe(mdp, bands, prev, h, "lipschitz", 0.7)
-    direct = classify_safe(mdp, bands, prev, h, "gp-direct", 0.0)
-    assert not (lipschitz & ~direct).any()
-    assert direct.all()
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +226,7 @@ def test_compute_safe_sets_nesting_on_random_instances():
         h = float(rng.normal(scale=0.4))
         bands = random_bands(rng, mdp.num_states, h)
         prev = mask(16, {int(rng.integers(16))})
-        if rng.random() < 0.5:
-            mode, lip = "lipschitz", float(rng.uniform(0.1, 1.0))
-        else:
-            mode, lip = "gp-direct", 0.5
-        sets = compute_safe_sets(mdp, bands, prev, h, mode, lip)
+        sets = compute_safe_sets(mdp, bands, prev, h, float(rng.uniform(0.0, 1.0)))
         assert not (sets.ergodic & ~sets.safe).any()
         assert not (sets.expanders & ~sets.ergodic).any()
 
@@ -292,7 +246,7 @@ def test_safe_and_ergodic_sets_grow_under_monotone_bands():
     for _ in range(12):
         lift = rng.uniform(0.0, 0.35, size=16)
         bands = ConfidenceBands(bands.lower + lift, bands.upper - rng.uniform(0, 0.1, size=16))
-        sets = compute_safe_sets(mdp, bands, prev, h, "lipschitz", 1.0)
+        sets = compute_safe_sets(mdp, bands, prev, h, 1.0)
         assert not (prev_safe & ~sets.safe).any()
         assert not (prev & ~sets.ergodic).any()
         prev, prev_safe = sets.ergodic, sets.safe

@@ -131,15 +131,6 @@ def _text(name, text):
     return text
 
 
-def _bool(name, text):
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{name}: expected a boolean, got {text!r}")
-
-
 def _choice(*options):
     def parse(name, text):
         if text not in options:
@@ -199,11 +190,9 @@ SCHEMA = (
     Field("explorer", "lipschitz", _number(float, _NON_NEGATIVE), 1.0),
     Field("explorer", "epsilon", _number(float, _POSITIVE), 0.15),
     Field("explorer", "max_iterations", _number(int, _POSITIVE), 525),
-    Field("explorer", "measure_along_path", _bool, False),
     Field("explorer", "seed_row", _number(int)),
     Field("explorer", "seed_col", _number(int)),
     Field("explorer", "seeds", _seeds, (0,)),
-    Field("explorer", "max_steps", _number(int, _NON_NEGATIVE), None),
     Field("output", "directory", _text),
 )
 
@@ -327,7 +316,7 @@ def _band_model(cfg, aug, seed, threshold):
 def _explorer_config(cfg: ExperimentConfig, seed_mask) -> ExplorerConfig:
     return ExplorerConfig(
         lipschitz=cfg.lipschitz, epsilon=cfg.epsilon, max_iterations=cfg.max_iterations,
-        seed_set=seed_mask, measure_along_path=cfg.measure_along_path, max_steps=cfg.max_steps)
+        seed_set=seed_mask)
 
 
 def resolve_output_dir(out_dir: str) -> Path:
@@ -403,7 +392,7 @@ def write_manifest(cfg: ExperimentConfig, seed: int, path: Path) -> None:
             continue
         if not out.has_section(field.section):
             out.add_section(field.section)
-        out[field.section][field.key] = str(value).lower() if isinstance(value, bool) else _fmt(value)
+        out[field.section][field.key] = _fmt(value)
     with open(path, "w") as handle:
         out.write(handle)
 

@@ -4,7 +4,7 @@ The explorer repeatedly tightens GP confidence bands, classifies the safe /
 ergodic / expander sets, walks to the most uncertain expander along a path
 inside the ergodic set, and measures the safety feature there.  It stops
 when the expanders run out, when their uncertainty falls below ``epsilon``,
-or when iteration limits are hit.  A simulated :class:`Environment` supplies
+or when the iteration cap is hit.  A simulated :class:`Environment` supplies
 noisy measurements and checks — independently of what the agent believes —
 that no truly unsafe state is ever visited.
 """
@@ -96,8 +96,6 @@ class ExplorerConfig:
     epsilon: float
     max_iterations: int
     seed_set: np.ndarray
-    measure_along_path: bool = False
-    max_steps: int | None = None
 
 
 class GpBandModel:
@@ -178,8 +176,6 @@ def validate_config(mdp: Mdp, cfg: ExplorerConfig) -> None:
         raise ConfigError("max_iterations must be at least 1")
     if not cfg.lipschitz >= 0:
         raise ConfigError("lipschitz must be non-negative")
-    if cfg.max_steps is not None and cfg.max_steps < 0:
-        raise ConfigError("max_steps must be non-negative")
     for s in np.flatnonzero(seed):
         target = np.zeros(mdp.num_states, dtype=bool)
         target[s] = True
@@ -261,26 +257,15 @@ def _run(mdp, env, cfg, band_model, name):
             if not env.is_safe(current):
                 violation_step = steps
                 break
-            if cfg.measure_along_path and current != target:
-                band_model.measure(env, current)
-            if cfg.max_steps is not None and steps >= cfg.max_steps and current != target:
-                break
-        if violation_step is None and current == target:
+        else:
             observation = band_model.measure(env, target)
         records.append(IterationRecord(t, target, width_at_target, plan, observation, sets))
 
         if violation_step is not None:
             reason = REASON_VIOLATION
             break
-        if current != target:
-            # max_steps expired mid-path.
-            reason = REASON_MAX_ITERATIONS
-            break
         if strategy.converges and width_at_target <= cfg.epsilon:
             reason = REASON_CONVERGED
-            break
-        if cfg.max_steps is not None and steps >= cfg.max_steps:
-            reason = REASON_MAX_ITERATIONS
             break
 
     if reason != REASON_VIOLATION and final_sets is not None:

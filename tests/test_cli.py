@@ -104,6 +104,11 @@ def test_bad_values_name_their_field(tmp_path, capsys):
         ({"safety.conservative_slope_deg": "95"}, "safety.conservative_slope_deg"),
         # The one slope is the conservative one; a second is an unknown key.
         ({"safety.max_slope_deg": "30"}, "unknown config field safety.max_slope_deg"),
+        # The iteration cap is the one budget, and the target the one
+        # measured state.
+        ({"explorer.max_steps": "9"}, "unknown config field explorer.max_steps"),
+        ({"explorer.measure_along_path": "yes"},
+         "unknown config field explorer.measure_along_path"),
         # One classifier is left; the key still names it.
         ({"explorer.mode": "lipschitz"}, "explorer.mode"),
         ({"explorer.lipschitz": "-1"}, "explorer.lipschitz"),
@@ -130,9 +135,8 @@ def test_manifest_reparses_to_the_run_config(tmp_path):
     asc = tmp_path / "terrain.asc"
     assert main(["synth", "--rows", "4", "--cols", "4", "--out", str(asc)]) == 0
     configs = {
-        "crater-hill": {"terrain.crater_depth": "3.0", "explorer.max_steps": "9"},
-        "gp-sample": {"terrain.kind": "gp-sample", "explorer.strategy": "no_expanders",
-                      "explorer.measure_along_path": "yes"},
+        "crater-hill": {"terrain.crater_depth": "3.0"},
+        "gp-sample": {"terrain.kind": "gp-sample", "explorer.strategy": "no_expanders"},
         "dem": {"terrain.source": "dem", "terrain.kind": None, "terrain.rows": None,
                 "terrain.cols": None, "terrain.cell_size": None,
                 "terrain.dem_path": str(asc)},

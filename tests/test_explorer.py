@@ -128,8 +128,6 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         run_with(lipschitz=float("nan"))
     run_with(lipschitz=0.0)
-    with pytest.raises(ConfigError):
-        run_with(max_steps=-1)
     # Seed states 0 and 2 cannot reach each other without crossing the
     # non-seed state in between.
     with pytest.raises(ConfigError):
@@ -217,17 +215,6 @@ def test_unsafe_seed_state_is_a_config_error():
                     cli._band_model(xcfg, aug, pocket, env.threshold))
 
 
-def test_max_steps_cuts_the_run_short():
-    # True value 1.2 keeps the expander test clear of the exact d = 1
-    # boundary, so the second target is a neighbour one hop away.
-    mdp, seed, cfg = meadow()
-    cfg = ExplorerConfig(**{**cfg.__dict__, "lipschitz": 1.0, "max_steps": 1})
-    env = Environment(np.full(9, 1.2), 0.0, 1e-3, 11)
-    trace = run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords))
-    assert trace.terminal_reason == REASON_MAX_ITERATIONS
-    assert trace.agent_steps == 1
-
-
 def test_identical_seeds_reproduce_the_trace_bitwise():
     mdp, seed, cfg = meadow()
     runs = []
@@ -248,18 +235,12 @@ def test_identical_seeds_reproduce_the_trace_bitwise():
         assert getattr(a.final_bands, name).tobytes() == getattr(b.final_bands, name).tobytes()
 
 
-def test_measurements_happen_only_at_targets_by_default():
+def test_measurements_happen_only_at_targets():
     mdp, seed, cfg = meadow()
     env = Environment(np.ones(9), 0.0, 1e-3, 11)
     bm = band_model(mdp.metric.coords)
     trace = run_safemdp(mdp, env, cfg, bm)
     assert bm.gp.num_observations == trace.iterations
-
-    cfg = ExplorerConfig(**{**cfg.__dict__, "measure_along_path": True})
-    env = Environment(np.ones(9), 0.0, 1e-3, 11)
-    bm = band_model(mdp.metric.coords)
-    trace = run_safemdp(mdp, env, cfg, bm)
-    assert bm.gp.num_observations > trace.iterations
 
 
 def test_snapshots_keep_growing_and_stay_nested():
@@ -295,9 +276,9 @@ def test_random_baseline_on_safe_ground_never_violates():
         assert step(mdp, rec.path.states[0], rec.path.actions[0]) == rec.path.states[1]
 
 
-def test_random_baseline_respects_max_steps_and_reproduces():
+def test_random_baseline_respects_max_iterations_and_reproduces():
     mdp, seed, cfg = meadow()
-    cfg = ExplorerConfig(**{**cfg.__dict__, "max_steps": 5})
+    cfg = ExplorerConfig(**{**cfg.__dict__, "max_iterations": 5})
     paths = []
     for _ in range(2):
         env = Environment(np.ones(9), 0.0, 1e-3, 29)

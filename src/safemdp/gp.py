@@ -3,9 +3,10 @@
 This module provides the statistical machinery used to estimate the unknown
 safety feature: stationary kernels evaluated on distances (each kernel row
 once, memoized per observed point), an exact GP posterior with incremental
-Cholesky updates, and monotonically intersected confidence bands.  The bands
-belong to the exploration run, which starts them with :func:`initial_bands`
-and hands them to its band model to tighten with :func:`update_bands`.
+Cholesky updates (one covariance row per distinct observed point, none for
+zero-variance states), and monotonically intersected confidence bands.  The
+exploration run owns the bands: it starts them with :func:`initial_bands`,
+and its band model tightens them with :func:`update_bands`.
 """
 
 from __future__ import annotations
@@ -192,7 +193,10 @@ class GpModel:
     scratch every :data:`REBUILD_PERIOD` updates.  The prior (co)variances
     that ``posterior`` and ``posterior_cov_pairs`` start from never change,
     so each is evaluated once per model for each id sequence asked about:
-    the band models ask about the same states on every advance.
+    the band models ask about the same states on every advance.  Both build
+    one cross-covariance row per distinct observed point, and ``posterior``
+    gives ids of zero prior variance, which covary with no point under a PSD
+    kernel, mean and variance 0.0 without solving for them.
 
     Parameters
     ----------
@@ -223,6 +227,8 @@ class GpModel:
         values = np.asarray(values, dtype=float)
         if len(points) != len(values):
             raise ValueError("points and values must have equal length")
+        if not np.isfinite(values).all():
+            raise ValueError("observed values must be finite")
         model = cls(cov, noise_std)
         if points:
             model._refactorize(points, values)
@@ -247,12 +253,15 @@ class GpModel:
     def add_observation(self, point: int, value: float) -> None:
         """Condition the model on ``(point, value)`` as well.
 
-        If the factor cannot be rebuilt, :class:`SingularSystemError` is
-        raised and the model is left as it was.
+        A non-finite ``value`` raises :class:`ValueError`, and if the factor
+        cannot be rebuilt, :class:`SingularSystemError` is raised; either way
+        the model is left as it was.
         """
-        point = int(point)
+        point, value = int(point), float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"observed value must be finite, got {value!r}")
         points = self._points + (point,)
-        values = np.append(self._values, float(value))
+        values = np.append(self._values, value)
         chol = None
         if self._chol is not None and self._since_rebuild + 1 < REBUILD_PERIOD:
             chol = self._try_append(point, self.noise_std**2 + self._jitter)
@@ -275,7 +284,7 @@ class GpModel:
         """Grow the Cholesky factor by one row, or ``None`` if unstable."""
         k_vec = self.cov.matrix(self._points, [point])[:, 0]
         k_pp = float(self.cov.pairwise([point], [point])[0]) + diag_boost
-        c = solve_triangular(self._chol, k_vec, lower=True)
+        c = solve_triangular(self._chol, k_vec, lower=True, check_finite=False)
         d_sq = k_pp - c @ c
         if not d_sq > max(k_pp, 1.0) * 1e-12:
             return None
@@ -297,12 +306,13 @@ class GpModel:
         """
         ids = np.asarray(points, dtype=int)
         prior_var = self._prior(ids, ids)
+        means, variances = np.zeros(len(ids)), prior_var.copy()
         if not self._points:
-            return np.zeros(len(ids)), prior_var.copy()
-        k_cross = self.cov.matrix(self._points, ids)
-        means = k_cross.T @ self._alpha
-        v = solve_triangular(self._chol, k_cross, lower=True)
-        variances = prior_var - np.einsum("ij,ij->j", v, v)
+            return means, variances
+        live = prior_var > 0
+        k_cross, v = self._cross(ids[live])
+        means[live] = k_cross.T @ self._alpha
+        variances[live] -= np.einsum("ij,ij->j", v, v)
         low = variances.min(initial=0.0)
         if low < VARIANCE_FLOOR:
             raise GpError(f"posterior variance {low:g} fell below the numerical floor")
@@ -323,8 +333,16 @@ class GpModel:
         if not self._points:
             return prior.copy()
         ids, slots = np.unique(np.concatenate([left, right]), return_inverse=True)
-        v = solve_triangular(self._chol, self.cov.matrix(self._points, ids), lower=True)
+        v = self._cross(ids)[1]
         return prior - np.einsum("ij,ij->j", v[:, slots[:len(left)]], v[:, slots[len(left):]])
+
+    def _cross(self, ids):
+        """The observations' covariance with ``ids``, and ``chol^-1`` times it.
+        Rows are gathered column-major, as ``cov.matrix(points, ids)`` lays
+        them out, so ``k_cross.T @ alpha`` keeps its BLAS kernel and bits."""
+        distinct, rows = np.unique(self._points, return_inverse=True)
+        k_cross = np.take(self.cov.matrix(distinct, ids).T, rows, axis=1).T
+        return k_cross, solve_triangular(self._chol, k_cross, lower=True, check_finite=False)
 
     def _prior(self, a, b) -> np.ndarray:
         """``cov.pairwise(a, b)``, evaluated on the first call for these ids."""
@@ -335,8 +353,8 @@ class GpModel:
 
 
 def _solve_chol(chol, values):
-    tmp = solve_triangular(chol, values, lower=True)
-    return solve_triangular(chol.T, tmp, lower=False)
+    tmp = solve_triangular(chol, values, lower=True, check_finite=False)
+    return solve_triangular(chol.T, tmp, lower=False, check_finite=False)
 
 
 @dataclass

@@ -346,6 +346,75 @@ def test_posterior_cov_pairs_whitens_each_distinct_point_once(monkeypatch):
     assert columns == [len(set(left.tolist()) | set(right.tolist()))]
 
 
+def _difference_model_with_repeats(size=6):
+    """A difference GP over a size x size augmented grid: 40 observations at
+    8 states, a cell and a stay action among them."""
+    aug = augment(grid_mdp(size, size, 1.0), half_step=0.5)
+    model = difference_gp(aug, Kernel(MATERN52, 3.0, 2.0), 0.075)
+    rng = np.random.default_rng(41)
+    stays = np.flatnonzero(aug.is_action_state & (aug.owner == aug.landing))
+    pool = np.concatenate([[3, stays[0]], rng.choice(aug.num_states, size=6, replace=False)])
+    for point in pool[rng.integers(0, len(pool), size=40)]:
+        model.add_observation(int(point), float(rng.normal()))
+    return aug, model
+
+
+def _all_observation_posterior(model, ids):
+    """The posterior from the covariance of every observation with every id."""
+    k_cross = model.cov.matrix(model.points, ids)
+    v = solve_triangular(model._chol, k_cross, lower=True)
+    variances = model.cov.pairwise(ids, ids) - np.einsum("ij,ij->j", v, v)
+    return k_cross.T @ model._alpha, np.maximum(variances, 0.0)
+
+
+def test_posterior_equals_the_all_observation_solve_bit_for_bit():
+    aug, model = _difference_model_with_repeats()
+    assert len(set(model.points)) < model.num_observations
+    ids = np.arange(aug.num_states)
+    for got, expected in zip(model.posterior(ids), _all_observation_posterior(model, ids)):
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_posterior_mean_moves_at_most_in_the_last_bits_of_a_final_partial_block():
+    # BLAS computes a matrix-vector product's final (count mod 4) outputs
+    # with another kernel.  On a 6x6 grid the 192 states and the 120 of
+    # nonzero variance both fill whole blocks of four, so the test above is
+    # exact; on a 5x5 grid (130 and 80) one mean may differ in its last bits.
+    aug, model = _difference_model_with_repeats(5)
+    ids = np.arange(aug.num_states)
+    means, variances = model.posterior(ids)
+    ref_means, ref_variances = _all_observation_posterior(model, ids)
+    np.testing.assert_array_equal(variances, ref_variances)
+    np.testing.assert_allclose(means, ref_means, rtol=1e-13, atol=0.0)
+
+
+def test_zero_variance_states_get_positive_zero_mean_and_zero_variance():
+    aug, model = _difference_model_with_repeats()
+    ids = np.arange(aug.num_states)
+    zero = model.cov.pairwise(ids, ids) == 0.0
+    # Cells and stay actions: owner == landing, an identically zero feature.
+    np.testing.assert_array_equal(zero, aug.owner == aug.landing)
+    means, variances = model.posterior(ids)
+    assert not np.signbit(means[zero]).any() and (means[zero] == 0.0).all()
+    assert not np.signbit(variances[zero]).any() and (variances[zero] == 0.0).all()
+    assert (variances[~zero] > 0.0).all()
+
+
+def test_cross_covariance_has_one_row_per_distinct_observed_point(monkeypatch):
+    aug, model = _difference_model_with_repeats()
+    rows = []
+    matrix = model.cov.matrix
+
+    def counting(a, b):
+        rows.append(len(a))
+        return matrix(a, b)
+
+    monkeypatch.setattr(model.cov, "matrix", counting)
+    model.posterior(np.arange(aug.num_states))
+    model.posterior_cov_pairs(aug.owner, aug.landing)
+    assert rows == [len(set(model.points))] * 2
+
+
 def test_posterior_cov_diagonal_equals_posterior_variance():
     rng = np.random.default_rng(3)
     coords = rng.normal(size=(8, 2))
@@ -435,6 +504,26 @@ def test_singular_system_error_when_jitter_cannot_help():
     # The failed update leaves the model conditioned on what it had.
     assert model.points == (0,)
     np.testing.assert_array_equal(model.values, [1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_observation_is_rejected_and_leaves_the_model_as_it_was(bad):
+    cov = StationaryCovariance(Kernel(MATERN52, 1.0, 1.0), np.arange(5, dtype=float))
+    model = GpModel(cov, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        model.add_observation(2, bad)
+    assert model.num_observations == 0
+    model.add_observation(1, 0.3)
+    chol, before = model._chol.copy(), model.posterior(range(5))
+    with pytest.raises(ValueError, match="finite"):
+        model.add_observation(2, bad)
+    assert model.points == (1,)
+    np.testing.assert_array_equal(model.values, [0.3])
+    np.testing.assert_array_equal(model._chol, chol)
+    for got, expected in zip(model.posterior(range(5)), before):
+        np.testing.assert_array_equal(got, expected)
+    with pytest.raises(ValueError, match="finite"):
+        GpModel.from_data(cov, 0.1, [1, 2], [0.3, bad])
 
 
 # ---------------------------------------------------------------------------

@@ -333,7 +333,7 @@ class GpModel:
         if not self._points:
             return prior.copy()
         ids, slots = np.unique(np.concatenate([left, right]), return_inverse=True)
-        v = self._cross(ids)[1]
+        _, v = self._cross(ids)
         return prior - np.einsum("ij,ij->j", v[:, slots[:len(left)]], v[:, slots[len(left):]])
 
     def _cross(self, ids):

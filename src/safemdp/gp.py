@@ -3,10 +3,11 @@
 This module provides the statistical machinery used to estimate the unknown
 safety feature: stationary kernels evaluated on distances (each kernel row
 once, memoized per observed point), an exact GP posterior with incremental
-Cholesky updates (one covariance row per distinct observed point, none for
-zero-variance states), and monotonically intersected confidence bands.  The
-exploration run owns the bands: it starts them with :func:`initial_bands`,
-and its band model tightens them with :func:`update_bands`.
+Cholesky updates whose pair covariances share the variances' whitening (one
+row per distinct observed point, none for zero-variance states), and
+monotonically intersected confidence bands.  The exploration run owns the
+bands: it starts them with :func:`initial_bands`, and its band model
+tightens them with :func:`update_bands`.
 """
 
 from __future__ import annotations
@@ -190,13 +191,15 @@ class GpModel:
 
     ``add_observation`` updates the model itself.  The Cholesky factor of
     ``K + noise_std**2 I`` is grown by rank-1 appends and refactorized from
-    scratch every :data:`REBUILD_PERIOD` updates.  The prior (co)variances
-    that ``posterior`` and ``posterior_cov_pairs`` start from never change,
-    so each is evaluated once per model for each id sequence asked about:
-    the band models ask about the same states on every advance.  Both build
-    one cross-covariance row per distinct observed point, and ``posterior``
+    scratch every :data:`REBUILD_PERIOD` updates.  The band models ask about
+    the same states on every advance, so the prior (co)variances and the
+    index of distinct unordered pairs are built once per model for each id
+    sequence.  Both ``posterior`` and ``posterior_cov_pairs`` whiten one
+    cross-covariance row per distinct observed point (tracked as points are
+    observed, not sorted per call) with one triangular solve.  ``posterior``
     gives ids of zero prior variance, which covary with no point under a PSD
-    kernel, mean and variance 0.0 without solving for them.
+    kernel, mean and variance 0.0 without solving for them.  Ids or pair
+    positions out of range raise :class:`ValueError`.
 
     Parameters
     ----------
@@ -218,7 +221,10 @@ class GpModel:
         self._alpha = None
         self._jitter = 0.0
         self._since_rebuild = 0
+        self._distinct = {}
+        self._repeats = []
         self._priors = {}
+        self._pairs = {}
 
     @classmethod
     def from_data(cls, cov, noise_std: float, points: Sequence[int], values) -> "GpModel":
@@ -305,51 +311,77 @@ class GpModel:
             :data:`VARIANCE_FLOOR` before clamping raises :class:`GpError`.
         """
         ids = np.asarray(points, dtype=int)
-        prior_var = self._prior(ids, ids)
-        means, variances = np.zeros(len(ids)), prior_var.copy()
+        means, variances, _ = self._posterior(ids, self._prior(ids, ids) > 0)
+        return means, np.maximum(variances, 0.0)
+
+    def posterior_cov_pairs(self, points, left, right):
+        """``posterior(points)`` and the posterior covariance of each pair
+        ``points[left[i]], points[right[i]]``, from one triangular solve over
+        all of ``points``.  A self pair reads the unclamped variance; each
+        unordered pair of distinct positions takes one column dot product."""
+        ids = np.asarray(points, dtype=int)
+        means, variances, v = self._posterior(ids, slice(None))
+        first, second, prior, slot = self._pair_index(ids, left, right)
+        dots = 0.0 if v is None else np.einsum("ij,ij->j", v[:, first], v[:, second])
+        return means, np.maximum(variances, 0.0), np.concatenate([variances, prior - dots])[slot]
+
+    def _posterior(self, ids, live):
+        """Means, unclamped variances and ``chol^-1 k_cross`` at ``ids``; the
+        ids outside ``live`` skip the solve and keep mean 0 and prior variance."""
+        means, variances = np.zeros(len(ids)), self._prior(ids, ids).copy()
         if not self._points:
-            return means, variances
-        live = prior_var > 0
+            return means, variances, None
         k_cross, v = self._cross(ids[live])
         means[live] = k_cross.T @ self._alpha
         variances[live] -= np.einsum("ij,ij->j", v, v)
         low = variances.min(initial=0.0)
         if low < VARIANCE_FLOOR:
             raise GpError(f"posterior variance {low:g} fell below the numerical floor")
-        return means, np.maximum(variances, 0.0)
-
-    def posterior_cov_pairs(self, left, right) -> np.ndarray:
-        """Posterior covariance between ``left[i]`` and ``right[i]`` for each
-        ``i`` of two equally long id sequences.
-
-        Each distinct id is whitened once, however often it repeats: a
-        triangular solve's columns do not depend on which other columns
-        share the call, so this equals whitening ``left`` and ``right``
-        separately, bit for bit.
-        """
-        left = np.asarray(left, dtype=int)
-        right = np.asarray(right, dtype=int)
-        prior = self._prior(left, right)
-        if not self._points:
-            return prior.copy()
-        ids, slots = np.unique(np.concatenate([left, right]), return_inverse=True)
-        _, v = self._cross(ids)
-        return prior - np.einsum("ij,ij->j", v[:, slots[:len(left)]], v[:, slots[len(left):]])
+        return means, variances, v
 
     def _cross(self, ids):
-        """The observations' covariance with ``ids``, and ``chol^-1`` times it.
-        Rows are gathered column-major, as ``cov.matrix(points, ids)`` lays
-        them out, so ``k_cross.T @ alpha`` keeps its BLAS kernel and bits."""
-        distinct, rows = np.unique(self._points, return_inverse=True)
-        k_cross = np.take(self.cov.matrix(distinct, ids).T, rows, axis=1).T
+        """The observations' covariance with ``ids``, and ``chol^-1`` times it:
+        one row per distinct observed point, repeated in observation order and
+        gathered column-major, as ``cov.matrix(points, ids)`` lays them out,
+        so ``k_cross.T @ alpha`` keeps its BLAS kernel and bits."""
+        for point in self._points[len(self._repeats):]:
+            self._repeats.append(self._distinct.setdefault(point, len(self._distinct)))
+        k_cross = np.take(self.cov.matrix(list(self._distinct), ids).T, self._repeats, axis=1).T
         return k_cross, solve_triangular(self._chol, k_cross, lower=True, check_finite=False)
 
     def _prior(self, a, b) -> np.ndarray:
         """``cov.pairwise(a, b)``, evaluated on the first call for these ids."""
         key = (a.tobytes(), b.tobytes())
         if key not in self._priors:
-            self._priors[key] = np.asarray(self.cov.pairwise(a, b), dtype=float)
+            if min(a.min(initial=0), b.min(initial=0)) < 0:
+                raise ValueError("point ids must be non-negative")
+            try:
+                self._priors[key] = np.asarray(self.cov.pairwise(a, b), dtype=float)
+            except IndexError as exc:
+                raise ValueError(f"point id out of range: {exc}") from None
         return self._priors[key]
+
+    def _pair_index(self, ids, left, right):
+        """First occurrence and prior covariance of each unordered pair of
+        distinct positions, and each pair's slot in ``[variances, cross of
+        those pairs]``; built on the first call for these sequences."""
+        left, right = np.asarray(left, dtype=int), np.asarray(right, dtype=int)
+        key = (ids.tobytes(), left.tobytes(), right.tobytes())
+        if key not in self._pairs:
+            if len(left) != len(right):
+                raise ValueError(f"left and right differ in length: {len(left)} and {len(right)}")
+            ends = np.concatenate([left, right])
+            if len(ends) and not 0 <= ends.min() <= ends.max() < len(ids):
+                raise ValueError(f"pair positions must lie in [0, len(points)) = [0, {len(ids)})")
+            moves = np.flatnonzero(left != right)
+            codes = np.minimum(left, right)[moves] * len(ids) + np.maximum(left, right)[moves]
+            _, first, twins = np.unique(codes, return_index=True, return_inverse=True)
+            slot = left.copy()
+            slot[moves] = len(ids) + twins
+            first = moves[first]
+            prior = np.asarray(self.cov.pairwise(ids[left], ids[right]), dtype=float)[first]
+            self._pairs[key] = (left[first], right[first], prior, slot)
+        return self._pairs[key]
 
 
 def _solve_chol(chol, values):

@@ -366,12 +366,14 @@ def height_gp_to_difference_bands(height_model: GpModel, aug: AugmentedMdp, beta
     For the action-state of ``s -> s'`` the interval is centered on
     ``mean(s) - mean(s')`` with variance
     ``var(s) + var(s') - 2 cov(s, s')``, scaled by ``sqrt(beta)`` and
-    intersected into ``prev``.  As in :meth:`GpModel.posterior`, variances
-    are clamped at zero, and one below ``VARIANCE_FLOOR`` raises
-    :class:`GpError`.
+    intersected into ``prev``.  All of these come from one
+    :meth:`GpModel.posterior_cov_pairs` call, which whitens the cells once
+    and takes one dot product per undirected neighbour pair.  As in
+    :meth:`GpModel.posterior`, variances are clamped at zero, and one below
+    ``VARIANCE_FLOOR`` raises :class:`GpError`.
     """
-    means, variances = height_model.posterior(np.arange(aug.num_base_states))
-    cross = height_model.posterior_cov_pairs(aug.owner, aug.landing)
+    means, variances, cross = height_model.posterior_cov_pairs(
+        np.arange(aug.num_base_states), aug.owner, aug.landing)
     diff_mean = means[aug.owner] - means[aug.landing]
     diff_var = variances[aug.owner] + variances[aug.landing] - 2.0 * cross
     low = diff_var.min(initial=0.0)

@@ -157,7 +157,7 @@ def test_gp_posterior_matches_dense_solve(capsys):
                     rel(mean_i, mean), rel(var_i, var))
 
         pairs = rng.integers(0, 40, size=(15, 2))
-        got = batch.posterior_cov_pairs(pairs[:, 0], pairs[:, 1])
+        _, _, got = batch.posterior_cov_pairs(np.arange(40), pairs[:, 0], pairs[:, 1])
         d_oa = np.linalg.norm(coords[obs][:, None] - coords[pairs[:, 0]][None], axis=-1)
         d_ob = np.linalg.norm(coords[obs][:, None] - coords[pairs[:, 1]][None], axis=-1)
         d_ab = np.linalg.norm(coords[pairs[:, 0]] - coords[pairs[:, 1]], axis=-1)

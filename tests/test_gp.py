@@ -154,7 +154,7 @@ def test_each_kernel_row_is_evaluated_once_and_only_for_observed_points(monkeypa
         observed.add(point)
         if i % 5 == 0:
             model.posterior(range(40))
-            model.posterior_cov_pairs(rng.integers(0, 40, 10), rng.integers(0, 40, 10))
+            model.posterior_cov_pairs(range(40), rng.integers(0, 40, 10), rng.integers(0, 40, 10))
     model.posterior(range(40))
     assert sorted(evaluated) == sorted(observed)
 
@@ -317,7 +317,7 @@ def test_posterior_cov_matches_dense_solve():
         for b in range(10):
             prior = _oracle_kernel(MATERN52, 1.0, 1.0, float(np.linalg.norm(coords[a] - coords[b])))
             expected = prior - kvec(obs, a) @ np.linalg.solve(big_k, kvec(obs, b))
-            got = model.posterior_cov_pairs([a], [b])[0]
+            got = model.posterior_cov_pairs(range(10), [a], [b])[2][0]
             assert got == pytest.approx(expected, rel=1e-8, abs=1e-10)
 
 
@@ -342,7 +342,9 @@ def test_posterior_cov_pairs_whitens_each_distinct_point_once(monkeypatch):
         return solve_triangular(a, b, **kwargs)
 
     monkeypatch.setattr(gp_module, "solve_triangular", counting)
-    np.testing.assert_array_equal(model.posterior_cov_pairs(left, right), separately)
+    points, positions = np.unique(np.concatenate([left, right]), return_inverse=True)
+    _, _, cross = model.posterior_cov_pairs(points, positions[:60], positions[60:])
+    np.testing.assert_array_equal(cross, separately)
     assert columns == [len(set(left.tolist()) | set(right.tolist()))]
 
 
@@ -411,7 +413,7 @@ def test_cross_covariance_has_one_row_per_distinct_observed_point(monkeypatch):
 
     monkeypatch.setattr(model.cov, "matrix", counting)
     model.posterior(np.arange(aug.num_states))
-    model.posterior_cov_pairs(aug.owner, aug.landing)
+    model.posterior_cov_pairs(np.arange(aug.num_states), aug.owner, aug.landing)
     assert rows == [len(set(model.points))] * 2
 
 
@@ -421,8 +423,39 @@ def test_posterior_cov_diagonal_equals_posterior_variance():
     cov = StationaryCovariance(Kernel(SQUARED_EXPONENTIAL, 1.0, 1.2), coords)
     model = GpModel.from_data(cov, 0.1, [1, 4, 4, 6], [0.1, -0.2, 0.0, 0.5])
     _, variances = model.posterior(range(8))
-    np.testing.assert_allclose(model.posterior_cov_pairs(range(8), range(8)), variances,
-                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model.posterior_cov_pairs(range(8), range(8), range(8))[2],
+                               variances, rtol=0, atol=1e-12)
+
+
+def test_reverse_pair_reads_its_twin_and_a_self_pair_the_unclamped_variance():
+    rng = np.random.default_rng(29)
+    cov = StationaryCovariance(Kernel(MATERN52, 1.5, 1.0), rng.normal(size=(12, 2)) * 3)
+    model = GpModel.from_data(cov, 0.1, rng.integers(0, 12, size=20), rng.normal(size=20))
+    points = np.arange(12)
+    left = np.array([0, 3, 5, 5, 7, 2, 0])
+    right = np.array([3, 0, 5, 2, 7, 5, 3])
+    means, variances, cross = model.posterior_cov_pairs(points, left, right)
+    assert cross[0] == cross[1] == cross[6] and cross[3] == cross[5]
+    v = solve_triangular(model._chol, cov.matrix(model.points, points), lower=True)
+    unclamped = cov.pairwise(points, points) - np.einsum("ij,ij->j", v, v)
+    np.testing.assert_array_equal(cross[[2, 4]], unclamped[[5, 7]])
+    for got, expected in zip((means, variances), model.posterior(points)):
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_ids_and_pair_positions_out_of_range_raise_value_error():
+    cov = StationaryCovariance(Kernel(MATERN52, 1.0, 1.0), np.arange(5.0))
+    for model in (GpModel(cov, 0.1), GpModel.from_data(cov, 0.1, [1, 3], [0.2, -0.1])):
+        for bad in ([-1], [5], [0, 9]):
+            with pytest.raises(ValueError, match="point id"):
+                model.posterior(bad)
+            with pytest.raises(ValueError, match="point id"):
+                model.posterior_cov_pairs(bad, [0], [0])
+        with pytest.raises(ValueError, match="differ in length"):
+            model.posterior_cov_pairs(range(5), [0, 1], [1])
+        for left, right in (([-1], [0]), ([0], [5]), ([2, 0], [1, -2])):
+            with pytest.raises(ValueError, match="pair positions"):
+                model.posterior_cov_pairs(range(5), left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
-from safemdp.gp import VARIANCE_FLOOR, GpError, GpModel, Kernel, initial_bands, kernel_eval
-from safemdp.mdp import GRID_RIGHT, GRID_STAY, augment, grid_mdp
+from safemdp import gp as gp_module
+from safemdp.gp import (
+    VARIANCE_FLOOR,
+    GpError,
+    GpModel,
+    Kernel,
+    initial_bands,
+    kernel_eval,
+    update_bands,
+)
+from safemdp.mdp import GRID_DOWN, GRID_LEFT, GRID_RIGHT, GRID_STAY, augment, grid_mdp
 from safemdp.terrain import (
     CraterHill,
     CraterHillParams,
@@ -349,11 +359,8 @@ class ConstantHeightPosterior:
     def __init__(self, cross):
         self.cross = cross
 
-    def posterior(self, points):
-        return np.zeros(len(points)), np.zeros(len(points))
-
-    def posterior_cov_pairs(self, left, right):
-        return np.full(len(left), self.cross)
+    def posterior_cov_pairs(self, points, left, right):
+        return np.zeros(len(points)), np.zeros(len(points)), np.full(len(left), self.cross)
 
 
 def test_difference_variance_below_the_floor_raises():
@@ -366,6 +373,67 @@ def test_difference_variance_below_the_floor_raises():
     below = ConstantHeightPosterior(-0.6 * VARIANCE_FLOOR)
     with pytest.raises(GpError, match="numerical floor"):
         height_gp_to_difference_bands(below, aug, 1.0, prev)
+
+
+def _two_whitening_bands(model, aug, beta, prev):
+    """The bands as first written: ``posterior`` over the cells, then a
+    second triangular solve over the cells for the neighbour-pair
+    covariances."""
+    cells = np.arange(aug.num_base_states)
+    means, variances = model.posterior(cells)
+    cross = model.cov.pairwise(aug.owner, aug.landing)
+    if model.num_observations:
+        v = solve_triangular(model._chol, model.cov.matrix(model.points, cells), lower=True,
+                             check_finite=False)
+        cross = cross - np.einsum("ij,ij->j", v[:, aug.owner], v[:, aug.landing])
+    diff_var = np.maximum(variances[aug.owner] + variances[aug.landing] - 2.0 * cross, 0.0)
+    return update_bands(prev, means[aug.owner] - means[aug.landing], diff_var, beta)
+
+
+@pytest.mark.parametrize("nodata", [False, True])
+def test_height_bands_equal_the_two_whitening_formula_bit_for_bit(nodata):
+    grid = synth_terrain(GpSample(KERNEL, seed=3), 5, 6, 1.0)
+    if nodata:
+        grid.nodata_mask[8] = True
+    aug, _ = build_terrain_environment(grid, TerrainSafetySpec(), 0.0, 1)
+    assert aug.num_base_states == 30 - nodata
+    model = height_gp(aug, KERNEL, 0.075)
+    prev = initial_bands(aug.num_states, np.zeros(aug.num_states, bool), 0.0)
+    rng = np.random.default_rng(8)
+    pool = rng.choice(aug.num_base_states, size=6, replace=False)
+    for round_ in range(4):
+        got = height_gp_to_difference_bands(model, aug, 2.0, prev)
+        expected = _two_whitening_bands(model, aug, 2.0, prev)
+        np.testing.assert_array_equal(got.lower, expected.lower)
+        np.testing.assert_array_equal(got.upper, expected.upper)
+        for point in pool[rng.integers(0, len(pool), size=5)]:  # repeats
+            model.add_observation(int(point), float(rng.normal(scale=3.0)))
+        prev = got
+    assert len(set(model.points)) < model.num_observations
+
+
+def test_each_heights_advance_makes_one_solve_and_sorts_only_on_the_first(monkeypatch):
+    grid = synth_terrain(CraterHill(CraterHillParams(tilt_col=0.1)), 4, 4, 1.0)
+    aug, env = build_terrain_environment(grid, TerrainSafetySpec(), 0.075, 3)
+    model = HeightGpBandModel(height_gp(aug, KERNEL, 0.075), aug, 2.0)
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(gp_module, "solve_triangular", counting("solve", solve_triangular))
+    monkeypatch.setattr(np, "unique", counting("unique", np.unique))
+    bands = initial_bands(aug.num_states, np.zeros(aug.num_states, bool), env.threshold)
+    per_advance = []
+    for label in (GRID_RIGHT, GRID_DOWN, GRID_LEFT):
+        model.measure(env, step(aug, 5, label))
+        before = len(calls)
+        bands = model.advance(bands)
+        per_advance.append(calls[before:])
+    assert per_advance == [["solve", "unique"], ["solve"], ["solve"]]
 
 
 def test_noiseless_height_measurements_collapse_the_difference_band():

@@ -8,6 +8,10 @@ row per distinct observed point, none for zero-variance states), and
 monotonically intersected confidence bands.  The exploration run owns the
 bands: it starts them with :func:`initial_bands`, and its band model
 tightens them with :func:`update_bands`.
+
+The Cholesky factor and its triangular solves both run on ``scipy.linalg``,
+so on one BLAS thread pool: numpy ships its own OpenBLAS, and a numpy
+Cholesky right after scipy's solves pays for waking the other pool.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 
 MATERN52 = "matern52"
 SQUARED_EXPONENTIAL = "squared_exponential"
@@ -177,7 +181,8 @@ def _factorize(cov, points, noise_var, start_jitter):
     candidates = [start_jitter] + [j for j in JITTER_LADDER if j > start_jitter]
     for jitter in candidates:
         try:
-            chol = np.linalg.cholesky(k + (noise_var + jitter) * np.eye(len(points)))
+            chol = cholesky(k + (noise_var + jitter) * np.eye(len(points)),
+                            lower=True, check_finite=False)
             return chol, jitter
         except np.linalg.LinAlgError:
             continue
@@ -199,7 +204,8 @@ class GpModel:
     observed, not sorted per call) with one triangular solve.  ``posterior``
     gives ids of zero prior variance, which covary with no point under a PSD
     kernel, mean and variance 0.0 without solving for them.  Ids or pair
-    positions out of range raise :class:`ValueError`.
+    positions out of range raise :class:`ValueError`, in ``add_observation``
+    and ``from_data`` before the model changes.
 
     Parameters
     ----------
@@ -221,6 +227,7 @@ class GpModel:
         self._alpha = None
         self._jitter = 0.0
         self._since_rebuild = 0
+        self._max_id = -1
         self._distinct = {}
         self._repeats = []
         self._priors = {}
@@ -236,6 +243,7 @@ class GpModel:
         if not np.isfinite(values).all():
             raise ValueError("observed values must be finite")
         model = cls(cov, noise_std)
+        model._check_ids(np.asarray(points, dtype=int))
         if points:
             model._refactorize(points, values)
         return model
@@ -259,13 +267,15 @@ class GpModel:
     def add_observation(self, point: int, value: float) -> None:
         """Condition the model on ``(point, value)`` as well.
 
-        A non-finite ``value`` raises :class:`ValueError`, and if the factor
-        cannot be rebuilt, :class:`SingularSystemError` is raised; either way
-        the model is left as it was.
+        A non-finite ``value`` or a ``point`` out of range raises
+        :class:`ValueError`, and if the factor cannot be rebuilt,
+        :class:`SingularSystemError` is raised; either way the model is left
+        as it was.
         """
         point, value = int(point), float(value)
         if not math.isfinite(value):
             raise ValueError(f"observed value must be finite, got {value!r}")
+        self._check_ids(np.array([point]))
         points = self._points + (point,)
         values = np.append(self._values, value)
         chol = None
@@ -349,16 +359,28 @@ class GpModel:
         k_cross = np.take(self.cov.matrix(list(self._distinct), ids).T, self._repeats, axis=1).T
         return k_cross, solve_triangular(self._chol, k_cross, lower=True, check_finite=False)
 
+    def _check_ids(self, ids):
+        """Raise :class:`ValueError` naming the smallest of ``ids`` if it is
+        negative, or the largest if the covariance has no such point; the
+        largest id seen to have one is kept, so most calls only compare."""
+        if not len(ids):
+            return
+        low, high = int(ids.min()), int(ids.max())
+        if low < 0:
+            raise ValueError(f"point id {low} is out of range")
+        if high > self._max_id:
+            try:
+                self.cov.pairwise([high], [high])
+            except IndexError:
+                raise ValueError(f"point id {high} is out of range") from None
+            self._max_id = high
+
     def _prior(self, a, b) -> np.ndarray:
         """``cov.pairwise(a, b)``, evaluated on the first call for these ids."""
         key = (a.tobytes(), b.tobytes())
         if key not in self._priors:
-            if min(a.min(initial=0), b.min(initial=0)) < 0:
-                raise ValueError("point ids must be non-negative")
-            try:
-                self._priors[key] = np.asarray(self.cov.pairwise(a, b), dtype=float)
-            except IndexError as exc:
-                raise ValueError(f"point id out of range: {exc}") from None
+            self._check_ids(np.concatenate([a, b]))
+            self._priors[key] = np.asarray(self.cov.pairwise(a, b), dtype=float)
         return self._priors[key]
 
     def _pair_index(self, ids, left, right):

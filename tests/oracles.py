@@ -7,7 +7,19 @@ each metric's own closed-form definition rather than through its
 envelope: the independent reference the envelope and ``Mdp.distances``
 are checked against.  ``step`` looks up a deterministic successor by
 action label.
+
+The set operators have literal python-set references, each read straight
+from its definition: ``oracle_safe`` (safety by a Lipschitz witness),
+``oracle_reach`` (one-step reach), ``oracle_ret_one`` and its least
+fixpoint ``oracle_ret_fixpoint`` (return into a target set),
+``oracle_eps`` (R_eps) and its fixpoint ``oracle_eps_fixpoint``.  They take
+and return python sets; ``to_set`` and ``from_set`` convert to and from
+boolean masks.  Their ``dist`` is indexed ``dist[s][w]``, so nested lists
+and arrays both serve.  ``bfs_hops`` is the hop count of a shortest path
+inside an allowed set, ``None`` when there is none.
 """
+
+from collections import deque
 
 import numpy as np
 
@@ -66,3 +78,82 @@ def step(mdp, s, a):
     """Successor of taking the action labelled ``a`` in state ``s``; a
     ``KeyError`` when ``s`` offers no such action."""
     return dict(mdp.actions_of(s))[a]
+
+
+def to_set(mask):
+    return set(np.flatnonzero(mask).tolist())
+
+
+def from_set(n, members):
+    mask = np.zeros(n, dtype=bool)
+    mask[list(members)] = True
+    return mask
+
+
+def oracle_safe(mdp, dist, base, r, eps, lip, h):
+    out = set(base)
+    for s in range(mdp.num_states):
+        for w in base:
+            if r[w] - eps - lip * dist[s][w] >= h:
+                out.add(s)
+    return out
+
+
+def oracle_reach(mdp, base):
+    out = set(base)
+    for s in base:
+        for _, succ in mdp.actions_of(s):
+            out.add(succ)
+    return out
+
+
+def oracle_ret_one(mdp, through, target):
+    out = set(target)
+    for s in through:
+        if any(succ in target for _, succ in mdp.actions_of(s)):
+            out.add(s)
+    return out
+
+
+def oracle_ret_fixpoint(mdp, through, target):
+    """Least fixpoint of :func:`oracle_ret_one`."""
+    current = set(target)
+    while True:
+        grown = oracle_ret_one(mdp, through, current)
+        if grown == current:
+            return current
+        current = grown
+
+
+def oracle_eps(mdp, dist, base, r, eps, lip, h):
+    if not base:
+        return set()
+    safe = oracle_safe(mdp, dist, base, r, eps, lip, h)
+    return safe & oracle_reach(mdp, base) & oracle_ret_fixpoint(mdp, safe, base)
+
+
+def oracle_eps_fixpoint(mdp, dist, seed, r, eps, lip, h):
+    current = set(seed)
+    while True:
+        grown = oracle_eps(mdp, dist, current, r, eps, lip, h)
+        if grown == current:
+            return current
+        current = grown
+
+
+def bfs_hops(mdp, allowed, start, goal):
+    """Hop count of a shortest path from ``start`` to ``goal`` through
+    states in ``allowed``; ``None`` when there is none."""
+    if not (allowed[start] and allowed[goal]):
+        return None
+    depth = {start: 0}
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        if s == goal:
+            return depth[s]
+        for _, succ in mdp.actions_of(s):
+            if allowed[succ] and succ not in depth:
+                depth[succ] = depth[s] + 1
+                queue.append(succ)
+    return None

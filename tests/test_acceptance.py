@@ -16,7 +16,6 @@ import itertools
 import statistics
 import time
 import tracemalloc
-from collections import deque
 
 import numpy as np
 
@@ -62,7 +61,20 @@ from safemdp.terrain import (
     synth_terrain,
 )
 
-from oracles import DenseMetric, dense_distances, step
+from oracles import (
+    DenseMetric,
+    bfs_hops,
+    dense_distances,
+    from_set,
+    oracle_eps,
+    oracle_eps_fixpoint,
+    oracle_reach,
+    oracle_ret_fixpoint,
+    oracle_ret_one,
+    oracle_safe,
+    step,
+    to_set,
+)
 
 SAFETY = TerrainSafetySpec()
 
@@ -176,67 +188,6 @@ def test_gp_posterior_matches_dense_solve(capsys):
 # 2. set operators vs brute force, exhaustively on tiny MDPs
 
 
-def to_set(mask):
-    return set(np.flatnonzero(mask).tolist())
-
-
-def from_set(n, members):
-    mask = np.zeros(n, dtype=bool)
-    mask[list(members)] = True
-    return mask
-
-
-def bf_safe(mdp, dist, base, r, eps, lip, h):
-    out = set(base)
-    for s in range(mdp.num_states):
-        for w in base:
-            if r[w] - eps - lip * dist[s][w] >= h:
-                out.add(s)
-    return out
-
-
-def bf_reach(mdp, base):
-    out = set(base)
-    for s in base:
-        for _, succ in mdp.actions_of(s):
-            out.add(succ)
-    return out
-
-
-def bf_ret_one(mdp, through, target):
-    out = set(target)
-    for s in through:
-        if any(succ in target for _, succ in mdp.actions_of(s)):
-            out.add(s)
-    return out
-
-
-def bf_ret_fix(mdp, through, target):
-    """Least fixpoint of :func:`bf_ret_one`."""
-    current = set(target)
-    while True:
-        grown = bf_ret_one(mdp, through, current)
-        if grown == current:
-            return current
-        current = grown
-
-
-def bf_eps(mdp, dist, base, r, eps, lip, h):
-    if not base:
-        return set()
-    safe = bf_safe(mdp, dist, base, r, eps, lip, h)
-    return safe & bf_reach(mdp, base) & bf_ret_fix(mdp, safe, base)
-
-
-def bf_eps_fix(mdp, dist, seed, r, eps, lip, h):
-    current = set(seed)
-    while True:
-        grown = bf_eps(mdp, dist, current, r, eps, lip, h)
-        if grown == current:
-            return current
-        current = grown
-
-
 def check_all_operators(mdp, dist, rng):
     """Compare every operator against brute force; returns mismatch count."""
     n = mdp.num_states
@@ -250,13 +201,14 @@ def check_all_operators(mdp, dist, rng):
     bm, tm, gm = from_set(n, base), from_set(n, through), from_set(n, target)
 
     bad = 0
-    bad += to_set(r_safe_eps(mdp, bm, r, eps, lip, h)) != bf_safe(mdp, dist, base, r, eps, lip, h)
-    bad += to_set(r_reach(mdp, bm)) != bf_reach(mdp, base)
-    bad += to_set(r_ret_one(mdp, tm, gm)) != bf_ret_one(mdp, through, target)
-    bad += to_set(r_ret_fixpoint(mdp, tm, gm)) != bf_ret_fix(mdp, through, target)
-    bad += to_set(r_eps(mdp, bm, r, eps, lip, h)) != bf_eps(mdp, dist, base, r, eps, lip, h)
+    bad += to_set(r_safe_eps(mdp, bm, r, eps, lip, h)) != oracle_safe(
+        mdp, dist, base, r, eps, lip, h)
+    bad += to_set(r_reach(mdp, bm)) != oracle_reach(mdp, base)
+    bad += to_set(r_ret_one(mdp, tm, gm)) != oracle_ret_one(mdp, through, target)
+    bad += to_set(r_ret_fixpoint(mdp, tm, gm)) != oracle_ret_fixpoint(mdp, through, target)
+    bad += to_set(r_eps(mdp, bm, r, eps, lip, h)) != oracle_eps(mdp, dist, base, r, eps, lip, h)
     got = r_eps_fixpoint(mdp, bm, r, eps, lip, h)
-    bad += to_set(got) != bf_eps_fix(mdp, dist, base, r, eps, lip, h)
+    bad += to_set(got) != oracle_eps_fixpoint(mdp, dist, base, r, eps, lip, h)
     return bad
 
 
@@ -335,7 +287,7 @@ def test_envelope_matches_bruteforce(capsys):
         h = float(rng.normal(scale=0.5))
         eps = float(rng.uniform(0, 0.4))
         base = to_set(witnesses)
-        mismatches += to_set(r_safe_eps(mdp, witnesses, values, eps, lip, h)) != bf_safe(
+        mismatches += to_set(r_safe_eps(mdp, witnesses, values, eps, lip, h)) != oracle_safe(
             mdp, dist, base, values, eps, lip, h)
         bands = ConfidenceBands(values, values + rng.uniform(0, 2, size=n))
         safe = witnesses | (rng.random(n) < 0.5)
@@ -456,22 +408,6 @@ def test_operator_and_band_monotonicity(capsys):
 # 4. every reported ergodic set is mutually connected through the safe set
 
 
-def bfs_connected(mdp, allowed, a, b):
-    if not (allowed[a] and allowed[b]):
-        return False
-    seen = {a}
-    queue = deque([a])
-    while queue:
-        s = queue.popleft()
-        if s == b:
-            return True
-        for _, succ in mdp.actions_of(s):
-            if allowed[succ] and succ not in seen:
-                seen.add(succ)
-                queue.append(succ)
-    return False
-
-
 def test_ergodic_sets_stay_mutually_connected(capsys):
     """Sampled ergodic pairs connect both ways through the safe set, and
     every plan holds to what the planner relies on: it starts on an ergodic
@@ -495,8 +431,8 @@ def test_ergodic_sets_stay_mutually_connected(capsys):
                 continue
             for a, b in rng.choice(ergodic, size=(20, 2)):
                 checks += 1
-                there = bfs_connected(aug, rec.sets.safe, int(a), int(b))
-                back = bfs_connected(aug, rec.sets.safe, int(b), int(a))
+                there = bfs_hops(aug, rec.sets.safe, int(a), int(b)) is not None
+                back = bfs_hops(aug, rec.sets.safe, int(b), int(a)) is not None
                 failures += not (there and back)
     elapsed = time.time() - t0
     verdict(capsys, "ergodic set connectivity",
@@ -630,23 +566,6 @@ def test_strategy_comparison_on_shared_fixtures(capsys):
 # 8. planned paths are exactly as short as BFS says they can be
 
 
-def bfs_hops(mdp, allowed, start, goal):
-    """Plain hop-count BFS; -1 when no path exists inside the allowed set."""
-    if not (allowed[start] and allowed[goal]):
-        return -1
-    depth = {start: 0}
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        if s == goal:
-            return depth[s]
-        for _, succ in mdp.actions_of(s):
-            if allowed[succ] and succ not in depth:
-                depth[succ] = depth[s] + 1
-                queue.append(succ)
-    return -1
-
-
 def test_planner_matches_bfs_distances(capsys):
     t0 = time.time()
     rng = np.random.default_rng(8)
@@ -665,7 +584,7 @@ def test_planner_matches_bfs_distances(capsys):
             plan = shortest_safe_path(mdp, allowed, start, goal)
         except NoPathError:
             blocked += 1
-            mismatches += oracle != -1
+            mismatches += oracle is not None
             continue
         planned += 1
         off_allowed = sum(not allowed[s] for s in plan.states)

@@ -559,6 +559,42 @@ def test_non_finite_observation_is_rejected_and_leaves_the_model_as_it_was(bad):
         GpModel.from_data(cov, 0.1, [1, 2], [0.3, bad])
 
 
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_observed_id_out_of_range_is_rejected_and_leaves_the_model_as_it_was(bad):
+    cov = StationaryCovariance(Kernel(MATERN52, 1.0, 1.0), np.arange(5.0))
+    with pytest.raises(ValueError, match=f"point id {bad} "):
+        GpModel(cov, 0.1).add_observation(bad, 2.0)
+    with pytest.raises(ValueError, match=f"point id {bad} "):
+        GpModel.from_data(cov, 0.1, [1, bad], [0.3, 2.0])
+    model = GpModel(cov, 0.1)
+    model.add_observation(1, 0.3)
+    before = model.posterior(range(5))
+    with pytest.raises(ValueError, match=f"point id {bad} "):
+        model.add_observation(bad, 2.0)
+    assert model.num_observations == 1
+    assert model.points == (1,)
+    for got, expected in zip(model.posterior(range(5)), before):
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_factor_runs_without_numpys_cholesky(monkeypatch):
+    # The factor shares scipy's BLAS with the triangular solves.
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.cholesky was called")
+
+    cov = StationaryCovariance(Kernel(MATERN52, 2.0, 1.0), np.arange(12.0))
+    rng = np.random.default_rng(4)
+    obs = rng.integers(0, 12, size=REBUILD_PERIOD + 5)  # crosses a refactorization
+    vals = rng.normal(size=len(obs))
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    incremental = GpModel(cov, 0.1)
+    for p, v in zip(obs, vals):
+        incremental.add_observation(p, v)
+    batch = GpModel.from_data(cov, 0.1, obs, vals)
+    for got, expected in zip(incremental.posterior(range(12)), batch.posterior(range(12))):
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # the confidence scale beta
 

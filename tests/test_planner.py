@@ -8,24 +8,7 @@ import pytest
 from safemdp.mdp import GRID_DOWN, GRID_RIGHT, grid_mdp
 from safemdp.planner import NoPathError, PathPlan, shortest_safe_path
 
-from oracles import step
-
-
-def bfs_distance(mdp, allowed, start, goal):
-    """Hop distance inside ``allowed``, or None when unreachable."""
-    if not (allowed[start] and allowed[goal]):
-        return None
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        if s == goal:
-            return dist[s]
-        for _, succ in mdp.actions_of(s):
-            if allowed[succ] and succ not in dist:
-                dist[succ] = dist[s] + 1
-                queue.append(succ)
-    return None
+from oracles import bfs_hops, step
 
 
 def all_shortest_action_sequences(mdp, allowed, start, goal):
@@ -80,7 +63,7 @@ def test_plan_replays_through_the_dynamics():
         try:
             plan = shortest_safe_path(mdp, allowed, int(start), int(goal))
         except NoPathError:
-            assert bfs_distance(mdp, allowed, int(start), int(goal)) is None
+            assert bfs_hops(mdp, allowed, int(start), int(goal)) is None
             continue
         assert plan.states[0] == start and plan.states[-1] == goal
         assert all(allowed[s] for s in plan.states)
@@ -97,7 +80,7 @@ def test_hop_count_matches_bfs_oracle():
         if not len(inside):
             continue
         start, goal = rng.choice(inside, size=2).tolist()
-        expected = bfs_distance(mdp, allowed, int(start), int(goal))
+        expected = bfs_hops(mdp, allowed, int(start), int(goal))
         if expected is None:
             with pytest.raises(NoPathError):
                 shortest_safe_path(mdp, allowed, int(start), int(goal))

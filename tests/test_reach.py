@@ -19,7 +19,17 @@ from safemdp.reach import (
     r_safe_eps,
 )
 
-from oracles import DenseMetric
+from oracles import (
+    DenseMetric,
+    from_set,
+    oracle_eps,
+    oracle_eps_fixpoint,
+    oracle_reach,
+    oracle_ret_fixpoint,
+    oracle_ret_one,
+    oracle_safe,
+    to_set,
+)
 
 #: A three-state chain 0 -> 1 -> 2 with a self-loop on 2.
 CHAIN = Mdp([[(0, 1)], [(0, 2)], [(0, 2)]],
@@ -38,53 +48,6 @@ def random_mdp(rng, n_states=None, max_actions=3):
     return Mdp(actions, DenseMetric(dist)), dist
 
 
-def to_set(mask):
-    return set(np.flatnonzero(mask).tolist())
-
-
-def from_set(n, members):
-    mask = np.zeros(n, dtype=bool)
-    mask[list(members)] = True
-    return mask
-
-
-# -- literal set-based reimplementations -------------------------------------
-
-
-def oracle_safe(mdp, dist, base, r, eps, lip, h):
-    out = set(base)
-    for s in range(mdp.num_states):
-        for w in base:
-            if r[w] - eps - lip * dist[s, w] >= h:
-                out.add(s)
-    return out
-
-
-def oracle_reach(mdp, base):
-    out = set(base)
-    for s in base:
-        for _, succ in mdp.actions_of(s):
-            out.add(succ)
-    return out
-
-
-def oracle_ret_one(mdp, through, target):
-    out = set(target)
-    for s in through:
-        if any(succ in target for _, succ in mdp.actions_of(s)):
-            out.add(s)
-    return out
-
-
-def oracle_ret_fixpoint(mdp, through, target):
-    current = set(target)
-    while True:
-        grown = oracle_ret_one(mdp, through, current)
-        if grown == current:
-            return current
-        current = grown
-
-
 def oracle_ret_reverse_bfs(mdp, through, target):
     # s can return iff a path s -> ... -> target exists whose every hop
     # starts inside `through`; walk the edges backwards from the target.
@@ -101,24 +64,6 @@ def oracle_ret_reverse_bfs(mdp, through, target):
             out.add(s)
         frontier = nxt
     return out
-
-
-def oracle_eps(mdp, dist, base, r, eps, lip, h):
-    if not base:
-        return set()
-    safe = oracle_safe(mdp, dist, base, r, eps, lip, h)
-    reach = oracle_reach(mdp, base)
-    ret = oracle_ret_fixpoint(mdp, safe, base)
-    return safe & reach & ret
-
-
-def oracle_eps_fixpoint(mdp, dist, seed, r, eps, lip, h):
-    current = set(seed)
-    while True:
-        grown = oracle_eps(mdp, dist, current, r, eps, lip, h)
-        if grown == current:
-            return current
-        current = grown
 
 
 def random_subset(rng, n):

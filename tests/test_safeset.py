@@ -15,7 +15,7 @@ from safemdp.safeset import (
     expanders,
 )
 
-from oracles import DenseMetric, dense_distances
+from oracles import DenseMetric, dense_distances, from_set
 
 
 def bands_of(lower, upper):
@@ -25,12 +25,6 @@ def bands_of(lower, upper):
 def random_bands(rng, n, h):
     lower = h + rng.normal(scale=1.0, size=n)
     return ConfidenceBands(lower, lower + rng.uniform(0.0, 2.0, size=n))
-
-
-def mask(n, members):
-    out = np.zeros(n, dtype=bool)
-    out[list(members)] = True
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -43,21 +37,21 @@ def test_dipped_witness_keeps_only_the_previous_set():
     # retained rather than letting the safe set shrink to nothing.
     h = 0.0
     bands = bands_of([h - 0.01, -5.0, -5.0], [1.0, 1.0, 1.0])
-    safe = classify_safe(bands, mask(3, {0}), h)
+    safe = classify_safe(bands, from_set(3, {0}), h)
     np.testing.assert_array_equal(safe, [True, False, False])
 
 
 def test_direct_mode_reads_each_lower_band():
     h = 0.2
     bands = bands_of([h - 1.0, h, h + 0.3, h - 0.1], [2.0, 2.0, 2.0, 2.0])
-    safe = classify_safe(bands, mask(4, {0}), h)
+    safe = classify_safe(bands, from_set(4, {0}), h)
     # Own band decides (inclusive >=); the previous set stays regardless.
     np.testing.assert_array_equal(safe, [True, True, True, False])
 
 
 def test_classify_requires_a_nonempty_previous_set():
     with pytest.raises(ValueError):
-        classify_safe(bands_of([0, 0], [1, 1]), mask(2, set()), 0.0)
+        classify_safe(bands_of([0, 0], [1, 1]), from_set(2, set()), 0.0)
 
 
 def test_classify_matches_bruteforce_double_loop():
@@ -66,7 +60,7 @@ def test_classify_matches_bruteforce_double_loop():
     for _ in range(60):
         h = float(rng.normal(scale=0.5))
         bands = random_bands(rng, n, h)
-        prev = mask(n, set(rng.choice(n, size=int(rng.integers(1, 6)), replace=False).tolist()))
+        prev = from_set(n, set(rng.choice(n, size=int(rng.integers(1, 6)), replace=False).tolist()))
         got = classify_safe(bands, prev, h)
         expected = {s for s in range(n) if prev[s] or bands.lower[s] >= h}
         assert set(np.flatnonzero(got).tolist()) == expected
@@ -78,13 +72,13 @@ def test_classify_matches_bruteforce_double_loop():
 
 def test_ergodic_is_previous_set_when_nothing_new_is_safe():
     mdp = grid_mdp(2, 2, 1.0)
-    prev = mask(4, {0, 1})
+    prev = from_set(4, {0, 1})
     np.testing.assert_array_equal(ergodic_safe(mdp, prev.copy(), prev), prev)
 
 
 def test_ergodic_adds_reachable_returnable_states():
     mdp = Mdp([[(0, 0), (1, 1)], [(0, 0)]], DenseMetric([[0, 1], [1, 0]]))
-    out = ergodic_safe(mdp, mask(2, {0, 1}), mask(2, {0}))
+    out = ergodic_safe(mdp, from_set(2, {0, 1}), from_set(2, {0}))
     assert out.all()
 
 
@@ -102,8 +96,8 @@ def test_trapdoor_state_is_not_ergodic():
             acts = list(base.actions_of(s))
         actions.append(acts)
     mdp = Mdp(actions, base.metric)
-    safe = mask(16, {0, 1, 4, 5})
-    prev = mask(16, {0, 1, 4})
+    safe = from_set(16, {0, 1, 4, 5})
+    prev = from_set(16, {0, 1, 4})
     out = ergodic_safe(mdp, safe, prev)
     assert not out[trapdoor]
     np.testing.assert_array_equal(out, prev)
@@ -112,7 +106,7 @@ def test_trapdoor_state_is_not_ergodic():
 def test_ergodic_rejects_escaped_previous_set():
     mdp = grid_mdp(2, 2, 1.0)
     with pytest.raises(ErgodicPreconditionError):
-        ergodic_safe(mdp, mask(4, {0}), mask(4, {0, 1}))
+        ergodic_safe(mdp, from_set(4, {0}), from_set(4, {0, 1}))
 
 
 def test_ergodic_matches_operator_composition():
@@ -121,7 +115,7 @@ def test_ergodic_matches_operator_composition():
     rng = np.random.default_rng(13)
     mdp = grid_mdp(4, 4, 1.0)
     for _ in range(40):
-        prev = mask(16, set(rng.choice(16, size=3, replace=False).tolist()))
+        prev = from_set(16, set(rng.choice(16, size=3, replace=False).tolist()))
         safe = prev | (rng.random(16) < 0.5)
         got = ergodic_safe(mdp, safe, prev)
         expected = safe & r_reach(mdp, prev) & r_ret_fixpoint(mdp, safe, prev)
@@ -147,12 +141,12 @@ def test_boundary_certificate_counts_inclusively():
     h, lip = 0.0, 0.5  # exactly representable so the boundary really is exact
     # u(s0) - L*d(s0,s1) == h; inclusive comparison makes s0 an expander.
     bands = bands_of([h, -1.0], [h + lip * 1.0, -0.5])
-    mask_, nearest = expanders(mdp, mask(2, {0}), mask(2, {0}), bands, lip, h)
+    mask_, nearest = expanders(mdp, from_set(2, {0}), from_set(2, {0}), bands, lip, h)
     np.testing.assert_array_equal(mask_, [True, False])
     np.testing.assert_array_equal(nearest, [1.0, 0.0])
     # An upper band a hair lower misses the certificate.
     bands = bands_of([h, -1.0], [h + lip - 1e-9, -0.5])
-    mask_, nearest = expanders(mdp, mask(2, {0}), mask(2, {0}), bands, lip, h)
+    mask_, nearest = expanders(mdp, from_set(2, {0}), from_set(2, {0}), bands, lip, h)
     assert not mask_.any()
 
 
@@ -201,22 +195,22 @@ def test_shrinking_upper_bands_never_add_expanders():
 
 def test_acquisition_target_rules():
     assert acquisition_target(np.zeros(5, bool), np.zeros(5)) is None
-    assert acquisition_target(mask(5, {3}), np.arange(5.0)) == 3
+    assert acquisition_target(from_set(5, {3}), np.arange(5.0)) == 3
     widths = np.array([0.0, 0.5, 0.3, 0.0, 0.5])
-    assert acquisition_target(mask(5, {1, 2, 4}), widths) == 1  # tie -> lowest id
+    assert acquisition_target(from_set(5, {1, 2, 4}), widths) == 1  # tie -> lowest id
 
 
 def test_safe_sets_validation():
     ok = SafeSets(
-        safe=mask(3, {0, 1}),
-        ergodic=mask(3, {0}),
-        expanders=mask(3, {0}),
+        safe=from_set(3, {0, 1}),
+        ergodic=from_set(3, {0}),
+        expanders=from_set(3, {0}),
     )
     assert ok.expanders[0]
     with pytest.raises(ValueError):
-        SafeSets(mask(3, {0}), mask(3, {0, 1}), mask(3, set()))
+        SafeSets(from_set(3, {0}), from_set(3, {0, 1}), from_set(3, set()))
     with pytest.raises(ValueError):
-        SafeSets(mask(3, {0, 1}), mask(3, {0}), mask(3, {1}))
+        SafeSets(from_set(3, {0, 1}), from_set(3, {0}), from_set(3, {1}))
 
 
 def test_compute_safe_sets_nesting_on_random_instances():
@@ -225,7 +219,7 @@ def test_compute_safe_sets_nesting_on_random_instances():
     for _ in range(40):
         h = float(rng.normal(scale=0.4))
         bands = random_bands(rng, mdp.num_states, h)
-        prev = mask(16, {int(rng.integers(16))})
+        prev = from_set(16, {int(rng.integers(16))})
         sets = compute_safe_sets(mdp, bands, prev, h, float(rng.uniform(0.0, 1.0)))
         assert not (sets.ergodic & ~sets.safe).any()
         assert not (sets.expanders & ~sets.ergodic).any()
@@ -241,7 +235,7 @@ def test_safe_and_ergodic_sets_grow_under_monotone_bands():
     lower[5] = 1.0
     upper = np.full(16, 4.0)
     bands = ConfidenceBands(lower, upper)
-    prev = mask(16, {5})
+    prev = from_set(16, {5})
     prev_safe = prev.copy()
     for _ in range(12):
         lift = rng.uniform(0.0, 0.35, size=16)

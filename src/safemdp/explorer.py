@@ -2,7 +2,7 @@
 
 The explorer repeatedly tightens GP confidence bands, classifies the safe /
 ergodic / expander sets, walks to the most uncertain expander along a path
-inside the ergodic set, and measures the safety feature there.  It stops
+through the safe set, and measures the safety feature there.  It stops
 when the expanders run out, when their uncertainty falls below ``epsilon``,
 or when the iteration cap is hit.  A simulated :class:`Environment` supplies
 noisy measurements and checks — independently of what the agent believes —
@@ -11,6 +11,7 @@ that no truly unsafe state is ever visited.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
@@ -55,7 +56,7 @@ class Environment:
         Safety threshold; a visit to a state with ``true_safety < threshold``
         is a violation.
     noise_std : float
-        Standard deviation of the observation noise.
+        Finite, non-negative standard deviation of the observation noise.
     rng_seed : int
         Seed of the observation stream; equal seeds give identical runs.
     """
@@ -63,8 +64,8 @@ class Environment:
     def __init__(self, true_safety, threshold: float, noise_std: float, rng_seed: int):
         self.true_safety = np.asarray(true_safety, dtype=float)
         self.threshold = float(threshold)
-        if noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        if not 0 <= noise_std < math.inf:
+            raise ValueError(f"noise_std must be finite and non-negative, got {noise_std!r}")
         self.noise_std = float(noise_std)
         self.rng_seed = int(rng_seed)
         self._rng = np.random.default_rng(self.rng_seed)
@@ -101,16 +102,16 @@ class ExplorerConfig:
 class GpBandModel:
     """Tightens the run's confidence bands with a GP over the working states.
 
-    The model holds the GP and the confidence scale ``beta`` (a positive
-    float; intervals are ``mean +- sqrt(beta * variance)``).  The run owns
-    the bands: each ``advance`` intersects the posterior intervals of all
-    states into the bands it is handed, and each ``measure`` conditions the
-    GP in place.
+    The model holds the GP and the confidence scale ``beta`` (a positive,
+    finite float; intervals are ``mean +- sqrt(beta * variance)``).  The
+    run owns the bands: each ``advance`` intersects the posterior intervals
+    of all states into the bands it is handed, and each ``measure``
+    conditions the GP in place.
     """
 
     def __init__(self, gp: GpModel, beta: float):
-        if not beta > 0:
-            raise ValueError(f"beta must be positive, got {beta!r}")
+        if not 0 < beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {beta!r}")
         self.gp = gp
         self.beta = float(beta)
 

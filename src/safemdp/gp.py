@@ -2,16 +2,13 @@
 
 This module provides the statistical machinery used to estimate the unknown
 safety feature: stationary kernels evaluated on distances (each kernel row
-once, memoized per observed point), an exact GP posterior with incremental
-Cholesky updates whose pair covariances share the variances' whitening (one
-row per distinct observed point, none for zero-variance states), and
-monotonically intersected confidence bands.  The exploration run owns the
-bands: it starts them with :func:`initial_bands`, and its band model
-tightens them with :func:`update_bands`.
-
-The Cholesky factor and its triangular solves both run on ``scipy.linalg``,
-so on one BLAS thread pool: numpy ships its own OpenBLAS, and a numpy
-Cholesky right after scipy's solves pays for waking the other pool.
+once, memoized per observed point), an exact GP posterior conditioned one
+observation at a time by appending a row to its Cholesky factor (its pair
+covariances share the variances' whitening, one row per distinct observed
+point, none for zero-variance states), and monotonically intersected
+confidence bands.  The exploration run owns the bands: it starts them with
+:func:`initial_bands`, and its band model tightens them with
+:func:`update_bands`.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import solve_triangular
 
 MATERN52 = "matern52"
 SQUARED_EXPONENTIAL = "squared_exponential"
@@ -29,17 +26,14 @@ KERNEL_KINDS = (MATERN52, SQUARED_EXPONENTIAL)
 
 _SQRT5 = math.sqrt(5.0)
 
-#: Incremental factor updates are replaced by a full refactorization after
-#: this many appends, which bounds accumulated floating-point drift.
-REBUILD_PERIOD = 64
-
-#: Escalating diagonal jitter tried when a covariance matrix fails to
-#: factorize; after the last rung the model gives up.
-JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
-
 #: Posterior variances below zero by more than this margin indicate a real
-#: numerical problem rather than round-off and raise :class:`GpError`.
+#: numerical problem rather than round-off and raise :class:`GpError`; a new
+#: observation whose pivot falls below it raises :class:`SingularSystemError`.
 VARIANCE_FLOOR = -1e-8
+
+#: The least pivot a new row of the factor takes.  A pivot between
+#: :data:`VARIANCE_FLOOR` and this one comes from a noiseless exact repeat.
+JITTER = 1e-10
 
 #: New memo rows are evaluated in blocks whose coordinate differences take
 #: at most this many bytes, rather than all at once: at 2500 points that
@@ -53,7 +47,8 @@ class GpError(Exception):
 
 
 class SingularSystemError(GpError):
-    """Covariance matrix could not be factorized even with maximal jitter."""
+    """A new observation's pivot is NaN or negative beyond round-off: the
+    covariance is not positive semi-definite."""
 
 
 @dataclass(frozen=True)
@@ -174,38 +169,23 @@ class StationaryCovariance:
         return kernel_eval(self.kernel, dist)
 
 
-def _factorize(cov, points, noise_var, start_jitter):
-    """Cholesky factor of ``K + (noise_var + jitter) I`` with escalation."""
-    k = cov.matrix(points, points)
-    k = 0.5 * (k + k.T)
-    candidates = [start_jitter] + [j for j in JITTER_LADDER if j > start_jitter]
-    for jitter in candidates:
-        try:
-            chol = cholesky(k + (noise_var + jitter) * np.eye(len(points)),
-                            lower=True, check_finite=False)
-            return chol, jitter
-        except np.linalg.LinAlgError:
-            continue
-    raise SingularSystemError(
-        f"covariance matrix of {len(points)} observations is singular even with jitter {JITTER_LADDER[-1]:g}"
-    )
-
-
 class GpModel:
-    """Exact GP posterior, conditioned in place.
+    """Exact GP posterior, conditioned in place, one observation at a time.
 
-    ``add_observation`` updates the model itself.  The Cholesky factor of
-    ``K + noise_std**2 I`` is grown by rank-1 appends and refactorized from
-    scratch every :data:`REBUILD_PERIOD` updates.  The band models ask about
-    the same states on every advance, so the prior (co)variances and the
-    index of distinct unordered pairs are built once per model for each id
+    ``add_observation`` is the only way a model is conditioned.  It appends
+    one row to the lower Cholesky factor ``chol`` of ``K + noise_std**2 I``
+    and one entry to ``white = chol^-1 y``, the whitened observations; no
+    factorization is ever made from scratch.  The band models ask about the
+    same states on every advance, so the prior (co)variances and the index
+    of distinct unordered pairs are built once per model for each id
     sequence.  Both ``posterior`` and ``posterior_cov_pairs`` whiten one
     cross-covariance row per distinct observed point (tracked as points are
-    observed, not sorted per call) with one triangular solve.  ``posterior``
-    gives ids of zero prior variance, which covary with no point under a PSD
-    kernel, mean and variance 0.0 without solving for them.  Ids or pair
-    positions out of range raise :class:`ValueError`, in ``add_observation``
-    and ``from_data`` before the model changes.
+    observed, not sorted per call) with one triangular solve, and read the
+    means from that same whitening.  ``posterior`` gives ids of zero prior
+    variance, which covary with no point under a PSD kernel, mean and
+    variance 0.0 without solving for them.  Ids or pair positions out of
+    range raise :class:`ValueError`, in ``add_observation`` and
+    ``from_data`` before the model changes.
 
     Parameters
     ----------
@@ -213,20 +193,17 @@ class GpModel:
         Covariance object with ``matrix(a, b)`` and ``pairwise(a, b)``
         methods over integer point ids.
     noise_std : float
-        Non-negative observation noise standard deviation.
+        Finite, non-negative observation noise standard deviation.
     """
 
     def __init__(self, cov, noise_std: float):
-        if noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        if not 0 <= noise_std < math.inf:
+            raise ValueError(f"noise_std must be finite and non-negative, got {noise_std!r}")
         self.cov = cov
         self.noise_std = float(noise_std)
         self._points = ()
-        self._values = np.zeros(0)
-        self._chol = None
-        self._alpha = None
-        self._jitter = 0.0
-        self._since_rebuild = 0
+        self._chol = np.zeros((0, 0))
+        self._white = np.zeros(0)
         self._max_id = -1
         self._distinct = {}
         self._repeats = []
@@ -235,17 +212,12 @@ class GpModel:
 
     @classmethod
     def from_data(cls, cov, noise_std: float, points: Sequence[int], values) -> "GpModel":
-        """Batch-build a model from all observations at once."""
-        points = tuple(int(p) for p in points)
-        values = np.asarray(values, dtype=float)
+        """A model conditioned on ``points`` and ``values``, in that order."""
         if len(points) != len(values):
             raise ValueError("points and values must have equal length")
-        if not np.isfinite(values).all():
-            raise ValueError("observed values must be finite")
         model = cls(cov, noise_std)
-        model._check_ids(np.asarray(points, dtype=int))
-        if points:
-            model._refactorize(points, values)
+        for point, value in zip(points, values):
+            model.add_observation(point, value)
         return model
 
     @property
@@ -256,60 +228,41 @@ class GpModel:
     def points(self):
         return self._points
 
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-    @property
-    def jitter(self) -> float:
-        return self._jitter
-
     def add_observation(self, point: int, value: float) -> None:
         """Condition the model on ``(point, value)`` as well.
 
+        With ``c = chol^-1 k(points, point)`` and ``pivot = k(point, point)
+        + noise_std**2 - c @ c``, the factor gains the row ``[c,
+        sqrt(pivot)]`` and ``white`` the entry ``(value - c @ white) /
+        sqrt(pivot)``.  A pivot in ``[VARIANCE_FLOOR, JITTER)`` comes from a
+        noiseless exact repeat and is raised to :data:`JITTER` for this row.
         A non-finite ``value`` or a ``point`` out of range raises
-        :class:`ValueError`, and if the factor cannot be rebuilt,
-        :class:`SingularSystemError` is raised; either way the model is left
-        as it was.
+        :class:`ValueError`, and a pivot that is NaN or below
+        :data:`VARIANCE_FLOOR` raises :class:`SingularSystemError`; either
+        way the model is left as it was.
         """
         point, value = int(point), float(value)
         if not math.isfinite(value):
             raise ValueError(f"observed value must be finite, got {value!r}")
         self._check_ids(np.array([point]))
-        points = self._points + (point,)
-        values = np.append(self._values, value)
-        chol = None
-        if self._chol is not None and self._since_rebuild + 1 < REBUILD_PERIOD:
-            chol = self._try_append(point, self.noise_std**2 + self._jitter)
-        if chol is None:
-            self._refactorize(points, values)
-            return
-        self._points, self._values, self._chol = points, values, chol
-        self._alpha = _solve_chol(chol, values)
-        self._since_rebuild += 1
-
-    def _refactorize(self, points, values):
-        """Condition on exactly ``points`` and ``values``, factorizing from
-        scratch; the jitter ladder starts at the current jitter."""
-        chol, jitter = _factorize(self.cov, points, self.noise_std**2, self._jitter)
-        self._points, self._values, self._chol, self._jitter = points, values, chol, jitter
-        self._alpha = _solve_chol(chol, values)
-        self._since_rebuild = 0
-
-    def _try_append(self, point, diag_boost):
-        """Grow the Cholesky factor by one row, or ``None`` if unstable."""
-        k_vec = self.cov.matrix(self._points, [point])[:, 0]
-        k_pp = float(self.cov.pairwise([point], [point])[0]) + diag_boost
-        c = solve_triangular(self._chol, k_vec, lower=True, check_finite=False)
-        d_sq = k_pp - c @ c
-        if not d_sq > max(k_pp, 1.0) * 1e-12:
-            return None
         n = len(self._points)
+        k_vec = self.cov.matrix(self._points, [point])[:, 0]
+        c = solve_triangular(self._chol, k_vec, lower=True, check_finite=False)
+        pivot = float(self.cov.pairwise([point], [point])[0]) + self.noise_std**2 - c @ c
+        if not pivot >= VARIANCE_FLOOR:
+            raise SingularSystemError(
+                f"observation {n + 1}, at point {point}, has pivot {pivot:g}: "
+                "the covariance is not positive semi-definite"
+            )
+        root = math.sqrt(max(pivot, JITTER))
         grown = np.zeros((n + 1, n + 1))
         grown[:n, :n] = self._chol
         grown[n, :n] = c
-        grown[n, n] = math.sqrt(d_sq)
-        return grown
+        grown[n, n] = root
+        self._chol = grown
+        self._white = np.append(self._white, (value - c @ self._white) / root)
+        self._points += (point,)
+        self._repeats.append(self._distinct.setdefault(point, len(self._distinct)))
 
     def posterior(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at each id in ``points``.
@@ -341,8 +294,8 @@ class GpModel:
         means, variances = np.zeros(len(ids)), self._prior(ids, ids).copy()
         if not self._points:
             return means, variances, None
-        k_cross, v = self._cross(ids[live])
-        means[live] = k_cross.T @ self._alpha
+        v = self._cross(ids[live])
+        means[live] = v.T @ self._white
         variances[live] -= np.einsum("ij,ij->j", v, v)
         low = variances.min(initial=0.0)
         if low < VARIANCE_FLOOR:
@@ -350,14 +303,12 @@ class GpModel:
         return means, variances, v
 
     def _cross(self, ids):
-        """The observations' covariance with ``ids``, and ``chol^-1`` times it:
-        one row per distinct observed point, repeated in observation order and
+        """``chol^-1`` times the observations' covariance with ``ids``: one
+        row per distinct observed point, repeated in observation order and
         gathered column-major, as ``cov.matrix(points, ids)`` lays them out,
-        so ``k_cross.T @ alpha`` keeps its BLAS kernel and bits."""
-        for point in self._points[len(self._repeats):]:
-            self._repeats.append(self._distinct.setdefault(point, len(self._distinct)))
+        so the solve keeps its bits."""
         k_cross = np.take(self.cov.matrix(list(self._distinct), ids).T, self._repeats, axis=1).T
-        return k_cross, solve_triangular(self._chol, k_cross, lower=True, check_finite=False)
+        return solve_triangular(self._chol, k_cross, lower=True, check_finite=False)
 
     def _check_ids(self, ids):
         """Raise :class:`ValueError` naming the smallest of ``ids`` if it is
@@ -406,11 +357,6 @@ class GpModel:
         return self._pairs[key]
 
 
-def _solve_chol(chol, values):
-    tmp = solve_triangular(chol, values, lower=True, check_finite=False)
-    return solve_triangular(chol.T, tmp, lower=False, check_finite=False)
-
-
 @dataclass
 class ConfidenceBands:
     """Monotonically shrinking safety-feature intervals, one per state.
@@ -456,8 +402,8 @@ def update_bands(prev: ConfidenceBands, means, variances, beta_t: float) -> Conf
     variances = np.asarray(variances, dtype=float)
     if means.shape != (prev.num_states,) or variances.shape != (prev.num_states,):
         raise ValueError("means and variances must match the number of states")
-    if not beta_t > 0:
-        raise ValueError(f"beta must be positive, got {beta_t!r}")
+    if not 0 < beta_t < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta_t!r}")
     radius = np.sqrt(beta_t) * np.sqrt(np.maximum(variances, 0.0))
     lower = np.maximum(prev.lower, means - radius)
     upper = np.minimum(prev.upper, means + radius)

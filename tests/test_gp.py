@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
-from safemdp.explorer import GpBandModel
+from safemdp.explorer import Environment, GpBandModel
 from safemdp.gp import (
     ConfidenceBands,
     GpError,
     GpModel,
     Kernel,
     MATERN52,
-    REBUILD_PERIOD,
     SQUARED_EXPONENTIAL,
     SingularSystemError,
     StationaryCovariance,
@@ -148,7 +147,7 @@ def test_each_kernel_row_is_evaluated_once_and_only_for_observed_points(monkeypa
     cov = StationaryCovariance(Kernel(MATERN52, 1.5, 1.0), rng.normal(size=(40, 2)) * 3)
     model = GpModel(cov, 0.1)
     observed = set()
-    for i in range(REBUILD_PERIOD + 10):  # crosses a refactorization
+    for i in range(74):
         point = int(rng.integers(0, 12))
         model.add_observation(point, float(rng.normal()))
         observed.add(point)
@@ -197,19 +196,9 @@ def test_prior_variances_are_evaluated_once_per_model(monkeypatch, observation_m
     assert per_advance[1:] == [0, 0, 0]
 
 
-def test_incremental_difference_gp_matches_batch_and_dense_solve():
-    aug = augment(grid_mdp(6, 6, 1.0), half_step=0.5)
-    kernel = Kernel(MATERN52, 3.0, 2.0)
-    noise = 0.075
-    rng = np.random.default_rng(31)
-    obs = rng.integers(0, aug.num_states, size=REBUILD_PERIOD + 30)
-    vals = rng.normal(size=len(obs))
-    incremental = difference_gp(aug, kernel, noise)
-    for p, v in zip(obs, vals):
-        incremental.add_observation(int(p), float(v))
-    batch = GpModel.from_data(difference_gp(aug, kernel, noise).cov, noise, obs, vals)
-
-    # Dense reference: the four-term difference kernel and np.linalg.solve.
+def _dense_difference_posterior(aug, kernel, noise, obs, vals):
+    """The difference GP's posterior over every state from the four-term
+    difference kernel and np.linalg.solve, with no factor."""
     coords, owner, landing = aug.base.metric.coords, aug.owner, aug.landing
 
     def k(u, v):
@@ -222,20 +211,58 @@ def test_incremental_difference_gp_matches_batch_and_dense_solve():
     states = np.arange(aug.num_states)
     gram = k_diff(obs, obs) + noise**2 * np.eye(len(obs))
     cross = k_diff(obs, states)
-    mean_ref = cross.T @ np.linalg.solve(gram, vals)
+    mean = cross.T @ np.linalg.solve(gram, vals)
     prior = 2.0 * (kernel.prior_std**2 - kernel_eval(
         kernel, np.linalg.norm(coords[owner] - coords[landing], axis=-1)))
-    var_ref = prior - np.einsum("ij,ij->j", cross, np.linalg.solve(gram, cross))
+    variance = prior - np.einsum("ij,ij->j", cross, np.linalg.solve(gram, cross))
+    return mean, np.maximum(variance, 0.0)
 
-    def rel(a, b):  # acceptance gate 1's measure and bound
-        return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
 
+def _rel(a, b):
+    """Acceptance gate 1's measure, which it bounds by 1e-8."""
+    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
+
+
+def test_incremental_difference_gp_matches_batch_and_dense_solve():
+    aug = augment(grid_mdp(6, 6, 1.0), half_step=0.5)
+    kernel = Kernel(MATERN52, 3.0, 2.0)
+    noise = 0.075
+    rng = np.random.default_rng(31)
+    obs = rng.integers(0, aug.num_states, size=94)
+    vals = rng.normal(size=len(obs))
+    incremental = difference_gp(aug, kernel, noise)
+    for p, v in zip(obs, vals):
+        incremental.add_observation(int(p), float(v))
+    batch = GpModel.from_data(difference_gp(aug, kernel, noise).cov, noise, obs, vals)
+    mean_ref, var_ref = _dense_difference_posterior(aug, kernel, noise, obs, vals)
+
+    states = np.arange(aug.num_states)
     mean_i, var_i = incremental.posterior(states)
     mean_b, var_b = batch.posterior(states)
     for mean, var in ((mean_i, var_i), (mean_b, var_b)):
-        assert rel(mean, mean_ref) <= 1e-8
-        assert rel(var, np.maximum(var_ref, 0.0)) <= 1e-8
-    assert rel(mean_i, mean_b) <= 1e-8 and rel(var_i, var_b) <= 1e-8
+        assert _rel(mean, mean_ref) <= 1e-8
+        assert _rel(var, var_ref) <= 1e-8
+    assert _rel(mean_i, mean_b) <= 1e-8 and _rel(var_i, var_b) <= 1e-8
+
+
+def test_a_525_observation_append_chain_matches_dense_solve():
+    # The CLI's default iteration cap, at 150 distinct states: the drift of
+    # 525 appended rows stays within acceptance gate 1's bound.
+    aug = augment(grid_mdp(12, 12, 1.0), half_step=0.5)
+    kernel = Kernel(MATERN52, 3.0, 2.0)
+    noise = 0.075
+    rng = np.random.default_rng(43)
+    pool = rng.choice(aug.num_states, size=150, replace=False)
+    obs = pool[rng.integers(0, len(pool), size=525)]
+    vals = rng.normal(size=len(obs))
+    model = difference_gp(aug, kernel, noise)
+    for p, v in zip(obs, vals):
+        model.add_observation(int(p), float(v))
+    assert model.num_observations == 525 and len(set(model.points)) < 525
+    mean_ref, var_ref = _dense_difference_posterior(aug, kernel, noise, obs, vals)
+    mean, var = model.posterior(np.arange(aug.num_states))
+    assert _rel(mean, mean_ref) <= 1e-8
+    assert _rel(var, var_ref) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +393,7 @@ def _all_observation_posterior(model, ids):
     k_cross = model.cov.matrix(model.points, ids)
     v = solve_triangular(model._chol, k_cross, lower=True)
     variances = model.cov.pairwise(ids, ids) - np.einsum("ij,ij->j", v, v)
-    return k_cross.T @ model._alpha, np.maximum(variances, 0.0)
+    return v.T @ model._white, np.maximum(variances, 0.0)
 
 
 def test_posterior_equals_the_all_observation_solve_bit_for_bit():
@@ -471,39 +498,8 @@ def test_add_observation_updates_in_place():
     assert model.add_observation(2, 0.5) is None
     assert model.num_observations == 1
     assert model.points == (2,)
-    np.testing.assert_array_equal(model.values, [0.5])
     _, var1 = model.posterior([2])
     assert var1[0] == pytest.approx(0.01 / 1.01)
-
-
-def test_incremental_equals_batch():
-    rng = np.random.default_rng(19)
-    coords = rng.normal(size=(15, 2))
-    cov = StationaryCovariance(Kernel(SQUARED_EXPONENTIAL, 1.0, 1.0), coords)
-    obs = rng.integers(0, 15, size=10)
-    vals = rng.normal(size=10)
-    incremental = GpModel(cov, 0.1)
-    for p, v in zip(obs, vals):
-        incremental.add_observation(int(p), float(v))
-    batch = GpModel.from_data(cov, 0.1, obs, vals)
-    mi, vi = incremental.posterior(range(15))
-    mb, vb = batch.posterior(range(15))
-    np.testing.assert_allclose(mi, mb, rtol=1e-8, atol=1e-12)
-    np.testing.assert_allclose(vi, vb, rtol=1e-8, atol=1e-12)
-
-
-def test_rebuild_reproduces_posterior():
-    rng = np.random.default_rng(23)
-    coords = rng.normal(size=(20, 2))
-    cov = StationaryCovariance(Kernel(MATERN52, 1.0, 1.0), coords)
-    model = GpModel(cov, 0.05)
-    for _ in range(70):  # crosses the periodic-refactorization boundary
-        model.add_observation(int(rng.integers(20)), float(rng.normal()))
-    fresh = GpModel.from_data(cov, 0.05, model.points, model.values)
-    m1, v1 = model.posterior(range(20))
-    m2, v2 = fresh.posterior(range(20))
-    np.testing.assert_allclose(m1, m2, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(v1, v2, rtol=1e-10, atol=1e-12)
 
 
 def test_duplicate_noiseless_observations_need_jitter():
@@ -511,18 +507,22 @@ def test_duplicate_noiseless_observations_need_jitter():
     cov = StationaryCovariance(Kernel(SQUARED_EXPONENTIAL, 1.0, 1.0), coords)
     model = GpModel(cov, 0.0)
     model.add_observation(1, 0.4)
-    model.add_observation(1, 0.4)  # exactly repeated, singular without jitter
-    assert model.jitter > 0
+    # Exactly repeated: the pivot is zero up to round-off, and that row alone
+    # takes the pivot JITTER.
+    model.add_observation(1, 0.4)
+    assert model.num_observations == 2
     means, variances = model.posterior([1])
     assert means[0] == pytest.approx(0.4, abs=1e-4)
     assert variances[0] == pytest.approx(0.0, abs=1e-5)
 
 
 def test_singular_system_error_when_jitter_cannot_help():
-    # An indefinite "covariance" (eigenvalues 3 and -1) stays indefinite under
-    # every jitter rung, so the escalation ladder must give up cleanly.
-    class IndefiniteCov:
-        _k = np.array([[1.0, 2.0], [2.0, 1.0]])
+    # An indefinite "covariance" (eigenvalues 3 and -1) gives the second
+    # observation the pivot 1 - 2**2 = -3, far below VARIANCE_FLOOR; a NaN
+    # covariance gives it a NaN pivot.
+    class MatrixCov:
+        def __init__(self, k):
+            self._k = np.array(k)
 
         def matrix(self, a, b):
             return self._k[np.ix_(np.asarray(a, int), np.asarray(b, int))]
@@ -530,13 +530,17 @@ def test_singular_system_error_when_jitter_cannot_help():
         def pairwise(self, a, b):
             return self._k[np.asarray(a, int), np.asarray(b, int)]
 
-    model = GpModel(IndefiniteCov(), 0.0)
-    model.add_observation(0, 1.0)
-    with pytest.raises(SingularSystemError):
-        model.add_observation(1, 1.0)
-    # The failed update leaves the model conditioned on what it had.
-    assert model.points == (0,)
-    np.testing.assert_array_equal(model.values, [1.0])
+    for off_diagonal in (2.0, math.nan):
+        model = GpModel(MatrixCov([[1.0, off_diagonal], [off_diagonal, 1.0]]), 0.0)
+        model.add_observation(0, 1.0)
+        chol, before = model._chol.copy(), model.posterior([0])
+        with pytest.raises(SingularSystemError, match="pivot"):
+            model.add_observation(1, 1.0)
+        # The failed update leaves the model conditioned on what it had.
+        assert model.points == (0,)
+        np.testing.assert_array_equal(model._chol, chol)
+        for got, expected in zip(model.posterior([0]), before):
+            np.testing.assert_array_equal(got, expected)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -551,7 +555,6 @@ def test_non_finite_observation_is_rejected_and_leaves_the_model_as_it_was(bad):
     with pytest.raises(ValueError, match="finite"):
         model.add_observation(2, bad)
     assert model.points == (1,)
-    np.testing.assert_array_equal(model.values, [0.3])
     np.testing.assert_array_equal(model._chol, chol)
     for got, expected in zip(model.posterior(range(5)), before):
         np.testing.assert_array_equal(got, expected)
@@ -578,13 +581,13 @@ def test_observed_id_out_of_range_is_rejected_and_leaves_the_model_as_it_was(bad
 
 
 def test_factor_runs_without_numpys_cholesky(monkeypatch):
-    # The factor shares scipy's BLAS with the triangular solves.
+    # The factor grows by appended rows; nothing factorizes a matrix.
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.cholesky was called")
 
     cov = StationaryCovariance(Kernel(MATERN52, 2.0, 1.0), np.arange(12.0))
     rng = np.random.default_rng(4)
-    obs = rng.integers(0, 12, size=REBUILD_PERIOD + 5)  # crosses a refactorization
+    obs = rng.integers(0, 12, size=69)
     vals = rng.normal(size=len(obs))
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
     incremental = GpModel(cov, 0.1)
@@ -629,6 +632,23 @@ def test_beta_domain_errors():
             difference_band_model(aug, kernel, 0.1, bad)
         with pytest.raises(ValueError, match="beta"):
             update_bands(initial_bands(1, [False], 0.0), [0.0], [1.0], bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_noise_and_beta_are_rejected(bad):
+    kernel = Kernel(MATERN52, 1.0, 1.0)
+    aug = augment(grid_mdp(2, 2, 1.0), half_step=0.5)
+    cov = StationaryCovariance(kernel, np.arange(3.0))
+    with pytest.raises(ValueError, match="noise_std"):
+        GpModel(cov, bad)
+    with pytest.raises(ValueError, match="noise_std"):
+        Environment([1.0, 2.0], 0.0, bad, 0)
+    with pytest.raises(ValueError, match="beta"):
+        GpBandModel(GpModel(cov, 0.1), bad)
+    with pytest.raises(ValueError, match="beta"):
+        HeightGpBandModel(height_gp(aug, kernel, 0.1), aug, bad)
+    with pytest.raises(ValueError, match="beta"):
+        update_bands(initial_bands(1, [False], 0.0), [0.0], [0.0], bad)
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ class GpBandModel:
         self.beta = float(beta)
 
     def advance(self, prev: ConfidenceBands) -> ConfidenceBands:
-        means, variances = self.gp.posterior(np.arange(prev.num_states))
+        means, variances = self.gp.posterior()
         return update_bands(prev, means, variances, self.beta)
 
     def measure(self, env: Environment, state: int) -> float:

@@ -2,13 +2,13 @@
 
 This module provides the statistical machinery used to estimate the unknown
 safety feature: stationary kernels evaluated on distances (each kernel row
-once, memoized per observed point), an exact GP posterior conditioned one
-observation at a time by appending a row to its Cholesky factor (its pair
-covariances share the variances' whitening, one row per distinct observed
-point, none for zero-variance states), and monotonically intersected
-confidence bands.  The exploration run owns the bands: it starts them with
-:func:`initial_bands`, and its band model tightens them with
-:func:`update_bands`.
+once, memoized per observed point), an exact GP posterior over all of its
+covariance's points, conditioned one observation at a time by appending a
+row to its Cholesky factor (its pair covariances share the variances'
+whitening, one row per distinct observed point, none for zero-variance
+states), and monotonically intersected confidence bands.  The exploration
+run owns the bands: it starts them with :func:`initial_bands`, and its band
+model tightens them with :func:`update_bands`.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ class Kernel:
     kind : str
         Either ``"matern52"`` or ``"squared_exponential"``.
     lengthscale : float
-        Positive distance scale of the kernel.
+        Positive, finite distance scale of the kernel.
     prior_std : float
-        Positive prior standard deviation; the kernel value at distance zero
-        is ``prior_std ** 2``.
+        Positive, finite prior standard deviation; the kernel value at
+        distance zero is ``prior_std ** 2``.
     """
 
     kind: str
@@ -73,10 +73,12 @@ class Kernel:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
-        if not self.lengthscale > 0:
-            raise ValueError("kernel lengthscale must be positive")
-        if not self.prior_std > 0:
-            raise ValueError("kernel prior_std must be positive")
+        if not 0 < self.lengthscale < math.inf:
+            raise ValueError(f"kernel lengthscale must be positive and finite, "
+                             f"got {self.lengthscale!r}")
+        if not 0 < self.prior_std < math.inf:
+            raise ValueError(f"kernel prior_std must be positive and finite, "
+                             f"got {self.prior_std!r}")
 
 
 def kernel_eval(kernel: Kernel, distance):
@@ -112,8 +114,8 @@ def kernel_eval(kernel: Kernel, distance):
 class StationaryCovariance:
     """Covariance between members of a finite index set with coordinates.
 
-    Points are integer ids into ``coords``; the kernel is evaluated on the
-    Euclidean distance between coordinates.
+    Points are the integer ids ``0 ... num_points - 1`` into ``coords``; the
+    kernel is evaluated on the Euclidean distance between coordinates.
 
     ``matrix(a, b)`` reads from a memo of kernel rows.  The first time an id
     appears in ``a``, its row against every point is evaluated and kept, so
@@ -134,6 +136,10 @@ class StationaryCovariance:
         self._slot = np.full(len(coords), -1, dtype=np.intp)
         self._rows = np.empty((0, len(coords)))
         self._num_rows = 0
+
+    @property
+    def num_points(self) -> int:
+        return len(self.coords)
 
     def matrix(self, a, b) -> np.ndarray:
         """Full covariance matrix between the id sequences ``a`` and ``b``."""
@@ -170,28 +176,30 @@ class StationaryCovariance:
 
 
 class GpModel:
-    """Exact GP posterior, conditioned in place, one observation at a time.
+    """Exact GP posterior over the points ``0 ... cov.num_points - 1``,
+    conditioned in place, one observation at a time.
 
     ``add_observation`` is the only way a model is conditioned.  It appends
     one row to the lower Cholesky factor ``chol`` of ``K + noise_std**2 I``
     and one entry to ``white = chol^-1 y``, the whitened observations; no
-    factorization is ever made from scratch.  The band models ask about the
-    same states on every advance, so the prior (co)variances and the index
-    of distinct unordered pairs are built once per model for each id
-    sequence.  Both ``posterior`` and ``posterior_cov_pairs`` whiten one
-    cross-covariance row per distinct observed point (tracked as points are
-    observed, not sorted per call) with one triangular solve, and read the
-    means from that same whitening.  ``posterior`` gives ids of zero prior
+    factorization is ever made from scratch.  The prior variances of all
+    points are evaluated once, when the model is made, and the index of
+    distinct unordered pairs once for each pair sequence.  Both
+    ``posterior`` and ``posterior_cov_pairs`` whiten one cross-covariance
+    row per distinct observed point (tracked as points are observed, not
+    sorted per call) with one triangular solve, and read the means from
+    that same whitening.  ``posterior`` gives points of zero prior
     variance, which covary with no point under a PSD kernel, mean and
-    variance 0.0 without solving for them.  Ids or pair positions out of
-    range raise :class:`ValueError`, in ``add_observation`` and
-    ``from_data`` before the model changes.
+    variance 0.0 without solving for them.  Point ids out of range raise
+    :class:`ValueError`, in ``add_observation`` and ``from_data`` before
+    the model changes.
 
     Parameters
     ----------
     cov :
-        Covariance object with ``matrix(a, b)`` and ``pairwise(a, b)``
-        methods over integer point ids.
+        Covariance object with a ``num_points`` attribute and
+        ``matrix(a, b)`` and ``pairwise(a, b)`` methods over the integer
+        point ids ``0 ... num_points - 1``.
     noise_std : float
         Finite, non-negative observation noise standard deviation.
     """
@@ -201,13 +209,14 @@ class GpModel:
             raise ValueError(f"noise_std must be finite and non-negative, got {noise_std!r}")
         self.cov = cov
         self.noise_std = float(noise_std)
+        everywhere = np.arange(cov.num_points)
+        self._prior = np.asarray(cov.pairwise(everywhere, everywhere), dtype=float)
+        self._live = np.flatnonzero(self._prior > 0)
         self._points = ()
         self._chol = np.zeros((0, 0))
         self._white = np.zeros(0)
-        self._max_id = -1
         self._distinct = {}
         self._repeats = []
-        self._priors = {}
         self._pairs = {}
 
     @classmethod
@@ -244,11 +253,12 @@ class GpModel:
         point, value = int(point), float(value)
         if not math.isfinite(value):
             raise ValueError(f"observed value must be finite, got {value!r}")
-        self._check_ids(np.array([point]))
+        if not 0 <= point < len(self._prior):
+            raise ValueError(f"point id {point} is out of range")
         n = len(self._points)
         k_vec = self.cov.matrix(self._points, [point])[:, 0]
         c = solve_triangular(self._chol, k_vec, lower=True, check_finite=False)
-        pivot = float(self.cov.pairwise([point], [point])[0]) + self.noise_std**2 - c @ c
+        pivot = float(self._prior[point]) + self.noise_std**2 - c @ c
         if not pivot >= VARIANCE_FLOOR:
             raise SingularSystemError(
                 f"observation {n + 1}, at point {point}, has pivot {pivot:g}: "
@@ -264,8 +274,8 @@ class GpModel:
         self._points += (point,)
         self._repeats.append(self._distinct.setdefault(point, len(self._distinct)))
 
-    def posterior(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and variance at each id in ``points``.
+    def posterior(self) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and variance at every point.
 
         Returns
         -------
@@ -273,30 +283,29 @@ class GpModel:
             Variances are clamped at zero; a value below
             :data:`VARIANCE_FLOOR` before clamping raises :class:`GpError`.
         """
-        ids = np.asarray(points, dtype=int)
-        means, variances, _ = self._posterior(ids, self._prior(ids, ids) > 0)
+        means, variances, _ = self._posterior(self._live)
         return means, np.maximum(variances, 0.0)
 
-    def posterior_cov_pairs(self, points, left, right):
-        """``posterior(points)`` and the posterior covariance of each pair
-        ``points[left[i]], points[right[i]]``, from one triangular solve over
-        all of ``points``.  A self pair reads the unclamped variance; each
-        unordered pair of distinct positions takes one column dot product."""
-        ids = np.asarray(points, dtype=int)
-        means, variances, v = self._posterior(ids, slice(None))
-        first, second, prior, slot = self._pair_index(ids, left, right)
+    def posterior_cov_pairs(self, left, right):
+        """``posterior()`` and the posterior covariance of each pair of
+        points ``left[i], right[i]``, from one triangular solve over all
+        points.  A self pair reads the unclamped variance; each unordered
+        pair of distinct points takes one column dot product."""
+        means, variances, v = self._posterior(np.arange(len(self._prior)))
+        first, second, prior, slot = self._pair_index(left, right)
         dots = 0.0 if v is None else np.einsum("ij,ij->j", v[:, first], v[:, second])
         return means, np.maximum(variances, 0.0), np.concatenate([variances, prior - dots])[slot]
 
-    def _posterior(self, ids, live):
-        """Means, unclamped variances and ``chol^-1 k_cross`` at ``ids``; the
-        ids outside ``live`` skip the solve and keep mean 0 and prior variance."""
-        means, variances = np.zeros(len(ids)), self._prior(ids, ids).copy()
+    def _posterior(self, ids):
+        """Means and unclamped variances at every point, and ``chol^-1
+        k_cross`` at ``ids``; the points outside ``ids`` skip the solve and
+        keep mean 0 and prior variance."""
+        means, variances = np.zeros(len(self._prior)), self._prior.copy()
         if not self._points:
             return means, variances, None
-        v = self._cross(ids[live])
-        means[live] = v.T @ self._white
-        variances[live] -= np.einsum("ij,ij->j", v, v)
+        v = self._cross(ids)
+        means[ids] = v.T @ self._white
+        variances[ids] -= np.einsum("ij,ij->j", v, v)
         low = variances.min(initial=0.0)
         if low < VARIANCE_FLOOR:
             raise GpError(f"posterior variance {low:g} fell below the numerical floor")
@@ -310,49 +319,26 @@ class GpModel:
         k_cross = np.take(self.cov.matrix(list(self._distinct), ids).T, self._repeats, axis=1).T
         return solve_triangular(self._chol, k_cross, lower=True, check_finite=False)
 
-    def _check_ids(self, ids):
-        """Raise :class:`ValueError` naming the smallest of ``ids`` if it is
-        negative, or the largest if the covariance has no such point; the
-        largest id seen to have one is kept, so most calls only compare."""
-        if not len(ids):
-            return
-        low, high = int(ids.min()), int(ids.max())
-        if low < 0:
-            raise ValueError(f"point id {low} is out of range")
-        if high > self._max_id:
-            try:
-                self.cov.pairwise([high], [high])
-            except IndexError:
-                raise ValueError(f"point id {high} is out of range") from None
-            self._max_id = high
-
-    def _prior(self, a, b) -> np.ndarray:
-        """``cov.pairwise(a, b)``, evaluated on the first call for these ids."""
-        key = (a.tobytes(), b.tobytes())
-        if key not in self._priors:
-            self._check_ids(np.concatenate([a, b]))
-            self._priors[key] = np.asarray(self.cov.pairwise(a, b), dtype=float)
-        return self._priors[key]
-
-    def _pair_index(self, ids, left, right):
+    def _pair_index(self, left, right):
         """First occurrence and prior covariance of each unordered pair of
-        distinct positions, and each pair's slot in ``[variances, cross of
+        distinct points, and each pair's slot in ``[variances, cross of
         those pairs]``; built on the first call for these sequences."""
         left, right = np.asarray(left, dtype=int), np.asarray(right, dtype=int)
-        key = (ids.tobytes(), left.tobytes(), right.tobytes())
+        key = (left.tobytes(), right.tobytes())
         if key not in self._pairs:
             if len(left) != len(right):
                 raise ValueError(f"left and right differ in length: {len(left)} and {len(right)}")
+            n = len(self._prior)
             ends = np.concatenate([left, right])
-            if len(ends) and not 0 <= ends.min() <= ends.max() < len(ids):
-                raise ValueError(f"pair positions must lie in [0, len(points)) = [0, {len(ids)})")
+            if len(ends) and not 0 <= ends.min() <= ends.max() < n:
+                raise ValueError(f"pair point ids must lie in [0, num_points) = [0, {n})")
             moves = np.flatnonzero(left != right)
-            codes = np.minimum(left, right)[moves] * len(ids) + np.maximum(left, right)[moves]
+            codes = np.minimum(left, right)[moves] * n + np.maximum(left, right)[moves]
             _, first, twins = np.unique(codes, return_index=True, return_inverse=True)
             slot = left.copy()
-            slot[moves] = len(ids) + twins
+            slot[moves] = n + twins
             first = moves[first]
-            prior = np.asarray(self.cov.pairwise(ids[left], ids[right]), dtype=float)[first]
+            prior = np.asarray(self.cov.pairwise(left, right), dtype=float)[first]
             self._pairs[key] = (left[first], right[first], prior, slot)
         return self._pairs[key]
 

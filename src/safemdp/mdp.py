@@ -16,6 +16,8 @@ every original transition becomes a two-hop path through its action-state.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 GRID_UP = 0
@@ -194,16 +196,16 @@ def grid_mdp(rows: int, cols: int, cell_size: float, valid=None) -> Mdp:
     rows, cols : int
         Grid shape; must be positive.
     cell_size : float
-        Positive edge length of a cell; the metric is Manhattan distance in
-        cells times ``cell_size``.
+        Positive, finite edge length of a cell; the metric is Manhattan
+        distance in cells times ``cell_size``.
     valid : array_like of bool, optional
         Row-major mask of usable cells (e.g. after removing missing terrain
         data).  Invalid cells get no state.
     """
     if rows < 1 or cols < 1:
         raise ValueError("grid must have at least one row and one column")
-    if not cell_size > 0:
-        raise ValueError("cell_size must be positive")
+    if not 0 < cell_size < math.inf:
+        raise ValueError(f"cell_size must be positive and finite, got {cell_size!r}")
     if valid is None:
         valid = np.ones(rows * cols, dtype=bool)
     else:

@@ -71,8 +71,8 @@ class TerrainGrid:
     def __post_init__(self):
         self.heights = np.asarray(self.heights, dtype=float).reshape(self.rows * self.cols)
         self.nodata_mask = np.asarray(self.nodata_mask, dtype=bool).reshape(self.rows * self.cols)
-        if not self.cell_size > 0:
-            raise ValueError("cell_size must be positive")
+        if not 0 < self.cell_size < math.inf:
+            raise ValueError(f"cell_size must be positive and finite, got {self.cell_size!r}")
 
     def height_at(self, row: int, col: int) -> float:
         return float(self.heights[row * self.cols + col])
@@ -210,8 +210,8 @@ def synth_terrain(kind: SynthKind, rows: int, cols: int, cell_size: float) -> Te
     """Deterministically synthesize a ``rows`` x ``cols`` height map."""
     if rows < 1 or cols < 1:
         raise ValueError("terrain must have at least one row and one column")
-    if not cell_size > 0:
-        raise ValueError("cell_size must be positive")
+    if not 0 < cell_size < math.inf:
+        raise ValueError(f"cell_size must be positive and finite, got {cell_size!r}")
     rr, cc = np.divmod(np.arange(rows * cols), cols)
     if isinstance(kind, GpSample):
         if rows * cols > GP_SAMPLE_MAX_CELLS:
@@ -322,16 +322,20 @@ def height_covariance(aug: AugmentedMdp, kernel: Kernel) -> StationaryCovariance
 class DifferenceCovariance:
     """Covariance that a GP over cell heights induces on height differences.
 
-    Points are ids of ``aug``'s states; each maps to its ``(owner, landing)``
-    cell pair and covariances expand to the four-term combination
-    ``k(s,u) - k(s,u') - k(s',u) + k(s',u')``.  Original states map to the
-    degenerate pair ``(s, s)`` and so have zero variance — their "height
-    difference" is identically zero.
+    Points are the ids of ``aug``'s states, ``num_points`` of them; each
+    maps to its ``(owner, landing)`` cell pair and covariances expand to the
+    four-term combination ``k(s,u) - k(s,u') - k(s',u) + k(s',u')``.
+    Original states map to the degenerate pair ``(s, s)`` and so have zero
+    variance — their "height difference" is identically zero.
     """
 
     def __init__(self, height_cov: StationaryCovariance, aug: AugmentedMdp):
         self.height_cov = height_cov
         self.aug = aug
+
+    @property
+    def num_points(self) -> int:
+        return self.aug.num_states
 
     def matrix(self, a, b) -> np.ndarray:
         return self._four_terms(self.height_cov.matrix, a, b)
@@ -372,8 +376,7 @@ def height_gp_to_difference_bands(height_model: GpModel, aug: AugmentedMdp, beta
     :meth:`GpModel.posterior`, variances are clamped at zero, and one below
     ``VARIANCE_FLOOR`` raises :class:`GpError`.
     """
-    means, variances, cross = height_model.posterior_cov_pairs(
-        np.arange(aug.num_base_states), aug.owner, aug.landing)
+    means, variances, cross = height_model.posterior_cov_pairs(aug.owner, aug.landing)
     diff_mean = means[aug.owner] - means[aug.landing]
     diff_var = variances[aug.owner] + variances[aug.landing] - 2.0 * cross
     low = diff_var.min(initial=0.0)

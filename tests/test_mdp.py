@@ -1,5 +1,7 @@
 """Tests for the MDP core: grids, metrics, and action-state augmentation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,13 @@ def test_grid_rejects_bad_shapes():
         grid_mdp(3, 3, 0.0)
     with pytest.raises(ValueError):
         grid_mdp(2, 2, 1.0, valid=[False, False, False, False])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_grid_rejects_a_non_finite_cell_size(bad):
+    # An infinite cell size would give an all-NaN envelope.
+    with pytest.raises(ValueError, match="cell_size must be positive and finite"):
+        grid_mdp(3, 3, bad)
 
 
 def test_masked_grid_drops_cells_and_compacts_ids():

@@ -183,6 +183,16 @@ def test_synth_rejects_bad_dimensions():
         CraterHillParams(hill_height=2.0, hill_radius=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_cell_size_is_rejected(bad):
+    # An infinite cell size would give all-NaN synthesized heights.
+    for kind in (CraterHill(), GpSample(KERNEL)):
+        with pytest.raises(ValueError, match="cell_size must be positive and finite"):
+            synth_terrain(kind, 3, 3, bad)
+    with pytest.raises(ValueError, match="cell_size must be positive and finite"):
+        TerrainGrid(2, 2, bad, np.zeros(4), np.zeros(4, dtype=bool))
+
+
 def test_roughness_varies_with_seed_but_not_shape():
     params = CraterHillParams(roughness=0.05)
     a = synth_terrain(CraterHill(params, seed=1), 5, 5, 1.0)
@@ -296,27 +306,27 @@ def test_prior_difference_variance_doubles_for_independent_cells():
     kernel = Kernel("matern52", 1e-3, 10.0)
     gp = difference_gp(aug, kernel, 0.075)
     moving = aug.is_action_state & (aug.owner != aug.landing)
-    _, variances = gp.posterior(np.flatnonzero(moving))
-    np.testing.assert_allclose(variances, 200.0, rtol=1e-6)
+    _, variances = gp.posterior()
+    np.testing.assert_allclose(variances[moving], 200.0, rtol=1e-6)
 
 
 def test_self_pairs_have_zero_mean_and_variance():
     aug = flat_aug()
     gp = difference_gp(aug, KERNEL, 0.075)
     degenerate = ~aug.is_action_state | (aug.owner == aug.landing)
-    means, variances = gp.posterior(np.flatnonzero(degenerate))
-    np.testing.assert_allclose(means, 0.0, atol=1e-12)
-    np.testing.assert_allclose(variances, 0.0, atol=1e-9)
+    means, variances = gp.posterior()
+    np.testing.assert_allclose(means[degenerate], 0.0, atol=1e-12)
+    np.testing.assert_allclose(variances[degenerate], 0.0, atol=1e-9)
 
 
 def test_difference_prior_variance_formula():
     aug = flat_aug()
     gp = difference_gp(aug, KERNEL, 0.075)
-    moving = np.flatnonzero(aug.is_action_state & (aug.owner != aug.landing))
-    _, variances = gp.posterior(moving)
+    moving = aug.is_action_state & (aug.owner != aug.landing)
+    _, variances = gp.posterior()
     # Adjacent cells sit one cell_size apart: var = 2 (k(0) - k(d)).
     expected = 2.0 * (kernel_eval(KERNEL, 0.0) - kernel_eval(KERNEL, 1.0))
-    np.testing.assert_allclose(variances, expected, atol=1e-8)
+    np.testing.assert_allclose(variances[moving], expected, atol=1e-8)
 
 
 def test_height_bands_match_dense_joint_covariance_oracle():
@@ -356,21 +366,23 @@ class ConstantHeightPosterior:
     """Stands in for a height GP: zero posterior mean and variance at every
     cell, and the same posterior covariance ``cross`` for every pair."""
 
-    def __init__(self, cross):
+    def __init__(self, cross, num_points):
         self.cross = cross
+        self.num_points = num_points
 
-    def posterior_cov_pairs(self, points, left, right):
-        return np.zeros(len(points)), np.zeros(len(points)), np.full(len(left), self.cross)
+    def posterior_cov_pairs(self, left, right):
+        zero = np.zeros(self.num_points)
+        return zero, zero, np.full(len(left), self.cross)
 
 
 def test_difference_variance_below_the_floor_raises():
     # Difference variance = 0 + 0 - 2 * cross, on either side of the floor.
     aug = flat_aug()
     prev = initial_bands(aug.num_states, np.zeros(aug.num_states, bool), 0.0)
-    above = ConstantHeightPosterior(-0.4 * VARIANCE_FLOOR)
+    above = ConstantHeightPosterior(-0.4 * VARIANCE_FLOOR, aug.num_base_states)
     bands = height_gp_to_difference_bands(above, aug, 1.0, prev)
     assert (bands.width() == 0.0).all()
-    below = ConstantHeightPosterior(-0.6 * VARIANCE_FLOOR)
+    below = ConstantHeightPosterior(-0.6 * VARIANCE_FLOOR, aug.num_base_states)
     with pytest.raises(GpError, match="numerical floor"):
         height_gp_to_difference_bands(below, aug, 1.0, prev)
 
@@ -380,7 +392,7 @@ def _two_whitening_bands(model, aug, beta, prev):
     second triangular solve over the cells for the neighbour-pair
     covariances."""
     cells = np.arange(aug.num_base_states)
-    means, variances = model.posterior(cells)
+    means, variances = model.posterior()
     cross = model.cov.pairwise(aug.owner, aug.landing)
     if model.num_observations:
         v = solve_triangular(model._chol, model.cov.matrix(model.points, cells), lower=True,

@@ -9,6 +9,11 @@ whitening, one row per distinct observed point, none for zero-variance
 states), and monotonically intersected confidence bands.  The exploration
 run owns the bands: it starts them with :func:`initial_bands`, and its band
 model tightens them with :func:`update_bands`.
+
+scipy is imported by :func:`solve_triangular` on its first call, the first
+time a model conditions or whitens, so a process that never does (``safemdp
+oracle`` or ``synth``) never loads it.  The whitening solve works in place
+(``overwrite_b=True``) on the cross-covariance block it gathers for itself.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 MATERN52 = "matern52"
 SQUARED_EXPONENTIAL = "squared_exponential"
@@ -40,6 +44,12 @@ JITTER = 1e-10
 #: would be a 95 MiB temporary.  Smaller blocks would save little, as the
 #: memo itself holds 48 MiB at 2500 points.
 _EVALUATE_BLOCK_BYTES = 16 * 2**20
+
+
+def solve_triangular(a, b, **kwargs):
+    """``scipy.linalg.solve_triangular``, with scipy imported on first use."""
+    from scipy.linalg import solve_triangular as solve
+    return solve(a, b, **kwargs)
 
 
 class GpError(Exception):
@@ -315,9 +325,12 @@ class GpModel:
         """``chol^-1`` times the observations' covariance with ``ids``: one
         row per distinct observed point, repeated in observation order and
         gathered column-major, as ``cov.matrix(points, ids)`` lays them out,
-        so the solve keeps its bits."""
+        so the solve keeps its bits.  The gather is this call's own copy, so
+        the solve overwrites it (``overwrite_b=True``) instead of copying it
+        again."""
         k_cross = np.take(self.cov.matrix(list(self._distinct), ids).T, self._repeats, axis=1).T
-        return solve_triangular(self._chol, k_cross, lower=True, check_finite=False)
+        return solve_triangular(self._chol, k_cross, lower=True, overwrite_b=True,
+                                check_finite=False)
 
     def _pair_index(self, left, right):
         """First occurrence and prior covariance of each unordered pair of

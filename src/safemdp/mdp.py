@@ -280,9 +280,9 @@ def augment(mdp: Mdp, half_step: float) -> AugmentedMdp:
     ----------
     mdp : Mdp
     half_step : float
-        Metric distance between an action-state and each original state it
-        touches; half a cell on grids.
+        Positive, finite metric distance between an action-state and each
+        original state it touches; half a cell on grids.
     """
-    if not half_step > 0:
-        raise ValueError("half_step must be positive")
+    if not 0 < half_step < math.inf:
+        raise ValueError(f"half_step must be positive and finite, got {half_step!r}")
     return AugmentedMdp(mdp, half_step)

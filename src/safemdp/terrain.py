@@ -193,8 +193,9 @@ class CraterHillParams:
     roughness: float = 0.0
 
     def __post_init__(self):
-        if not (self.hill_radius > 0 and self.crater_radius > 0):
-            raise ValueError("hill_radius and crater_radius must be positive")
+        if not (0 < self.hill_radius < math.inf and 0 < self.crater_radius < math.inf):
+            raise ValueError(f"hill_radius and crater_radius must be positive and finite, "
+                             f"got {self.hill_radius!r} and {self.crater_radius!r}")
 
 
 @dataclass(frozen=True)
@@ -345,12 +346,17 @@ class DifferenceCovariance:
 
     def _four_terms(self, k, a, b) -> np.ndarray:
         """The height covariance ``k`` expanded over the cell pairs of ``a``
-        and ``b``."""
+        and ``b``, as ``((k(oa, ob) - k(oa, lb)) - k(la, ob)) + k(la, lb)``
+        summed into the first term, which ``k`` returns as a fresh array."""
         a = np.asarray(a, dtype=int)
         b = np.asarray(b, dtype=int)
         owner, landing = self.aug.owner, self.aug.landing
         oa, la, ob, lb = owner[a], landing[a], owner[b], landing[b]
-        return k(oa, ob) - k(oa, lb) - k(la, ob) + k(la, lb)
+        out = k(oa, ob)
+        out -= k(oa, lb)
+        out -= k(la, ob)
+        out += k(la, lb)
+        return out
 
 
 def difference_gp(aug: AugmentedMdp, kernel: Kernel, noise_std: float) -> GpModel:

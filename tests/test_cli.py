@@ -1,7 +1,11 @@
 """Command-line interface tests: config schema, artifacts, exit codes."""
 
+import ast
 import configparser
 import dataclasses
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -16,6 +20,7 @@ from safemdp.terrain import load_esri_ascii
 TRACE_HEADER = "t,target,width,path_length,observation,safe_size,ergodic_size,expander_size"
 SNAPSHOT_HEADER = "t,safe,ergodic,expanders"
 ORACLE_HEADER = "state,in_r_eps,in_r_zero"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, out_dir, **overrides):
@@ -400,3 +405,35 @@ def test_synth_out_of_range_flags_are_usage_errors(tmp_path, capsys, flag, value
     assert exc.value.code == 2
     assert f"argument {flag}: must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# what a command loads
+
+
+def test_only_a_command_that_conditions_a_gp_loads_scipy(tmp_path):
+    # Importing scipy.linalg takes most of the package's import time; only
+    # a GP's first triangular solve needs it.  A fresh interpreter, so that
+    # no other test has loaded it already.
+    smoke = str(ROOT / "perfbench" / "configs" / "smoke-explore-diff.ini")
+    script = textwrap.dedent(f"""
+        import sys
+        import safemdp
+        from safemdp.cli import main
+        steps = ["scipy" in sys.modules]
+        for argv in (["oracle", {smoke!r}],
+                     ["synth", "--rows", "3", "--cols", "3", "--kind", "gp-sample",
+                      "--out", {str(tmp_path / "t.asc")!r}],
+                     ["explore", {str(tmp_path / "nope.ini")!r}],
+                     ["explore", {smoke!r}]):
+            steps += [main(argv), "scipy" in sys.modules]
+        print(steps)
+    """)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, check=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path, "SAFEMDP_OUT": str(tmp_path)})
+    steps = ast.literal_eval(done.stdout.splitlines()[-1])
+    # Import, oracle, synth and a config error stay scipy-free; explore
+    # conditions a GP.
+    assert steps == [False, 0, False, 0, False, 2, False, 0, True]

@@ -254,6 +254,15 @@ def test_augment_half_step_defaults():
         augment(grid_mdp(2, 2, 1.0), half_step=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_augment_rejects_a_non_finite_half_step(bad):
+    # An infinite half-step would put every action-state infinitely far
+    # from its cell, so the envelope from a cell would be finite only on
+    # the cells.
+    with pytest.raises(ValueError, match="half_step must be positive and finite"):
+        augment(grid_mdp(3, 3, 1.0), half_step=bad)
+
+
 def _random_base_walk(base, rng, length):
     s = int(rng.integers(base.num_states))
     path = [s]

@@ -183,6 +183,15 @@ def test_synth_rejects_bad_dimensions():
         CraterHillParams(hill_height=2.0, hill_radius=-1.0)
 
 
+@pytest.mark.parametrize("radius", ["hill_radius", "crater_radius"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_radius_is_rejected(radius, bad):
+    # An infinite radius would turn the hill or crater into a constant
+    # offset.
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        CraterHillParams(**{radius: bad})
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_a_non_finite_cell_size_is_rejected(bad):
     # An infinite cell size would give all-NaN synthesized heights.
@@ -487,6 +496,53 @@ def test_difference_covariance_blocks_are_consistent():
     some = np.array([0, 5, 11, 17])
     np.testing.assert_allclose(gp.cov.pairwise(some, some[::-1]),
                                full[some, some[::-1]], atol=1e-12)
+
+
+def test_difference_covariance_is_the_four_term_sum_bit_for_bit():
+    # The expansion sums into its first gather; with repeated ids in both
+    # sequences it must still equal ((A - B) - C) + D of fresh gathers.
+    grid = synth_terrain(CraterHill(CraterHillParams(tilt_col=0.1, roughness=0.3)), 4, 5, 1.0)
+    aug, _ = build_terrain_environment(grid, TerrainSafetySpec(), 0.075, 3)
+    cov = difference_gp(aug, KERNEL, 0.075).cov
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, aug.num_states, size=9)
+    a[3] = a[7] = a[0]
+    b = np.concatenate([np.arange(aug.num_states), a])
+    k = height_covariance(aug, KERNEL).matrix
+    oa, la, ob, lb = aug.owner[a], aug.landing[a], aug.owner[b], aug.landing[b]
+    np.testing.assert_array_equal(cov.matrix(a, b),
+                                  ((k(oa, ob) - k(oa, lb)) - k(la, ob)) + k(la, lb))
+
+
+@pytest.mark.parametrize("build", [difference_gp, height_gp])
+def test_the_posterior_writes_into_nothing_it_reads(build):
+    # The whitening solve overwrites its right-hand side and the difference
+    # covariance sums in place; neither may reach the kernel-row memo or
+    # the model's factor and whitened observations.
+    grid = synth_terrain(CraterHill(CraterHillParams(tilt_col=0.1, roughness=0.3)), 4, 5, 1.0)
+    aug, _ = build_terrain_environment(grid, TerrainSafetySpec(), 0.075, 3)
+    model = build(aug, KERNEL, 0.075)
+    n = model.cov.num_points
+    rng = np.random.default_rng(11)
+    for point in rng.integers(0, n, size=8).tolist() * 2:
+        model.add_observation(point, float(rng.normal()))
+    memo = getattr(model.cov, "height_cov", model.cov)
+    model.cov.matrix(model.points, [0])  # every row the posterior reads
+    if build is height_gp:
+        left, right = aug.owner, aug.landing
+    else:
+        left, right = np.arange(n), np.arange(n)[::-1]
+
+    def state():
+        return memo._rows.tobytes(), memo._num_rows, model._chol.tobytes(), model._white.tobytes()
+
+    before = state()
+    first = model.posterior(), model.posterior_cov_pairs(left, right)
+    assert state() == before
+    second = model.posterior(), model.posterior_cov_pairs(left, right)
+    assert state() == before
+    for got, want in zip([*second[0], *second[1]], [*first[0], *first[1]]):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_observe_height_is_seeded_and_centred():

@@ -39,11 +39,13 @@ VARIANCE_FLOOR = -1e-8
 #: :data:`VARIANCE_FLOOR` and this one comes from a noiseless exact repeat.
 JITTER = 1e-10
 
-#: New memo rows are evaluated in blocks whose coordinate differences take
-#: at most this many bytes, rather than all at once: at 2500 points that
-#: would be a 95 MiB temporary.  Smaller blocks would save little, as the
-#: memo itself holds 48 MiB at 2500 points.
-_EVALUATE_BLOCK_BYTES = 16 * 2**20
+#: The budget of one block of temporaries: kernel rows are evaluated a
+#: block of rows at a time whose coordinate differences take at most this
+#: many bytes, and ``posterior_cov_pairs`` gathers its pair columns a block
+#: of at most this many bytes per side at a time.  All at once, at 2500
+#: points, the differences would take 95 MiB and the pair gathers
+#: 2 x (observations) x (pairs) floats.
+_BLOCK_BYTES = 2**20
 
 
 def solve_triangular(a, b, **kwargs):
@@ -91,7 +93,7 @@ class Kernel:
                              f"got {self.prior_std!r}")
 
 
-def kernel_eval(kernel: Kernel, distance):
+def kernel_eval(kernel: Kernel, distance, out=None):
     """Evaluate ``kernel`` at one or more distances.
 
     Parameters
@@ -99,26 +101,53 @@ def kernel_eval(kernel: Kernel, distance):
     kernel : Kernel
     distance : float or array_like
         Non-negative distance(s) between points.
+    out : np.ndarray, optional
+        Float array of ``distance``'s shape, at least one-dimensional, that
+        receives the values; it may be ``distance`` itself.  The evaluation
+        then makes at most two temporaries of this shape.
 
     Returns
     -------
     float or np.ndarray
         ``prior_std**2 * (1 + sqrt(5) r + 5 r**2 / 3) * exp(-sqrt(5) r)``
         with ``r = distance / lengthscale`` for the Matern-5/2 variant, and
-        ``prior_std**2 * exp(-r**2 / 2)`` for the squared-exponential one.
+        ``prior_std**2 * exp(-r**2 / 2)`` for the squared-exponential one;
+        ``out`` when it is given.
     """
-    r = np.asarray(distance, dtype=float) / kernel.lengthscale
+    if out is None:
+        if np.ndim(distance) == 0:
+            return float(kernel_eval(kernel, np.reshape(distance, 1), np.empty(1))[0])
+        return kernel_eval(kernel, distance, np.empty(np.shape(distance)))
+    r = np.divide(np.asarray(distance, dtype=float), kernel.lengthscale, out=out)
     if np.any(r < 0):
         raise ValueError("kernel distances must be non-negative")
     if kernel.kind == MATERN52:
-        sr = _SQRT5 * r
-        val = (1.0 + sr + sr * sr / 3.0) * np.exp(-sr)
+        sr = np.multiply(r, _SQRT5, out=r)
+        square = np.multiply(sr, sr)
+        square /= 3.0
+        decay = np.negative(sr)
+        np.exp(decay, out=decay)
+        sr += 1.0
+        sr += square
+        sr *= decay
     else:
-        val = np.exp(-0.5 * r * r)
-    out = kernel.prior_std**2 * val
-    if np.ndim(distance) == 0:
-        return float(out)
+        exponent = np.multiply(r, -0.5)
+        exponent *= r
+        np.exp(exponent, out=r)
+    out *= kernel.prior_std**2
     return out
+
+
+def point_ids(ids, num_points: int) -> np.ndarray:
+    """``ids`` as an integer array, each checked to lie in ``[0,
+    num_points)``; an id outside raises :class:`ValueError` naming it."""
+    ids = np.asarray(ids, dtype=np.intp)
+    # Viewed as unsigned, a negative id is at least 2**63, so one maximum
+    # finds an id outside the range on either side.
+    if ids.view(np.uintp).max(initial=0) >= num_points:
+        bad = ids[(ids < 0) | (ids >= num_points)].flat[0]
+        raise ValueError(f"point id {bad} is out of range [0, {num_points})")
+    return ids
 
 
 class StationaryCovariance:
@@ -134,7 +163,8 @@ class StationaryCovariance:
     distinct observed point: at most (distinct observed points) x (number
     of points) floats in use.  Its storage doubles when full, so it
     allocates less than twice that, and never more than a square block over
-    all points.
+    all points.  An id outside ``[0, num_points)``, or ``pairwise``
+    sequences of unequal length, raise :class:`ValueError`.
     """
 
     def __init__(self, kernel: Kernel, coords):
@@ -153,35 +183,46 @@ class StationaryCovariance:
 
     def matrix(self, a, b) -> np.ndarray:
         """Full covariance matrix between the id sequences ``a`` and ``b``."""
-        a = np.asarray(a, dtype=int)
+        a, b = point_ids(a, self.num_points), point_ids(b, self.num_points)
         if (self._slot[a] < 0).any():
             new = np.zeros(len(self._slot), dtype=bool)
             new[a] = True
-            ids = np.flatnonzero(new & (self._slot < 0))
-            step = max(1, _EVALUATE_BLOCK_BYTES // self.coords.nbytes)
-            for lo in range(0, len(ids), step):
-                self._evaluate(ids[lo:lo + step])
-        return self._rows[self._slot[a]][:, np.asarray(b, dtype=int)]
+            self._evaluate(np.flatnonzero(new & (self._slot < 0)))
+        return self._rows[self._slot[a]][:, b]
 
     def _evaluate(self, ids):
-        """Evaluate and memoize the rows of the distinct, new ``ids``."""
-        diff = self.coords[ids][:, None, :] - self.coords[None, :, :]
-        values = kernel_eval(self.kernel, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
+        """Evaluate the rows of the distinct, new ``ids`` straight into the
+        memo."""
         start, stop = self._num_rows, self._num_rows + len(ids)
         if stop > len(self._rows):
             capacity = min(max(stop, 2 * len(self._rows)), len(self.coords))
             grown = np.empty((capacity, len(self.coords)))
             grown[:start] = self._rows[:start]
             self._rows = grown
-        self._rows[start:stop] = values
+        self.fill_rows(ids, self._rows[start:stop])
         self._slot[ids] = np.arange(start, stop)
         self._num_rows = stop
 
+    def fill_rows(self, ids, out) -> np.ndarray:
+        """Write the kernel rows of ``ids`` against every point into the
+        float array ``out`` and return it, without the memo.  Rows are
+        evaluated in blocks whose coordinate differences take at most
+        :data:`_BLOCK_BYTES`, each block in place in ``out``."""
+        ids = point_ids(ids, self.num_points)
+        step = max(1, _BLOCK_BYTES // self.coords.nbytes)
+        for lo in range(0, len(ids), step):
+            block = out[lo:lo + step]
+            diff = self.coords[ids[lo:lo + step], None, :] - self.coords
+            np.sqrt(np.einsum("ijk,ijk->ij", diff, diff, out=block), out=block)
+            kernel_eval(self.kernel, block, block)
+        return out
+
     def pairwise(self, a, b) -> np.ndarray:
         """Element-wise covariance between equally long id sequences."""
-        pa = self.coords[np.asarray(a, dtype=int)]
-        pb = self.coords[np.asarray(b, dtype=int)]
-        dist = np.linalg.norm(pa - pb, axis=-1)
+        a, b = point_ids(a, self.num_points), point_ids(b, self.num_points)
+        if len(a) != len(b):
+            raise ValueError(f"a and b differ in length: {len(a)} and {len(b)}")
+        dist = np.linalg.norm(self.coords[a] - self.coords[b], axis=-1)
         return kernel_eval(self.kernel, dist)
 
 
@@ -300,11 +341,17 @@ class GpModel:
         """``posterior()`` and the posterior covariance of each pair of
         points ``left[i], right[i]``, from one triangular solve over all
         points.  A self pair reads the unclamped variance; each unordered
-        pair of distinct points takes one column dot product."""
+        pair of distinct points takes one column dot product, gathered a
+        block of at most :data:`_BLOCK_BYTES` per side at a time."""
         means, variances, v = self._posterior(np.arange(len(self._prior)))
         first, second, prior, slot = self._pair_index(left, right)
-        dots = 0.0 if v is None else np.einsum("ij,ij->j", v[:, first], v[:, second])
-        return means, np.maximum(variances, 0.0), np.concatenate([variances, prior - dots])[slot]
+        cross = prior.copy()
+        if v is not None:
+            step = max(1, _BLOCK_BYTES // (v.itemsize * len(v)))
+            for lo in range(0, len(first), step):
+                pairs = slice(lo, lo + step)
+                cross[pairs] -= np.einsum("ij,ij->j", v[:, first[pairs]], v[:, second[pairs]])
+        return means, np.maximum(variances, 0.0), np.concatenate([variances, cross])[slot]
 
     def _posterior(self, ids):
         """Means and unclamped variances at every point, and ``chol^-1

@@ -31,6 +31,7 @@ from .gp import (
     GpModel,
     Kernel,
     StationaryCovariance,
+    point_ids,
     update_bands,
 )
 from .mdp import AugmentedMdp, augment, grid_mdp
@@ -219,10 +220,15 @@ def synth_terrain(kind: SynthKind, rows: int, cols: int, cell_size: float) -> Te
             raise ValueError(
                 f"GpSample terrain is limited to {GP_SAMPLE_MAX_CELLS} cells, got {rows * cols}"
             )
-        ids = np.arange(rows * cols)
+        # The prior is the one C x C array the draw fills; adding the jitter
+        # in place keeps every bit of the off-diagonal, as x + 0.0 == x.
+        # np.linalg.cholesky copies it and returns the factor, so those
+        # three arrays are the draw's peak.
         coords = np.stack([rr, cc], axis=1) * cell_size
-        cov = StationaryCovariance(kind.kernel, coords).matrix(ids, ids)
-        chol = np.linalg.cholesky(cov + 1e-10 * np.eye(rows * cols))
+        prior = StationaryCovariance(kind.kernel, coords).fill_rows(
+            np.arange(rows * cols), np.empty((rows * cols, rows * cols)))
+        prior[np.diag_indices_from(prior)] += 1e-10
+        chol = np.linalg.cholesky(prior)
         rng = np.random.default_rng(kind.seed)
         heights = chol @ rng.standard_normal(rows * cols)
     elif isinstance(kind, CraterHill):
@@ -327,7 +333,8 @@ class DifferenceCovariance:
     maps to its ``(owner, landing)`` cell pair and covariances expand to the
     four-term combination ``k(s,u) - k(s,u') - k(s',u) + k(s',u')``.
     Original states map to the degenerate pair ``(s, s)`` and so have zero
-    variance — their "height difference" is identically zero.
+    variance — their "height difference" is identically zero.  Ids and
+    lengths are checked as :class:`StationaryCovariance` checks them.
     """
 
     def __init__(self, height_cov: StationaryCovariance, aug: AugmentedMdp):
@@ -348,8 +355,7 @@ class DifferenceCovariance:
         """The height covariance ``k`` expanded over the cell pairs of ``a``
         and ``b``, as ``((k(oa, ob) - k(oa, lb)) - k(la, ob)) + k(la, lb)``
         summed into the first term, which ``k`` returns as a fresh array."""
-        a = np.asarray(a, dtype=int)
-        b = np.asarray(b, dtype=int)
+        a, b = point_ids(a, self.num_points), point_ids(b, self.num_points)
         owner, landing = self.aug.owner, self.aug.landing
         oa, la, ob, lb = owner[a], landing[a], owner[b], landing[b]
         out = k(oa, ob)

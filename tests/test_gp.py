@@ -1,6 +1,7 @@
 """GP regression, the confidence scale beta and confidence bands."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,37 @@ def _direct_matrix(cov, a, b):
 
 
 @pytest.mark.parametrize("kind", [MATERN52, SQUARED_EXPONENTIAL])
+def test_kernel_eval_into_its_own_distances_keeps_every_bit(kind):
+    # Written into its input or not, the kernel is the one expression, in
+    # its order of operations.
+    distance = np.random.default_rng(2).uniform(0.0, 9.0, size=(7, 11))
+    r = distance / 1.3
+    if kind == MATERN52:
+        sr = math.sqrt(5.0) * r
+        expected = 0.7**2 * ((1.0 + sr + sr * sr / 3.0) * np.exp(-sr))
+    else:
+        expected = 0.7**2 * np.exp(-0.5 * r * r)
+    np.testing.assert_array_equal(kernel_eval(Kernel(kind, 1.3, 0.7), distance), expected)
+    out = distance.copy()
+    assert kernel_eval(Kernel(kind, 1.3, 0.7), out, out) is out
+    np.testing.assert_array_equal(out, expected)
+
+
+def test_covariance_ids_out_of_range_and_unequal_lengths_raise_value_error():
+    # -1 used to read the last point, and 5 raised a bare IndexError.
+    cov = StationaryCovariance(Kernel(MATERN52, 1.0, 1.0), np.arange(5.0))
+    for a, b, bad in (([-1], [0], -1), ([5], [0], 5), ([0], [-1], -1), ([2, 0], [1, 7], 7)):
+        for method in (cov.matrix, cov.pairwise):
+            with pytest.raises(ValueError, match=f"point id {bad} is out of range"):
+                method(a, b)
+    with pytest.raises(ValueError, match="point id 5 is out of range"):
+        cov.fill_rows([5], np.empty((1, 5)))
+    with pytest.raises(ValueError, match="differ in length: 2 and 1"):
+        cov.pairwise([0, 1], [0])
+    assert cov._num_rows == 0
+
+
+@pytest.mark.parametrize("kind", [MATERN52, SQUARED_EXPONENTIAL])
 def test_memoized_matrix_equals_the_direct_formula_bit_for_bit(kind, monkeypatch):
     rng = np.random.default_rng(5)
     coords = rng.normal(size=(30, 2)) * 4
@@ -134,8 +166,8 @@ def test_memoized_matrix_equals_the_direct_formula_bit_for_bit(kind, monkeypatch
     calls += [([3, 3, 7, 3], [7, 7, 3, 0]), ([], [1, 2]), (np.arange(30), np.arange(30))]
     orders = (np.arange(len(calls)), rng.permutation(len(calls)))
     # New rows in one block, then in blocks of 7 rows.
-    for block_bytes in (gp_module._EVALUATE_BLOCK_BYTES, 7 * coords.nbytes):
-        monkeypatch.setattr(gp_module, "_EVALUATE_BLOCK_BYTES", block_bytes)
+    for block_bytes in (gp_module._BLOCK_BYTES, 7 * coords.nbytes):
+        monkeypatch.setattr(gp_module, "_BLOCK_BYTES", block_bytes)
         for order in orders:
             cov = StationaryCovariance(kernel, coords)
             for a, b in [calls[i] for i in order] * 2:  # the second pass reads the memo
@@ -146,10 +178,10 @@ def test_each_kernel_row_is_evaluated_once_and_only_for_observed_points(monkeypa
     # The row of id p is the one kernel_eval sees with a zero distance at p.
     evaluated = []
 
-    def recording(kernel, distance):
+    def recording(kernel, distance, out=None):
         if np.ndim(distance) == 2:
             evaluated.extend(int(np.flatnonzero(row == 0)[0]) for row in distance)
-        return kernel_eval(kernel, distance)
+        return kernel_eval(kernel, distance, out)
 
     monkeypatch.setattr(gp_module, "kernel_eval", recording)
     rng = np.random.default_rng(13)
@@ -472,6 +504,29 @@ def test_reverse_pair_reads_its_twin_and_a_self_pair_the_unclamped_variance():
     np.testing.assert_array_equal(cross[[2, 4]], unclamped[[5, 7]])
     for got, expected in zip((means, variances), model.posterior()):
         np.testing.assert_array_equal(got, expected)
+
+
+def test_pair_covariances_are_dotted_in_blocks_below_one_gather():
+    # 1770 pairs of 60 points span five blocks of 300-float columns, and
+    # they equal the one-shot dots over both full gathers bit for bit.
+    # One call holds at most a block per side, never an n x P gather.
+    rng = np.random.default_rng(31)
+    cov = StationaryCovariance(Kernel(MATERN52, 2.0, 1.0), rng.normal(size=(60, 2)) * 4)
+    model = GpModel.from_data(cov, 0.1, rng.integers(0, 60, size=300), rng.normal(size=300))
+    left, right = np.triu_indices(60, k=1)
+    n, pairs = model.num_observations, len(left)
+    assert pairs > 4 * (gp_module._BLOCK_BYTES // (8 * n))
+    _, _, cross = model.posterior_cov_pairs(left, right)
+    v = solve_triangular(model._chol, cov.matrix(model.points, np.arange(60)), lower=True)
+    one_shot = cov.pairwise(left, right) - np.einsum("ij,ij->j", v[:, left], v[:, right])
+    np.testing.assert_array_equal(cross, one_shot)
+    tracemalloc.start()
+    try:
+        model.posterior_cov_pairs(left, right)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * pairs
 
 
 def test_pairs_out_of_range_or_of_unequal_sides_raise_value_error():

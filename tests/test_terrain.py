@@ -130,30 +130,35 @@ def test_gp_sample_is_deterministic_and_size_limited():
 
 @pytest.mark.parametrize("rows, cols, seed", [(20, 20, 0), (30, 30, 0), (5, 5, 2), (4, 7, 1)])
 def test_gp_sample_heights_match_the_direct_kernel_formula(rows, cols, seed):
-    # The prior covariance comes from StationaryCovariance.matrix; the draw
-    # is bit for bit the one of the explicit distance/kernel formula.
-    kernel = Kernel("matern52", 10.0, 5.0)
+    # The prior is filled in place, a block of rows at a time, with the
+    # jitter added to its diagonal in place; the draw is bit for bit the
+    # one of the explicit distance/kernel formula, for both kernels and at
+    # a cell size that is not a power of two.
     rr, cc = np.divmod(np.arange(rows * cols), cols)
-    coords = np.stack([rr, cc], axis=1) * 1.0
-    diff = coords[:, None, :] - coords[None, :, :]
-    cov = kernel_eval(kernel, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
-    chol = np.linalg.cholesky(cov + 1e-10 * np.eye(rows * cols))
-    expected = chol @ np.random.default_rng(seed).standard_normal(rows * cols)
-    grid = synth_terrain(GpSample(kernel, seed), rows, cols, 1.0)
-    np.testing.assert_array_equal(grid.heights, expected)
+    for kernel in (Kernel("matern52", 10.0, 5.0), Kernel("squared_exponential", 2.5, 1.5)):
+        for cell_size in (1.0, 0.3):
+            coords = np.stack([rr, cc], axis=1) * cell_size
+            diff = coords[:, None, :] - coords[None, :, :]
+            cov = kernel_eval(kernel, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
+            chol = np.linalg.cholesky(cov + 1e-10 * np.eye(rows * cols))
+            expected = chol @ np.random.default_rng(seed).standard_normal(rows * cols)
+            grid = synth_terrain(GpSample(kernel, seed), rows, cols, cell_size)
+            np.testing.assert_array_equal(grid.heights, expected)
 
 
 def test_gp_sample_peak_memory_at_the_cell_limit():
-    # At 2500 cells the kernel rows, their gather and the prior are 48 MiB
-    # each; rows evaluated a block at a time add no 2500 x 2500 x 2
-    # coordinate-difference tensor (95 MiB) with its squares on top.
+    # At 2500 cells the draw holds the prior (47.7 MiB) and the factor
+    # np.linalg.cholesky returns (47.7 MiB); its working copy of the prior
+    # is not a traced numpy array.  Filling the prior a block of at most
+    # 1 MiB of coordinate differences at a time, straight into its own
+    # array, adds no memo of kernel rows, no gather of them and no eye.
     tracemalloc.start()
     try:
         synth_terrain(GpSample(Kernel("matern52", 10.0, 5.0)), 50, 50, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 200 * 2**20
+    assert peak <= 100 * 2**20
 
 
 def test_crater_rim_has_a_forbidden_drop():
@@ -512,6 +517,19 @@ def test_difference_covariance_is_the_four_term_sum_bit_for_bit():
     oa, la, ob, lb = aug.owner[a], aug.landing[a], aug.owner[b], aug.landing[b]
     np.testing.assert_array_equal(cov.matrix(a, b),
                                   ((k(oa, ob) - k(oa, lb)) - k(la, ob)) + k(la, lb))
+
+
+def test_difference_covariance_refuses_ids_out_of_range_and_unequal_lengths():
+    aug = flat_aug()
+    cov = difference_gp(aug, KERNEL, 0.075).cov
+    n = aug.num_states
+    for a, b in (([-1], [0]), ([n], [0]), ([0], [-1]), ([0], [n])):
+        for method in (cov.matrix, cov.pairwise):
+            with pytest.raises(ValueError, match=f"point id {min(a + b)} is out of range"
+                               if min(a + b) < 0 else f"point id {n} is out of range"):
+                method(a, b)
+    with pytest.raises(ValueError, match="differ in length: 2 and 1"):
+        cov.pairwise([0, 1], [0])
 
 
 @pytest.mark.parametrize("build", [difference_gp, height_gp])

@@ -180,7 +180,7 @@ def validate_config(mdp: Mdp, cfg: ExplorerConfig) -> None:
     for s in np.flatnonzero(seed):
         target = np.zeros(mdp.num_states, dtype=bool)
         target[s] = True
-        returnable = r_ret_fixpoint(mdp, seed, target)
+        returnable = r_ret_fixpoint(mdp, seed, target, among=seed)
         if not returnable[seed].all():
             raise ConfigError(
                 f"seed states are not mutually returnable within the seed set "

@@ -307,7 +307,8 @@ class GpModel:
         if not 0 <= point < len(self._prior):
             raise ValueError(f"point id {point} is out of range")
         n = len(self._points)
-        k_vec = self.cov.matrix(self._points, [point])[:, 0]
+        # One covariance per distinct observed point, repeated as in _cross.
+        k_vec = self.cov.matrix(list(self._distinct), [point])[self._repeats, 0]
         c = solve_triangular(self._chol, k_vec, lower=True, check_finite=False)
         pivot = float(self._prior[point]) + self.noise_std**2 - c @ c
         if not pivot >= VARIANCE_FLOOR:

@@ -35,11 +35,15 @@ class ManhattanMetric:
     def __init__(self, coords, cell_size: float):
         self.coords = np.asarray(coords, dtype=float)
         self.cell_size = float(cell_size)
-        # Each state's cell in the coordinates' bounding box, per axis.
+        # Each state's flat cell index in the coordinates' bounding box, and
+        # each axis's cell positions, shaped to broadcast along that axis.
         cells = self.coords.astype(int)
         cells -= cells.min(axis=0)
-        self._cells = tuple(cells.T)
         self._box = tuple(cells.max(axis=0) + 1)
+        self._flat = np.ravel_multi_index(tuple(cells.T), self._box)
+        ndim = len(self._box)
+        self._ramps = [np.arange(size, dtype=float).reshape((-1,) + (1,) * (ndim - 1 - axis))
+                       for axis, size in enumerate(self._box)]
 
     def envelope(self, values, mask, lipschitz) -> np.ndarray:
         """Lipschitz envelope of ``values`` from the states in ``mask``
@@ -50,18 +54,17 @@ class ManhattanMetric:
         Box cells without a witness start at ``-inf``."""
         values = np.asarray(values, dtype=float)
         mask = np.asarray(mask, dtype=bool)
-        box = np.full(self._box, -np.inf)
-        np.maximum.at(box, tuple(index[mask] for index in self._cells), values[mask])
+        flat = np.full(math.prod(self._box), -np.inf)
+        np.maximum.at(flat, self._flat[mask], values[mask])
+        box = flat.reshape(self._box)
         step = lipschitz * self.cell_size
-        for axis in range(box.ndim):
-            shape = [1] * box.ndim
-            shape[axis] = -1
-            ramp = step * np.arange(box.shape[axis], dtype=float).reshape(shape)
+        for axis, ramp in enumerate(self._ramps):
+            ramp = step * ramp
             forward = np.maximum.accumulate(box + ramp, axis=axis) - ramp
             backward = np.flip(np.maximum.accumulate(np.flip(box - ramp, axis), axis=axis),
                                axis) + ramp
             box = np.maximum(forward, backward)
-        return box[self._cells]
+        return box.reshape(-1)[self._flat]
 
 
 class AugmentedMetric:
@@ -79,6 +82,7 @@ class AugmentedMetric:
         self.landing = np.asarray(landing, dtype=int)
         self.is_action = np.asarray(is_action, dtype=bool)
         self.half_step = float(half_step)
+        self._num_cells = np.count_nonzero(~self.is_action)
 
     def envelope(self, values, mask, lipschitz) -> np.ndarray:
         """Fold every witness into its owner cell at ``half_step`` per
@@ -90,11 +94,11 @@ class AugmentedMetric:
         mask = np.asarray(mask, dtype=bool)
         offset = lipschitz * self.half_step
         shifted = values - offset
-        cells = np.full(np.count_nonzero(~self.is_action), -np.inf)
+        cells = np.full(self._num_cells, -np.inf)
         np.maximum.at(cells, self.owner[mask], np.where(self.is_action, shifted, values)[mask])
         out = self.base.envelope(cells, cells > -np.inf, lipschitz)[self.owner]
         out[self.is_action] -= offset
-        out[mask] = np.maximum(out[mask], values[mask])
+        np.maximum(out, np.where(mask, values, -np.inf), out=out)
         # An original state is half_step from each witnessing action-state
         # that lands on it,
         acting = mask & self.is_action

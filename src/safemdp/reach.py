@@ -6,7 +6,9 @@ the exploration algorithm relies on, and the fixpoint variants stabilize
 after at most ``|S|`` (respectively ``|S| + 1``) applications.  Lipschitz
 safety reads one number per state from the metric's ``envelope``, and
 returnability is one reverse breadth-first search, so an application costs
-O(N + E) time and memory on grids and their augmentations.
+O(N + E) time and memory on grids and their augmentations.  A caller that
+reads returnability only on some states (``among``) stops the search as
+soon as those states are decided.
 """
 
 from __future__ import annotations
@@ -57,30 +59,40 @@ def r_ret_one(mdp: Mdp, through, target) -> np.ndarray:
     return out
 
 
-def r_ret_fixpoint(mdp: Mdp, through, target) -> np.ndarray:
+def r_ret_fixpoint(mdp: Mdp, through, target, among=None) -> np.ndarray:
     """States that can return to ``target`` along a path inside ``through``.
 
     This is the least fixpoint of :func:`r_ret_one`, found by one reverse
     breadth-first search from ``target`` that enters only ``through``
-    states, in O(N + E).
+    states, in O(N + E): a layer costs the in-edges of its frontier.  With
+    ``among``, the result is that fixpoint intersected with ``among``, and
+    the search stops as soon as every state of ``among & through &
+    ~target`` has been entered; ``among=None`` asks about every state.
     """
     through = _as_mask(mdp, through)
     target = _as_mask(mdp, target)
     starts, sources = mdp.predecessors()
+    among = np.ones_like(target) if among is None else _as_mask(mdp, among)
     open_ = through & ~target  # through states the search has not entered
+    asked = open_ & among
+    undecided = np.count_nonzero(asked)
+    slot = np.empty(mdp.num_states, dtype=np.intp)  # dedupes each layer
     frontier = np.flatnonzero(target)
-    while frontier.size:
+    while frontier.size and undecided:
         # The predecessor runs sources[lo:lo + size] of the frontier states,
-        # kept where open and deduped on a mask.
+        # kept where open; each state keeps the one occurrence whose
+        # position its slot ends up holding.
         lo = starts[frontier]
         sizes = starts[frontier + 1] - lo
         ends = np.cumsum(sizes)
         found = sources[np.repeat(lo - ends + sizes, sizes) + np.arange(ends[-1])]
-        layer = np.zeros_like(open_)
-        layer[found[open_[found]]] = True
-        frontier = np.flatnonzero(layer)
+        found = found[open_[found]]
+        order = np.arange(found.size)
+        slot[found] = order
+        frontier = found[slot[found] == order]
+        undecided -= np.count_nonzero(asked[frontier])
         open_[frontier] = False
-    return target | (through & ~open_)
+    return (target | (through & ~open_)) & among
 
 
 def r_eps(mdp: Mdp, base, r_values, eps: float, lipschitz: float, threshold: float) -> np.ndarray:
@@ -91,7 +103,7 @@ def r_eps(mdp: Mdp, base, r_values, eps: float, lipschitz: float, threshold: flo
         return base.copy()
     safe = r_safe_eps(mdp, base, r_values, eps, lipschitz, threshold)
     reachable = r_reach(mdp, base)
-    returnable = r_ret_fixpoint(mdp, safe, base)
+    returnable = r_ret_fixpoint(mdp, safe, base, among=reachable)
     return safe & reachable & returnable
 
 

@@ -61,7 +61,8 @@ def ergodic_safe(mdp: Mdp, safe, prev_ergodic) -> np.ndarray:
             "previous ergodic set is not contained in the safe set; "
             "confidence bands must have collapsed"
         )
-    return safe & r_reach(mdp, prev_ergodic) & r_ret_fixpoint(mdp, safe, prev_ergodic)
+    reachable = r_reach(mdp, prev_ergodic)
+    return safe & reachable & r_ret_fixpoint(mdp, safe, prev_ergodic, among=reachable)
 
 
 def expanders(mdp: Mdp, ergodic, safe, bands: ConfidenceBands, lipschitz: float,

@@ -13,7 +13,8 @@ sha256 of ``snapshots.csv`` must match the goldens exactly.  Widths and
 observations must match within ``FLOAT_RTOL`` of each column's largest
 magnitude, because their last bits change with the BLAS thread count.
 ``safemdp oracle`` must reproduce the sha256 of ``oracle.csv`` for all
-three configs (``golden/contract.json``).
+three configs and for the crater 50x50 fixture (``golden/contract.json``),
+where the returnability searches run long.
 
 Re-record the goldens with ``PYTHONPATH=src python tests/test_golden.py``.
 It re-runs every case but rewrites only the entries whose key is new or
@@ -64,7 +65,38 @@ epsilon = 0.15
 max_iterations = 100
 seed_row = 1
 seed_col = 1
-seeds = 0
+seeds = 0 1 2 3 4
+
+[output]
+directory = out
+"""
+
+#: A misspecified, paper-scale crater: 14800 augmented states, all of them
+#: in both oracle masks.  Only ``safemdp oracle`` runs on it.
+CRATER_50 = """\
+[terrain]
+source = synth
+kind = crater-hill
+rows = 50
+cols = 50
+cell_size = 1.0
+tilt_row = 0.05
+hill_row = 12
+hill_col = 38
+hill_height = 6.0
+hill_radius = 5.0
+crater_row = 34
+crater_col = 30
+crater_depth = 8.0
+crater_radius = 6.0
+roughness = 0.05
+
+[explorer]
+lipschitz = 0.2
+beta = 9.0
+seed_row = 10
+seed_col = 10
+seeds = 0 1 2 3 4
 
 [output]
 directory = out
@@ -72,7 +104,8 @@ directory = out
 
 SMOKE_CONFIGS = ("smoke-explore-diff", "smoke-explore-heights")
 CONFIGS = {"readme-example": README_EXAMPLE,
-           **{name: (PERFBENCH_CONFIGS / f"{name}.ini").read_text() for name in SMOKE_CONFIGS}}
+           **{name: (PERFBENCH_CONFIGS / f"{name}.ini").read_text() for name in SMOKE_CONFIGS},
+           "crater-50x50": CRATER_50}
 README_SEEDS = SMOKE_SEEDS = (0, 1)
 
 MODELS = ("difference", "heights")

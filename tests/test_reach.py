@@ -168,6 +168,36 @@ def test_ret_fixpoint_equals_reverse_bfs():
         assert got == oracle_ret_reverse_bfs(mdp, through, target)
 
 
+def hub_mdp(n):
+    """The ring ``0 -> 1 -> ... -> n - 1 -> 0`` in which each state but 0
+    also has an action into state 0, a hub with ``n - 1`` predecessors."""
+    actions = [[(0, 1)]] + [[(0, 0), (1, (s + 1) % n)] for s in range(1, n)]
+    coords = np.arange(n, dtype=float)
+    return Mdp(actions, DenseMetric(np.abs(np.subtract.outer(coords, coords))))
+
+
+def test_ret_fixpoint_among_equals_the_full_fixpoint_restricted():
+    rng = np.random.default_rng(23)
+    mdps = [random_mdp(rng, n_states=int(rng.integers(2, 25)))[0] for _ in range(80)]
+    mdps += [hub_mdp(n) for n in (2, 5, 40)]
+    for mdp in mdps:
+        n = mdp.num_states
+        for _ in range(3):
+            through = from_set(n, random_subset(rng, n))
+            target = from_set(n, random_subset(rng, n))
+            if n >= 5 and rng.random() < 0.5:
+                target = from_set(n, {int(rng.integers(n))})
+            full = r_ret_fixpoint(mdp, through, target)
+            overlap = target.copy()
+            overlap[rng.integers(n)] = True
+            for among in (np.zeros(n, bool),
+                          ~through,
+                          overlap | from_set(n, random_subset(rng, n)),
+                          r_reach(mdp, target)):
+                got = r_ret_fixpoint(mdp, through, target, among=among)
+                np.testing.assert_array_equal(got, among & full)
+
+
 def test_eps_fixpoint_is_order_independent():
     # Asynchronous single-state updates in random order land on the same
     # least fixpoint as the synchronous sweep.

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -163,14 +162,17 @@ class StationaryCovariance:
     distinct observed point: at most (distinct observed points) x (number
     of points) floats in use.  Its storage doubles when full, so it
     allocates less than twice that, and never more than a square block over
-    all points.  An id outside ``[0, num_points)``, or ``pairwise``
-    sequences of unequal length, raise :class:`ValueError`.
+    all points.  A coordinate that is not finite, an id outside ``[0,
+    num_points)``, or ``pairwise`` sequences of unequal length, raise
+    :class:`ValueError`.
     """
 
     def __init__(self, kernel: Kernel, coords):
         coords = np.asarray(coords, dtype=float)
         if coords.ndim == 1:
             coords = coords[:, None]
+        if not np.isfinite(coords).all():
+            raise ValueError("covariance coordinates must be finite")
         self.kernel = kernel
         self.coords = coords
         self._slot = np.full(len(coords), -1, dtype=np.intp)
@@ -241,9 +243,8 @@ class GpModel:
     sorted per call) with one triangular solve, and read the means from
     that same whitening.  ``posterior`` gives points of zero prior
     variance, which covary with no point under a PSD kernel, mean and
-    variance 0.0 without solving for them.  Point ids out of range raise
-    :class:`ValueError`, in ``add_observation`` and ``from_data`` before
-    the model changes.
+    variance 0.0 without solving for them.  A point id out of range raises
+    :class:`ValueError` in ``add_observation`` before the model changes.
 
     Parameters
     ----------
@@ -269,16 +270,6 @@ class GpModel:
         self._distinct = {}
         self._repeats = []
         self._pairs = {}
-
-    @classmethod
-    def from_data(cls, cov, noise_std: float, points: Sequence[int], values) -> "GpModel":
-        """A model conditioned on ``points`` and ``values``, in that order."""
-        if len(points) != len(values):
-            raise ValueError("points and values must have equal length")
-        model = cls(cov, noise_std)
-        for point, value in zip(points, values):
-            model.add_observation(point, value)
-        return model
 
     @property
     def num_observations(self) -> int:

@@ -30,11 +30,19 @@ _GRID_MOVES = ((GRID_UP, -1, 0), (GRID_DOWN, 1, 0), (GRID_LEFT, 0, -1), (GRID_RI
 
 
 class ManhattanMetric:
-    """Manhattan distance between per-state integer coordinates, scaled."""
+    """Manhattan distance between per-state integer coordinates, scaled.
+
+    Coordinates that are not finite integers, or a ``cell_size`` that is
+    not positive and finite, raise :class:`ValueError`.
+    """
 
     def __init__(self, coords, cell_size: float):
         self.coords = np.asarray(coords, dtype=float)
         self.cell_size = float(cell_size)
+        if not np.isfinite(self.coords).all() or (self.coords != np.round(self.coords)).any():
+            raise ValueError("Manhattan coordinates must be finite integers")
+        if not 0 < self.cell_size < math.inf:
+            raise ValueError(f"cell_size must be positive and finite, got {cell_size!r}")
         # Each state's flat cell index in the coordinates' bounding box, and
         # each axis's cell positions, shaped to broadcast along that axis.
         cells = self.coords.astype(int)

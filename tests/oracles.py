@@ -17,6 +17,14 @@ and return python sets; ``to_set`` and ``from_set`` convert to and from
 boolean masks.  Their ``dist`` is indexed ``dist[s][w]``, so nested lists
 and arrays both serve.  ``bfs_hops`` is the hop count of a shortest path
 inside an allowed set, ``None`` when there is none.
+
+The dense GP reference reads every quantity as a row over a GP's points:
+``point_rows`` gives e_u (a height) and ``difference_rows`` e_owner -
+e_landing (a transition's height difference).  ``dense_posterior``
+conditions on such rows with one ``np.linalg.solve``, no factor, over the
+kernel that ``kernel_value`` transcribes from its formulas; ``rel_dev`` is
+acceptance gate 1's deviation.  None of it reads ``safemdp.gp`` or
+``safemdp.terrain``, the code it checks.
 """
 
 from collections import deque
@@ -157,3 +165,47 @@ def bfs_hops(mdp, allowed, start, goal):
                 depth[succ] = depth[s] + 1
                 queue.append(succ)
     return None
+
+
+def kernel_value(kernel, distance):
+    """``kernel`` at ``distance``, transcribed from the Matern-5/2 and
+    squared-exponential formulas."""
+    r = np.asarray(distance, dtype=float) / kernel.lengthscale
+    if kernel.kind == "matern52":
+        shape = (1 + np.sqrt(5) * r + 5 * r**2 / 3) * np.exp(-np.sqrt(5) * r)
+    else:
+        shape = np.exp(-(r**2) / 2)
+    return kernel.prior_std**2 * shape
+
+
+def point_rows(ids, n):
+    """The rows e_u over ``n`` points, one per id ``u`` in ``ids``."""
+    return np.eye(n)[np.asarray(ids, dtype=int)]
+
+
+def difference_rows(aug):
+    """The rows e_owner - e_landing over ``aug``'s cells, one per state;
+    zero for a cell and a stay action."""
+    cells = aug.num_base_states
+    return point_rows(aug.owner, cells) - point_rows(aug.landing, cells)
+
+
+def dense_posterior(kernel, coords, noise_std, obs_rows, values, left_rows, right_rows=None):
+    """Posterior of a GP over the points ``coords``, conditioned on
+    ``obs_rows @ f + noise == values``: the means of ``left_rows @ f`` and
+    the covariance of each pair ``left_rows[i] @ f, right_rows[i] @ f``
+    (the variances when ``right_rows`` is omitted), unclamped.  One
+    ``np.linalg.solve`` of the gram matrix, with no factor."""
+    right_rows = left_rows if right_rows is None else right_rows
+    prior = kernel_value(kernel, np.linalg.norm(coords[:, None] - coords[None], axis=-1))
+    gram = obs_rows @ prior @ obs_rows.T + noise_std**2 * np.eye(len(obs_rows))
+    k_left, k_right = obs_rows @ prior @ left_rows.T, obs_rows @ prior @ right_rows.T
+    solved = np.linalg.solve(gram, np.column_stack([values, k_right]))
+    covariances = ((left_rows @ prior) * right_rows).sum(axis=1)
+    return k_left.T @ solved[:, 0], covariances - np.einsum("ij,ij->j", k_left, solved[:, 1:])
+
+
+def rel_dev(got, want):
+    """Largest deviation of ``got`` from ``want``, relative where ``|want|``
+    exceeds 1: acceptance gate 1's measure."""
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))

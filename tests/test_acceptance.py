@@ -37,7 +37,6 @@ from safemdp.gp import (
     Kernel,
     StationaryCovariance,
     initial_bands,
-    kernel_eval,
     update_bands,
 )
 from safemdp.mdp import GRID_STAY, ManhattanMetric, Mdp, augment, grid_mdp
@@ -65,6 +64,7 @@ from oracles import (
     DenseMetric,
     bfs_hops,
     dense_distances,
+    dense_posterior,
     from_set,
     oracle_eps,
     oracle_eps_fixpoint,
@@ -72,6 +72,8 @@ from oracles import (
     oracle_ret_fixpoint,
     oracle_ret_one,
     oracle_safe,
+    point_rows,
+    rel_dev,
     step,
     to_set,
 )
@@ -136,42 +138,29 @@ def test_gp_posterior_matches_dense_solve(capsys):
     worst = 0.0
     rng = np.random.default_rng(2024)
 
-    def rel(a, b):
-        return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
-
     for i in range(20):
         kind = "matern52" if i % 2 == 0 else "squared_exponential"
         kern = Kernel(kind, float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 2.0)))
         noise = float(rng.uniform(0.05, 0.3))
         coords = rng.uniform(0, 6, size=(40, 2))
-        cov = StationaryCovariance(kern, coords)
+        model = GpModel(StationaryCovariance(kern, coords), noise)
         n_obs = int(rng.integers(1, 51))
         obs = rng.integers(0, 40, size=n_obs)
         vals = rng.normal(size=n_obs)
+        for point, value in zip(obs, vals):
+            model.add_observation(point, value)
 
-        model = GpModel.from_data(cov, noise, obs.tolist(), vals)
-
-        # Dense reference: solve K alpha = y directly, no Cholesky reuse.
-        d_oo = np.linalg.norm(coords[obs][:, None] - coords[obs][None, :], axis=-1)
-        gram = kernel_eval(kern, d_oo) + noise**2 * np.eye(n_obs)
-        d_ox = np.linalg.norm(coords[obs][:, None] - coords[None, :], axis=-1)
-        k_cross = kernel_eval(kern, d_ox)
-        mean_ref = k_cross.T @ np.linalg.solve(gram, vals)
-        var_ref = kern.prior_std**2 - np.einsum(
-            "ij,ij->j", k_cross, np.linalg.solve(gram, k_cross))
-
+        obs_rows = point_rows(obs, 40)
+        mean_ref, var_ref = dense_posterior(kern, coords, noise, obs_rows, vals,
+                                            point_rows(range(40), 40))
         mean, var = model.posterior()
-        worst = max(worst, rel(mean, mean_ref), rel(var, np.maximum(var_ref, 0.0)))
+        worst = max(worst, rel_dev(mean, mean_ref), rel_dev(var, np.maximum(var_ref, 0.0)))
 
         pairs = rng.integers(0, 40, size=(15, 2))
         _, _, got = model.posterior_cov_pairs(pairs[:, 0], pairs[:, 1])
-        d_oa = np.linalg.norm(coords[obs][:, None] - coords[pairs[:, 0]][None], axis=-1)
-        d_ob = np.linalg.norm(coords[obs][:, None] - coords[pairs[:, 1]][None], axis=-1)
-        d_ab = np.linalg.norm(coords[pairs[:, 0]] - coords[pairs[:, 1]], axis=-1)
-        ka, kb = kernel_eval(kern, d_oa), kernel_eval(kern, d_ob)
-        cov_ref = kernel_eval(kern, d_ab) - np.einsum(
-            "ij,ij->j", ka, np.linalg.solve(gram, kb))
-        worst = max(worst, rel(got, cov_ref))
+        _, cov_ref = dense_posterior(kern, coords, noise, obs_rows, vals,
+                                     point_rows(pairs[:, 0], 40), point_rows(pairs[:, 1], 40))
+        worst = max(worst, rel_dev(got, cov_ref))
 
     elapsed = time.time() - t0
     verdict(capsys, "gp vs dense solve",

@@ -13,8 +13,9 @@ sha256 of ``snapshots.csv`` must match the goldens exactly.  Widths and
 observations must match within ``FLOAT_RTOL`` of each column's largest
 magnitude, because their last bits change with the BLAS thread count.
 ``safemdp oracle`` must reproduce the sha256 of ``oracle.csv`` for all
-three configs and for the crater 50x50 fixture (``golden/contract.json``),
-where the returnability searches run long.
+three configs, for the crater 50x50 fixture, where the returnability
+searches run long, and for ``perfbench/configs/steep-oracle.ini``, whose
+masks leave states out (``golden/contract.json``).
 
 Re-record the goldens with ``PYTHONPATH=src python tests/test_golden.py``.
 It re-runs every case but rewrites only the entries whose key is new or
@@ -105,7 +106,8 @@ directory = out
 SMOKE_CONFIGS = ("smoke-explore-diff", "smoke-explore-heights")
 CONFIGS = {"readme-example": README_EXAMPLE,
            **{name: (PERFBENCH_CONFIGS / f"{name}.ini").read_text() for name in SMOKE_CONFIGS},
-           "crater-50x50": CRATER_50}
+           "crater-50x50": CRATER_50,
+           "steep-oracle": (PERFBENCH_CONFIGS / "steep-oracle.ini").read_text()}
 README_SEEDS = SMOKE_SEEDS = (0, 1)
 
 MODELS = ("difference", "heights")

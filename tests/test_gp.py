@@ -1,7 +1,9 @@
 """GP regression, the confidence scale beta and confidence bands."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from scipy.linalg import solve_triangular
 from safemdp.explorer import Environment, GpBandModel
 from safemdp.gp import (
     ConfidenceBands,
-    GpError,
     GpModel,
     Kernel,
     MATERN52,
@@ -36,21 +37,10 @@ from safemdp.terrain import (
     synth_terrain,
 )
 
-from oracles import step
+from oracles import dense_posterior, difference_rows, kernel_value, point_rows, rel_dev, step
 
 # ---------------------------------------------------------------------------
 # kernels
-
-
-def _oracle_kernel(kind, lengthscale, prior_std, distance):
-    """Straight transcription of the kernel formulas, kept separate from the
-    library implementation."""
-    r = distance / lengthscale
-    if kind == MATERN52:
-        value = (1 + math.sqrt(5) * r + 5 * r**2 / 3) * math.exp(-math.sqrt(5) * r)
-    else:
-        value = math.exp(-(r**2) / 2)
-    return prior_std**2 * value
 
 
 def test_kernel_value_at_zero_is_prior_variance():
@@ -62,7 +52,7 @@ def test_matern52_reference_value():
     # 100 * (1 + sqrt5 + 5/3) * exp(-sqrt5), computed with mpmath at 30 digits.
     k = Kernel(MATERN52, 1.0, 10.0)
     assert kernel_eval(k, 1.0) == pytest.approx(52.399410883182031, rel=1e-14)
-    assert kernel_eval(k, 1.0) == pytest.approx(_oracle_kernel(MATERN52, 1.0, 10.0, 1.0))
+    assert kernel_eval(k, 1.0) == pytest.approx(kernel_value(k, 1.0))
 
 
 def test_matern52_second_reference_value():
@@ -83,7 +73,7 @@ def test_kernel_eval_vectorized_and_decreasing():
     assert vals.shape == (50,)
     assert (np.diff(vals) < 0).all()
     for di, vi in zip(d, vals):
-        assert vi == pytest.approx(_oracle_kernel(MATERN52, 2.0, 1.0, di))
+        assert vi == pytest.approx(kernel_value(k, di))
 
 
 def test_kernel_rejects_bad_arguments():
@@ -154,6 +144,13 @@ def test_covariance_ids_out_of_range_and_unequal_lengths_raise_value_error():
     with pytest.raises(ValueError, match="differ in length: 2 and 1"):
         cov.pairwise([0, 1], [0])
     assert cov._num_rows == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_covariance_rejects_non_finite_coordinates(bad):
+    # A NaN coordinate gives a NaN posterior variance, which no floor catches.
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        StationaryCovariance(Kernel(MATERN52, 1.0, 1.0), [[0.0, 0.0], [bad, 1.0]])
 
 
 @pytest.mark.parametrize("kind", [MATERN52, SQUARED_EXPONENTIAL])
@@ -239,33 +236,6 @@ def test_prior_variances_are_evaluated_once_per_model(monkeypatch, observation_m
     assert per_step == [1 if observation_model == "heights" else 0, 0, 0, 0]
 
 
-def _dense_difference_posterior(aug, kernel, noise, obs, vals):
-    """The difference GP's posterior over every state from the four-term
-    difference kernel and np.linalg.solve, with no factor."""
-    coords, owner, landing = aug.base.metric.coords, aug.owner, aug.landing
-
-    def k(u, v):
-        return kernel_eval(kernel, np.linalg.norm(coords[u][:, None] - coords[v][None], axis=-1))
-
-    def k_diff(a, b):
-        return (k(owner[a], owner[b]) - k(owner[a], landing[b])
-                - k(landing[a], owner[b]) + k(landing[a], landing[b]))
-
-    states = np.arange(aug.num_states)
-    gram = k_diff(obs, obs) + noise**2 * np.eye(len(obs))
-    cross = k_diff(obs, states)
-    mean = cross.T @ np.linalg.solve(gram, vals)
-    prior = 2.0 * (kernel.prior_std**2 - kernel_eval(
-        kernel, np.linalg.norm(coords[owner] - coords[landing], axis=-1)))
-    variance = prior - np.einsum("ij,ij->j", cross, np.linalg.solve(gram, cross))
-    return mean, np.maximum(variance, 0.0)
-
-
-def _rel(a, b):
-    """Acceptance gate 1's measure, which it bounds by 1e-8."""
-    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
-
-
 def test_incremental_difference_gp_matches_dense_solve():
     aug = augment(grid_mdp(6, 6, 1.0), half_step=0.5)
     kernel = Kernel(MATERN52, 3.0, 2.0)
@@ -276,10 +246,11 @@ def test_incremental_difference_gp_matches_dense_solve():
     model = difference_gp(aug, kernel, noise)
     for p, v in zip(obs, vals):
         model.add_observation(int(p), float(v))
-    mean_ref, var_ref = _dense_difference_posterior(aug, kernel, noise, obs, vals)
+    rows = difference_rows(aug)
+    mean_ref, var_ref = dense_posterior(kernel, aug.base.metric.coords, noise, rows[obs], vals, rows)
     mean, var = model.posterior()
-    assert _rel(mean, mean_ref) <= 1e-8
-    assert _rel(var, var_ref) <= 1e-8
+    assert rel_dev(mean, mean_ref) <= 1e-8
+    assert rel_dev(var, np.maximum(var_ref, 0.0)) <= 1e-8
 
 
 def test_a_525_observation_append_chain_matches_dense_solve():
@@ -296,29 +267,15 @@ def test_a_525_observation_append_chain_matches_dense_solve():
     for p, v in zip(obs, vals):
         model.add_observation(int(p), float(v))
     assert model.num_observations == 525 and len(set(model.points)) < 525
-    mean_ref, var_ref = _dense_difference_posterior(aug, kernel, noise, obs, vals)
+    rows = difference_rows(aug)
+    mean_ref, var_ref = dense_posterior(kernel, aug.base.metric.coords, noise, rows[obs], vals, rows)
     mean, var = model.posterior()
-    assert _rel(mean, mean_ref) <= 1e-8
-    assert _rel(var, var_ref) <= 1e-8
+    assert rel_dev(mean, mean_ref) <= 1e-8
+    assert rel_dev(var, np.maximum(var_ref, 0.0)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
 # posterior vs a dense-solve oracle
-
-
-def _dense_posterior(kind, lengthscale, prior_std, noise_std, coords, obs_ids, values, query_ids):
-    """Reference posterior computed by assembling and solving the full dense
-    system, with no Cholesky factors or caching."""
-    def kmat(a, b):
-        d = np.linalg.norm(coords[a][:, None, :] - coords[b][None, :, :], axis=2)
-        return np.vectorize(lambda x: _oracle_kernel(kind, lengthscale, prior_std, x))(d)
-
-    big_k = kmat(obs_ids, obs_ids) + noise_std**2 * np.eye(len(obs_ids))
-    cross = kmat(obs_ids, query_ids)
-    solve = np.linalg.solve(big_k, np.asarray(values))
-    means = cross.T @ solve
-    variances = prior_std**2 - np.einsum("ij,ij->j", cross, np.linalg.solve(big_k, cross))
-    return means, variances
 
 
 def test_posterior_of_empty_model_is_prior():
@@ -351,13 +308,15 @@ def test_posterior_matches_dense_solve(kind):
         lengthscale = float(rng.uniform(0.5, 3.0))
         prior_std = float(rng.uniform(0.5, 2.0))
         noise_std = float(rng.uniform(0.05, 0.3))
-        cov = StationaryCovariance(Kernel(kind, lengthscale, prior_std), coords)
+        kernel = Kernel(kind, lengthscale, prior_std)
+        model = GpModel(StationaryCovariance(kernel, coords), noise_std)
         obs_ids = rng.integers(0, n_pool, size=30)
         values = rng.normal(size=30)
-        model = GpModel.from_data(cov, noise_std, obs_ids, values)
+        for point, value in zip(obs_ids, values):
+            model.add_observation(point, value)
         means, variances = model.posterior()
-        ref_means, ref_vars = _dense_posterior(kind, lengthscale, prior_std, noise_std,
-                                               coords, obs_ids, values, np.arange(n_pool))
+        ref_means, ref_vars = dense_posterior(kernel, coords, noise_std, point_rows(obs_ids, n_pool),
+                                              values, point_rows(range(n_pool), n_pool))
         np.testing.assert_allclose(means, ref_means, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(variances, np.maximum(ref_vars, 0.0), rtol=1e-8, atol=1e-10)
 
@@ -365,24 +324,27 @@ def test_posterior_matches_dense_solve(kind):
 def test_posterior_cov_matches_dense_solve():
     rng = np.random.default_rng(11)
     coords = rng.normal(size=(10, 1))
-    cov = StationaryCovariance(Kernel(MATERN52, 1.0, 1.0), coords)
+    kernel = Kernel(MATERN52, 1.0, 1.0)
+    model = GpModel(StationaryCovariance(kernel, coords), 0.2)
     obs = rng.integers(0, 10, size=8)
     vals = rng.normal(size=8)
-    model = GpModel.from_data(cov, 0.2, obs, vals)
+    for point, value in zip(obs, vals):
+        model.add_observation(point, value)
+    left, right = np.divmod(np.arange(100), 10)
+    _, cov_ref = dense_posterior(kernel, coords, 0.2, point_rows(obs, 10), vals,
+                                 point_rows(left, 10), point_rows(right, 10))
+    for a, b, expected in zip(left, right, cov_ref):
+        got = model.posterior_cov_pairs([a], [b])[2][0]
+        assert got == pytest.approx(expected, rel=1e-8, abs=1e-10)
 
-    def kvec(ids, j):
-        d = np.linalg.norm(coords[ids] - coords[j], axis=1)
-        return np.array([_oracle_kernel(MATERN52, 1.0, 1.0, x) for x in d])
 
-    big_k = np.array([[_oracle_kernel(MATERN52, 1.0, 1.0,
-                                      float(np.linalg.norm(coords[i] - coords[j])))
-                       for j in obs] for i in obs]) + 0.04 * np.eye(8)
-    for a in range(10):
-        for b in range(10):
-            prior = _oracle_kernel(MATERN52, 1.0, 1.0, float(np.linalg.norm(coords[a] - coords[b])))
-            expected = prior - kvec(obs, a) @ np.linalg.solve(big_k, kvec(obs, b))
-            got = model.posterior_cov_pairs([a], [b])[2][0]
-            assert got == pytest.approx(expected, rel=1e-8, abs=1e-10)
+def test_the_dense_reference_imports_nothing_from_the_gp_or_terrain():
+    # The reference must share no code with the modules it checks.
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = [".".join(filter(None, [getattr(node, "module", None), alias.name]))
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert not [name for name in imported if name.startswith(("safemdp.gp", "safemdp.terrain"))]
 
 
 def test_posterior_cov_pairs_whitens_each_distinct_point_once(monkeypatch):
@@ -484,7 +446,9 @@ def test_posterior_cov_diagonal_equals_posterior_variance():
     rng = np.random.default_rng(3)
     coords = rng.normal(size=(8, 2))
     cov = StationaryCovariance(Kernel(SQUARED_EXPONENTIAL, 1.0, 1.2), coords)
-    model = GpModel.from_data(cov, 0.1, [1, 4, 4, 6], [0.1, -0.2, 0.0, 0.5])
+    model = GpModel(cov, 0.1)
+    for point, value in zip([1, 4, 4, 6], [0.1, -0.2, 0.0, 0.5]):
+        model.add_observation(point, value)
     _, variances = model.posterior()
     np.testing.assert_allclose(model.posterior_cov_pairs(range(8), range(8))[2],
                                variances, rtol=0, atol=1e-12)
@@ -493,7 +457,9 @@ def test_posterior_cov_diagonal_equals_posterior_variance():
 def test_reverse_pair_reads_its_twin_and_a_self_pair_the_unclamped_variance():
     rng = np.random.default_rng(29)
     cov = StationaryCovariance(Kernel(MATERN52, 1.5, 1.0), rng.normal(size=(12, 2)) * 3)
-    model = GpModel.from_data(cov, 0.1, rng.integers(0, 12, size=20), rng.normal(size=20))
+    model = GpModel(cov, 0.1)
+    for point, value in zip(rng.integers(0, 12, size=20), rng.normal(size=20)):
+        model.add_observation(point, value)
     points = np.arange(12)
     left = np.array([0, 3, 5, 5, 7, 2, 0])
     right = np.array([3, 0, 5, 2, 7, 5, 3])
@@ -512,7 +478,9 @@ def test_pair_covariances_are_dotted_in_blocks_below_one_gather():
     # One call holds at most a block per side, never an n x P gather.
     rng = np.random.default_rng(31)
     cov = StationaryCovariance(Kernel(MATERN52, 2.0, 1.0), rng.normal(size=(60, 2)) * 4)
-    model = GpModel.from_data(cov, 0.1, rng.integers(0, 60, size=300), rng.normal(size=300))
+    model = GpModel(cov, 0.1)
+    for point, value in zip(rng.integers(0, 60, size=300), rng.normal(size=300)):
+        model.add_observation(point, value)
     left, right = np.triu_indices(60, k=1)
     n, pairs = model.num_observations, len(left)
     assert pairs > 4 * (gp_module._BLOCK_BYTES // (8 * n))
@@ -531,7 +499,10 @@ def test_pair_covariances_are_dotted_in_blocks_below_one_gather():
 
 def test_pairs_out_of_range_or_of_unequal_sides_raise_value_error():
     cov = StationaryCovariance(Kernel(MATERN52, 1.0, 1.0), np.arange(5.0))
-    for model in (GpModel(cov, 0.1), GpModel.from_data(cov, 0.1, [1, 3], [0.2, -0.1])):
+    conditioned = GpModel(cov, 0.1)
+    conditioned.add_observation(1, 0.2)
+    conditioned.add_observation(3, -0.1)
+    for model in (GpModel(cov, 0.1), conditioned):
         with pytest.raises(ValueError, match="differ in length"):
             model.posterior_cov_pairs([0, 1], [1])
         for left, right in (([-1], [0]), ([0], [5]), ([2, 0], [1, -2])):
@@ -612,8 +583,6 @@ def test_non_finite_observation_is_rejected_and_leaves_the_model_as_it_was(bad):
     np.testing.assert_array_equal(model._chol, chol)
     for got, expected in zip(model.posterior(), before):
         np.testing.assert_array_equal(got, expected)
-    with pytest.raises(ValueError, match="finite"):
-        GpModel.from_data(cov, 0.1, [1, 2], [0.3, bad])
 
 
 @pytest.mark.parametrize("bad", [-1, 5])
@@ -621,8 +590,6 @@ def test_observed_id_out_of_range_is_rejected_and_leaves_the_model_as_it_was(bad
     cov = StationaryCovariance(Kernel(MATERN52, 1.0, 1.0), np.arange(5.0))
     with pytest.raises(ValueError, match=f"point id {bad} "):
         GpModel(cov, 0.1).add_observation(bad, 2.0)
-    with pytest.raises(ValueError, match=f"point id {bad} "):
-        GpModel.from_data(cov, 0.1, [1, bad], [0.3, 2.0])
     model = GpModel(cov, 0.1)
     model.add_observation(1, 0.3)
     before = model.posterior()

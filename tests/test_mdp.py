@@ -169,6 +169,15 @@ def test_manhattan_block_matches_pairwise_calls():
             assert block[i, j] == (abs(dr) + abs(dc)) * 0.5
 
 
+@pytest.mark.parametrize("coords, cell_size", [([[0], [0.5], [2]], 1.0), ([[0], [math.nan]], 1.0),
+                                               ([[0], [math.inf]], 1.0), ([[0], [1]], 0.0),
+                                               ([[0], [1]], math.inf)])
+def test_manhattan_metric_rejects_non_integer_coordinates_and_bad_cell_sizes(coords, cell_size):
+    # Truncated, 0.5 would sit in cell 0, at distance 0 from the state at 0.
+    with pytest.raises(ValueError, match="finite integers|cell_size must be positive"):
+        ManhattanMetric(coords, cell_size)
+
+
 # ---------------------------------------------------------------------------
 # augmentation
 

@@ -11,7 +11,6 @@ from safemdp import gp as gp_module
 from safemdp.gp import (
     VARIANCE_FLOOR,
     GpError,
-    GpModel,
     Kernel,
     initial_bands,
     kernel_eval,
@@ -37,7 +36,7 @@ from safemdp.terrain import (
     synth_terrain,
 )
 
-from oracles import step
+from oracles import dense_posterior, difference_rows, point_rows, step
 
 KERNEL = Kernel("matern52", 14.5, 10.0)
 
@@ -346,29 +345,23 @@ def test_difference_prior_variance_formula():
 def test_height_bands_match_dense_joint_covariance_oracle():
     rng = np.random.default_rng(6)
     aug = flat_aug()
-    n_cells = aug.num_base_states
-    cov = height_covariance(aug, KERNEL)
     obs_points = [0, 3, 4, 4, 7, 8]
     obs_values = rng.normal(scale=3.0, size=len(obs_points)).tolist()
     noise = 0.075
-    model = GpModel.from_data(cov, noise, obs_points, obs_values)
+    model = height_gp(aug, KERNEL, noise)
+    for point, value in zip(obs_points, obs_values):
+        model.add_observation(point, value)
 
     prev = initial_bands(aug.num_states, np.zeros(aug.num_states, bool), 0.0)
     bands = height_gp_to_difference_bands(model, aug, 1.0, prev)
 
-    # Dense oracle: joint posterior over all cells, then the explicit linear
-    # difference map A with rows (owner: +1, landing: -1).
-    k_xx = cov.matrix(obs_points, obs_points) + noise**2 * np.eye(len(obs_points))
-    k_sx = cov.matrix(np.arange(n_cells), obs_points)
-    solve = np.linalg.solve
-    mu = k_sx @ solve(k_xx, np.asarray(obs_values))
-    sigma = cov.matrix(np.arange(n_cells), np.arange(n_cells)) - k_sx @ solve(k_xx, k_sx.T)
-    a_map = np.zeros((aug.num_states, n_cells))
-    rows = np.arange(aug.num_states)
-    a_map[rows, aug.owner] += 1.0
-    a_map[rows, aug.landing] -= 1.0
-    diff_mu = a_map @ mu
-    diff_var = np.clip(np.einsum("ij,jk,ik->i", a_map, sigma, a_map), 0.0, None)
+    # Dense oracle: the joint posterior of the cell heights, read through
+    # the difference rows (owner: +1, landing: -1).
+    coords = aug.base.metric.coords * aug.base.metric.cell_size
+    diff_mu, diff_var = dense_posterior(KERNEL, coords, noise,
+                                        point_rows(obs_points, aug.num_base_states), obs_values,
+                                        difference_rows(aug))
+    diff_var = np.clip(diff_var, 0.0, None)
 
     got_mean = 0.5 * (bands.lower + bands.upper)
     got_rad = 0.5 * (bands.upper - bands.lower)

@@ -6,7 +6,11 @@ once, memoized per observed point), an exact GP posterior over all of its
 covariance's points, conditioned one observation at a time by appending a
 row to its Cholesky factor (its pair covariances share the variances'
 whitening, one row per distinct observed point, none for zero-variance
-states), and monotonically intersected confidence bands.  The exploration
+states), and monotonically intersected confidence bands.  A covariance maps
+each point to a representative and a sign, ``feature(p) = sign *
+feature(representative)``; the model conditions and whitens representatives
+only and mirrors their posterior to every point, so under the difference
+model a move and its reverse share one column.  The exploration
 run owns the bands: it starts them with :func:`initial_bands`, and its band
 model tightens them with :func:`update_bands`.
 
@@ -183,6 +187,11 @@ class StationaryCovariance:
     def num_points(self) -> int:
         return len(self.coords)
 
+    @property
+    def representatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each point is its own representative, with sign +1."""
+        return np.arange(self.num_points), np.ones(self.num_points)
+
     def matrix(self, a, b) -> np.ndarray:
         """Full covariance matrix between the id sequences ``a`` and ``b``."""
         a, b = point_ids(a, self.num_points), point_ids(b, self.num_points)
@@ -232,26 +241,37 @@ class GpModel:
     """Exact GP posterior over the points ``0 ... cov.num_points - 1``,
     conditioned in place, one observation at a time.
 
+    The model works on representatives: ``cov.representatives`` maps each
+    point ``p`` to a point ``rep[p]`` and a sign with ``feature(p) =
+    sign[p] * feature(rep[p])``.  An observation of ``y`` at ``p``
+    conditions ``rep[p]`` on ``sign[p] * y``, and the posterior at ``p`` is
+    that of ``rep[p]`` with its mean times ``sign[p]``.
+
     ``add_observation`` is the only way a model is conditioned.  It appends
     one row to the lower Cholesky factor ``chol`` of ``K + noise_std**2 I``
-    and one entry to ``white = chol^-1 y``, the whitened observations; no
-    factorization is ever made from scratch.  The prior variances of all
-    points are evaluated once, when the model is made, and the index of
-    distinct unordered pairs once for each pair sequence.  Both
-    ``posterior`` and ``posterior_cov_pairs`` whiten one cross-covariance
-    row per distinct observed point (tracked as points are observed, not
-    sorted per call) with one triangular solve, and read the means from
-    that same whitening.  ``posterior`` gives points of zero prior
-    variance, which covary with no point under a PSD kernel, mean and
-    variance 0.0 without solving for them.  A point id out of range raises
-    :class:`ValueError` in ``add_observation`` before the model changes.
+    over the observed representatives and one entry to ``white = chol^-1
+    y``, the whitened signed observations; no factorization is ever made
+    from scratch.  The prior variances of all points are evaluated once,
+    when the model is made, and the index of distinct unordered pairs of
+    representatives once for each pair sequence.  Both ``posterior`` and
+    ``posterior_cov_pairs`` whiten one cross-covariance row per distinct
+    observed representative (tracked as points are observed, not sorted per
+    call) with one triangular solve, and read the means from that same
+    whitening.  ``posterior`` whitens only the representatives of nonzero
+    prior variance: the others covary with no point under a PSD kernel and
+    get mean and variance 0.0 without solving for them.  A point id out of
+    range raises :class:`ValueError` in ``add_observation`` before the
+    model changes.
 
     Parameters
     ----------
     cov :
-        Covariance object with a ``num_points`` attribute and
-        ``matrix(a, b)`` and ``pairwise(a, b)`` methods over the integer
-        point ids ``0 ... num_points - 1``.
+        Covariance object with ``num_points`` and ``representatives``
+        attributes and ``matrix(a, b)`` and ``pairwise(a, b)`` methods over
+        the integer point ids ``0 ... num_points - 1``.  ``representatives``
+        is a pair of arrays over the points: each point's representative,
+        itself a representative, and the sign (+1.0 or -1.0) of its feature
+        relative to that representative's.
     noise_std : float
         Finite, non-negative observation noise standard deviation.
     """
@@ -263,7 +283,9 @@ class GpModel:
         self.noise_std = float(noise_std)
         everywhere = np.arange(cov.num_points)
         self._prior = np.asarray(cov.pairwise(everywhere, everywhere), dtype=float)
-        self._live = np.flatnonzero(self._prior > 0)
+        self._rep, self._sign = cov.representatives
+        self._reps = np.flatnonzero(self._rep == everywhere)
+        self._live = self._reps[self._prior[self._reps] > 0]
         self._points = ()
         self._chol = np.zeros((0, 0))
         self._white = np.zeros(0)
@@ -277,31 +299,34 @@ class GpModel:
 
     @property
     def points(self):
+        """The observed points, as passed to ``add_observation``."""
         return self._points
 
     def add_observation(self, point: int, value: float) -> None:
         """Condition the model on ``(point, value)`` as well.
 
-        With ``c = chol^-1 k(points, point)`` and ``pivot = k(point, point)
-        + noise_std**2 - c @ c``, the factor gains the row ``[c,
-        sqrt(pivot)]`` and ``white`` the entry ``(value - c @ white) /
-        sqrt(pivot)``.  A pivot in ``[VARIANCE_FLOOR, JITTER)`` comes from a
-        noiseless exact repeat and is raised to :data:`JITTER` for this row.
-        A non-finite ``value`` or a ``point`` out of range raises
-        :class:`ValueError`, and a pivot that is NaN or below
+        With ``r = rep[point]``, ``c = chol^-1 k(observed representatives,
+        r)`` and ``pivot = k(r, r) + noise_std**2 - c @ c``, the factor
+        gains the row ``[c, sqrt(pivot)]`` and ``white`` the entry
+        ``(sign[point] * value - c @ white) / sqrt(pivot)``.  A pivot in
+        ``[VARIANCE_FLOOR, JITTER)`` comes from a noiseless exact repeat and
+        is raised to :data:`JITTER` for this row.  A non-finite ``value`` or
+        a ``point`` out of range raises :class:`ValueError` (the latter
+        through :func:`point_ids`), and a pivot that is NaN or below
         :data:`VARIANCE_FLOOR` raises :class:`SingularSystemError`; either
         way the model is left as it was.
         """
-        point, value = int(point), float(value)
+        value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"observed value must be finite, got {value!r}")
-        if not 0 <= point < len(self._prior):
-            raise ValueError(f"point id {point} is out of range")
+        point = int(point_ids(point, len(self._prior)))
+        rep, value = int(self._rep[point]), self._sign[point] * value
         n = len(self._points)
-        # One covariance per distinct observed point, repeated as in _cross.
-        k_vec = self.cov.matrix(list(self._distinct), [point])[self._repeats, 0]
+        # One covariance per distinct observed representative, repeated as
+        # in _cross.
+        k_vec = self.cov.matrix(list(self._distinct), [rep])[self._repeats, 0]
         c = solve_triangular(self._chol, k_vec, lower=True, check_finite=False)
-        pivot = float(self._prior[point]) + self.noise_std**2 - c @ c
+        pivot = float(self._prior[rep]) + self.noise_std**2 - c @ c
         if not pivot >= VARIANCE_FLOOR:
             raise SingularSystemError(
                 f"observation {n + 1}, at point {point}, has pivot {pivot:g}: "
@@ -315,7 +340,7 @@ class GpModel:
         self._chol = grown
         self._white = np.append(self._white, (value - c @ self._white) / root)
         self._points += (point,)
-        self._repeats.append(self._distinct.setdefault(point, len(self._distinct)))
+        self._repeats.append(self._distinct.setdefault(rep, len(self._distinct)))
 
     def posterior(self) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at every point.
@@ -332,23 +357,29 @@ class GpModel:
     def posterior_cov_pairs(self, left, right):
         """``posterior()`` and the posterior covariance of each pair of
         points ``left[i], right[i]``, from one triangular solve over all
-        points.  A self pair reads the unclamped variance; each unordered
-        pair of distinct points takes one column dot product, gathered a
-        block of at most :data:`_BLOCK_BYTES` per side at a time."""
-        means, variances, v = self._posterior(np.arange(len(self._prior)))
-        first, second, prior, slot = self._pair_index(left, right)
+        representatives.  A pair of points with one representative reads
+        its unclamped variance; each unordered pair of distinct
+        representatives takes one column dot product, gathered a block of
+        at most :data:`_BLOCK_BYTES` per side at a time.  Each pair's
+        covariance is then multiplied by the product of its two signs."""
+        means, variances, v = self._posterior(self._reps)
+        first, second, prior, slot, sign = self._pair_index(left, right)
         cross = prior.copy()
         if v is not None:
             step = max(1, _BLOCK_BYTES // (v.itemsize * len(v)))
             for lo in range(0, len(first), step):
                 pairs = slice(lo, lo + step)
                 cross[pairs] -= np.einsum("ij,ij->j", v[:, first[pairs]], v[:, second[pairs]])
-        return means, np.maximum(variances, 0.0), np.concatenate([variances, cross])[slot]
+        pair_cov = np.concatenate([variances, cross])[slot]
+        pair_cov *= sign
+        return means, np.maximum(variances, 0.0), pair_cov
 
     def _posterior(self, ids):
         """Means and unclamped variances at every point, and ``chol^-1
-        k_cross`` at ``ids``; the points outside ``ids`` skip the solve and
-        keep mean 0 and prior variance."""
+        k_cross`` at the representatives ``ids``, sorted; the
+        representatives outside ``ids`` skip the solve and keep mean 0 and
+        prior variance.  Once conditioned, each point reads its
+        representative's, with the mean times its sign."""
         means, variances = np.zeros(len(self._prior)), self._prior.copy()
         if not self._points:
             return means, variances, None
@@ -358,32 +389,36 @@ class GpModel:
         low = variances.min(initial=0.0)
         if low < VARIANCE_FLOOR:
             raise GpError(f"posterior variance {low:g} fell below the numerical floor")
-        return means, variances, v
+        means = means[self._rep]
+        means *= self._sign
+        return means, variances[self._rep], v
 
     def _cross(self, ids):
         """``chol^-1`` times the observations' covariance with ``ids``: one
-        row per distinct observed point, repeated in observation order and
-        gathered column-major, as ``cov.matrix(points, ids)`` lays them out,
-        so the solve keeps its bits.  The gather is this call's own copy, so
-        the solve overwrites it (``overwrite_b=True``) instead of copying it
-        again."""
+        row per distinct observed representative, repeated in observation
+        order and gathered column-major, as ``cov.matrix(observed
+        representatives, ids)`` lays them out, so the solve keeps its bits.
+        The gather is this call's own copy, so the solve overwrites it
+        (``overwrite_b=True``) instead of copying it again."""
         k_cross = np.take(self.cov.matrix(list(self._distinct), ids).T, self._repeats, axis=1).T
         return solve_triangular(self._chol, k_cross, lower=True, overwrite_b=True,
                                 check_finite=False)
 
     def _pair_index(self, left, right):
-        """First occurrence and prior covariance of each unordered pair of
-        distinct points, and each pair's slot in ``[variances, cross of
-        those pairs]``; built on the first call for these sequences."""
-        left, right = np.asarray(left, dtype=int), np.asarray(right, dtype=int)
+        """For the first occurrence of each unordered pair of distinct
+        representatives: its two columns in ``_posterior(_reps)``'s
+        whitening and its prior covariance.  For every pair: its slot in
+        ``[variances, cross of those pairs]`` and the product of its signs.
+        Built on the first call for these sequences."""
+        left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
         key = (left.tobytes(), right.tobytes())
         if key not in self._pairs:
             if len(left) != len(right):
                 raise ValueError(f"left and right differ in length: {len(left)} and {len(right)}")
             n = len(self._prior)
-            ends = np.concatenate([left, right])
-            if len(ends) and not 0 <= ends.min() <= ends.max() < n:
-                raise ValueError(f"pair point ids must lie in [0, num_points) = [0, {n})")
+            left, right = point_ids(left, n), point_ids(right, n)
+            sign = self._sign[left] * self._sign[right]
+            left, right = self._rep[left], self._rep[right]
             moves = np.flatnonzero(left != right)
             codes = np.minimum(left, right)[moves] * n + np.maximum(left, right)[moves]
             _, first, twins = np.unique(codes, return_index=True, return_inverse=True)
@@ -391,7 +426,8 @@ class GpModel:
             slot[moves] = n + twins
             first = moves[first]
             prior = np.asarray(self.cov.pairwise(left, right), dtype=float)[first]
-            self._pairs[key] = (left[first], right[first], prior, slot)
+            columns = np.searchsorted(self._reps, [left[first], right[first]])
+            self._pairs[key] = (columns[0], columns[1], prior, slot, sign)
         return self._pairs[key]
 
 

@@ -75,9 +75,6 @@ class TerrainGrid:
         if not 0 < self.cell_size < math.inf:
             raise ValueError(f"cell_size must be positive and finite, got {self.cell_size!r}")
 
-    def height_at(self, row: int, col: int) -> float:
-        return float(self.heights[row * self.cols + col])
-
 
 def load_esri_ascii(source) -> TerrainGrid:
     """Parse an ESRI ASCII grid from a string, bytes or text stream.
@@ -335,15 +332,34 @@ class DifferenceCovariance:
     Original states map to the degenerate pair ``(s, s)`` and so have zero
     variance — their "height difference" is identically zero.  Ids and
     lengths are checked as :class:`StationaryCovariance` checks them.
+
+    ``representatives`` maps every action-state to the lowest action-state
+    id with the same unordered ``{owner, landing}`` pair, with sign -1.0
+    where its direction is the reverse of that one's, as ``h(u) - h(v) =
+    -(h(v) - h(u))``, and +1.0 otherwise.  So a move and its reverse share
+    one representative, parallel moves share one with sign +1.0, and a move
+    with no reverse, a stay action and every original state keep
+    themselves.
     """
 
     def __init__(self, height_cov: StationaryCovariance, aug: AugmentedMdp):
         self.height_cov = height_cov
         self.aug = aug
+        owner, landing = aug.owner, aug.landing
+        # Original states and action-states take the even and odd codes.
+        pair = np.minimum(owner, landing) * aug.num_base_states + np.maximum(owner, landing)
+        codes = 2 * pair + aug.is_action_state
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        rep = first[inverse]
+        self._representatives = rep, np.where(owner == owner[rep], 1.0, -1.0)
 
     @property
     def num_points(self) -> int:
         return self.aug.num_states
+
+    @property
+    def representatives(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._representatives
 
     def matrix(self, a, b) -> np.ndarray:
         return self._four_terms(self.height_cov.matrix, a, b)

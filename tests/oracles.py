@@ -23,8 +23,10 @@ The dense GP reference reads every quantity as a row over a GP's points:
 e_landing (a transition's height difference).  ``dense_posterior``
 conditions on such rows with one ``np.linalg.solve``, no factor, over the
 kernel that ``kernel_value`` transcribes from its formulas; ``rel_dev`` is
-acceptance gate 1's deviation.  None of it reads ``safemdp.gp`` or
-``safemdp.terrain``, the code it checks.
+acceptance gate 1's deviation.  ``representatives`` is the difference
+model's representative map, read from a dict over each state's ``(owner,
+landing)``.  None of it reads ``safemdp.gp`` or ``safemdp.terrain``, the
+code it checks.
 """
 
 from collections import deque
@@ -188,6 +190,22 @@ def difference_rows(aug):
     zero for a cell and a stay action."""
     cells = aug.num_base_states
     return point_rows(aug.owner, cells) - point_rows(aug.landing, cells)
+
+
+def representatives(aug):
+    """Per state of ``aug``, the lowest-id state of its kind (original or
+    action-state) whose ``(owner, landing)`` is its own or its reverse, and
+    the sign: -1.0 where that state's is the reverse, +1.0 otherwise."""
+    states = list(zip(aug.owner.tolist(), aug.landing.tolist(), aug.is_action_state.tolist()))
+    first = {}
+    for s, key in enumerate(states):
+        first.setdefault(key, s)
+    rep, sign = [], []
+    for owner, landing, acting in states:
+        r = min(first[owner, landing, acting], first.get((landing, owner, acting), len(states)))
+        rep.append(r)
+        sign.append(1.0 if states[r][:2] == (owner, landing) else -1.0)
+    return np.array(rep), np.array(sign)
 
 
 def dense_posterior(kernel, coords, noise_std, obs_rows, values, left_rows, right_rows=None):

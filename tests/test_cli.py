@@ -358,8 +358,8 @@ def test_synth_crater_flags_shape_the_surface(tmp_path):
                  "--crater-col", "2", "--crater-depth", "4.0",
                  "--crater-radius", "1.0", "--out", str(out)]) == 0
     grid = load_esri_ascii(out.read_text())
-    assert grid.height_at(2, 2) == pytest.approx(-4.0)
-    assert grid.height_at(0, 0) == pytest.approx(0.0, abs=0.1)
+    assert grid.heights[2 * grid.cols + 2] == pytest.approx(-4.0)
+    assert grid.heights[0] == pytest.approx(0.0, abs=0.1)
 
 
 def test_synth_over_the_cell_limit_is_a_config_error(tmp_path, capsys):

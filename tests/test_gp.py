@@ -23,7 +23,7 @@ from safemdp.gp import (
     kernel_eval,
     update_bands,
 )
-from safemdp.mdp import GRID_DOWN, GRID_LEFT, GRID_RIGHT, augment, grid_mdp
+from safemdp.mdp import GRID_DOWN, GRID_LEFT, GRID_RIGHT, ManhattanMetric, Mdp, augment, grid_mdp
 from safemdp import gp as gp_module
 from safemdp.terrain import (
     CraterHill,
@@ -37,7 +37,15 @@ from safemdp.terrain import (
     synth_terrain,
 )
 
-from oracles import dense_posterior, difference_rows, kernel_value, point_rows, rel_dev, step
+from oracles import (
+    dense_posterior,
+    difference_rows,
+    kernel_value,
+    point_rows,
+    rel_dev,
+    representatives,
+    step,
+)
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -386,31 +394,36 @@ def _difference_model_with_repeats(size=6):
     return aug, model
 
 
-def _all_observation_posterior(model, ids):
-    """The posterior from the covariance of every observation with every id."""
-    k_cross = model.cov.matrix(model.points, ids)
-    v = solve_triangular(model._chol, k_cross, lower=True)
-    variances = model.cov.pairwise(ids, ids) - np.einsum("ij,ij->j", v, v)
-    return v.T @ model._white, np.maximum(variances, 0.0)
+def _all_observation_posterior(model):
+    """The posterior from the covariance of every observation's
+    representative with every representative, mirrored: each point reads
+    its representative's, with the mean times its sign."""
+    rep, sign = model.cov.representatives
+    ids = np.arange(len(rep))
+    reps = np.flatnonzero(rep == ids)
+    v = solve_triangular(model._chol, model.cov.matrix(rep[list(model.points)], reps), lower=True)
+    means, variances = np.zeros(len(rep)), model.cov.pairwise(ids, ids)
+    means[reps] = v.T @ model._white
+    variances[reps] -= np.einsum("ij,ij->j", v, v)
+    return means[rep] * sign, np.maximum(variances[rep], 0.0)
 
 
 def test_posterior_equals_the_all_observation_solve_bit_for_bit():
-    aug, model = _difference_model_with_repeats()
+    _, model = _difference_model_with_repeats()
     assert len(set(model.points)) < model.num_observations
-    ids = np.arange(aug.num_states)
-    for got, expected in zip(model.posterior(), _all_observation_posterior(model, ids)):
+    for got, expected in zip(model.posterior(), _all_observation_posterior(model)):
         np.testing.assert_array_equal(got, expected)
 
 
 def test_posterior_mean_moves_at_most_in_the_last_bits_of_a_final_partial_block():
     # BLAS computes a matrix-vector product's final (count mod 4) outputs
-    # with another kernel.  On a 6x6 grid the 192 states and the 120 of
-    # nonzero variance both fill whole blocks of four, so the test above is
-    # exact; on a 5x5 grid (130 and 80) one mean may differ in its last bits.
-    aug, model = _difference_model_with_repeats(5)
-    ids = np.arange(aug.num_states)
+    # with another kernel.  On a 6x6 grid the 132 representatives and the 60
+    # of nonzero variance both fill whole blocks of four, so the test above
+    # is exact; on a 5x5 grid (90 and 40) one mean may differ in its last
+    # bits.
+    _, model = _difference_model_with_repeats(5)
     means, variances = model.posterior()
-    ref_means, ref_variances = _all_observation_posterior(model, ids)
+    ref_means, ref_variances = _all_observation_posterior(model)
     np.testing.assert_array_equal(variances, ref_variances)
     np.testing.assert_allclose(means, ref_means, rtol=1e-13, atol=0.0)
 
@@ -425,6 +438,100 @@ def test_zero_variance_states_get_positive_zero_mean_and_zero_variance():
     assert not np.signbit(means[zero]).any() and (means[zero] == 0.0).all()
     assert not np.signbit(variances[zero]).any() and (variances[zero] == 0.0).all()
     assert (variances[~zero] > 0.0).all()
+
+
+def _reverse_of(aug):
+    """The action-state of each move's reverse transition, where there is
+    one: a dict over ``(owner, landing)``."""
+    move_of = {}
+    for s in np.flatnonzero(aug.is_action_state):
+        move_of.setdefault((int(aug.owner[s]), int(aug.landing[s])), int(s))
+    return {s: move_of[v, u] for (u, v), s in move_of.items() if u != v and (v, u) in move_of}
+
+
+def _hand_built_aug():
+    """Four cells in a row: two parallel moves 0 -> 1 and one 1 -> 0, a
+    one-way move 1 -> 2, and a move each way between 2 and 3."""
+    base = Mdp([[(0, 1), (1, 1), (4, 0)], [(0, 0), (3, 2), (4, 1)], [(3, 3), (4, 2)],
+                [(2, 2), (4, 3)]], ManhattanMetric([[0, 0], [0, 1], [0, 2], [0, 3]], 1.0))
+    return augment(base, half_step=0.5)
+
+
+@pytest.mark.parametrize("build", [lambda: augment(grid_mdp(5, 6, 1.0), half_step=0.5),
+                                   _hand_built_aug], ids=["grid", "hand-built"])
+def test_the_difference_representative_map_equals_the_brute_force_map(build):
+    aug = build()
+    rep, sign = difference_gp(aug, Kernel(MATERN52, 3.0, 2.0), 0.075).cov.representatives
+    want_rep, want_sign = representatives(aug)
+    np.testing.assert_array_equal(rep, want_rep)
+    np.testing.assert_array_equal(sign, want_sign)
+    assert (rep[rep] == rep).all()
+
+
+def test_a_stationary_covariance_represents_each_point_by_itself():
+    rep, sign = StationaryCovariance(Kernel(MATERN52, 1.0, 1.0), np.arange(7.0)).representatives
+    np.testing.assert_array_equal(rep, np.arange(7))
+    np.testing.assert_array_equal(sign, np.ones(7))
+
+
+def test_a_reversed_move_reads_exactly_the_negated_mean_and_the_same_variance():
+    aug = augment(grid_mdp(5, 5, 1.0), half_step=0.5)
+    model = difference_gp(aug, Kernel(MATERN52, 3.0, 2.0), 0.075)
+    reverse = _reverse_of(aug)
+    rng = np.random.default_rng(23)
+    moves = rng.choice(sorted(reverse), size=12, replace=False)
+    for move in moves:  # each observed both ways, some of them twice
+        for point in (move, reverse[move]) * int(rng.integers(1, 3)):
+            model.add_observation(int(point), float(rng.normal()))
+    means, variances = model.posterior()
+    forward = np.array(sorted(reverse))
+    backward = np.array([reverse[s] for s in forward])
+    np.testing.assert_array_equal(means[backward], -means[forward])
+    np.testing.assert_array_equal(variances[backward], variances[forward])
+    assert len(reverse) == np.count_nonzero(aug.owner != aug.landing)
+    zero = aug.owner == aug.landing  # the cells and the stay actions
+    assert (means[zero] == 0.0).all() and not np.signbit(means[zero]).any()
+    assert (variances[zero] == 0.0).all() and not np.signbit(variances[zero]).any()
+
+
+def test_observing_a_reverse_conditions_as_observing_its_move_on_the_negated_value():
+    aug = augment(grid_mdp(5, 5, 1.0), half_step=0.5)
+    kernel = Kernel(MATERN52, 3.0, 2.0)
+    reverse = _reverse_of(aug)
+    rng = np.random.default_rng(37)
+    through_reverse = difference_gp(aug, kernel, 0.075)
+    through_move = difference_gp(aug, kernel, 0.075)
+    for move in rng.choice(sorted(reverse), size=20):
+        value = float(rng.normal())
+        through_reverse.add_observation(reverse[int(move)], value)
+        through_move.add_observation(int(move), -value)
+    np.testing.assert_array_equal(through_reverse._chol, through_move._chol)
+    np.testing.assert_array_equal(through_reverse._white, through_move._white)
+    for got, want in zip(through_reverse.posterior(), through_move.posterior()):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_one_way_and_parallel_moves_match_the_dense_solve():
+    aug = _hand_built_aug()
+    kernel, noise = Kernel(MATERN52, 2.0, 1.5), 0.075
+    rng = np.random.default_rng(19)
+    obs = rng.integers(0, aug.num_states, size=30)
+    vals = rng.normal(size=len(obs))
+    model = difference_gp(aug, kernel, noise)
+    for p, v in zip(obs, vals):
+        model.add_observation(int(p), float(v))
+    rows = difference_rows(aug)
+    coords = aug.base.metric.coords
+    mean_ref, var_ref = dense_posterior(kernel, coords, noise, rows[obs], vals, rows)
+    means, variances = model.posterior()
+    assert rel_dev(means, mean_ref) <= 1e-8
+    assert rel_dev(variances, np.maximum(var_ref, 0.0)) <= 1e-8
+    left, right = np.divmod(np.arange(aug.num_states**2), aug.num_states)
+    _, cov_ref = dense_posterior(kernel, coords, noise, rows[obs], vals, rows[left], rows[right])
+    pair_means, pair_variances, cross = model.posterior_cov_pairs(left, right)
+    assert rel_dev(pair_means, mean_ref) <= 1e-8
+    assert rel_dev(pair_variances, np.maximum(var_ref, 0.0)) <= 1e-8
+    assert rel_dev(cross, cov_ref) <= 1e-8
 
 
 def test_cross_covariance_has_one_row_per_distinct_observed_point(monkeypatch):
@@ -506,7 +613,7 @@ def test_pairs_out_of_range_or_of_unequal_sides_raise_value_error():
         with pytest.raises(ValueError, match="differ in length"):
             model.posterior_cov_pairs([0, 1], [1])
         for left, right in (([-1], [0]), ([0], [5]), ([2, 0], [1, -2])):
-            with pytest.raises(ValueError, match="pair point ids"):
+            with pytest.raises(ValueError, match="point id"):
                 model.posterior_cov_pairs(left, right)
 
 
@@ -555,6 +662,10 @@ def test_singular_system_error_when_jitter_cannot_help():
 
         def pairwise(self, a, b):
             return self._k[np.asarray(a, int), np.asarray(b, int)]
+
+        @property
+        def representatives(self):
+            return np.arange(self.num_points), np.ones(self.num_points)
 
     for off_diagonal in (2.0, math.nan):
         model = GpModel(MatrixCov([[1.0, off_diagonal], [off_diagonal, 1.0]]), 0.0)

@@ -169,7 +169,8 @@ def test_crater_rim_has_a_forbidden_drop():
         for c in range(10):
             for dr, dc in ((0, 1), (1, 0)):
                 if r + dr < 10 and c + dc < 10:
-                    drops.append(abs(grid.height_at(r, c) - grid.height_at(r + dr, c + dc)))
+                    drops.append(abs(grid.heights[r * grid.cols + c]
+                                     - grid.heights[(r + dr) * grid.cols + c + dc]))
     assert max(drops) > steep
 
 

@@ -1,23 +1,23 @@
 """Exact Gaussian-process regression over a finite index set.
 
 This module provides the statistical machinery used to estimate the unknown
-safety feature: stationary kernels evaluated on distances (each kernel row
-once, memoized per observed point), an exact GP posterior over all of its
-covariance's points, conditioned one observation at a time by appending a
-row to its Cholesky factor (its pair covariances share the variances'
-whitening, one row per distinct observed point, none for zero-variance
-states), and monotonically intersected confidence bands.  A covariance maps
-each point to a representative and a sign, ``feature(p) = sign *
-feature(representative)``; the model conditions and whitens representatives
-only and mirrors their posterior to every point, so under the difference
-model a move and its reverse share one column.  The exploration
+safety feature: stationary kernels evaluated on distances, an exact GP
+posterior over all of its covariance's points, conditioned one observation
+at a time by appending a row to its packed Cholesky factor (each observed
+point's covariance row is evaluated once, when it is first observed, and
+kept; its pair covariances share the variances' whitening, none for
+zero-variance states), and monotonically intersected confidence bands.  A
+covariance maps each point to a representative and a sign, ``feature(p) =
+sign * feature(representative)``; the model conditions and whitens
+representatives only and mirrors their posterior to every point, so under
+the difference model a move and its reverse share one column.  The exploration
 run owns the bands: it starts them with :func:`initial_bands`, and its band
 model tightens them with :func:`update_bands`.
 
 scipy is imported by :func:`solve_triangular` on its first call, the first
 time a model conditions or whitens, so a process that never does (``safemdp
 oracle`` or ``synth``) never loads it.  The whitening solve works in place
-(``overwrite_b=True``) on the cross-covariance block it gathers for itself.
+(``overwrite_b=True``) on the cross-covariance block it takes for itself.
 """
 
 from __future__ import annotations
@@ -159,16 +159,12 @@ class StationaryCovariance:
     Points are the integer ids ``0 ... num_points - 1`` into ``coords``; the
     kernel is evaluated on the Euclidean distance between coordinates.
 
-    ``matrix(a, b)`` reads from a memo of kernel rows.  The first time an id
-    appears in ``a``, its row against every point is evaluated and kept, so
-    each row is evaluated once however often it is read.  :class:`GpModel`
-    only puts its observed points in ``a``, so the memo holds one row per
-    distinct observed point: at most (distinct observed points) x (number
-    of points) floats in use.  Its storage doubles when full, so it
-    allocates less than twice that, and never more than a square block over
-    all points.  A coordinate that is not finite, an id outside ``[0,
-    num_points)``, or ``pairwise`` sequences of unequal length, raise
-    :class:`ValueError`.
+    ``matrix(a, b)`` evaluates the rows of the distinct ids of ``a`` with
+    :meth:`fill_rows` and gathers ``b`` from them; it keeps nothing, so
+    each call evaluates its rows afresh.  :class:`GpModel` calls it once
+    per observed representative.  A coordinate that is not finite, an id
+    outside ``[0, num_points)``, or ``pairwise`` sequences of unequal
+    length, raise :class:`ValueError`.
     """
 
     def __init__(self, kernel: Kernel, coords):
@@ -179,9 +175,6 @@ class StationaryCovariance:
             raise ValueError("covariance coordinates must be finite")
         self.kernel = kernel
         self.coords = coords
-        self._slot = np.full(len(coords), -1, dtype=np.intp)
-        self._rows = np.empty((0, len(coords)))
-        self._num_rows = 0
 
     @property
     def num_points(self) -> int:
@@ -195,30 +188,15 @@ class StationaryCovariance:
     def matrix(self, a, b) -> np.ndarray:
         """Full covariance matrix between the id sequences ``a`` and ``b``."""
         a, b = point_ids(a, self.num_points), point_ids(b, self.num_points)
-        if (self._slot[a] < 0).any():
-            new = np.zeros(len(self._slot), dtype=bool)
-            new[a] = True
-            self._evaluate(np.flatnonzero(new & (self._slot < 0)))
-        return self._rows[self._slot[a]][:, b]
-
-    def _evaluate(self, ids):
-        """Evaluate the rows of the distinct, new ``ids`` straight into the
-        memo."""
-        start, stop = self._num_rows, self._num_rows + len(ids)
-        if stop > len(self._rows):
-            capacity = min(max(stop, 2 * len(self._rows)), len(self.coords))
-            grown = np.empty((capacity, len(self.coords)))
-            grown[:start] = self._rows[:start]
-            self._rows = grown
-        self.fill_rows(ids, self._rows[start:stop])
-        self._slot[ids] = np.arange(start, stop)
-        self._num_rows = stop
+        distinct, inverse = np.unique(a, return_inverse=True)
+        rows = self.fill_rows(distinct, np.empty((len(distinct), self.num_points)))
+        return rows[np.ix_(inverse, b)]
 
     def fill_rows(self, ids, out) -> np.ndarray:
         """Write the kernel rows of ``ids`` against every point into the
-        float array ``out`` and return it, without the memo.  Rows are
-        evaluated in blocks whose coordinate differences take at most
-        :data:`_BLOCK_BYTES`, each block in place in ``out``."""
+        float array ``out`` and return it.  Rows are evaluated in blocks
+        whose coordinate differences take at most :data:`_BLOCK_BYTES`,
+        each block in place in ``out``."""
         ids = point_ids(ids, self.num_points)
         step = max(1, _BLOCK_BYTES // self.coords.nbytes)
         for lo in range(0, len(ids), step):
@@ -251,17 +229,26 @@ class GpModel:
     one row to the lower Cholesky factor ``chol`` of ``K + noise_std**2 I``
     over the observed representatives and one entry to ``white = chol^-1
     y``, the whitened signed observations; no factorization is ever made
-    from scratch.  The prior variances of all points are evaluated once,
-    when the model is made, and the index of distinct unordered pairs of
-    representatives once for each pair sequence.  Both ``posterior`` and
-    ``posterior_cov_pairs`` whiten one cross-covariance row per distinct
-    observed representative (tracked as points are observed, not sorted per
-    call) with one triangular solve, and read the means from that same
-    whitening.  ``posterior`` whitens only the representatives of nonzero
-    prior variance: the others covary with no point under a PSD kernel and
-    get mean and variance 0.0 without solving for them.  A point id out of
-    range raises :class:`ValueError` in ``add_observation`` before the
-    model changes.
+    from scratch.  The factor is kept packed, its lower triangle row by row
+    in ``n (n + 1) / 2`` floats, and each solve unpacks it.  The prior
+    variances of all points are evaluated once, when the model is made,
+    and the index of distinct unordered pairs of representatives once for
+    each pair sequence.
+
+    Only the representatives of nonzero prior variance, ``live``, are
+    whitened: the others covary with no point under a PSD kernel and keep
+    mean 0 and their prior variance.  The first time a representative is
+    observed, its covariance with ``live`` is evaluated by one
+    ``cov.matrix`` call and kept as a column of a (live x capacity) array,
+    whose capacity grows by a quarter when full; so the model keeps at
+    most ``d + d // 4`` columns for ``d`` distinct observed
+    representatives, and nothing else calls ``cov.matrix``.  A new observation reads its
+    covariances with the observed representatives from its
+    representative's row of that array.  ``posterior`` and
+    ``posterior_cov_pairs`` take the kept columns in observation order and
+    whiten them with one triangular solve, and read the means from that
+    same whitening.  A point id out of range raises :class:`ValueError` in
+    ``add_observation`` before the model changes.
 
     Parameters
     ----------
@@ -284,11 +271,14 @@ class GpModel:
         everywhere = np.arange(cov.num_points)
         self._prior = np.asarray(cov.pairwise(everywhere, everywhere), dtype=float)
         self._rep, self._sign = cov.representatives
-        self._reps = np.flatnonzero(self._rep == everywhere)
-        self._live = self._reps[self._prior[self._reps] > 0]
+        reps = np.flatnonzero(self._rep == everywhere)
+        self._live = reps[self._prior[reps] > 0]
+        self._live_index = np.full(cov.num_points, -1, dtype=np.intp)
+        self._live_index[self._live] = np.arange(len(self._live))
         self._points = ()
-        self._chol = np.zeros((0, 0))
+        self._packed = np.zeros(0)
         self._white = np.zeros(0)
+        self._rows = np.empty((len(self._live), 0))
         self._distinct = {}
         self._repeats = []
         self._pairs = {}
@@ -322,10 +312,11 @@ class GpModel:
         point = int(point_ids(point, len(self._prior)))
         rep, value = int(self._rep[point]), self._sign[point] * value
         n = len(self._points)
-        # One covariance per distinct observed representative, repeated as
-        # in _cross.
-        k_vec = self.cov.matrix(list(self._distinct), [rep])[self._repeats, 0]
-        c = solve_triangular(self._chol, k_vec, lower=True, check_finite=False)
+        # The kept covariances with r, repeated as in _cross; a zero-variance
+        # r covaries with nothing.
+        live = self._live_index[rep]
+        k_vec = self._rows[live].take(self._repeats) if live >= 0 else np.zeros(n)
+        c = solve_triangular(self._factor(), k_vec, lower=True, check_finite=False)
         pivot = float(self._prior[rep]) + self.noise_std**2 - c @ c
         if not pivot >= VARIANCE_FLOOR:
             raise SingularSystemError(
@@ -333,14 +324,33 @@ class GpModel:
                 "the covariance is not positive semi-definite"
             )
         root = math.sqrt(max(pivot, JITTER))
-        grown = np.zeros((n + 1, n + 1))
-        grown[:n, :n] = self._chol
-        grown[n, :n] = c
-        grown[n, n] = root
-        self._chol = grown
+        if rep not in self._distinct:
+            self._keep_row(rep)
+        self._packed = np.concatenate([self._packed, c, [root]])
         self._white = np.append(self._white, (value - c @ self._white) / root)
         self._points += (point,)
-        self._repeats.append(self._distinct.setdefault(rep, len(self._distinct)))
+        self._repeats.append(self._distinct[rep])
+
+    def _keep_row(self, rep):
+        """Evaluate the covariance of the newly observed representative
+        ``rep`` with ``live`` into the next column of the kept rows.  Their
+        capacity grows by a quarter when full: every finished model keeps
+        its rows, so the slack is kept small, and the copies still add up
+        to a few times the final size."""
+        d = len(self._distinct)
+        if d == self._rows.shape[1]:
+            grown = np.empty((len(self._live), d + 1 + d // 4))
+            grown[:, :d] = self._rows
+            self._rows = grown
+        self._rows[:, d] = self.cov.matrix([rep], self._live)[0]
+        self._distinct[rep] = d
+
+    def _factor(self) -> np.ndarray:
+        """The square lower Cholesky factor, unpacked into a fresh array."""
+        n = len(self._white)
+        chol = np.zeros((n, n))
+        chol[np.tri(n, dtype=bool)] = self._packed
+        return chol
 
     def posterior(self) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at every point.
@@ -351,41 +361,44 @@ class GpModel:
             Variances are clamped at zero; a value below
             :data:`VARIANCE_FLOOR` before clamping raises :class:`GpError`.
         """
-        means, variances, _ = self._posterior(self._live)
+        means, variances, _ = self._posterior()
         return means, np.maximum(variances, 0.0)
 
     def posterior_cov_pairs(self, left, right):
         """``posterior()`` and the posterior covariance of each pair of
-        points ``left[i], right[i]``, from one triangular solve over all
-        representatives.  A pair of points with one representative reads
-        its unclamped variance; each unordered pair of distinct
-        representatives takes one column dot product, gathered a block of
-        at most :data:`_BLOCK_BYTES` per side at a time.  Each pair's
-        covariance is then multiplied by the product of its two signs."""
-        means, variances, v = self._posterior(self._reps)
-        first, second, prior, slot, sign = self._pair_index(left, right)
+        points ``left[i], right[i]``, from its one triangular solve.  A
+        pair of points with one representative reads its unclamped
+        variance; each unordered pair of distinct live representatives
+        takes one column dot product, gathered a block of at most
+        :data:`_BLOCK_BYTES` per side at a time, and a pair that touches a
+        zero-variance representative keeps its prior covariance.  Each
+        pair's covariance is then multiplied by the product of its two
+        signs."""
+        means, variances, v = self._posterior()
+        whitened, first, second, prior, slot, sign = self._pair_index(left, right)
         cross = prior.copy()
         if v is not None:
             step = max(1, _BLOCK_BYTES // (v.itemsize * len(v)))
-            for lo in range(0, len(first), step):
-                pairs = slice(lo, lo + step)
-                cross[pairs] -= np.einsum("ij,ij->j", v[:, first[pairs]], v[:, second[pairs]])
+            for lo in range(0, len(whitened), step):
+                block = slice(lo, lo + step)
+                cross[whitened[block]] -= np.einsum("ij,ij->j", v[:, first[block]],
+                                                    v[:, second[block]])
         pair_cov = np.concatenate([variances, cross])[slot]
         pair_cov *= sign
         return means, np.maximum(variances, 0.0), pair_cov
 
-    def _posterior(self, ids):
+    def _posterior(self):
         """Means and unclamped variances at every point, and ``chol^-1
-        k_cross`` at the representatives ``ids``, sorted; the
-        representatives outside ``ids`` skip the solve and keep mean 0 and
-        prior variance.  Once conditioned, each point reads its
-        representative's, with the mean times its sign."""
+        k_cross`` at ``live``; the representatives outside ``live`` skip
+        the solve and keep mean 0 and prior variance.  Once conditioned,
+        each point reads its representative's, with the mean times its
+        sign."""
         means, variances = np.zeros(len(self._prior)), self._prior.copy()
         if not self._points:
             return means, variances, None
-        v = self._cross(ids)
-        means[ids] = v.T @ self._white
-        variances[ids] -= np.einsum("ij,ij->j", v, v)
+        v = self._cross()
+        means[self._live] = v.T @ self._white
+        variances[self._live] -= np.einsum("ij,ij->j", v, v)
         low = variances.min(initial=0.0)
         if low < VARIANCE_FLOOR:
             raise GpError(f"posterior variance {low:g} fell below the numerical floor")
@@ -393,21 +406,21 @@ class GpModel:
         means *= self._sign
         return means, variances[self._rep], v
 
-    def _cross(self, ids):
-        """``chol^-1`` times the observations' covariance with ``ids``: one
-        row per distinct observed representative, repeated in observation
-        order and gathered column-major, as ``cov.matrix(observed
-        representatives, ids)`` lays them out, so the solve keeps its bits.
-        The gather is this call's own copy, so the solve overwrites it
+    def _cross(self):
+        """``chol^-1`` times the observations' covariance with ``live``: the
+        kept columns taken in observation order, which lays them out
+        column-major as (observations x live), the layout the solve works
+        in.  The take is this call's own copy, so the solve overwrites it
         (``overwrite_b=True``) instead of copying it again."""
-        k_cross = np.take(self.cov.matrix(list(self._distinct), ids).T, self._repeats, axis=1).T
-        return solve_triangular(self._chol, k_cross, lower=True, overwrite_b=True,
+        k_cross = np.take(self._rows, self._repeats, axis=1).T
+        return solve_triangular(self._factor(), k_cross, lower=True, overwrite_b=True,
                                 check_finite=False)
 
     def _pair_index(self, left, right):
         """For the first occurrence of each unordered pair of distinct
-        representatives: its two columns in ``_posterior(_reps)``'s
-        whitening and its prior covariance.  For every pair: its slot in
+        representatives: its prior covariance, and, for those of two live
+        representatives, their places among the pairs and their two columns
+        in ``_posterior``'s whitening.  For every pair: its slot in
         ``[variances, cross of those pairs]`` and the product of its signs.
         Built on the first call for these sequences."""
         left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
@@ -426,8 +439,9 @@ class GpModel:
             slot[moves] = n + twins
             first = moves[first]
             prior = np.asarray(self.cov.pairwise(left, right), dtype=float)[first]
-            columns = np.searchsorted(self._reps, [left[first], right[first]])
-            self._pairs[key] = (columns[0], columns[1], prior, slot, sign)
+            first, second = self._live_index[left[first]], self._live_index[right[first]]
+            whitened = np.flatnonzero((first >= 0) & (second >= 0))
+            self._pairs[key] = (whitened, first[whitened], second[whitened], prior, slot, sign)
         return self._pairs[key]
 
 

@@ -362,18 +362,25 @@ class DifferenceCovariance:
         return self._representatives
 
     def matrix(self, a, b) -> np.ndarray:
-        return self._four_terms(self.height_cov.matrix, a, b)
+        """``((k(oa, ob) - k(oa, lb)) - k(la, ob)) + k(la, lb)``, read from
+        one height block between the owners then the landings of ``a`` and
+        those of ``b``, so each distinct cell row is evaluated once."""
+        a, b = point_ids(a, self.num_points), point_ids(b, self.num_points)
+        owner, landing = self.aug.owner, self.aug.landing
+        k = self.height_cov.matrix(np.concatenate([owner[a], landing[a]]),
+                                   np.concatenate([owner[b], landing[b]]))
+        na, nb = len(a), len(b)
+        out = k[:na, :nb] - k[:na, nb:]
+        out -= k[na:, :nb]
+        out += k[na:, nb:]
+        return out
 
     def pairwise(self, a, b) -> np.ndarray:
-        return self._four_terms(self.height_cov.pairwise, a, b)
-
-    def _four_terms(self, k, a, b) -> np.ndarray:
-        """The height covariance ``k`` expanded over the cell pairs of ``a``
-        and ``b``, as ``((k(oa, ob) - k(oa, lb)) - k(la, ob)) + k(la, lb)``
-        summed into the first term, which ``k`` returns as a fresh array."""
+        """The same sum element by element, summed into the first term."""
         a, b = point_ids(a, self.num_points), point_ids(b, self.num_points)
         owner, landing = self.aug.owner, self.aug.landing
         oa, la, ob, lb = owner[a], landing[a], owner[b], landing[b]
+        k = self.height_cov.pairwise
         out = k(oa, ob)
         out -= k(oa, lb)
         out -= k(la, ob)

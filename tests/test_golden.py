@@ -15,7 +15,9 @@ magnitude, because their last bits change with the BLAS thread count.
 ``safemdp oracle`` must reproduce the sha256 of ``oracle.csv`` for all
 three configs, for the crater 50x50 fixture, where the returnability
 searches run long, and for ``perfbench/configs/steep-oracle.ini``, whose
-masks leave states out (``golden/contract.json``).
+masks leave states out (``golden/contract.json``).  ``safemdp explore``
+runs the crater 50x50 fixture too, for its first 60 iterations at noise
+seed 0: at paper scale, with a distinct target at every iteration.
 
 Re-record the goldens with ``PYTHONPATH=src python tests/test_golden.py``.
 It re-runs every case but rewrites only the entries whose key is new or
@@ -73,7 +75,8 @@ directory = out
 """
 
 #: A misspecified, paper-scale crater: 14800 augmented states, all of them
-#: in both oracle masks.  Only ``safemdp oracle`` runs on it.
+#: in both oracle masks.  ``safemdp explore`` runs it capped at
+#: ``CRATER_ITERATIONS``.
 CRATER_50 = """\
 [terrain]
 source = synth
@@ -102,6 +105,9 @@ seeds = 0 1 2 3 4
 [output]
 directory = out
 """
+
+CRATER_ITERATIONS = 60
+CRATER_KEY = "crater-50x50/safemdp/seed_0"
 
 SMOKE_CONFIGS = ("smoke-explore-diff", "smoke-explore-heights")
 CONFIGS = {"readme-example": README_EXAMPLE,
@@ -184,6 +190,13 @@ def run_smoke(tmp_path, config, strategy) -> dict:
             for seed in SMOKE_SEEDS}
 
 
+def run_crater(tmp_path) -> dict:
+    """The capped crater 50x50 run's seed 0, by golden key."""
+    out = _run(tmp_path, "explore", "crater-50x50", strategy="safemdp", seeds="0",
+               max_iterations=str(CRATER_ITERATIONS))
+    return {CRATER_KEY: pinned(out / "seed_0")}
+
+
 def run_oracle(tmp_path, config) -> str:
     return _sha256(_run(tmp_path, "oracle", config) / "oracle.csv")
 
@@ -219,6 +232,11 @@ def test_smoke_config_reproduces_its_golden(tmp_path, config, strategy):
     goldens = json.loads(CONTRACT_GOLDEN.read_text())
     for key, got in run_smoke(tmp_path, config, strategy).items():
         assert_matches(got, goldens[key])
+
+
+def test_crater_explore_reproduces_its_golden(tmp_path):
+    goldens = json.loads(CONTRACT_GOLDEN.read_text())
+    assert_matches(run_crater(tmp_path)[CRATER_KEY], goldens[CRATER_KEY])
 
 
 @pytest.mark.parametrize("config", CONFIGS)
@@ -295,5 +313,6 @@ if __name__ == "__main__":
     contract = {}
     for case in SMOKE_CASES:
         contract.update(fresh(run_smoke, *case))
+    contract.update(fresh(run_crater))
     contract.update({_oracle_key(config): fresh(run_oracle, config) for config in CONFIGS})
     _record(CONTRACT_GOLDEN, contract)

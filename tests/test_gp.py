@@ -28,6 +28,7 @@ from safemdp import gp as gp_module
 from safemdp.terrain import (
     CraterHill,
     CraterHillParams,
+    DifferenceCovariance,
     HeightGpBandModel,
     TerrainSafetySpec,
     build_terrain_environment,
@@ -117,7 +118,7 @@ def test_stationary_covariance_matrix_matches_pairwise():
 
 
 def _direct_matrix(cov, a, b):
-    """The kernel block between ``a`` and ``b`` in one expression, no memo."""
+    """The kernel block between ``a`` and ``b`` in one expression."""
     pa, pb = cov.coords[np.asarray(a, dtype=int)], cov.coords[np.asarray(b, dtype=int)]
     diff = pa[:, None, :] - pb[None, :, :]
     return kernel_eval(cov.kernel, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
@@ -151,7 +152,6 @@ def test_covariance_ids_out_of_range_and_unequal_lengths_raise_value_error():
         cov.fill_rows([5], np.empty((1, 5)))
     with pytest.raises(ValueError, match="differ in length: 2 and 1"):
         cov.pairwise([0, 1], [0])
-    assert cov._num_rows == 0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -162,21 +162,19 @@ def test_covariance_rejects_non_finite_coordinates(bad):
 
 
 @pytest.mark.parametrize("kind", [MATERN52, SQUARED_EXPONENTIAL])
-def test_memoized_matrix_equals_the_direct_formula_bit_for_bit(kind, monkeypatch):
+def test_matrix_equals_the_direct_formula_bit_for_bit(kind, monkeypatch):
     rng = np.random.default_rng(5)
     coords = rng.normal(size=(30, 2)) * 4
     kernel = Kernel(kind, 1.7, 0.9)
     calls = [(rng.integers(0, 30, size=rng.integers(1, 12)),
               rng.integers(0, 30, size=rng.integers(1, 40))) for _ in range(20)]
     calls += [([3, 3, 7, 3], [7, 7, 3, 0]), ([], [1, 2]), (np.arange(30), np.arange(30))]
-    orders = (np.arange(len(calls)), rng.permutation(len(calls)))
-    # New rows in one block, then in blocks of 7 rows.
+    cov = StationaryCovariance(kernel, coords)
+    # Rows in one block, then in blocks of 7 rows.
     for block_bytes in (gp_module._BLOCK_BYTES, 7 * coords.nbytes):
         monkeypatch.setattr(gp_module, "_BLOCK_BYTES", block_bytes)
-        for order in orders:
-            cov = StationaryCovariance(kernel, coords)
-            for a, b in [calls[i] for i in order] * 2:  # the second pass reads the memo
-                np.testing.assert_array_equal(cov.matrix(a, b), _direct_matrix(cov, a, b))
+        for a, b in calls:
+            np.testing.assert_array_equal(cov.matrix(a, b), _direct_matrix(cov, a, b))
 
 
 def test_each_kernel_row_is_evaluated_once_and_only_for_observed_points(monkeypatch):
@@ -202,16 +200,6 @@ def test_each_kernel_row_is_evaluated_once_and_only_for_observed_points(monkeypa
             model.posterior_cov_pairs(rng.integers(0, 40, 10), rng.integers(0, 40, 10))
     model.posterior()
     assert sorted(evaluated) == sorted(observed)
-
-
-def test_memo_storage_doubles_up_to_one_row_per_point():
-    cov = StationaryCovariance(Kernel(MATERN52, 1.0, 1.0), np.arange(100, dtype=float))
-    capacities = []
-    for point in range(100):
-        cov.matrix([point], [0])
-        if not capacities or len(cov._rows) != capacities[-1]:
-            capacities.append(len(cov._rows))
-    assert capacities == [1, 2, 4, 8, 16, 32, 64, 100]
 
 
 @pytest.mark.parametrize("observation_model", ["difference", "heights"])
@@ -364,7 +352,7 @@ def test_posterior_cov_pairs_whitens_each_distinct_point_once(monkeypatch):
     # Repeats within each side and ids shared between the sides.
     left = rng.integers(0, 12, size=60)
     right = rng.integers(6, 18, size=60)
-    chol = model._chol
+    chol = model._factor()
     vl = solve_triangular(chol, cov.matrix(model.points, left), lower=True)
     vr = solve_triangular(chol, cov.matrix(model.points, right), lower=True)
     separately = cov.pairwise(left, right) - np.einsum("ij,ij->j", vl, vr)
@@ -401,7 +389,8 @@ def _all_observation_posterior(model):
     rep, sign = model.cov.representatives
     ids = np.arange(len(rep))
     reps = np.flatnonzero(rep == ids)
-    v = solve_triangular(model._chol, model.cov.matrix(rep[list(model.points)], reps), lower=True)
+    k_cross = model.cov.matrix(rep[list(model.points)], reps)
+    v = solve_triangular(model._factor(), k_cross, lower=True)
     means, variances = np.zeros(len(rep)), model.cov.pairwise(ids, ids)
     means[reps] = v.T @ model._white
     variances[reps] -= np.einsum("ij,ij->j", v, v)
@@ -505,7 +494,7 @@ def test_observing_a_reverse_conditions_as_observing_its_move_on_the_negated_val
         value = float(rng.normal())
         through_reverse.add_observation(reverse[int(move)], value)
         through_move.add_observation(int(move), -value)
-    np.testing.assert_array_equal(through_reverse._chol, through_move._chol)
+    np.testing.assert_array_equal(through_reverse._packed, through_move._packed)
     np.testing.assert_array_equal(through_reverse._white, through_move._white)
     for got, want in zip(through_reverse.posterior(), through_move.posterior()):
         np.testing.assert_array_equal(got, want)
@@ -535,18 +524,62 @@ def test_one_way_and_parallel_moves_match_the_dense_solve():
 
 
 def test_cross_covariance_has_one_row_per_distinct_observed_point(monkeypatch):
+    # cov.matrix runs once per newly observed representative, inside
+    # add_observation, against the live representatives; the posteriors
+    # read the kept rows only.
+    calls = []
+    matrix = DifferenceCovariance.matrix
+
+    def recording(self, a, b):
+        calls.append((list(a), np.asarray(b).copy()))
+        return matrix(self, a, b)
+
+    monkeypatch.setattr(DifferenceCovariance, "matrix", recording)
     aug, model = _difference_model_with_repeats()
-    rows = []
-    matrix = model.cov.matrix
-
-    def counting(a, b):
-        rows.append(len(a))
-        return matrix(a, b)
-
-    monkeypatch.setattr(model.cov, "matrix", counting)
+    rep, _ = model.cov.representatives
+    distinct = list(dict.fromkeys(int(rep[p]) for p in model.points))
+    assert len(distinct) < model.num_observations
+    assert [a for a, _ in calls] == [[r] for r in distinct]
+    for _, b in calls:
+        np.testing.assert_array_equal(b, model._live)
+    del calls[:]
     model.posterior()
     model.posterior_cov_pairs(aug.owner, aug.landing)
-    assert rows == [len(set(model.points))] * 2
+    assert calls == []
+
+
+def _arrays(value):
+    """Every numpy array in ``value``, looking into containers."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_a_model_keeps_its_covariance_rows_a_packed_factor_and_nothing_of_n_by_points():
+    # What a finished model holds: (capacity x live) kept rows, with the
+    # capacity at most a quarter above the distinct observed
+    # representatives, the factor's n (n + 1) / 2 floats, and arrays of at
+    # most one float per point, its covariance's included.  No array is
+    # n x points.
+    aug, model = _difference_model_with_repeats()
+    model.posterior()
+    model.posterior_cov_pairs(aug.owner, aug.landing)
+    n, points, live = model.num_observations, model.cov.num_points, len(model._live)
+    distinct = len(set(model._repeats))
+    assert distinct < n and n * points > 10 * distinct * live
+    capacity = model._rows.shape[1]
+    assert model._rows.shape == (live, capacity) and distinct <= capacity <= distinct * 5 // 4
+    assert model._packed.shape == (n * (n + 1) // 2,)
+    kept = [vars(model), vars(model.cov), vars(model.cov.height_cov)]
+    others = [a for a in _arrays(kept) if a is not model._rows and a is not model._packed]
+    assert max(a.size for a in others) <= points
+    total = sum(a.size for a in _arrays(kept))
+    assert total <= capacity * live + n * (n + 1) // 2 + 16 * points
 
 
 def test_posterior_cov_diagonal_equals_posterior_variance():
@@ -572,7 +605,7 @@ def test_reverse_pair_reads_its_twin_and_a_self_pair_the_unclamped_variance():
     right = np.array([3, 0, 5, 2, 7, 5, 3])
     means, variances, cross = model.posterior_cov_pairs(left, right)
     assert cross[0] == cross[1] == cross[6] and cross[3] == cross[5]
-    v = solve_triangular(model._chol, cov.matrix(model.points, points), lower=True)
+    v = solve_triangular(model._factor(), cov.matrix(model.points, points), lower=True)
     unclamped = cov.pairwise(points, points) - np.einsum("ij,ij->j", v, v)
     np.testing.assert_array_equal(cross[[2, 4]], unclamped[[5, 7]])
     for got, expected in zip((means, variances), model.posterior()):
@@ -592,7 +625,7 @@ def test_pair_covariances_are_dotted_in_blocks_below_one_gather():
     n, pairs = model.num_observations, len(left)
     assert pairs > 4 * (gp_module._BLOCK_BYTES // (8 * n))
     _, _, cross = model.posterior_cov_pairs(left, right)
-    v = solve_triangular(model._chol, cov.matrix(model.points, np.arange(60)), lower=True)
+    v = solve_triangular(model._factor(), cov.matrix(model.points, np.arange(60)), lower=True)
     one_shot = cov.pairwise(left, right) - np.einsum("ij,ij->j", v[:, left], v[:, right])
     np.testing.assert_array_equal(cross, one_shot)
     tracemalloc.start()
@@ -670,12 +703,12 @@ def test_singular_system_error_when_jitter_cannot_help():
     for off_diagonal in (2.0, math.nan):
         model = GpModel(MatrixCov([[1.0, off_diagonal], [off_diagonal, 1.0]]), 0.0)
         model.add_observation(0, 1.0)
-        chol, white = model._chol.copy(), model._white.copy()
+        packed, white = model._packed.copy(), model._white.copy()
         with pytest.raises(SingularSystemError, match="pivot"):
             model.add_observation(1, 1.0)
         # The failed update leaves the model conditioned on what it had.
         assert model.points == (0,)
-        np.testing.assert_array_equal(model._chol, chol)
+        np.testing.assert_array_equal(model._packed, packed)
         np.testing.assert_array_equal(model._white, white)
 
 
@@ -687,11 +720,11 @@ def test_non_finite_observation_is_rejected_and_leaves_the_model_as_it_was(bad):
         model.add_observation(2, bad)
     assert model.num_observations == 0
     model.add_observation(1, 0.3)
-    chol, before = model._chol.copy(), model.posterior()
+    packed, before = model._packed.copy(), model.posterior()
     with pytest.raises(ValueError, match="finite"):
         model.add_observation(2, bad)
     assert model.points == (1,)
-    np.testing.assert_array_equal(model._chol, chol)
+    np.testing.assert_array_equal(model._packed, packed)
     for got, expected in zip(model.posterior(), before):
         np.testing.assert_array_equal(got, expected)
 

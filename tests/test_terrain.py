@@ -150,7 +150,7 @@ def test_gp_sample_peak_memory_at_the_cell_limit():
     # np.linalg.cholesky returns (47.7 MiB); its working copy of the prior
     # is not a traced numpy array.  Filling the prior a block of at most
     # 1 MiB of coordinate differences at a time, straight into its own
-    # array, adds no memo of kernel rows, no gather of them and no eye.
+    # array, adds no gather of kernel rows and no eye.
     tracemalloc.start()
     try:
         synth_terrain(GpSample(Kernel("matern52", 10.0, 5.0)), 50, 50, 1.0)
@@ -403,7 +403,7 @@ def _two_whitening_bands(model, aug, beta, prev):
     means, variances = model.posterior()
     cross = model.cov.pairwise(aug.owner, aug.landing)
     if model.num_observations:
-        v = solve_triangular(model._chol, model.cov.matrix(model.points, cells), lower=True,
+        v = solve_triangular(model._factor(), model.cov.matrix(model.points, cells), lower=True,
                              check_finite=False)
         cross = cross - np.einsum("ij,ij->j", v[:, aug.owner], v[:, aug.landing])
     diff_var = np.maximum(variances[aug.owner] + variances[aug.landing] - 2.0 * cross, 0.0)
@@ -529,8 +529,8 @@ def test_difference_covariance_refuses_ids_out_of_range_and_unequal_lengths():
 @pytest.mark.parametrize("build", [difference_gp, height_gp])
 def test_the_posterior_writes_into_nothing_it_reads(build):
     # The whitening solve overwrites its right-hand side and the difference
-    # covariance sums in place; neither may reach the kernel-row memo or
-    # the model's factor and whitened observations.
+    # covariance sums in place; neither may reach the model's kept
+    # covariance rows, its packed factor or its whitened observations.
     grid = synth_terrain(CraterHill(CraterHillParams(tilt_col=0.1, roughness=0.3)), 4, 5, 1.0)
     aug, _ = build_terrain_environment(grid, TerrainSafetySpec(), 0.075, 3)
     model = build(aug, KERNEL, 0.075)
@@ -538,15 +538,13 @@ def test_the_posterior_writes_into_nothing_it_reads(build):
     rng = np.random.default_rng(11)
     for point in rng.integers(0, n, size=8).tolist() * 2:
         model.add_observation(point, float(rng.normal()))
-    memo = getattr(model.cov, "height_cov", model.cov)
-    model.cov.matrix(model.points, [0])  # every row the posterior reads
     if build is height_gp:
         left, right = aug.owner, aug.landing
     else:
         left, right = np.arange(n), np.arange(n)[::-1]
 
     def state():
-        return memo._rows.tobytes(), memo._num_rows, model._chol.tobytes(), model._white.tobytes()
+        return model._rows.tobytes(), model._packed.tobytes(), model._white.tobytes()
 
     before = state()
     first = model.posterior(), model.posterior_cov_pairs(left, right)

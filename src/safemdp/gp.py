@@ -231,9 +231,8 @@ class GpModel:
     y``, the whitened signed observations; no factorization is ever made
     from scratch.  The factor is kept packed, its lower triangle row by row
     in ``n (n + 1) / 2`` floats, and each solve unpacks it.  The prior
-    variances of all points are evaluated once, when the model is made,
-    and the index of distinct unordered pairs of representatives once for
-    each pair sequence.
+    variances of all points, and the prior covariances, signs and live
+    columns of the ``pairs``, are evaluated once, when the model is made.
 
     Only the representatives of nonzero prior variance, ``live``, are
     whitened: the others covary with no point under a PSD kernel and keep
@@ -261,9 +260,13 @@ class GpModel:
         relative to that representative's.
     noise_std : float
         Finite, non-negative observation noise standard deviation.
+    pairs : (left, right)
+        Equally long sequences of point ids, the pairs whose posterior
+        covariance :meth:`posterior_cov_pairs` returns (none by default);
+        unequal lengths or an id out of range raise :class:`ValueError`.
     """
 
-    def __init__(self, cov, noise_std: float):
+    def __init__(self, cov, noise_std: float, pairs=((), ())):
         if not 0 <= noise_std < math.inf:
             raise ValueError(f"noise_std must be finite and non-negative, got {noise_std!r}")
         self.cov = cov
@@ -281,7 +284,15 @@ class GpModel:
         self._rows = np.empty((len(self._live), 0))
         self._distinct = {}
         self._repeats = []
-        self._pairs = {}
+        left, right = (point_ids(side, cov.num_points) for side in pairs)
+        if len(left) != len(right):
+            raise ValueError(f"left and right differ in length: {len(left)} and {len(right)}")
+        self._pair_sign = self._sign[left] * self._sign[right]
+        left, right = self._rep[left], self._rep[right]
+        self._pair_prior = np.asarray(cov.pairwise(left, right), dtype=float)
+        first, second = self._live_index[left], self._live_index[right]
+        self._whitened = np.flatnonzero((first >= 0) & (second >= 0))
+        self._first, self._second = first[self._whitened], second[self._whitened]
 
     @property
     def num_observations(self) -> int:
@@ -364,28 +375,24 @@ class GpModel:
         means, variances, _ = self._posterior()
         return means, np.maximum(variances, 0.0)
 
-    def posterior_cov_pairs(self, left, right):
-        """``posterior()`` and the posterior covariance of each pair of
-        points ``left[i], right[i]``, from its one triangular solve.  A
-        pair of points with one representative reads its unclamped
-        variance; each unordered pair of distinct live representatives
-        takes one column dot product, gathered a block of at most
-        :data:`_BLOCK_BYTES` per side at a time, and a pair that touches a
-        zero-variance representative keeps its prior covariance.  Each
-        pair's covariance is then multiplied by the product of its two
-        signs."""
+    def posterior_cov_pairs(self):
+        """``posterior()`` and the posterior covariance of each of the
+        model's ``pairs``, from its one triangular solve.  A pair of two
+        live representatives takes one column dot product, gathered a
+        block of at most :data:`_BLOCK_BYTES` per side at a time; a pair
+        that touches a zero-variance representative keeps its prior
+        covariance.  Each pair's covariance is then multiplied by the
+        product of its two signs."""
         means, variances, v = self._posterior()
-        whitened, first, second, prior, slot, sign = self._pair_index(left, right)
-        cross = prior.copy()
+        cross = self._pair_prior.copy()
         if v is not None:
             step = max(1, _BLOCK_BYTES // (v.itemsize * len(v)))
-            for lo in range(0, len(whitened), step):
+            for lo in range(0, len(self._whitened), step):
                 block = slice(lo, lo + step)
-                cross[whitened[block]] -= np.einsum("ij,ij->j", v[:, first[block]],
-                                                    v[:, second[block]])
-        pair_cov = np.concatenate([variances, cross])[slot]
-        pair_cov *= sign
-        return means, np.maximum(variances, 0.0), pair_cov
+                cross[self._whitened[block]] -= np.einsum(
+                    "ij,ij->j", v[:, self._first[block]], v[:, self._second[block]])
+        cross *= self._pair_sign
+        return means, np.maximum(variances, 0.0), cross
 
     def _posterior(self):
         """Means and unclamped variances at every point, and ``chol^-1
@@ -415,34 +422,6 @@ class GpModel:
         k_cross = np.take(self._rows, self._repeats, axis=1).T
         return solve_triangular(self._factor(), k_cross, lower=True, overwrite_b=True,
                                 check_finite=False)
-
-    def _pair_index(self, left, right):
-        """For the first occurrence of each unordered pair of distinct
-        representatives: its prior covariance, and, for those of two live
-        representatives, their places among the pairs and their two columns
-        in ``_posterior``'s whitening.  For every pair: its slot in
-        ``[variances, cross of those pairs]`` and the product of its signs.
-        Built on the first call for these sequences."""
-        left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
-        key = (left.tobytes(), right.tobytes())
-        if key not in self._pairs:
-            if len(left) != len(right):
-                raise ValueError(f"left and right differ in length: {len(left)} and {len(right)}")
-            n = len(self._prior)
-            left, right = point_ids(left, n), point_ids(right, n)
-            sign = self._sign[left] * self._sign[right]
-            left, right = self._rep[left], self._rep[right]
-            moves = np.flatnonzero(left != right)
-            codes = np.minimum(left, right)[moves] * n + np.maximum(left, right)[moves]
-            _, first, twins = np.unique(codes, return_index=True, return_inverse=True)
-            slot = left.copy()
-            slot[moves] = n + twins
-            first = moves[first]
-            prior = np.asarray(self.cov.pairwise(left, right), dtype=float)[first]
-            first, second = self._live_index[left[first]], self._live_index[right[first]]
-            whitened = np.flatnonzero((first >= 0) & (second >= 0))
-            self._pairs[key] = (whitened, first[whitened], second[whitened], prior, slot, sign)
-        return self._pairs[key]
 
 
 @dataclass

@@ -263,8 +263,13 @@ class AugmentedMdp(Mdp):
         and the one it lands on; an original state ``s`` maps to ``(s, s)``.
     is_action_state : np.ndarray of bool
         Per state, whether it is an action-state.
+    move_of, move_cells, move_first : np.ndarray of int
+        The undirected moves, one per unordered ``{owner, landing}`` pair of
+        distinct cells that an action-state joins: per state, its move (-1
+        for a cell or a stay action); each move's ``(low, high)`` cells,
+        shape (moves, 2), sorted; and each move's lowest action-state.
 
-    The metric (an :class:`AugmentedMetric`) reads these same three arrays.
+    The metric (an :class:`AugmentedMetric`) reads the first three arrays.
     """
 
     def __init__(self, base: Mdp, half_step: float):
@@ -276,6 +281,13 @@ class AugmentedMdp(Mdp):
         self.owner = np.concatenate([np.arange(n), src])
         self.landing = np.concatenate([np.arange(n), dst])
         self.is_action_state = np.arange(n + len(src)) >= n
+        joins = np.flatnonzero(src != dst)
+        low, high = np.minimum(src, dst)[joins], np.maximum(src, dst)[joins]
+        _, first, inverse = np.unique(low * n + high, return_index=True, return_inverse=True)
+        self.move_of = np.full(n + len(src), -1, dtype=np.intp)
+        self.move_of[n + joins] = inverse
+        self.move_cells = np.stack([low[first], high[first]], axis=1)
+        self.move_first = n + joins[first]
         starts = np.searchsorted(src, np.arange(n + 1))
         actions = [tuple(zip(labels[lo:hi].tolist(), ids[lo:hi].tolist()))
                    for lo, hi in zip(starts[:-1], starts[1:])]

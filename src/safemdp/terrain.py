@@ -333,25 +333,21 @@ class DifferenceCovariance:
     variance — their "height difference" is identically zero.  Ids and
     lengths are checked as :class:`StationaryCovariance` checks them.
 
-    ``representatives`` maps every action-state to the lowest action-state
-    id with the same unordered ``{owner, landing}`` pair, with sign -1.0
-    where its direction is the reverse of that one's, as ``h(u) - h(v) =
-    -(h(v) - h(u))``, and +1.0 otherwise.  So a move and its reverse share
-    one representative, parallel moves share one with sign +1.0, and a move
-    with no reverse, a stay action and every original state keep
-    themselves.
+    ``representatives`` maps every action-state of a move (``aug.move_of``)
+    to the move's lowest action-state, with sign -1.0 where its direction
+    is the reverse of that one's, as ``h(u) - h(v) = -(h(v) - h(u))``, and
+    +1.0 otherwise.  So a move and its reverse share one representative,
+    parallel moves share one with sign +1.0, and a move with no reverse, a
+    stay action and every original state keep themselves.
     """
 
     def __init__(self, height_cov: StationaryCovariance, aug: AugmentedMdp):
         self.height_cov = height_cov
         self.aug = aug
-        owner, landing = aug.owner, aug.landing
-        # Original states and action-states take the even and odd codes.
-        pair = np.minimum(owner, landing) * aug.num_base_states + np.maximum(owner, landing)
-        codes = 2 * pair + aug.is_action_state
-        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        rep = first[inverse]
-        self._representatives = rep, np.where(owner == owner[rep], 1.0, -1.0)
+        rep = np.arange(aug.num_states)
+        moving = aug.move_of >= 0
+        rep[moving] = aug.move_first[aug.move_of[moving]]
+        self._representatives = rep, np.where(aug.owner == aug.owner[rep], 1.0, -1.0)
 
     @property
     def num_points(self) -> int:
@@ -394,8 +390,9 @@ def difference_gp(aug: AugmentedMdp, kernel: Kernel, noise_std: float) -> GpMode
 
 
 def height_gp(aug: AugmentedMdp, kernel: Kernel, noise_std: float) -> GpModel:
-    """Empty GP over base cells, for the measured-heights observation model."""
-    return GpModel(height_covariance(aug, kernel), noise_std)
+    """Empty GP over base cells, for the measured-heights observation model;
+    its pairs are the cells of ``aug``'s moves (``aug.move_cells``)."""
+    return GpModel(height_covariance(aug, kernel), noise_std, aug.move_cells.T)
 
 
 def height_gp_to_difference_bands(height_model: GpModel, aug: AugmentedMdp, beta: float,
@@ -405,15 +402,22 @@ def height_gp_to_difference_bands(height_model: GpModel, aug: AugmentedMdp, beta
     For the action-state of ``s -> s'`` the interval is centered on
     ``mean(s) - mean(s')`` with variance
     ``var(s) + var(s') - 2 cov(s, s')``, scaled by ``sqrt(beta)`` and
-    intersected into ``prev``.  All of these come from one
-    :meth:`GpModel.posterior_cov_pairs` call, which whitens the cells once
-    and takes one dot product per undirected neighbour pair.  As in
-    :meth:`GpModel.posterior`, variances are clamped at zero, and one below
-    ``VARIANCE_FLOOR`` raises :class:`GpError`.
+    intersected into ``prev``; a cell or a stay action has variance 0.  All
+    of these come from one :meth:`GpModel.posterior_cov_pairs` call, which
+    whitens the cells once and takes one dot product per move of ``aug``,
+    the model's pairs; a model with another number of pairs raises
+    :class:`ValueError`.  As in :meth:`GpModel.posterior`, variances are
+    clamped at zero, and one below ``VARIANCE_FLOOR`` raises
+    :class:`GpError`.
     """
-    means, variances, cross = height_model.posterior_cov_pairs(aug.owner, aug.landing)
+    means, variances, cross = height_model.posterior_cov_pairs()
+    if len(cross) != len(aug.move_cells):
+        raise ValueError(f"the height model has {len(cross)} pairs for "
+                         f"{len(aug.move_cells)} moves")
+    low, high = aug.move_cells.T
     diff_mean = means[aug.owner] - means[aug.landing]
-    diff_var = variances[aug.owner] + variances[aug.landing] - 2.0 * cross
+    # One variance per move, then the 0 that move_of's -1 reads.
+    diff_var = np.append(variances[low] + variances[high] - 2.0 * cross, 0.0)[aug.move_of]
     low = diff_var.min(initial=0.0)
     if low < VARIANCE_FLOOR:
         raise GpError(f"difference variance {low:g} fell below the numerical floor")

@@ -12,7 +12,9 @@ The set operators have literal python-set references, each read straight
 from its definition: ``oracle_safe`` (safety by a Lipschitz witness),
 ``oracle_reach`` (one-step reach), ``oracle_ret_one`` and its least
 fixpoint ``oracle_ret_fixpoint`` (return into a target set),
-``oracle_eps`` (R_eps) and its fixpoint ``oracle_eps_fixpoint``.  They take
+``oracle_eps`` (R_eps) and its fixpoint ``oracle_eps_fixpoint``, and
+``oracle_ceiling``, what the ergodic set grows to under bands that are
+the truth.  They take
 and return python sets; ``to_set`` and ``from_set`` convert to and from
 boolean masks.  Their ``dist`` is indexed ``dist[s][w]``, so nested lists
 and arrays both serve.  ``bfs_hops`` is the hop count of a shortest path
@@ -25,7 +27,9 @@ conditions on such rows with one ``np.linalg.solve``, no factor, over the
 kernel that ``kernel_value`` transcribes from its formulas; ``rel_dev`` is
 acceptance gate 1's deviation.  ``representatives`` is the difference
 model's representative map, read from a dict over each state's ``(owner,
-landing)``.  None of it reads ``safemdp.gp`` or ``safemdp.terrain``, the
+landing)``, and ``moves`` the augmented MDP's undirected move index, read
+from a dict over each action-state's unordered ``{owner, landing}``.  None
+of it reads ``safemdp.gp`` or ``safemdp.terrain``, the
 code it checks.
 """
 
@@ -151,6 +155,20 @@ def oracle_eps_fixpoint(mdp, dist, seed, r, eps, lip, h):
         current = grown
 
 
+def oracle_ceiling(mdp, seed, r, h):
+    """The least fixpoint above ``seed`` of S -> (S | {r >= h}) & reach(S)
+    & return(S | {r >= h} -> S): the eps = 0 reach-return ceiling of a
+    classifier that reads each state's own value."""
+    above = {s for s in range(mdp.num_states) if r[s] >= h}
+    current = set(seed)
+    while True:
+        safe = current | above
+        grown = safe & oracle_reach(mdp, current) & oracle_ret_fixpoint(mdp, safe, current)
+        if grown == current:
+            return current
+        current = grown
+
+
 def bfs_hops(mdp, allowed, start, goal):
     """Hop count of a shortest path from ``start`` to ``goal`` through
     states in ``allowed``; ``None`` when there is none."""
@@ -206,6 +224,23 @@ def representatives(aug):
         rep.append(r)
         sign.append(1.0 if states[r][:2] == (owner, landing) else -1.0)
     return np.array(rep), np.array(sign)
+
+
+def moves(aug):
+    """The undirected moves of ``aug``: per state, the index of its
+    unordered ``{owner, landing}`` among those of the action-states that
+    join two distinct cells, -1 for the rest; each move's ``(low, high)``
+    cells, the moves sorted by them; and each move's lowest action-state."""
+    states = list(zip(aug.owner.tolist(), aug.landing.tolist(), aug.is_action_state.tolist()))
+    first = {}
+    for s, (owner, landing, acting) in enumerate(states):
+        if acting and owner != landing:
+            first.setdefault(frozenset((owner, landing)), s)
+    cells = sorted(sorted(pair) for pair in first)
+    index = {frozenset(pair): i for i, pair in enumerate(cells)}
+    move_of = [index.get(frozenset((owner, landing)), -1) for owner, landing, _ in states]
+    return (np.array(move_of), np.array(cells, dtype=int).reshape(-1, 2),
+            np.array([first[frozenset(pair)] for pair in cells], dtype=int))
 
 
 def dense_posterior(kernel, coords, noise_std, obs_rows, values, left_rows, right_rows=None):

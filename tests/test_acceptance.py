@@ -143,10 +143,11 @@ def test_gp_posterior_matches_dense_solve(capsys):
         kern = Kernel(kind, float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 2.0)))
         noise = float(rng.uniform(0.05, 0.3))
         coords = rng.uniform(0, 6, size=(40, 2))
-        model = GpModel(StationaryCovariance(kern, coords), noise)
         n_obs = int(rng.integers(1, 51))
         obs = rng.integers(0, 40, size=n_obs)
         vals = rng.normal(size=n_obs)
+        pairs = rng.integers(0, 40, size=(15, 2))
+        model = GpModel(StationaryCovariance(kern, coords), noise, pairs.T)
         for point, value in zip(obs, vals):
             model.add_observation(point, value)
 
@@ -156,8 +157,7 @@ def test_gp_posterior_matches_dense_solve(capsys):
         mean, var = model.posterior()
         worst = max(worst, rel_dev(mean, mean_ref), rel_dev(var, np.maximum(var_ref, 0.0)))
 
-        pairs = rng.integers(0, 40, size=(15, 2))
-        _, _, got = model.posterior_cov_pairs(pairs[:, 0], pairs[:, 1])
+        _, _, got = model.posterior_cov_pairs()
         _, cov_ref = dense_posterior(kern, coords, noise, obs_rows, vals,
                                      point_rows(pairs[:, 0], 40), point_rows(pairs[:, 1], 40))
         worst = max(worst, rel_dev(got, cov_ref))

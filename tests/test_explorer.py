@@ -1,5 +1,6 @@
 """End-to-end tests of the exploration loop and its baselines."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +20,13 @@ from safemdp.explorer import (
     run_baseline,
     run_safemdp,
 )
-from safemdp.gp import GpModel, Kernel, StationaryCovariance
+from safemdp.gp import GpModel, Kernel, StationaryCovariance, update_bands
 from safemdp.mdp import ManhattanMetric, Mdp, grid_mdp
 from safemdp.terrain import build_terrain_environment
 
-from oracles import step
+from oracles import oracle_ceiling, step, to_set
+
+ROOT = Path(__file__).parents[1]
 
 
 def band_model(coords, *, noise=1e-3, ell=3.0, b=4.0):
@@ -204,7 +207,7 @@ def test_unsafe_seed_state_is_a_config_error():
 
     # A seed pocket whose start cell is safe but which holds 4 truly unsafe
     # transitions: without the check the run violates safety at step 1.
-    ini = Path(__file__).parents[1] / "perfbench" / "configs" / "steep-oracle.ini"
+    ini = ROOT / "perfbench" / "configs" / "steep-oracle.ini"
     xcfg = cli.load_experiment_config(ini)
     grid = cli.build_grid(xcfg)
     aug, env = build_terrain_environment(grid, xcfg.safety, xcfg.noise_std, 0)
@@ -330,3 +333,42 @@ def test_safemdp_avoids_the_trapdoor_entirely():
     # State 1's own band certifies it, but the returnability check keeps it
     # out of the ergodic set.
     assert trace.final_sets.safe[1] and not trace.final_sets.ergodic[1]
+
+
+class ExactBands:
+    """A band model that knows the truth: every advance intersects the
+    zero-width intervals at ``truth``, and a measurement conditions
+    nothing."""
+
+    def __init__(self, truth, beta):
+        self.truth, self.beta = truth, beta
+
+    def advance(self, prev):
+        return update_bands(prev, self.truth, np.zeros(len(self.truth)), self.beta)
+
+    def measure(self, env, state):
+        return env.observe(state)
+
+
+def _readme_example(tmp_path):
+    path = tmp_path / "readme.ini"
+    path.write_text(re.search(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(),
+                              re.S).group(1))
+    return path
+
+
+@pytest.mark.parametrize("config", [
+    _readme_example,
+    lambda _: ROOT / "perfbench" / "configs" / "smoke-explore-diff.ini",
+    lambda _: ROOT / "perfbench" / "configs" / "smoke-explore-heights.ini",
+], ids=["readme-example", "smoke-explore-diff", "smoke-explore-heights"])
+def test_exact_bands_end_on_the_reach_return_ceiling(tmp_path, config):
+    xcfg = cli.load_experiment_config(config(tmp_path))
+    grid = cli.build_grid(xcfg)
+    aug, env = build_terrain_environment(grid, xcfg.safety, xcfg.noise_std, 0)
+    pocket = cli._seed_mask(aug, grid, xcfg)
+    trace = run_safemdp(aug, env, cli._explorer_config(xcfg, pocket),
+                        ExactBands(env.true_safety, xcfg.beta))
+    assert trace.violation_step is None and trace.terminal_reason != REASON_VIOLATION
+    ceiling = oracle_ceiling(aug, to_set(pocket), env.true_safety, env.threshold)
+    assert to_set(trace.final_sets.ergodic) == ceiling

@@ -42,6 +42,7 @@ from oracles import (
     dense_posterior,
     difference_rows,
     kernel_value,
+    moves,
     point_rows,
     rel_dev,
     representatives,
@@ -189,7 +190,7 @@ def test_each_kernel_row_is_evaluated_once_and_only_for_observed_points(monkeypa
     monkeypatch.setattr(gp_module, "kernel_eval", recording)
     rng = np.random.default_rng(13)
     cov = StationaryCovariance(Kernel(MATERN52, 1.5, 1.0), rng.normal(size=(40, 2)) * 3)
-    model = GpModel(cov, 0.1)
+    model = GpModel(cov, 0.1, (rng.integers(0, 40, 10), rng.integers(0, 40, 10)))
     observed = set()
     for i in range(74):
         point = int(rng.integers(0, 12))
@@ -197,7 +198,7 @@ def test_each_kernel_row_is_evaluated_once_and_only_for_observed_points(monkeypa
         observed.add(point)
         if i % 5 == 0:
             model.posterior()
-            model.posterior_cov_pairs(rng.integers(0, 40, 10), rng.integers(0, 40, 10))
+            model.posterior_cov_pairs()
     model.posterior()
     assert sorted(evaluated) == sorted(observed)
 
@@ -227,9 +228,9 @@ def test_prior_variances_are_evaluated_once_per_model(monkeypatch, observation_m
         model.measure(env, step(aug, 5, label))
         bands = model.advance(bands)
         per_step.append(len(calls) - before)
-    # k(p, p) comes from the stored prior; only the heights model's pair
-    # index evaluates pair covariances, once, on its first advance.
-    assert per_step == [1 if observation_model == "heights" else 0, 0, 0, 0]
+    # k(p, p) comes from the stored prior, and the heights model's pair
+    # covariances are evaluated with it, when the model is made.
+    assert per_step == [0, 0, 0, 0]
 
 
 def test_incremental_difference_gp_matches_dense_solve():
@@ -321,16 +322,15 @@ def test_posterior_cov_matches_dense_solve():
     rng = np.random.default_rng(11)
     coords = rng.normal(size=(10, 1))
     kernel = Kernel(MATERN52, 1.0, 1.0)
-    model = GpModel(StationaryCovariance(kernel, coords), 0.2)
+    left, right = np.divmod(np.arange(100), 10)
+    model = GpModel(StationaryCovariance(kernel, coords), 0.2, (left, right))
     obs = rng.integers(0, 10, size=8)
     vals = rng.normal(size=8)
     for point, value in zip(obs, vals):
         model.add_observation(point, value)
-    left, right = np.divmod(np.arange(100), 10)
     _, cov_ref = dense_posterior(kernel, coords, 0.2, point_rows(obs, 10), vals,
                                  point_rows(left, 10), point_rows(right, 10))
-    for a, b, expected in zip(left, right, cov_ref):
-        got = model.posterior_cov_pairs([a], [b])[2][0]
+    for got, expected in zip(model.posterior_cov_pairs()[2], cov_ref):
         assert got == pytest.approx(expected, rel=1e-8, abs=1e-10)
 
 
@@ -346,12 +346,13 @@ def test_the_dense_reference_imports_nothing_from_the_gp_or_terrain():
 def test_posterior_cov_pairs_whitens_each_distinct_point_once(monkeypatch):
     rng = np.random.default_rng(17)
     cov = StationaryCovariance(Kernel(MATERN52, 1.5, 1.0), rng.normal(size=(30, 2)) * 3)
-    model = GpModel(cov, 0.1)
-    for point in rng.integers(0, 30, size=12):
-        model.add_observation(int(point), float(rng.normal()))
+    observations = [(int(point), float(rng.normal())) for point in rng.integers(0, 30, size=12)]
     # Repeats within each side and ids shared between the sides.
     left = rng.integers(0, 12, size=60)
     right = rng.integers(6, 18, size=60)
+    model = GpModel(cov, 0.1, (left, right))
+    for point, value in observations:
+        model.add_observation(point, value)
     chol = model._factor()
     vl = solve_triangular(chol, cov.matrix(model.points, left), lower=True)
     vr = solve_triangular(chol, cov.matrix(model.points, right), lower=True)
@@ -364,16 +365,18 @@ def test_posterior_cov_pairs_whitens_each_distinct_point_once(monkeypatch):
         return solve_triangular(a, b, **kwargs)
 
     monkeypatch.setattr(gp_module, "solve_triangular", counting)
-    _, _, cross = model.posterior_cov_pairs(left, right)
+    _, _, cross = model.posterior_cov_pairs()
     np.testing.assert_array_equal(cross, separately)
     assert columns == [30]
 
 
 def _difference_model_with_repeats(size=6):
     """A difference GP over a size x size augmented grid: 40 observations at
-    8 states, a cell and a stay action among them."""
+    8 states, a cell and a stay action among them.  Its pairs are the ids
+    ``(owner, landing)`` of every state."""
     aug = augment(grid_mdp(size, size, 1.0), half_step=0.5)
-    model = difference_gp(aug, Kernel(MATERN52, 3.0, 2.0), 0.075)
+    cov = difference_gp(aug, Kernel(MATERN52, 3.0, 2.0), 0.075).cov
+    model = GpModel(cov, 0.075, (aug.owner, aug.landing))
     rng = np.random.default_rng(41)
     stays = np.flatnonzero(aug.is_action_state & (aug.owner == aug.landing))
     pool = np.concatenate([[3, stays[0]], rng.choice(aug.num_states, size=6, replace=False)])
@@ -457,6 +460,33 @@ def test_the_difference_representative_map_equals_the_brute_force_map(build):
     assert (rep[rep] == rep).all()
 
 
+def _grid_with_nodata_aug():
+    """A 5 x 6 grid without three of its cells, one of them a corner."""
+    valid = np.ones(30, dtype=bool)
+    valid[[0, 8, 21]] = False
+    return augment(grid_mdp(5, 6, 1.0, valid=valid), half_step=0.5)
+
+
+@pytest.mark.parametrize("build", [_grid_with_nodata_aug, _hand_built_aug],
+                         ids=["grid-with-nodata", "hand-built"])
+def test_the_move_index_equals_the_brute_force_index(build):
+    aug = build()
+    want_move_of, want_cells, want_first = moves(aug)
+    np.testing.assert_array_equal(aug.move_of, want_move_of)
+    np.testing.assert_array_equal(aug.move_cells, want_cells)
+    np.testing.assert_array_equal(aug.move_first, want_first)
+    assert aug.move_cells.shape == (len(aug.move_first), 2)
+    # Every move of the grid has its reverse; the hand-built MDP's one-way
+    # move 1 -> 2 and its two parallel moves 0 -> 1 are moves all the same.
+    moving = aug.owner != aug.landing
+    per_move = np.bincount(aug.move_of[moving], minlength=len(aug.move_first))
+    if build is _hand_built_aug:
+        np.testing.assert_array_equal(aug.move_cells, [[0, 1], [1, 2], [2, 3]])
+        np.testing.assert_array_equal(per_move, [3, 1, 2])
+    else:
+        assert (per_move == 2).all()
+
+
 def test_a_stationary_covariance_represents_each_point_by_itself():
     rep, sign = StationaryCovariance(Kernel(MATERN52, 1.0, 1.0), np.arange(7.0)).representatives
     np.testing.assert_array_equal(rep, np.arange(7))
@@ -506,7 +536,8 @@ def test_one_way_and_parallel_moves_match_the_dense_solve():
     rng = np.random.default_rng(19)
     obs = rng.integers(0, aug.num_states, size=30)
     vals = rng.normal(size=len(obs))
-    model = difference_gp(aug, kernel, noise)
+    left, right = np.divmod(np.arange(aug.num_states**2), aug.num_states)
+    model = GpModel(difference_gp(aug, kernel, noise).cov, noise, (left, right))
     for p, v in zip(obs, vals):
         model.add_observation(int(p), float(v))
     rows = difference_rows(aug)
@@ -515,9 +546,8 @@ def test_one_way_and_parallel_moves_match_the_dense_solve():
     means, variances = model.posterior()
     assert rel_dev(means, mean_ref) <= 1e-8
     assert rel_dev(variances, np.maximum(var_ref, 0.0)) <= 1e-8
-    left, right = np.divmod(np.arange(aug.num_states**2), aug.num_states)
     _, cov_ref = dense_posterior(kernel, coords, noise, rows[obs], vals, rows[left], rows[right])
-    pair_means, pair_variances, cross = model.posterior_cov_pairs(left, right)
+    pair_means, pair_variances, cross = model.posterior_cov_pairs()
     assert rel_dev(pair_means, mean_ref) <= 1e-8
     assert rel_dev(pair_variances, np.maximum(var_ref, 0.0)) <= 1e-8
     assert rel_dev(cross, cov_ref) <= 1e-8
@@ -544,7 +574,7 @@ def test_cross_covariance_has_one_row_per_distinct_observed_point(monkeypatch):
         np.testing.assert_array_equal(b, model._live)
     del calls[:]
     model.posterior()
-    model.posterior_cov_pairs(aug.owner, aug.landing)
+    model.posterior_cov_pairs()
     assert calls == []
 
 
@@ -568,7 +598,7 @@ def test_a_model_keeps_its_covariance_rows_a_packed_factor_and_nothing_of_n_by_p
     # n x points.
     aug, model = _difference_model_with_repeats()
     model.posterior()
-    model.posterior_cov_pairs(aug.owner, aug.landing)
+    model.posterior_cov_pairs()
     n, points, live = model.num_observations, model.cov.num_points, len(model._live)
     distinct = len(set(model._repeats))
     assert distinct < n and n * points > 10 * distinct * live
@@ -586,24 +616,24 @@ def test_posterior_cov_diagonal_equals_posterior_variance():
     rng = np.random.default_rng(3)
     coords = rng.normal(size=(8, 2))
     cov = StationaryCovariance(Kernel(SQUARED_EXPONENTIAL, 1.0, 1.2), coords)
-    model = GpModel(cov, 0.1)
+    model = GpModel(cov, 0.1, (range(8), range(8)))
     for point, value in zip([1, 4, 4, 6], [0.1, -0.2, 0.0, 0.5]):
         model.add_observation(point, value)
     _, variances = model.posterior()
-    np.testing.assert_allclose(model.posterior_cov_pairs(range(8), range(8))[2],
+    np.testing.assert_allclose(model.posterior_cov_pairs()[2],
                                variances, rtol=0, atol=1e-12)
 
 
 def test_reverse_pair_reads_its_twin_and_a_self_pair_the_unclamped_variance():
     rng = np.random.default_rng(29)
     cov = StationaryCovariance(Kernel(MATERN52, 1.5, 1.0), rng.normal(size=(12, 2)) * 3)
-    model = GpModel(cov, 0.1)
-    for point, value in zip(rng.integers(0, 12, size=20), rng.normal(size=20)):
-        model.add_observation(point, value)
     points = np.arange(12)
     left = np.array([0, 3, 5, 5, 7, 2, 0])
     right = np.array([3, 0, 5, 2, 7, 5, 3])
-    means, variances, cross = model.posterior_cov_pairs(left, right)
+    model = GpModel(cov, 0.1, (left, right))
+    for point, value in zip(rng.integers(0, 12, size=20), rng.normal(size=20)):
+        model.add_observation(point, value)
+    means, variances, cross = model.posterior_cov_pairs()
     assert cross[0] == cross[1] == cross[6] and cross[3] == cross[5]
     v = solve_triangular(model._factor(), cov.matrix(model.points, points), lower=True)
     unclamped = cov.pairwise(points, points) - np.einsum("ij,ij->j", v, v)
@@ -618,19 +648,19 @@ def test_pair_covariances_are_dotted_in_blocks_below_one_gather():
     # One call holds at most a block per side, never an n x P gather.
     rng = np.random.default_rng(31)
     cov = StationaryCovariance(Kernel(MATERN52, 2.0, 1.0), rng.normal(size=(60, 2)) * 4)
-    model = GpModel(cov, 0.1)
+    left, right = np.triu_indices(60, k=1)
+    model = GpModel(cov, 0.1, (left, right))
     for point, value in zip(rng.integers(0, 60, size=300), rng.normal(size=300)):
         model.add_observation(point, value)
-    left, right = np.triu_indices(60, k=1)
     n, pairs = model.num_observations, len(left)
     assert pairs > 4 * (gp_module._BLOCK_BYTES // (8 * n))
-    _, _, cross = model.posterior_cov_pairs(left, right)
+    _, _, cross = model.posterior_cov_pairs()
     v = solve_triangular(model._factor(), cov.matrix(model.points, np.arange(60)), lower=True)
     one_shot = cov.pairwise(left, right) - np.einsum("ij,ij->j", v[:, left], v[:, right])
     np.testing.assert_array_equal(cross, one_shot)
     tracemalloc.start()
     try:
-        model.posterior_cov_pairs(left, right)
+        model.posterior_cov_pairs()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -639,15 +669,11 @@ def test_pair_covariances_are_dotted_in_blocks_below_one_gather():
 
 def test_pairs_out_of_range_or_of_unequal_sides_raise_value_error():
     cov = StationaryCovariance(Kernel(MATERN52, 1.0, 1.0), np.arange(5.0))
-    conditioned = GpModel(cov, 0.1)
-    conditioned.add_observation(1, 0.2)
-    conditioned.add_observation(3, -0.1)
-    for model in (GpModel(cov, 0.1), conditioned):
-        with pytest.raises(ValueError, match="differ in length"):
-            model.posterior_cov_pairs([0, 1], [1])
-        for left, right in (([-1], [0]), ([0], [5]), ([2, 0], [1, -2])):
-            with pytest.raises(ValueError, match="point id"):
-                model.posterior_cov_pairs(left, right)
+    with pytest.raises(ValueError, match="differ in length"):
+        GpModel(cov, 0.1, ([0, 1], [1]))
+    for left, right in (([-1], [0]), ([0], [5]), ([2, 0], [1, -2])):
+        with pytest.raises(ValueError, match="point id"):
+            GpModel(cov, 0.1, (left, right))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ from safemdp import gp as gp_module
 from safemdp.gp import (
     VARIANCE_FLOOR,
     GpError,
+    GpModel,
     Kernel,
+    StationaryCovariance,
     initial_bands,
     kernel_eval,
     update_bands,
@@ -20,12 +22,14 @@ from safemdp.mdp import GRID_DOWN, GRID_LEFT, GRID_RIGHT, GRID_STAY, augment, gr
 from safemdp.terrain import (
     CraterHill,
     CraterHillParams,
+    DifferenceCovariance,
     EsriAsciiError,
     GpSample,
     HeightGpBandModel,
     TerrainGrid,
     TerrainSafetySpec,
     build_terrain_environment,
+    difference_band_model,
     difference_gp,
     dump_esri_ascii,
     height_covariance,
@@ -374,23 +378,26 @@ class ConstantHeightPosterior:
     """Stands in for a height GP: zero posterior mean and variance at every
     cell, and the same posterior covariance ``cross`` for every pair."""
 
-    def __init__(self, cross, num_points):
+    def __init__(self, cross, num_points, pairs):
         self.cross = cross
         self.num_points = num_points
+        self.num_pairs = len(pairs[0])
 
-    def posterior_cov_pairs(self, left, right):
+    def posterior_cov_pairs(self):
         zero = np.zeros(self.num_points)
-        return zero, zero, np.full(len(left), self.cross)
+        return zero, zero, np.full(self.num_pairs, self.cross)
 
 
 def test_difference_variance_below_the_floor_raises():
     # Difference variance = 0 + 0 - 2 * cross, on either side of the floor.
     aug = flat_aug()
     prev = initial_bands(aug.num_states, np.zeros(aug.num_states, bool), 0.0)
-    above = ConstantHeightPosterior(-0.4 * VARIANCE_FLOOR, aug.num_base_states)
+    above = ConstantHeightPosterior(-0.4 * VARIANCE_FLOOR, aug.num_base_states,
+                                    aug.move_cells.T)
     bands = height_gp_to_difference_bands(above, aug, 1.0, prev)
     assert (bands.width() == 0.0).all()
-    below = ConstantHeightPosterior(-0.6 * VARIANCE_FLOOR, aug.num_base_states)
+    below = ConstantHeightPosterior(-0.6 * VARIANCE_FLOOR, aug.num_base_states,
+                                    aug.move_cells.T)
     with pytest.raises(GpError, match="numerical floor"):
         height_gp_to_difference_bands(below, aug, 1.0, prev)
 
@@ -432,10 +439,15 @@ def test_height_bands_equal_the_two_whitening_formula_bit_for_bit(nodata):
     assert len(set(model.points)) < model.num_observations
 
 
-def test_each_heights_advance_makes_one_solve_and_sorts_only_on_the_first(monkeypatch):
+@pytest.mark.parametrize("observation_model", ["difference", "heights"])
+def test_each_advance_makes_one_solve_and_neither_sorts_nor_evaluates_a_prior(
+        monkeypatch, observation_model):
     grid = synth_terrain(CraterHill(CraterHillParams(tilt_col=0.1)), 4, 4, 1.0)
     aug, env = build_terrain_environment(grid, TerrainSafetySpec(), 0.075, 3)
-    model = HeightGpBandModel(height_gp(aug, KERNEL, 0.075), aug, 2.0)
+    if observation_model == "heights":
+        model = HeightGpBandModel(height_gp(aug, KERNEL, 0.075), aug, 2.0)
+    else:
+        model = difference_band_model(aug, KERNEL, 0.075, 2.0)
     calls = []
 
     def counting(name, fn):
@@ -446,6 +458,8 @@ def test_each_heights_advance_makes_one_solve_and_sorts_only_on_the_first(monkey
 
     monkeypatch.setattr(gp_module, "solve_triangular", counting("solve", solve_triangular))
     monkeypatch.setattr(np, "unique", counting("unique", np.unique))
+    for cov in (StationaryCovariance, DifferenceCovariance):
+        monkeypatch.setattr(cov, "pairwise", counting("pairwise", cov.pairwise))
     bands = initial_bands(aug.num_states, np.zeros(aug.num_states, bool), env.threshold)
     per_advance = []
     for label in (GRID_RIGHT, GRID_DOWN, GRID_LEFT):
@@ -453,7 +467,28 @@ def test_each_heights_advance_makes_one_solve_and_sorts_only_on_the_first(monkey
         before = len(calls)
         bands = model.advance(bands)
         per_advance.append(calls[before:])
-    assert per_advance == [["solve", "unique"], ["solve"], ["solve"]]
+    assert per_advance == [["solve"]] * 3
+
+
+def test_a_one_cell_terrain_under_the_heights_model_advances_to_zero_widths():
+    # One cell and its stay action: no move, so the model has no pairs.
+    grid = synth_terrain(CraterHill(), 1, 1, 1.0)
+    aug, env = build_terrain_environment(grid, TerrainSafetySpec(), 0.075, 4)
+    assert aug.num_states == 2 and aug.move_cells.shape == (0, 2)
+    model = HeightGpBandModel(height_gp(aug, KERNEL, 0.075), aug, 2.0)
+    bands = initial_bands(aug.num_states, np.ones(2, bool), env.threshold)
+    for _ in range(2):
+        bands = model.advance(bands)
+        np.testing.assert_array_equal(bands.width(), 0.0)
+        assert model.measure(env, 1) == 0.0
+
+
+def test_a_height_model_over_other_moves_is_refused():
+    small = augment(grid_mdp(2, 2, 1.0), half_step=0.5)
+    model = height_gp(flat_aug(), KERNEL, 0.075)
+    prev = initial_bands(small.num_states, np.zeros(small.num_states, bool), 0.0)
+    with pytest.raises(ValueError, match="12 pairs for 4 moves"):
+        height_gp_to_difference_bands(model, small, 1.0, prev)
 
 
 def test_noiseless_height_measurements_collapse_the_difference_band():
@@ -535,21 +570,19 @@ def test_the_posterior_writes_into_nothing_it_reads(build):
     aug, _ = build_terrain_environment(grid, TerrainSafetySpec(), 0.075, 3)
     model = build(aug, KERNEL, 0.075)
     n = model.cov.num_points
+    if build is difference_gp:
+        model = GpModel(model.cov, 0.075, (np.arange(n), np.arange(n)[::-1]))
     rng = np.random.default_rng(11)
     for point in rng.integers(0, n, size=8).tolist() * 2:
         model.add_observation(point, float(rng.normal()))
-    if build is height_gp:
-        left, right = aug.owner, aug.landing
-    else:
-        left, right = np.arange(n), np.arange(n)[::-1]
 
     def state():
         return model._rows.tobytes(), model._packed.tobytes(), model._white.tobytes()
 
     before = state()
-    first = model.posterior(), model.posterior_cov_pairs(left, right)
+    first = model.posterior(), model.posterior_cov_pairs()
     assert state() == before
-    second = model.posterior(), model.posterior_cov_pairs(left, right)
+    second = model.posterior(), model.posterior_cov_pairs()
     assert state() == before
     for got, want in zip([*second[0], *second[1]], [*first[0], *first[1]]):
         np.testing.assert_array_equal(got, want)

@@ -51,7 +51,6 @@ from .explorer import (
     ExplorerConfig,
     GpBandModel,
     IterationRecord,
-    run_baseline,
     run_safemdp,
     validate_config,
 )

@@ -31,9 +31,9 @@ from .explorer import (
     ConfigError,
     ExplorationTrace,
     ExplorerConfig,
-    run_baseline,
+    run_safemdp,
 )
-from .gp import Kernel, MATERN52, SQUARED_EXPONENTIAL
+from .gp import KERNEL_KINDS, Kernel
 from .reach import r_eps_fixpoint
 from .terrain import (
     CraterHill,
@@ -59,8 +59,6 @@ OUTPUT_ROOT_ENV = "SAFEMDP_OUT"
 TRACE_HEADER = "t,target,width,path_length,observation,safe_size,ergodic_size,expander_size"
 SNAPSHOT_HEADER = "t,safe,ergodic,expanders"
 ORACLE_HEADER = "state,in_r_eps,in_r_zero"
-
-_KERNELS = {"matern52": MATERN52, "squared-exponential": SQUARED_EXPONENTIAL}
 
 
 @dataclass
@@ -178,7 +176,7 @@ SCHEMA = (
     *(Field("terrain", f.name, _number(float, _POSITIVE) if f.name in _RADII else _number(float),
             f.default, _crater_hill) for f in fields(CraterHillParams)),
     Field("safety", "conservative_slope_deg", _number(float, _ANGLE), 25.0),
-    Field("gp", "kernel", _choice(*_KERNELS), "matern52"),
+    Field("gp", "kernel", _choice(*KERNEL_KINDS), "matern52"),
     Field("gp", "lengthscale", _number(float, _POSITIVE), 14.5),
     Field("gp", "prior_std", _number(float, _POSITIVE), 10.0),
     Field("gp", "noise_std", _number(float, _NON_NEGATIVE), 0.075),
@@ -215,7 +213,7 @@ class ExperimentConfig:
 
 
 def _gp_kernel(values) -> Kernel:
-    return Kernel(_KERNELS[values.kernel], values.lengthscale, values.prior_std)
+    return Kernel(values.kernel, values.lengthscale, values.prior_std)
 
 
 def _synth_grid(values) -> TerrainGrid:
@@ -426,8 +424,8 @@ def cmd_explore(config_path: str) -> int:
         env = TerrainEnvironment(env.true_safety, env.threshold, cfg.noise_std, seed,
                                  env.base_heights)
         band_model = _band_model(cfg, aug, seed_mask, env.threshold)
-        trace = run_baseline(cfg.strategy, aug, env, _explorer_config(cfg, seed_mask),
-                             band_model)
+        trace = run_safemdp(aug, env, _explorer_config(cfg, seed_mask), band_model,
+                            cfg.strategy)
         run_dir = out_root / f"seed_{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         write_trace_csv(trace, run_dir / "trace.csv")

@@ -188,29 +188,20 @@ def validate_config(mdp: Mdp, cfg: ExplorerConfig) -> None:
             )
 
 
-def run_safemdp(mdp: Mdp, env: Environment, cfg: ExplorerConfig,
-                band_model: GpBandModel) -> ExplorationTrace:
-    """Run the full safe-exploration algorithm and return its trace."""
-    return _run(mdp, env, cfg, band_model, "safemdp")
+def run_safemdp(mdp: Mdp, env: Environment, cfg: ExplorerConfig, band_model: GpBandModel,
+                strategy: str = "safemdp") -> ExplorationTrace:
+    """Run the strategy named ``strategy``, one of :data:`STRATEGIES`, and
+    return its trace.
 
-
-def run_baseline(strategy: str, mdp: Mdp, env: Environment, cfg: ExplorerConfig,
-                 band_model: GpBandModel) -> ExplorationTrace:
-    """Run the strategy named ``strategy``, one of :data:`STRATEGIES`.
-
-    ``no_expanders`` targets the most uncertain ergodic state instead of an
-    expander; ``non_ergodic`` drops the returnability requirement and may
-    get stuck; ``unsafe`` targets the most uncertain state anywhere and
-    plans over the full MDP; ``random`` takes uniformly random actions and
-    measures every state it lands on.  ``safemdp`` runs the algorithm
-    itself, as :func:`run_safemdp` does.
+    ``safemdp`` runs the algorithm itself.  ``no_expanders`` targets the
+    most uncertain ergodic state instead of an expander; ``non_ergodic``
+    drops the returnability requirement and may get stuck; ``unsafe``
+    targets the most uncertain state anywhere and plans over the full MDP;
+    ``random`` takes uniformly random actions and measures every state it
+    lands on.  An unknown strategy raises :class:`ConfigError`.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; expected one of {tuple(STRATEGIES)}")
-    return _run(mdp, env, cfg, band_model, strategy)
-
-
-def _run(mdp, env, cfg, band_model, name):
     validate_config(mdp, cfg)
     if env.num_states != mdp.num_states:
         raise ConfigError("environment and MDP disagree on the number of states")
@@ -221,7 +212,7 @@ def _run(mdp, env, cfg, band_model, name):
     if unsafe.size:
         raise ConfigError(f"{unsafe.size} seed state(s) are truly unsafe "
                           f"(first ids: {unsafe[:5].tolist()})")
-    strategy = STRATEGIES[name]
+    rules = STRATEGIES[strategy]
     current = int(np.flatnonzero(seed)[0])
     action_rng = np.random.default_rng([env.rng_seed, _ACTION_STREAM])
 
@@ -235,13 +226,13 @@ def _run(mdp, env, cfg, band_model, name):
 
     for t in range(1, cfg.max_iterations + 1):
         bands = band_model.advance(bands)
-        sets = strategy.classify(mdp, bands, prev_ergodic, env.threshold, cfg)
+        sets = rules.classify(mdp, bands, prev_ergodic, env.threshold, cfg)
         final_sets = sets
         prev_ergodic = sets.ergodic
 
         widths = bands.width()
         try:
-            plan = strategy.plan(mdp, sets, widths, current, action_rng)
+            plan = rules.plan(mdp, sets, widths, current, action_rng)
         except NoPathError:
             reason = REASON_STUCK
             break
@@ -265,7 +256,7 @@ def _run(mdp, env, cfg, band_model, name):
         if violation_step is not None:
             reason = REASON_VIOLATION
             break
-        if strategy.converges and width_at_target <= cfg.epsilon:
+        if rules.converges and width_at_target <= cfg.epsilon:
             reason = REASON_CONVERGED
             break
 
@@ -275,12 +266,12 @@ def _run(mdp, env, cfg, band_model, name):
         # run stops early.  With measuring over, the set recursion is pure
         # computation; finish it so the reported sets are its fixpoint.
         while True:
-            closed = strategy.classify(mdp, bands, prev_ergodic, env.threshold, cfg)
+            closed = rules.classify(mdp, bands, prev_ergodic, env.threshold, cfg)
             final_sets = closed
             if np.array_equal(closed.ergodic, prev_ergodic):
                 break
             prev_ergodic = closed.ergodic
-    return ExplorationTrace(name, records, reason, violation_step, steps,
+    return ExplorationTrace(strategy, records, reason, violation_step, steps,
                             int(np.flatnonzero(seed)[0]), final_sets, bands)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MATERN52 = "matern52"
-SQUARED_EXPONENTIAL = "squared_exponential"
+SQUARED_EXPONENTIAL = "squared-exponential"
 KERNEL_KINDS = (MATERN52, SQUARED_EXPONENTIAL)
 
 _SQRT5 = math.sqrt(5.0)
@@ -73,7 +73,8 @@ class Kernel:
     Parameters
     ----------
     kind : str
-        Either ``"matern52"`` or ``"squared_exponential"``.
+        Either ``"matern52"`` or ``"squared-exponential"``, the spelling
+        config files use.
     lengthscale : float
         Positive, finite distance scale of the kernel.
     prior_std : float
@@ -142,9 +143,16 @@ def kernel_eval(kernel: Kernel, distance, out=None):
 
 
 def point_ids(ids, num_points: int) -> np.ndarray:
-    """``ids`` as an integer array, each checked to lie in ``[0,
-    num_points)``; an id outside raises :class:`ValueError` naming it."""
-    ids = np.asarray(ids, dtype=np.intp)
+    """``ids`` as an integer array, each checked to be an integer in ``[0,
+    num_points)``; any other id raises :class:`ValueError` naming it."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "biu":
+        # Checked before the cast, which would truncate a fraction.
+        ids = np.asarray(ids, dtype=float)
+        bad = ~((ids == np.round(ids)) & (ids >= 0) & (ids < num_points))
+        if bad.any():
+            raise ValueError(f"point id {ids[bad].flat[0]} is not an integer in [0, {num_points})")
+    ids = ids.astype(np.intp, copy=False)
     # Viewed as unsigned, a negative id is at least 2**63, so one maximum
     # finds an id outside the range on either side.
     if ids.view(np.uintp).max(initial=0) >= num_points:

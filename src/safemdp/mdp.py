@@ -128,6 +128,10 @@ class Mdp:
     metric :
         State metric with the one method ``envelope`` described in the
         module docstring.
+
+    The table is sorted by state and then by label, and checked, once:
+    :meth:`actions_of`, :meth:`edges` and :meth:`predecessors` are views of
+    it built at construction.
     """
 
     def __init__(self, actions, metric):
@@ -142,43 +146,31 @@ class Mdp:
             table.append(tuple(acts))
         self._actions = tuple(table)
         self.num_states = len(table)
-        for s, acts in enumerate(self._actions):
-            for label, succ in acts:
-                if not 0 <= succ < self.num_states:
-                    raise ValueError(f"state {s} action {label} leads to unknown state {succ}")
         self.metric = metric
-        self._edges = None
-        self._predecessors = None
+        src = np.repeat(np.arange(self.num_states), [len(acts) for acts in table])
+        flat = [x for acts in table for pair in acts for x in pair]
+        lab, dst = np.array(flat, dtype=int).reshape(-1, 2).T.copy()
+        unknown = np.flatnonzero((dst < 0) | (dst >= self.num_states))
+        if unknown.size:
+            i = unknown[0]
+            raise ValueError(f"state {src[i]} action {lab[i]} leads to unknown state {dst[i]}")
+        self._edges = (src, lab, dst)
+        into = np.bincount(dst, minlength=self.num_states)
+        self._predecessors = (np.concatenate([[0], np.cumsum(into)]),
+                              src[np.argsort(dst, kind="stable")])
 
     def actions_of(self, s: int):
         """Sorted ``(label, successor)`` pairs available in state ``s``."""
         return self._actions[s]
 
     def edges(self):
-        """All transitions as parallel arrays ``(sources, labels, successors)``."""
-        if self._edges is None:
-            src, lab, dst = [], [], []
-            for s, acts in enumerate(self._actions):
-                for label, succ in acts:
-                    src.append(s)
-                    lab.append(label)
-                    dst.append(succ)
-            self._edges = (
-                np.asarray(src, dtype=int),
-                np.asarray(lab, dtype=int),
-                np.asarray(dst, dtype=int),
-            )
+        """All transitions as parallel arrays ``(sources, labels, successors)``,
+        by state and then by label."""
         return self._edges
 
     def predecessors(self):
         """Reverse adjacency as ``(starts, sources)``: the states with an
         action leading into ``t`` are ``sources[starts[t]:starts[t + 1]]``."""
-        if self._predecessors is None:
-            src, _, dst = self.edges()
-            order = np.argsort(dst, kind="stable")
-            starts = np.zeros(self.num_states + 1, dtype=int)
-            np.cumsum(np.bincount(dst, minlength=self.num_states), out=starts[1:])
-            self._predecessors = (starts, src[order])
         return self._predecessors
 
     def distances(self, a, b) -> np.ndarray:

@@ -18,8 +18,10 @@ from .reach import r_reach, r_ret_fixpoint
 
 
 class ErgodicPreconditionError(ValueError):
-    """The previous ergodic set escaped the safe set, which indicates the
-    confidence bands collapsed upstream."""
+    """:func:`ergodic_safe` was handed a previous ergodic set that is not
+    inside its safe set.  The explorer cannot raise it, because
+    :func:`classify_safe` keeps the previous ergodic set safe whatever the
+    bands say; only a direct call with inconsistent masks can."""
 
 
 @dataclass
@@ -59,7 +61,7 @@ def ergodic_safe(mdp: Mdp, safe, prev_ergodic) -> np.ndarray:
     if (prev_ergodic & ~safe).any():
         raise ErgodicPreconditionError(
             "previous ergodic set is not contained in the safe set; "
-            "confidence bands must have collapsed"
+            "pass a safe mask that includes it, as classify_safe's does"
         )
     reachable = r_reach(mdp, prev_ergodic)
     return safe & reachable & r_ret_fixpoint(mdp, safe, prev_ergodic, among=reachable)

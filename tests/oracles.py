@@ -18,7 +18,9 @@ the truth.  They take
 and return python sets; ``to_set`` and ``from_set`` convert to and from
 boolean masks.  Their ``dist`` is indexed ``dist[s][w]``, so nested lists
 and arrays both serve.  ``bfs_hops`` is the hop count of a shortest path
-inside an allowed set, ``None`` when there is none.
+inside an allowed set, ``None`` when there is none.  ``trapdoor`` is a
+four-state MDP whose lure only checking returnability keeps the agent out
+of.
 
 The dense GP reference reads every quantity as a row over a GP's points:
 ``point_rows`` gives e_u (a height) and ``difference_rows`` e_owner -
@@ -37,7 +39,7 @@ from collections import deque
 
 import numpy as np
 
-from safemdp.mdp import AugmentedMetric, ManhattanMetric
+from safemdp.mdp import AugmentedMetric, ManhattanMetric, Mdp
 
 
 class DenseMetric:
@@ -185,6 +187,21 @@ def bfs_hops(mdp, allowed, start, goal):
                 depth[succ] = depth[s] + 1
                 queue.append(succ)
     return None
+
+
+def trapdoor():
+    """``(mdp, coords, seed, r)`` of a four-state MDP in which state 1
+    looks attractive but its only exit leads into unsafe ground.
+
+    State 2 (the lure) is close enough to states 1 and 3 that their upper
+    bands keep certifying it, yet too far from the measured states for its
+    own lower band ever to clear the threshold 0.  The seed is state 0.
+    """
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [-1.0, 0.0]])
+    actions = [[(0, 0), (1, 1), (2, 3)], [(0, 2)], [(0, 2)], [(0, 3), (1, 0)]]
+    seed = np.zeros(4, dtype=bool)
+    seed[0] = True
+    return Mdp(actions, ManhattanMetric(coords, 1.0)), coords, seed, np.array([1.0, 1.0, -5.0, 1.0])
 
 
 def kernel_value(kernel, distance):

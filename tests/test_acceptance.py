@@ -28,7 +28,6 @@ from safemdp.explorer import (
     Environment,
     ExplorerConfig,
     GpBandModel,
-    run_baseline,
     run_safemdp,
 )
 from safemdp.gp import (
@@ -39,7 +38,7 @@ from safemdp.gp import (
     initial_bands,
     update_bands,
 )
-from safemdp.mdp import GRID_STAY, ManhattanMetric, Mdp, augment, grid_mdp
+from safemdp.mdp import GRID_STAY, Mdp, augment, grid_mdp
 from safemdp.planner import NoPathError, shortest_safe_path
 from safemdp.reach import (
     r_eps,
@@ -76,6 +75,7 @@ from oracles import (
     rel_dev,
     step,
     to_set,
+    trapdoor,
 )
 
 SAFETY = TerrainSafetySpec()
@@ -118,9 +118,7 @@ def terrain_setup(params, rows, cols, seed, *, noise=0.075, start=(1, 1)):
 def run_strategy(aug, env, mask, kern, strategy, budget, *, eps=0.15, noise=0.075):
     bands = difference_band_model(aug, kern, noise, 2.0)
     cfg = ExplorerConfig(lipschitz=0.2, epsilon=eps, max_iterations=budget, seed_set=mask)
-    if strategy == "safemdp":
-        return run_safemdp(aug, env, cfg, bands)
-    return run_baseline(strategy, aug, env, cfg, bands)
+    return run_safemdp(aug, env, cfg, bands, strategy=strategy)
 
 
 def coverage(aug, env, mask, threshold, trace, *, eps=0.15):
@@ -139,7 +137,7 @@ def test_gp_posterior_matches_dense_solve(capsys):
     rng = np.random.default_rng(2024)
 
     for i in range(20):
-        kind = "matern52" if i % 2 == 0 else "squared_exponential"
+        kind = "matern52" if i % 2 == 0 else "squared-exponential"
         kern = Kernel(kind, float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 2.0)))
         noise = float(rng.uniform(0.05, 0.3))
         coords = rng.uniform(0, 6, size=(40, 2))
@@ -486,17 +484,6 @@ def test_terminal_set_brackets_reach_benchmarks(capsys):
 # 7. the four strategies separate qualitatively on shared fixtures
 
 
-def trapdoor_mdp():
-    """A lure state whose only exit crosses unsafe ground; checking
-    returnability is the only way to stay out of it."""
-    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [-1.0, 0.0]])
-    actions = [[(0, 0), (1, 1), (2, 3)], [(0, 2)], [(0, 2)], [(0, 3), (1, 0)]]
-    mdp = Mdp(actions, ManhattanMetric(coords, 1.0))
-    seed = np.zeros(4, dtype=bool)
-    seed[0] = True
-    return mdp, coords, seed, np.array([1.0, 1.0, -5.0, 1.0])
-
-
 def test_strategy_comparison_on_shared_fixtures(capsys):
     t0 = time.time()
 
@@ -518,7 +505,7 @@ def test_strategy_comparison_on_shared_fixtures(capsys):
     # into the lure's antechamber and strands itself; the full algorithm
     # never enters it.
     stuck_or_low, sm_lured = 0, 0
-    mdp, coords, seed_mask, r = trapdoor_mdp()
+    mdp, coords, seed_mask, r = trapdoor()
     cfg = ExplorerConfig(0.25, 0.05, 30, seed_mask)
     benchmark = r_eps_fixpoint(mdp, seed_mask, r, 0.05, cfg.lipschitz, 0.0)
     for seed in range(20):
@@ -527,7 +514,7 @@ def test_strategy_comparison_on_shared_fixtures(capsys):
             env = Environment(r, 0.0, 1e-3, seed)
             cov = StationaryCovariance(Kernel("matern52", 4.0, 1.0), coords)
             bands = GpBandModel(GpModel(cov, 1e-3), 4.0)
-            traces[strategy] = run_baseline(strategy, mdp, env, cfg, bands)
+            traces[strategy] = run_safemdp(mdp, env, cfg, bands, strategy=strategy)
         trace = traces["non_ergodic"]
         frac = float((trace.final_sets.ergodic & benchmark).sum() / benchmark.sum())
         stuck_or_low += trace.terminal_reason == REASON_STUCK or frac < 0.2

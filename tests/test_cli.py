@@ -15,6 +15,7 @@ import pytest
 from safemdp.cli import (REQUIRED, SCHEMA, _build_parser, load_experiment_config, main,
                          write_manifest)
 from safemdp.explorer import ConfigError
+from safemdp.gp import KERNEL_KINDS
 from safemdp.terrain import load_esri_ascii
 
 TRACE_HEADER = "t,target,width,path_length,observation,safe_size,ergodic_size,expander_size"
@@ -77,6 +78,13 @@ def test_config_defaults_and_parsing(tmp_path):
     assert cfg.seeds == (0,)
     assert cfg.gp_kernel.lengthscale == 3.0
     assert cfg.safety.conservative_slope_deg == 25.0
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_kernel_kinds_are_spelled_as_in_config_files(tmp_path, kind):
+    # The config value is the kernel's kind, with no translation table.
+    cfg = load_experiment_config(write_config(tmp_path, tmp_path / "out", **{"gp.kernel": kind}))
+    assert cfg.gp_kernel.kind == kind
 
 
 def test_missing_required_field_names_it(tmp_path):

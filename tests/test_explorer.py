@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from safemdp import cli
 from safemdp.explorer import (
@@ -17,14 +19,21 @@ from safemdp.explorer import (
     Environment,
     ExplorerConfig,
     GpBandModel,
-    run_baseline,
     run_safemdp,
 )
-from safemdp.gp import GpModel, Kernel, StationaryCovariance, update_bands
-from safemdp.mdp import ManhattanMetric, Mdp, grid_mdp
-from safemdp.terrain import build_terrain_environment
+from safemdp.gp import ConfidenceBands, GpModel, Kernel, StationaryCovariance, update_bands
+from safemdp.mdp import grid_mdp
+from safemdp.terrain import (
+    CraterHill,
+    CraterHillParams,
+    GpSample,
+    TerrainSafetySpec,
+    build_terrain_environment,
+    seed_pocket,
+    synth_terrain,
+)
 
-from oracles import oracle_ceiling, step, to_set
+from oracles import oracle_ceiling, step, to_set, trapdoor
 
 ROOT = Path(__file__).parents[1]
 
@@ -53,28 +62,6 @@ def wall():
     r = np.where(np.arange(9) == 4, 1.0, -1.0)
     cfg = ExplorerConfig(1.0, 0.1, 30, seed)
     return mdp, seed, r, cfg
-
-
-def trapdoor():
-    """State 1 looks attractive but its only exit leads into unsafe ground.
-
-    State 2 (the lure) is close enough to states 1 and 3 that their upper
-    bands keep certifying it, yet too far from the measured states for its
-    own lower band ever to clear the threshold.
-    """
-    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [-1.0, 0.0]])
-    actions = [
-        [(0, 0), (1, 1), (2, 3)],
-        [(0, 2)],
-        [(0, 2)],
-        [(0, 3), (1, 0)],
-    ]
-    mdp = Mdp(actions, ManhattanMetric(coords, 1.0))
-    seed = np.zeros(4, bool)
-    seed[0] = True
-    r = np.array([1.0, 1.0, -5.0, 1.0])
-    cfg = ExplorerConfig(0.25, 0.05, 30, seed)
-    return mdp, coords, seed, r, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +135,7 @@ def test_unknown_baseline_is_rejected():
     mdp, seed, cfg = meadow()
     env = Environment(np.ones(9), 0.0, 0.1, 1)
     with pytest.raises(ConfigError):
-        run_baseline("greedy", mdp, env, cfg, band_model(mdp.metric.coords))
+        run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords), strategy="greedy")
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +256,7 @@ def test_random_baseline_on_safe_ground_never_violates():
     mdp, seed, cfg = meadow()
     env = Environment(np.ones(9), 0.0, 1e-3, 13)
     cfg = ExplorerConfig(**{**cfg.__dict__, "max_iterations": 40})
-    trace = run_baseline("random", mdp, env, cfg, band_model(mdp.metric.coords))
+    trace = run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords), strategy="random")
     assert trace.terminal_reason == REASON_MAX_ITERATIONS
     assert trace.violation_step is None
     # One action per iteration: movement and measurement counts coincide.
@@ -285,7 +272,7 @@ def test_random_baseline_respects_max_iterations_and_reproduces():
     paths = []
     for _ in range(2):
         env = Environment(np.ones(9), 0.0, 1e-3, 29)
-        trace = run_baseline("random", mdp, env, cfg, band_model(mdp.metric.coords))
+        trace = run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords), strategy="random")
         assert trace.agent_steps == 5
         paths.append([tuple(r.path.states) for r in trace.records])
     assert paths[0] == paths[1]
@@ -298,7 +285,7 @@ def test_no_expanders_baseline_keeps_sampling_when_nothing_is_outside():
     seed = np.ones(4, bool)
     cfg = ExplorerConfig(1.0, 0.1, 25, seed)
     env = Environment(np.ones(4), 0.0, 1e-3, 5)
-    trace = run_baseline("no_expanders", mdp, env, cfg, band_model(mdp.metric.coords))
+    trace = run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords), strategy="no_expanders")
     assert trace.terminal_reason == REASON_CONVERGED
     assert trace.iterations > 0
 
@@ -306,24 +293,25 @@ def test_no_expanders_baseline_keeps_sampling_when_nothing_is_outside():
 def test_unsafe_baseline_marches_into_the_wall():
     mdp, seed, r, cfg = wall()
     env = Environment(r, 0.0, 1e-3, 7)
-    trace = run_baseline("unsafe", mdp, env, cfg, band_model(mdp.metric.coords, ell=2.0))
+    trace = run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords, ell=2.0), strategy="unsafe")
     assert trace.terminal_reason == REASON_VIOLATION
     assert trace.violation_step == 1
     assert np.isnan(trace.records[-1].observation)
 
 
 def test_non_ergodic_baseline_gets_stuck_in_the_trapdoor():
-    mdp, coords, seed, r, cfg = trapdoor()
+    mdp, coords, seed, r = trapdoor()
+    cfg = ExplorerConfig(0.25, 0.05, 30, seed)
     env = Environment(r, 0.0, 1e-3, 3)
-    trace = run_baseline("non_ergodic", mdp, env, cfg,
-                         band_model(coords, ell=4.0))
+    trace = run_safemdp(mdp, env, cfg, band_model(coords, ell=4.0), strategy="non_ergodic")
     assert trace.terminal_reason == REASON_STUCK
     assert 1 in {s for rec in trace.records for s in rec.path.states}
     assert trace.violation_step is None
 
 
 def test_safemdp_avoids_the_trapdoor_entirely():
-    mdp, coords, seed, r, cfg = trapdoor()
+    mdp, coords, seed, r = trapdoor()
+    cfg = ExplorerConfig(0.25, 0.05, 30, seed)
     env = Environment(r, 0.0, 1e-3, 3)
     trace = run_safemdp(mdp, env, cfg, band_model(coords, ell=4.0))
     assert trace.terminal_reason == REASON_CONVERGED
@@ -372,3 +360,61 @@ def test_exact_bands_end_on_the_reach_return_ceiling(tmp_path, config):
     assert trace.violation_step is None and trace.terminal_reason != REASON_VIOLATION
     ceiling = oracle_ceiling(aug, to_set(pocket), env.true_safety, env.threshold)
     assert to_set(trace.final_sets.ergodic) == ceiling
+
+
+class TruthBands:
+    """A band model whose every advance intersects random intervals that
+    contain the truth: each state's margins below and above the truth
+    shrink by a random factor at each advance, and by 10x at a measured
+    state."""
+
+    def __init__(self, truth, rng):
+        self.truth, self.rng = truth, rng
+        self.margins = rng.uniform(0.5, 3.0, size=(2, len(truth)))
+
+    def advance(self, prev):
+        self.margins *= self.rng.uniform(0.5, 1.0, size=self.margins.shape)
+        below, above = self.margins
+        return ConfidenceBands(np.maximum(prev.lower, self.truth - below),
+                               np.minimum(prev.upper, self.truth + above), prev.collapses)
+
+    def measure(self, env, state):
+        self.margins[:, state] /= 10
+        return env.observe(state)
+
+
+@st.composite
+def _terrain(draw):
+    rows, cols = draw(st.integers(4, 8)), draw(st.integers(4, 8))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        kernel = Kernel("matern52", draw(st.floats(3.0, 10.0)), draw(st.floats(0.5, 5.0)))
+        return synth_terrain(GpSample(kernel, seed), rows, cols, 1.0)
+    heights = st.floats(0.0, 4.0)
+    params = CraterHillParams(
+        tilt_row=draw(st.floats(-0.3, 0.3)), tilt_col=draw(st.floats(-0.3, 0.3)),
+        hill_row=draw(st.floats(0, rows)), hill_col=draw(st.floats(0, cols)),
+        hill_height=draw(heights), hill_radius=draw(st.floats(1.0, 3.0)),
+        crater_row=draw(st.floats(0, rows)), crater_col=draw(st.floats(0, cols)),
+        crater_depth=draw(heights), crater_radius=draw(st.floats(1.0, 3.0)),
+        roughness=draw(st.floats(0.0, 0.2)))
+    return synth_terrain(CraterHill(params, seed), rows, cols, 1.0)
+
+
+@given(_terrain(), st.integers(0, 63), st.floats(0.0, 2.0), st.integers(0, 2**16))
+@settings(derandomize=True, deadline=None, max_examples=40)
+def test_bands_that_contain_the_truth_never_lead_to_a_violation(grid, start, lipschitz, seed):
+    # The paper's promise, for the algorithm and the expander-free baseline.
+    aug, env = build_terrain_environment(grid, TerrainSafetySpec(), 0.05, seed)
+    cells = aug.num_base_states
+    pockets = (seed_pocket(aug, (start + k) % cells) for k in range(cells))
+    pocket = next((p for p in pockets if (env.true_safety[p] >= env.threshold).all()), None)
+    assume(pocket is not None)
+    ceiling = oracle_ceiling(aug, to_set(pocket), env.true_safety, env.threshold)
+    for strategy in ("safemdp", "no_expanders"):
+        rng = np.random.default_rng([seed, 1])
+        trace = run_safemdp(aug, env, ExplorerConfig(lipschitz, 0.05, 200, pocket),
+                            TruthBands(env.true_safety, rng), strategy=strategy)
+        assert trace.violation_step is None
+        assert trace.terminal_reason not in (REASON_VIOLATION, REASON_STUCK)
+        assert to_set(trace.final_sets.ergodic) <= ceiling

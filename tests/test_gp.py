@@ -151,6 +151,14 @@ def test_covariance_ids_out_of_range_and_unequal_lengths_raise_value_error():
                 method(a, b)
     with pytest.raises(ValueError, match="point id 5 is out of range"):
         cov.fill_rows([5], np.empty((1, 5)))
+    # Ids that are not integers are not truncated: [0.5] and [1.9] used to
+    # give k(0, 1).  Empty sides stay valid.
+    for a, b, bad in (([0.5], [1.9], "0.5"), ([1], [1.9], "1.9"), ([math.nan], [0], "nan"),
+                      ([0], [-math.inf], "-inf"), ([5.0], [0], "5.0")):
+        for method in (cov.matrix, cov.pairwise):
+            with pytest.raises(ValueError, match=f"point id {bad} is not an integer"):
+                method(a, b)
+    assert cov.matrix((), ()).shape == (0, 0) and cov.pairwise((), ()).shape == (0,)
     with pytest.raises(ValueError, match="differ in length: 2 and 1"):
         cov.pairwise([0, 1], [0])
 
@@ -755,8 +763,9 @@ def test_non_finite_observation_is_rejected_and_leaves_the_model_as_it_was(bad):
         np.testing.assert_array_equal(got, expected)
 
 
-@pytest.mark.parametrize("bad", [-1, 5])
+@pytest.mark.parametrize("bad", [-1, 5, 1.5, math.nan, math.inf])
 def test_observed_id_out_of_range_is_rejected_and_leaves_the_model_as_it_was(bad):
+    # A fraction used to be truncated: 1.5 conditioned point 1.
     cov = StationaryCovariance(Kernel(MATERN52, 1.0, 1.0), np.arange(5.0))
     with pytest.raises(ValueError, match=f"point id {bad} "):
         GpModel(cov, 0.1).add_observation(bad, 2.0)

@@ -32,29 +32,47 @@ def test_actions_are_sorted_and_validated():
     mdp = Mdp([[(3, 1), (0, 0)], [(1, 1)]], DenseMetric([[0, 1], [1, 0]]))
     assert mdp.actions_of(0) == ((0, 0), (3, 1))
     assert mdp.actions_of(1) == ((1, 1),)
+    # The planner's hot loop reads Python ints, not numpy scalars.
+    for s in range(mdp.num_states):
+        assert all(type(x) is int for pair in mdp.actions_of(s) for x in pair)
 
 
 def test_constructor_rejects_malformed_tables():
     metric = DenseMetric(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        Mdp([[(0, 0)], []], metric)  # state without actions
-    with pytest.raises(ValueError):
-        Mdp([[(0, 0), (0, 1)], [(0, 1)]], metric)  # duplicate label
-    with pytest.raises(ValueError):
-        Mdp([[(0, 2)]], metric)  # successor out of range
+    with pytest.raises(ValueError, match="state 1 has no actions"):
+        Mdp([[(0, 0)], []], metric)
+    with pytest.raises(ValueError, match="state 0 has duplicate action labels"):
+        Mdp([[(0, 0), (0, 1)], [(0, 1)]], metric)
+    with pytest.raises(ValueError, match="state 1 action 4 leads to unknown state 2"):
+        Mdp([[(0, 1)], [(4, 2)]], metric)
+    with pytest.raises(ValueError, match="state 0 action 0 leads to unknown state -1"):
+        Mdp([[(0, -1)], [(0, 0)]], metric)
 
 
 def test_edges_match_action_table():
-    mdp = grid_mdp(2, 3, 1.0)
-    src, lab, dst = mdp.edges()
-    listed = list(zip(src.tolist(), lab.tolist(), dst.tolist()))
-    expected = [
-        (s, label, succ)
-        for s in range(mdp.num_states)
-        for label, succ in mdp.actions_of(s)
-    ]
-    assert listed == expected
-    assert len(listed) == sum(len(mdp.actions_of(s)) for s in range(mdp.num_states))
+    valid = np.ones(12, dtype=bool)
+    valid[[1, 6]] = False
+    unsorted = Mdp([[(7, 2), (1, 0), (4, 1)], [(9, 1), (2, 2)], [(5, 0), (0, 2), (3, 0)]],
+                   DenseMetric(np.ones((3, 3)) - np.eye(3)))
+    for mdp in (grid_mdp(2, 3, 1.0), augment(grid_mdp(3, 4, 1.0, valid=valid), 0.5), unsorted):
+        src, lab, dst = mdp.edges()
+        listed = list(zip(src.tolist(), lab.tolist(), dst.tolist()))
+        expected = [
+            (s, label, succ)
+            for s in range(mdp.num_states)
+            for label, succ in mdp.actions_of(s)
+        ]
+        assert listed == expected
+        for s in range(mdp.num_states):
+            labels = [label for label, _ in mdp.actions_of(s)]
+            assert labels == sorted(labels)
+        # The reverse adjacency, brute force: every edge into t, by source.
+        starts, sources = mdp.predecessors()
+        assert len(starts) == mdp.num_states + 1
+        for t in range(mdp.num_states):
+            into = [s for s in range(mdp.num_states) for _, succ in mdp.actions_of(s)
+                    if succ == t]
+            assert sources[starts[t]:starts[t + 1]].tolist() == into
 
 
 # ---------------------------------------------------------------------------

@@ -48,24 +48,6 @@ def random_mdp(rng, n_states=None, max_actions=3):
     return Mdp(actions, DenseMetric(dist)), dist
 
 
-def oracle_ret_reverse_bfs(mdp, through, target):
-    # s can return iff a path s -> ... -> target exists whose every hop
-    # starts inside `through`; walk the edges backwards from the target.
-    out = set(target)
-    frontier = list(target)
-    while frontier:
-        nxt = []
-        for s in range(mdp.num_states):
-            if s in out or s not in through:
-                continue
-            if any(succ in out for _, succ in mdp.actions_of(s)):
-                nxt.append(s)
-        for s in nxt:
-            out.add(s)
-        frontier = nxt
-    return out
-
-
 def random_subset(rng, n):
     return set(np.flatnonzero(rng.random(n) < rng.uniform(0.1, 0.7)).tolist())
 
@@ -159,13 +141,15 @@ def test_operators_match_bruteforce_on_random_mdps():
 
 
 def test_ret_fixpoint_equals_reverse_bfs():
+    # The oracle grows the target backwards one layer of predecessors at a
+    # time, a breadth-first walk of the reversed edges inside `through`.
     rng = np.random.default_rng(7)
     for _ in range(200):
         mdp, _ = random_mdp(rng, n_states=8)
         through = random_subset(rng, 8)
         target = random_subset(rng, 8)
         got = to_set(r_ret_fixpoint(mdp, from_set(8, through), from_set(8, target)))
-        assert got == oracle_ret_reverse_bfs(mdp, through, target)
+        assert got == oracle_ret_fixpoint(mdp, through, target)
 
 
 def hub_mdp(n):

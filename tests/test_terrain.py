@@ -138,7 +138,7 @@ def test_gp_sample_heights_match_the_direct_kernel_formula(rows, cols, seed):
     # one of the explicit distance/kernel formula, for both kernels and at
     # a cell size that is not a power of two.
     rr, cc = np.divmod(np.arange(rows * cols), cols)
-    for kernel in (Kernel("matern52", 10.0, 5.0), Kernel("squared_exponential", 2.5, 1.5)):
+    for kernel in (Kernel("matern52", 10.0, 5.0), Kernel("squared-exponential", 2.5, 1.5)):
         for cell_size in (1.0, 0.3):
             coords = np.stack([rr, cc], axis=1) * cell_size
             diff = coords[:, None, :] - coords[None, :, :]

@@ -336,9 +336,9 @@ def _fmt(value) -> str:
 
 def write_trace_csv(trace: ExplorationTrace, path: Path) -> None:
     lines = [TRACE_HEADER]
-    for rec in trace.records:
+    for t, rec in enumerate(trace.records, start=1):
         lines.append(",".join([
-            str(rec.t), str(rec.target), _fmt(rec.width_at_target),
+            str(t), str(rec.target), _fmt(rec.width_at_target),
             str(len(rec.path)), _fmt(rec.observation),
             str(int(rec.sets.safe.sum())), str(int(rec.sets.ergodic.sum())),
             str(int(rec.sets.expanders.sum())),
@@ -352,8 +352,8 @@ def _bits(mask) -> str:
 
 def write_snapshots_csv(trace: ExplorationTrace, path: Path) -> None:
     lines = [SNAPSHOT_HEADER]
-    for rec in trace.records:
-        lines.append(",".join([str(rec.t), _bits(rec.sets.safe), _bits(rec.sets.ergodic),
+    for t, rec in enumerate(trace.records, start=1):
+        lines.append(",".join([str(t), _bits(rec.sets.safe), _bits(rec.sets.ergodic),
                                _bits(rec.sets.expanders)]))
     path.write_text("\n".join(lines) + "\n")
 
@@ -489,8 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("config", help="path to an INI experiment config")
 
     p_synth = sub.add_parser("synth", help="write synthetic terrain as ESRI ASCII")
-    p_synth.add_argument("--kind", choices=("crater-hill", "gp-sample"),
-                         default="crater-hill")
+    _add_flag(p_synth, "--kind", "kind", default="crater-hill")
     _add_flag(p_synth, "--rows", "rows", required=True)
     _add_flag(p_synth, "--cols", "cols", required=True)
     _add_flag(p_synth, "--cell-size", "cell_size", default=1.0)

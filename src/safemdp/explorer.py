@@ -53,8 +53,8 @@ class Environment:
     true_safety : array_like
         The hidden feature value of every state.
     threshold : float
-        Safety threshold; a visit to a state with ``true_safety < threshold``
-        is a violation.
+        Finite safety threshold; a visit to a state with
+        ``true_safety < threshold`` is a violation.
     noise_std : float
         Finite, non-negative standard deviation of the observation noise.
     rng_seed : int
@@ -63,6 +63,8 @@ class Environment:
 
     def __init__(self, true_safety, threshold: float, noise_std: float, rng_seed: int):
         self.true_safety = np.asarray(true_safety, dtype=float)
+        if not math.isfinite(threshold):
+            raise ValueError(f"threshold must be finite, got {threshold!r}")
         self.threshold = float(threshold)
         if not 0 <= noise_std < math.inf:
             raise ValueError(f"noise_std must be finite and non-negative, got {noise_std!r}")
@@ -132,7 +134,6 @@ class IterationRecord:
     band width, the path walked, the measurement taken, and the safe-set
     snapshot used for the decision."""
 
-    t: int
     target: int
     width_at_target: float
     path: PathPlan
@@ -145,12 +146,10 @@ class ExplorationTrace:
     """Complete record of a run; ``final_bands`` are the bands of its last
     ``advance``."""
 
-    strategy: str
     records: list[IterationRecord]
     terminal_reason: str
     violation_step: int | None
     agent_steps: int
-    start_state: int
     final_sets: SafeSets
     final_bands: ConfidenceBands
 
@@ -217,18 +216,16 @@ def run_safemdp(mdp: Mdp, env: Environment, cfg: ExplorerConfig, band_model: GpB
     action_rng = np.random.default_rng([env.rng_seed, _ACTION_STREAM])
 
     records: list[IterationRecord] = []
-    prev_ergodic = seed.copy()
     steps = 0
     violation_step = None
     reason = REASON_MAX_ITERATIONS
-    final_sets = None
     bands = initial_bands(mdp.num_states, seed, env.threshold)
+    # Each round classifies from the last round's ergodic set, the seed's first.
+    sets = SafeSets(seed, seed, np.zeros_like(seed))
 
-    for t in range(1, cfg.max_iterations + 1):
+    for _ in range(cfg.max_iterations):
         bands = band_model.advance(bands)
-        sets = rules.classify(mdp, bands, prev_ergodic, env.threshold, cfg)
-        final_sets = sets
-        prev_ergodic = sets.ergodic
+        sets = rules.classify(mdp, bands, sets.ergodic, env.threshold, cfg)
 
         widths = bands.width()
         try:
@@ -251,7 +248,7 @@ def run_safemdp(mdp: Mdp, env: Environment, cfg: ExplorerConfig, band_model: GpB
                 break
         else:
             observation = band_model.measure(env, target)
-        records.append(IterationRecord(t, target, width_at_target, plan, observation, sets))
+        records.append(IterationRecord(target, width_at_target, plan, observation, sets))
 
         if violation_step is not None:
             reason = REASON_VIOLATION
@@ -260,19 +257,17 @@ def run_safemdp(mdp: Mdp, env: Environment, cfg: ExplorerConfig, band_model: GpB
             reason = REASON_CONVERGED
             break
 
-    if reason != REASON_VIOLATION and final_sets is not None:
+    if reason != REASON_VIOLATION:
         # The ergodic set grows by at most one reachability step per
         # iteration, so it lags behind the classified-safe set whenever the
         # run stops early.  With measuring over, the set recursion is pure
         # computation; finish it so the reported sets are its fixpoint.
         while True:
-            closed = rules.classify(mdp, bands, prev_ergodic, env.threshold, cfg)
-            final_sets = closed
-            if np.array_equal(closed.ergodic, prev_ergodic):
+            ergodic = sets.ergodic
+            sets = rules.classify(mdp, bands, ergodic, env.threshold, cfg)
+            if np.array_equal(sets.ergodic, ergodic):
                 break
-            prev_ergodic = closed.ergodic
-    return ExplorationTrace(strategy, records, reason, violation_step, steps,
-                            int(np.flatnonzero(seed)[0]), final_sets, bands)
+    return ExplorationTrace(records, reason, violation_step, steps, sets, bands)
 
 
 # ---------------------------------------------------------------------------

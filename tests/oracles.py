@@ -20,7 +20,11 @@ boolean masks.  Their ``dist`` is indexed ``dist[s][w]``, so nested lists
 and arrays both serve.  ``bfs_hops`` is the hop count of a shortest path
 inside an allowed set, ``None`` when there is none.  ``trapdoor`` is a
 four-state MDP whose lure only checking returnability keeps the agent out
-of.
+of.  ``random_mdp`` draws a small deterministic MDP with its distance
+matrix, and ``operator_mismatches`` names the operators of
+``safemdp.reach`` that disagree with their references on given inputs.
+``readme_example`` is the README's example config, and ``write_config``
+writes a config with its ``[explorer]`` keys and output directory set.
 
 The dense GP reference reads every quantity as a row over a GP's points:
 ``point_rows`` gives e_u (a height) and ``difference_rows`` e_owner -
@@ -35,11 +39,17 @@ of it reads ``safemdp.gp`` or ``safemdp.terrain``, the
 code it checks.
 """
 
+import configparser
+import re
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
 from safemdp.mdp import AugmentedMetric, ManhattanMetric, Mdp
+from safemdp.reach import r_eps, r_eps_fixpoint, r_reach, r_ret_fixpoint, r_ret_one, r_safe_eps
+
+README = Path(__file__).parents[1] / "README.md"
 
 
 class DenseMetric:
@@ -171,6 +181,37 @@ def oracle_ceiling(mdp, seed, r, h):
         current = grown
 
 
+def random_mdp(rng, n, span):
+    """``(mdp, dist)``: ``n`` states with one to three actions each into
+    random successors, at random integer coordinates in ``[0, span)`` whose
+    Manhattan distances ``dist`` are the metric."""
+    coords = rng.integers(0, span, size=(n, 2))
+    actions = [[(a, int(rng.integers(n))) for a in range(int(rng.integers(1, 4)))]
+               for _ in range(n)]
+    dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2).astype(float)
+    return Mdp(actions, DenseMetric(dist)), dist
+
+
+def operator_mismatches(mdp, dist, r, eps, lip, h, base, through, target):
+    """Names of the six set operators whose result on these inputs differs
+    from its python-set reference; ``base``, ``through`` and ``target`` are
+    python sets."""
+    n = mdp.num_states
+    bm, tm, gm = from_set(n, base), from_set(n, through), from_set(n, target)
+    pairs = {
+        "r_safe_eps": (r_safe_eps(mdp, bm, r, eps, lip, h),
+                       oracle_safe(mdp, dist, base, r, eps, lip, h)),
+        "r_reach": (r_reach(mdp, bm), oracle_reach(mdp, base)),
+        "r_ret_one": (r_ret_one(mdp, tm, gm), oracle_ret_one(mdp, through, target)),
+        "r_ret_fixpoint": (r_ret_fixpoint(mdp, tm, gm),
+                           oracle_ret_fixpoint(mdp, through, target)),
+        "r_eps": (r_eps(mdp, bm, r, eps, lip, h), oracle_eps(mdp, dist, base, r, eps, lip, h)),
+        "r_eps_fixpoint": (r_eps_fixpoint(mdp, bm, r, eps, lip, h),
+                           oracle_eps_fixpoint(mdp, dist, base, r, eps, lip, h)),
+    }
+    return [name for name, (got, want) in pairs.items() if to_set(got) != want]
+
+
 def bfs_hops(mdp, allowed, start, goal):
     """Hop count of a shortest path from ``start`` to ``goal`` through
     states in ``allowed``; ``None`` when there is none."""
@@ -202,6 +243,23 @@ def trapdoor():
     seed = np.zeros(4, dtype=bool)
     seed[0] = True
     return Mdp(actions, ManhattanMetric(coords, 1.0)), coords, seed, np.array([1.0, 1.0, -5.0, 1.0])
+
+
+def readme_example() -> str:
+    """The README's example ``safemdp explore`` config: its ``ini`` block."""
+    return re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+
+
+def write_config(text, path, out_dir, **explorer):
+    """Write the config ``text`` to ``path`` with the ``[explorer]`` keys
+    given and its output in ``out_dir``; return ``path``."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read_string(text)
+    parser["explorer"].update(explorer)
+    parser["output"]["directory"] = str(out_dir)
+    with open(path, "w") as handle:
+        parser.write(handle)
+    return path
 
 
 def kernel_value(kernel, distance):

@@ -40,14 +40,7 @@ from safemdp.gp import (
 )
 from safemdp.mdp import GRID_STAY, Mdp, augment, grid_mdp
 from safemdp.planner import NoPathError, shortest_safe_path
-from safemdp.reach import (
-    r_eps,
-    r_eps_fixpoint,
-    r_reach,
-    r_ret_fixpoint,
-    r_ret_one,
-    r_safe_eps,
-)
+from safemdp.reach import r_eps, r_eps_fixpoint, r_reach, r_ret_fixpoint, r_safe_eps
 from safemdp.safeset import compute_safe_sets, expanders
 from safemdp.terrain import (
     CraterHill,
@@ -64,18 +57,16 @@ from oracles import (
     bfs_hops,
     dense_distances,
     dense_posterior,
-    from_set,
-    oracle_eps,
-    oracle_eps_fixpoint,
-    oracle_reach,
-    oracle_ret_fixpoint,
-    oracle_ret_one,
+    operator_mismatches,
     oracle_safe,
     point_rows,
+    random_mdp,
+    readme_example,
     rel_dev,
     step,
     to_set,
     trapdoor,
+    write_config,
 )
 
 SAFETY = TerrainSafetySpec()
@@ -180,18 +171,7 @@ def check_all_operators(mdp, dist, rng):
     base = set(np.flatnonzero(rng.random(n) < 0.5).tolist())
     through = set(np.flatnonzero(rng.random(n) < 0.5).tolist())
     target = set(np.flatnonzero(rng.random(n) < 0.5).tolist())
-    bm, tm, gm = from_set(n, base), from_set(n, through), from_set(n, target)
-
-    bad = 0
-    bad += to_set(r_safe_eps(mdp, bm, r, eps, lip, h)) != oracle_safe(
-        mdp, dist, base, r, eps, lip, h)
-    bad += to_set(r_reach(mdp, bm)) != oracle_reach(mdp, base)
-    bad += to_set(r_ret_one(mdp, tm, gm)) != oracle_ret_one(mdp, through, target)
-    bad += to_set(r_ret_fixpoint(mdp, tm, gm)) != oracle_ret_fixpoint(mdp, through, target)
-    bad += to_set(r_eps(mdp, bm, r, eps, lip, h)) != oracle_eps(mdp, dist, base, r, eps, lip, h)
-    got = r_eps_fixpoint(mdp, bm, r, eps, lip, h)
-    bad += to_set(got) != oracle_eps_fixpoint(mdp, dist, base, r, eps, lip, h)
-    return bad
+    return len(operator_mismatches(mdp, dist, r, eps, lip, h, base, through, target))
 
 
 def test_set_operators_match_bruteforce(capsys):
@@ -213,12 +193,7 @@ def test_set_operators_match_bruteforce(capsys):
         n_exhaustive += 1
 
     for _ in range(200):
-        n = int(rng.integers(20, 31))
-        coords = rng.integers(0, 10, size=(n, 2))
-        actions = [[(a, int(rng.integers(n))) for a in range(int(rng.integers(1, 4)))]
-                   for _ in range(n)]
-        dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2).astype(float)
-        mdp = Mdp(actions, DenseMetric(dist))
+        mdp, dist = random_mdp(rng, int(rng.integers(20, 31)), 10)
         mismatches += check_all_operators(mdp, dist, rng)
 
     elapsed = time.time() - t0
@@ -331,11 +306,7 @@ def test_operator_and_band_monotonicity(capsys):
     for trial in range(1000):
         rng = np.random.default_rng(10_000 + trial)
         n = int(rng.integers(2, 16))
-        coords = rng.integers(0, 8, size=(n, 2))
-        actions = [[(a, int(rng.integers(n))) for a in range(int(rng.integers(1, 4)))]
-                   for _ in range(n)]
-        dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2).astype(float)
-        mdp = Mdp(actions, DenseMetric(dist))
+        mdp, dist = random_mdp(rng, n, 8)
         r = rng.normal(size=n)
         eps = float(rng.uniform(0, 0.4))
         lip = float(rng.uniform(0, 1.2))
@@ -434,7 +405,7 @@ def test_exploration_only_visits_truly_safe_states(capsys):
     for seed in range(100):
         aug, env, mask, h = terrain_setup(RAMP, *RAMP_SHAPE, seed)
         trace = run_strategy(aug, env, mask, KERN_WIDE, "safemdp", 120)
-        visited = {trace.start_state}
+        visited = {int(np.flatnonzero(mask)[0])}
         for rec in trace.records:
             visited.update(rec.path.states)
         unsafe_visits = sum(env.true_safety[s] < h for s in visited)
@@ -575,22 +546,8 @@ def test_planner_matches_bfs_distances(capsys):
 
 def test_cli_traces_are_byte_identical(capsys, tmp_path):
     def config_for(out_dir):
-        path = tmp_path / f"{out_dir.name}.ini"
-        path.write_text(
-            "[terrain]\n"
-            "source = synth\nkind = crater-hill\nrows = 6\ncols = 6\n"
-            "cell_size = 1.0\n"
-            "crater_row = 4.5\ncrater_col = 4.5\ncrater_depth = 5.0\n"
-            "crater_radius = 1.2\n"
-            "[gp]\n"
-            "lengthscale = 7.0\nprior_std = 3.0\nnoise_std = 0.075\n"
-            "[explorer]\n"
-            "strategy = safemdp\nmode = gp-direct\nlipschitz = 0.2\n"
-            "epsilon = 0.15\nmax_iterations = 25\n"
-            "seed_row = 1\nseed_col = 1\nseeds = 0 3\n"
-            "[output]\n"
-            f"directory = {out_dir}\n")
-        return path
+        return write_config(readme_example(), tmp_path / f"{out_dir.name}.ini", out_dir,
+                            max_iterations="25", seeds="0 3")
 
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert cli.main(["explore", str(config_for(out_a))]) == 0

@@ -391,6 +391,7 @@ def test_synth_flag_defaults_are_the_config_defaults():
     for field in SCHEMA:
         if field.key in checked:
             assert getattr(args, field.key) == field.default, field.key
+    assert args.kind == "crater-hill"
 
 
 def test_synth_unknown_kernel_is_a_usage_error(tmp_path, capsys):
@@ -400,6 +401,17 @@ def test_synth_unknown_kernel_is_a_usage_error(tmp_path, capsys):
               "--kernel", "rbf", "--out", str(out)])
     assert exc.value.code == 2
     assert "argument --kernel: expected one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_unknown_kind_is_a_usage_error(tmp_path, capsys):
+    # --kind takes its choices from the config key's parser.
+    out = tmp_path / "t.asc"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--rows", "3", "--cols", "3", "--kind", "ridge", "--out", str(out)])
+    assert exc.value.code == 2
+    assert ("argument --kind: expected one of ['crater-hill', 'gp-sample'], got 'ridge'"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -1,6 +1,5 @@
 """End-to-end tests of the exploration loop and its baselines."""
 
-import re
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ from safemdp.terrain import (
     synth_terrain,
 )
 
-from oracles import oracle_ceiling, step, to_set, trapdoor
+from oracles import oracle_ceiling, readme_example, step, to_set, trapdoor
 
 ROOT = Path(__file__).parents[1]
 
@@ -89,6 +88,14 @@ def test_safety_check_is_inclusive_at_the_threshold():
     assert not env.is_safe(1)
     with pytest.raises(ValueError):
         Environment([0.0], 0.0, -0.1, 1)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+def test_environment_rejects_a_non_finite_threshold(threshold):
+    # Every comparison with a NaN threshold is false, so the seed check of
+    # run_safemdp would pass and the run would end without a step.
+    with pytest.raises(ValueError, match=f"threshold must be finite, got {threshold}"):
+        Environment([0.0, 1.0], threshold, 0.1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +347,7 @@ class ExactBands:
 
 def _readme_example(tmp_path):
     path = tmp_path / "readme.ini"
-    path.write_text(re.search(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(),
-                              re.S).group(1))
+    path.write_text(readme_example())
     return path
 
 

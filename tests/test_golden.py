@@ -2,8 +2,8 @@
 
 Every strategy runs under both observation models on
 
-- the README's 6x6 ``safemdp explore`` example, noise seeds 0 and 1
-  (``golden/readme_example.json``), and
+- the README's 6x6 ``safemdp explore`` example, read from its ``ini``
+  block, noise seeds 0 and 1 (``golden/readme_example.json``), and
 - both ``perfbench/configs/smoke-explore-*.ini`` fixtures, noise seeds 0 and 1
   (``golden/contract.json``).  The two differ only in their observation
   model, so each runs under its own.
@@ -25,7 +25,6 @@ that no longer pass the tests above, and prints each key it rewrites; on
 an unchanged program it leaves ``golden/`` byte-identical.
 """
 
-import configparser
 import hashlib
 import json
 import math
@@ -36,43 +35,14 @@ import pytest
 from safemdp.cli import main
 from safemdp.explorer import STRATEGIES
 
+from oracles import readme_example, write_config
+
 GOLDEN = Path(__file__).parent / "golden"
 README_GOLDEN = GOLDEN / "readme_example.json"
 CONTRACT_GOLDEN = GOLDEN / "contract.json"
 PERFBENCH_CONFIGS = Path(__file__).parents[1] / "perfbench" / "configs"
 
 FLOAT_RTOL = 1e-8
-
-#: The README's example config; each case sets its strategy, observation
-#: model and output directory.
-README_EXAMPLE = """\
-[terrain]
-source = synth
-kind = crater-hill
-rows = 6
-cols = 6
-cell_size = 1.0
-crater_row = 4.5
-crater_col = 4.5
-crater_depth = 5.0
-crater_radius = 1.2
-
-[gp]
-lengthscale = 7.0
-prior_std = 3.0
-noise_std = 0.075
-
-[explorer]
-lipschitz = 0.2
-epsilon = 0.15
-max_iterations = 100
-seed_row = 1
-seed_col = 1
-seeds = 0 1 2 3 4
-
-[output]
-directory = out
-"""
 
 #: A misspecified, paper-scale crater: 14800 augmented states, all of them
 #: in both oracle masks.  ``safemdp explore`` runs it capped at
@@ -110,7 +80,7 @@ CRATER_ITERATIONS = 60
 CRATER_KEY = "crater-50x50/safemdp/seed_0"
 
 SMOKE_CONFIGS = ("smoke-explore-diff", "smoke-explore-heights")
-CONFIGS = {"readme-example": README_EXAMPLE,
+CONFIGS = {"readme-example": readme_example(),
            **{name: (PERFBENCH_CONFIGS / f"{name}.ini").read_text() for name in SMOKE_CONFIGS},
            "crater-50x50": CRATER_50,
            "steep-oracle": (PERFBENCH_CONFIGS / "steep-oracle.ini").read_text()}
@@ -145,14 +115,8 @@ def _oracle_key(config) -> str:
 def _run(tmp_path, command, config, **explorer) -> Path:
     """Run ``safemdp command`` on ``config`` with the ``[explorer]`` keys
     given; return the output directory."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read_string(CONFIGS[config])
-    parser["explorer"].update(explorer)
     out = tmp_path / "out"
-    parser["output"]["directory"] = str(out)
-    path = tmp_path / "experiment.ini"
-    with open(path, "w") as handle:
-        parser.write(handle)
+    path = write_config(CONFIGS[config], tmp_path / "experiment.ini", out, **explorer)
     assert main([command, str(path)]) == 0
     return out
 

@@ -22,30 +22,16 @@ from safemdp.reach import (
 from oracles import (
     DenseMetric,
     from_set,
+    operator_mismatches,
     oracle_eps,
-    oracle_eps_fixpoint,
-    oracle_reach,
     oracle_ret_fixpoint,
-    oracle_ret_one,
-    oracle_safe,
+    random_mdp,
     to_set,
 )
 
 #: A three-state chain 0 -> 1 -> 2 with a self-loop on 2.
 CHAIN = Mdp([[(0, 1)], [(0, 2)], [(0, 2)]],
             DenseMetric(np.abs(np.subtract.outer(np.arange(3), np.arange(3)))))
-
-
-def random_mdp(rng, n_states=None, max_actions=3):
-    """A random deterministic MDP over Manhattan-style integer coordinates."""
-    n = int(n_states if n_states is not None else rng.integers(2, 9))
-    coords = rng.integers(0, 6, size=(n, 2))
-    actions = []
-    for s in range(n):
-        k = int(rng.integers(1, max_actions + 1))
-        actions.append([(a, int(rng.integers(n))) for a in range(k)])
-    dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2).astype(float)
-    return Mdp(actions, DenseMetric(dist)), dist
 
 
 def random_subset(rng, n):
@@ -114,8 +100,8 @@ def test_mask_shape_is_validated():
 def test_operators_match_bruteforce_on_random_mdps():
     rng = np.random.default_rng(42)
     for _ in range(120):
-        mdp, dist = random_mdp(rng)
-        n = mdp.num_states
+        n = int(rng.integers(2, 9))
+        mdp, dist = random_mdp(rng, n, 6)
         r = rng.normal(size=n)
         eps = float(rng.uniform(0.0, 0.5))
         lip = float(rng.uniform(0.0, 1.5))
@@ -123,21 +109,7 @@ def test_operators_match_bruteforce_on_random_mdps():
         base = random_subset(rng, n)
         through = random_subset(rng, n)
         target = random_subset(rng, n)
-        base_mask = from_set(n, base)
-
-        assert to_set(r_safe_eps(mdp, base_mask, r, eps, lip, h)) == oracle_safe(
-            mdp, dist, base, r, eps, lip, h
-        )
-        assert to_set(r_reach(mdp, base_mask)) == oracle_reach(mdp, base)
-        got = r_ret_one(mdp, from_set(n, through), from_set(n, target))
-        assert to_set(got) == oracle_ret_one(mdp, through, target)
-        got = r_ret_fixpoint(mdp, from_set(n, through), from_set(n, target))
-        assert to_set(got) == oracle_ret_fixpoint(mdp, through, target)
-        assert to_set(r_eps(mdp, base_mask, r, eps, lip, h)) == oracle_eps(
-            mdp, dist, base, r, eps, lip, h
-        )
-        got = r_eps_fixpoint(mdp, base_mask, r, eps, lip, h)
-        assert to_set(got) == oracle_eps_fixpoint(mdp, dist, base, r, eps, lip, h)
+        assert not operator_mismatches(mdp, dist, r, eps, lip, h, base, through, target)
 
 
 def test_ret_fixpoint_equals_reverse_bfs():
@@ -145,7 +117,7 @@ def test_ret_fixpoint_equals_reverse_bfs():
     # time, a breadth-first walk of the reversed edges inside `through`.
     rng = np.random.default_rng(7)
     for _ in range(200):
-        mdp, _ = random_mdp(rng, n_states=8)
+        mdp, _ = random_mdp(rng, 8, 6)
         through = random_subset(rng, 8)
         target = random_subset(rng, 8)
         got = to_set(r_ret_fixpoint(mdp, from_set(8, through), from_set(8, target)))
@@ -162,7 +134,7 @@ def hub_mdp(n):
 
 def test_ret_fixpoint_among_equals_the_full_fixpoint_restricted():
     rng = np.random.default_rng(23)
-    mdps = [random_mdp(rng, n_states=int(rng.integers(2, 25)))[0] for _ in range(80)]
+    mdps = [random_mdp(rng, int(rng.integers(2, 25)), 6)[0] for _ in range(80)]
     mdps += [hub_mdp(n) for n in (2, 5, 40)]
     for mdp in mdps:
         n = mdp.num_states
@@ -187,7 +159,7 @@ def test_eps_fixpoint_is_order_independent():
     # least fixpoint as the synchronous sweep.
     rng = np.random.default_rng(3)
     for _ in range(30):
-        mdp, dist = random_mdp(rng, n_states=7)
+        mdp, dist = random_mdp(rng, 7, 6)
         r = rng.normal(size=7)
         eps, lip = float(rng.uniform(0, 0.3)), float(rng.uniform(0, 1.0))
         h = float(rng.normal(scale=0.4))
@@ -217,7 +189,7 @@ def test_eps_fixpoint_is_order_independent():
 @settings(deadline=None, max_examples=60)
 def test_operators_are_monotone_in_their_set_arguments(seed):
     rng = np.random.default_rng(seed)
-    mdp, dist = random_mdp(rng, n_states=int(rng.integers(2, 31)))
+    mdp, dist = random_mdp(rng, int(rng.integers(2, 31)), 6)
     n = mdp.num_states
     r = rng.normal(size=n)
     eps, lip = float(rng.uniform(0, 0.4)), float(rng.uniform(0, 1.2))
@@ -246,8 +218,8 @@ def test_operators_are_monotone_in_their_set_arguments(seed):
 @settings(deadline=None, max_examples=60)
 def test_operators_contain_their_base_sets(seed):
     rng = np.random.default_rng(seed)
-    mdp, _ = random_mdp(rng)
-    n = mdp.num_states
+    n = int(rng.integers(2, 9))
+    mdp, _ = random_mdp(rng, n, 6)
     r = rng.normal(size=n)
     base = from_set(n, random_subset(rng, n))
     through = from_set(n, random_subset(rng, n))
@@ -276,7 +248,7 @@ def iterate_to_fixpoint(operator, start):
 def test_fixpoints_stabilize_within_state_count_bounds():
     rng = np.random.default_rng(11)
     for _ in range(60):
-        mdp, _ = random_mdp(rng, n_states=int(rng.integers(2, 25)))
+        mdp, _ = random_mdp(rng, int(rng.integers(2, 25)), 6)
         n = mdp.num_states
         r = rng.normal(size=n)
         through = from_set(n, random_subset(rng, n))
@@ -294,8 +266,8 @@ def test_fixpoints_stabilize_within_state_count_bounds():
 def test_larger_eps_never_grows_the_explorable_set():
     rng = np.random.default_rng(19)
     for _ in range(40):
-        mdp, _ = random_mdp(rng)
-        n = mdp.num_states
+        n = int(rng.integers(2, 9))
+        mdp, _ = random_mdp(rng, n, 6)
         r = rng.normal(size=n)
         seed = from_set(n, {int(rng.integers(n))})
         lip, h = float(rng.uniform(0, 1)), float(rng.normal(scale=0.5))

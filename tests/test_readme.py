@@ -1,12 +1,14 @@
 """The README's library example runs as written and prints what it says,
-and its config table lists the keys and defaults of ``cli.SCHEMA``."""
+its example config ends each seed as its measured outcomes say, and its
+config table lists the keys and defaults of ``cli.SCHEMA``."""
 
 import re
-from pathlib import Path
 
-from safemdp.cli import REQUIRED, SCHEMA
+import pytest
 
-README = Path(__file__).parents[1] / "README.md"
+from safemdp.cli import REQUIRED, SCHEMA, main
+
+from oracles import README, readme_example, write_config
 
 
 def test_readme_library_example_prints_its_stated_result(capsys):
@@ -14,6 +16,48 @@ def test_readme_library_example_prints_its_stated_result(capsys):
     stated = re.search(r"^# prints: (.*)$", block, re.M).group(1)
     exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out == stated + "\n"
+
+
+def _measured_outcomes() -> dict:
+    """The README's "Measured outcomes of this example" paragraph: for each
+    observation model, seed to ``(terminal_reason, key, value)``, where
+    ``key`` is ``violation_step`` or ``iterations``."""
+    text = README.read_text()
+    start = text.index("Measured outcomes of this example")
+    paragraph = " ".join(text[start:text.index("\n\n", start)].split())
+    difference, heights = paragraph.split("With `observation_model = heights`")
+    claim = re.compile(r"seed (\d+) ends (?:in )?`(\w+)` "
+                       r"(?:at agent step (\d+)|after (\d+) iterations)")
+    outcomes = {}
+    for model, part in (("difference", difference), ("heights", heights)):
+        outcomes[model] = {
+            int(seed): (reason, "violation_step", int(step)) if step
+            else (reason, "iterations", int(iterations))
+            for seed, reason, step, iterations in claim.findall(part)}
+    return outcomes
+
+
+OUTCOMES = _measured_outcomes()
+
+
+def test_readme_states_an_outcome_for_every_example_seed():
+    seeds = [int(s) for s in re.search(r"^seeds = (.*)$", readme_example(), re.M)
+             .group(1).split()]
+    assert sorted(OUTCOMES["difference"]) == seeds
+    assert OUTCOMES["heights"]
+
+
+@pytest.mark.parametrize("model", sorted(OUTCOMES))
+def test_readme_example_ends_as_its_measured_outcomes_say(tmp_path, model):
+    claims = OUTCOMES[model]
+    out = tmp_path / "out"
+    config = write_config(readme_example(), tmp_path / "readme.ini", out,
+                          observation_model=model, seeds=" ".join(map(str, claims)))
+    assert main(["explore", str(config)]) == 0
+    for seed, (reason, key, value) in claims.items():
+        lines = (out / f"seed_{seed}" / "metrics.txt").read_text().splitlines()
+        metrics = dict(line.split(": ", 1) for line in lines)
+        assert (metrics["terminal_reason"], metrics[key]) == (reason, str(value)), seed
 
 
 def _config_table() -> dict:

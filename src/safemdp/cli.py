@@ -397,28 +397,35 @@ def write_manifest(cfg: ExperimentConfig, seed: int, path: Path) -> None:
 
 def _prepare(config_path: str):
     """What both commands build first: the config, the augmented MDP with
-    its environment, the seed mask, and the oracle masks for ``epsilon``
-    and for zero."""
+    its environment, the seed mask, and the sentence that names the seed
+    pocket's unsafe states (``None`` when it has none)."""
     cfg = load_experiment_config(config_path)
     grid = build_grid(cfg)
     aug, env = build_terrain_environment(grid, cfg.safety, cfg.noise_std, 0)
     seed_mask = _seed_mask(aug, grid, cfg)
-    oracle = tuple(r_eps_fixpoint(aug, seed_mask, env.true_safety, eps, cfg.lipschitz,
-                                  env.threshold) for eps in (cfg.epsilon, 0.0))
-    return cfg, aug, env, seed_mask, oracle
+    # The seed pocket is declared safe unmeasured; an unsafe state in it
+    # breaks the safety promise before the first step.
+    unsafe = int(np.count_nonzero(seed_mask & (env.true_safety < env.threshold)))
+    pocket = None
+    if unsafe:
+        pocket = (f"explorer.seed_row/seed_col: the seed pocket of cell ({cfg.seed_row}, "
+                  f"{cfg.seed_col}) holds {unsafe} unsafe state(s), transitions steeper than "
+                  f"safety.conservative_slope_deg; choose a flatter start cell")
+    return cfg, aug, env, seed_mask, pocket
+
+
+def _oracle(cfg: ExperimentConfig, aug, env, seed_mask):
+    """The oracle masks for ``epsilon`` and for zero."""
+    return tuple(r_eps_fixpoint(aug, seed_mask, env.true_safety, eps, cfg.lipschitz,
+                                env.threshold) for eps in (cfg.epsilon, 0.0))
 
 
 def cmd_explore(config_path: str) -> int:
     """Run the configured strategy for every seed and write its artifacts."""
-    cfg, aug, env, seed_mask, oracle = _prepare(config_path)
-    # The seed pocket is declared safe unmeasured; an unsafe state in it
-    # breaks the safety promise before the first step.
-    unsafe = int(np.count_nonzero(seed_mask & (env.true_safety < env.threshold)))
-    if unsafe:
-        raise ConfigError(
-            f"explorer.seed_row/seed_col: the seed pocket of cell ({cfg.seed_row}, "
-            f"{cfg.seed_col}) holds {unsafe} unsafe state(s), transitions steeper than "
-            f"safety.conservative_slope_deg; choose a flatter start cell")
+    cfg, aug, env, seed_mask, pocket = _prepare(config_path)
+    if pocket:
+        raise ConfigError(pocket)
+    oracle = _oracle(cfg, aug, env, seed_mask)
     out_root = resolve_output_dir(cfg.directory)
     for seed in cfg.seeds:
         env = TerrainEnvironment(env.true_safety, env.threshold, cfg.noise_std, seed,
@@ -437,8 +444,13 @@ def cmd_explore(config_path: str) -> int:
 
 
 def cmd_oracle(config_path: str) -> int:
-    """Write exact safely-explorable sets for the configured environment."""
-    cfg, aug, _, _, (oracle_eps, oracle_zero) = _prepare(config_path)
+    """Write exact safely-explorable sets for the configured environment.
+    An unsafe seed pocket is named on standard error, and the sets are
+    still grown from it."""
+    cfg, aug, env, seed_mask, pocket = _prepare(config_path)
+    if pocket:
+        print(f"warning: {pocket}", file=sys.stderr)
+    oracle_eps, oracle_zero = _oracle(cfg, aug, env, seed_mask)
     out_root = resolve_output_dir(cfg.directory)
     out_root.mkdir(parents=True, exist_ok=True)
     lines = [ORACLE_HEADER]

@@ -7,11 +7,16 @@ the Lipschitz envelope ``max_{w in W} v(w) - L * d(s, w)``; the safety
 operators read the metric only through it, and so does
 :meth:`Mdp.distances`, which derives each distance ``d(s, w)`` as
 ``-envelope(0, {w}, 1)[s]``.  Grids get the Manhattan metric scaled by the
-cell size.
+cell size.  It holds one state per cell, and its envelope is an L1
+distance transform over the cells' bounding box, in place: O(box) time.
 
 ``augment`` re-expresses safety-on-transitions as safety-on-states by
 inserting one artificial "action-state" per (state, action) pair, so that
 every original transition becomes a two-hop path through its action-state.
+The augmented metric's envelope is the base envelope over cells plus two
+folds of the action-states, into their owner and into their landing cell;
+both read index layouts built once, at augmentation, so an envelope costs
+O(N) with no scatter.
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ _GRID_MOVES = ((GRID_UP, -1, 0), (GRID_DOWN, 1, 0), (GRID_LEFT, 0, -1), (GRID_RI
 class ManhattanMetric:
     """Manhattan distance between per-state integer coordinates, scaled.
 
-    Coordinates that are not finite integers, or a ``cell_size`` that is
-    not positive and finite, raise :class:`ValueError`.
+    Coordinates that are not finite integers, two states with the same
+    coordinates, or a ``cell_size`` that is not positive and finite, raise
+    :class:`ValueError`.
     """
 
     def __init__(self, coords, cell_size: float):
@@ -49,6 +55,12 @@ class ManhattanMetric:
         cells -= cells.min(axis=0)
         self._box = tuple(cells.max(axis=0) + 1)
         self._flat = np.ravel_multi_index(tuple(cells.T), self._box)
+        used, counts = np.unique(self._flat, return_counts=True)
+        if (counts > 1).any():
+            shared = np.flatnonzero(self._flat == used[counts > 1][0])
+            raise ValueError(f"states {shared.tolist()} share the coordinates "
+                             f"{self.coords[shared[0]].astype(int).tolist()}; a Manhattan "
+                             f"metric holds one state per cell")
         ndim = len(self._box)
         self._ramps = [np.arange(size, dtype=float).reshape((-1,) + (1,) * (ndim - 1 - axis))
                        for axis, size in enumerate(self._box)]
@@ -58,21 +70,53 @@ class ManhattanMetric:
         (``-inf`` everywhere when ``mask`` is empty), as the exact L1
         distance transform of a sampled function (Felzenszwalb &
         Huttenlocher, 2012) on the coordinates' bounding box: one forward
-        and one backward running maximum per axis, O(box) time and memory.
-        Box cells without a witness start at ``-inf``."""
-        values = np.asarray(values, dtype=float)
-        mask = np.asarray(mask, dtype=bool)
+        and one backward running maximum per axis, in place, O(box) time
+        and memory.  Box cells without a witness start at ``-inf``."""
         flat = np.full(math.prod(self._box), -np.inf)
-        np.maximum.at(flat, self._flat[mask], values[mask])
+        flat[self._flat] = np.where(mask, values, -np.inf)
         box = flat.reshape(self._box)
         step = lipschitz * self.cell_size
         for axis, ramp in enumerate(self._ramps):
             ramp = step * ramp
-            forward = np.maximum.accumulate(box + ramp, axis=axis) - ramp
-            backward = np.flip(np.maximum.accumulate(np.flip(box - ramp, axis), axis=axis),
-                               axis) + ramp
-            box = np.maximum(forward, backward)
-        return box.reshape(-1)[self._flat]
+            forward = box + ramp
+            np.maximum.accumulate(forward, axis=axis, out=forward)
+            forward -= ramp
+            backward = np.flip(np.subtract(box, ramp, out=box), axis)
+            np.maximum.accumulate(backward, axis=axis, out=backward)
+            box += ramp
+            np.maximum(forward, box, out=box)
+        return flat[self._flat]
+
+
+def _fold_layout(groups, num_groups: int):
+    """Index layout for :func:`_fold`, built once from each member's group.
+
+    Each group's first ``k`` members sit in a dense ``(k, num_groups)``
+    table, padded with the sentinel id ``len(groups)``; the members beyond
+    the ``k``-th of a group are kept apart with their groups.  ``k`` is at
+    most one more than twice the mean group size, so the table stays
+    linear in the members even when one group holds most of them.
+    """
+    order = np.argsort(groups, kind="stable")
+    counts = np.bincount(groups, minlength=num_groups)
+    rank = np.arange(len(groups)) - np.repeat(np.cumsum(counts) - counts, counts)
+    k = min(counts.max(initial=1), 1 + 2 * len(groups) // max(num_groups, 1))
+    table = np.full((k, num_groups), len(groups))
+    dense = rank < k
+    table[rank[dense], groups[order[dense]]] = order[dense]
+    spill = order[~dense]
+    return table, spill, groups[spill]
+
+
+def _fold(values, layout) -> np.ndarray:
+    """Per group, the maximum of ``values`` over its members (``-inf`` for
+    a group without any); ``values`` holds one more entry, the sentinel,
+    which must be ``-inf``."""
+    table, spill, spill_groups = layout
+    out = values[table].max(axis=0)
+    if spill.size:
+        np.maximum.at(out, spill_groups, values[spill])
+    return out
 
 
 class AugmentedMetric:
@@ -82,6 +126,11 @@ class AugmentedMetric:
     away from the two original states adjacent to it in the augmented graph
     (its owner and its landing state), and any other distance is the base
     distance between owners plus ``half_step`` per action-state endpoint.
+
+    The ids must follow :class:`AugmentedMdp`'s layout, the cells first and
+    the action-states after them: the envelope reads the two parts by
+    slices, and folds the action-states into their owner and landing cells
+    through index layouts built here, once.
     """
 
     def __init__(self, base, owner, landing, is_action, half_step: float):
@@ -90,7 +139,11 @@ class AugmentedMetric:
         self.landing = np.asarray(landing, dtype=int)
         self.is_action = np.asarray(is_action, dtype=bool)
         self.half_step = float(half_step)
-        self._num_cells = np.count_nonzero(~self.is_action)
+        n = self._num_cells = np.count_nonzero(~self.is_action)
+        if not self.is_action[n:].all():
+            raise ValueError("an augmented metric needs the cells first, then the action-states")
+        self._by_owner = _fold_layout(self.owner[n:], n)
+        self._by_landing = _fold_layout(self.landing[n:], n)
 
     def envelope(self, values, mask, lipschitz) -> np.ndarray:
         """Fold every witness into its owner cell at ``half_step`` per
@@ -98,22 +151,22 @@ class AugmentedMetric:
         then apply the two exceptions in O(N): a witness is at distance 0
         from itself, and an action-state and its landing state are
         ``half_step`` apart (owner adjacency already matches the fold)."""
-        values = np.asarray(values, dtype=float)
-        mask = np.asarray(mask, dtype=bool)
+        n = self._num_cells
         offset = lipschitz * self.half_step
-        shifted = values - offset
-        cells = np.full(self._num_cells, -np.inf)
-        np.maximum.at(cells, self.owner[mask], np.where(self.is_action, shifted, values)[mask])
-        out = self.base.envelope(cells, cells > -np.inf, lipschitz)[self.owner]
-        out[self.is_action] -= offset
-        np.maximum(out, np.where(mask, values, -np.inf), out=out)
+        own = np.where(mask, np.asarray(values, dtype=float), -np.inf)
+        # The action-state witnesses, one endpoint away, and the sentinel.
+        shifted = np.full(len(own) - n + 1, -np.inf)
+        np.subtract(own[n:], offset, out=shifted[:-1])
+        cells = np.maximum(own[:n], _fold(shifted, self._by_owner))
+        out = np.empty(len(own))
+        out[:n] = self.base.envelope(cells, cells > -np.inf, lipschitz)
+        np.subtract(out.take(self.owner[n:]), offset, out=out[n:])
+        np.maximum(out, own, out=out)
         # An original state is half_step from each witnessing action-state
         # that lands on it,
-        acting = mask & self.is_action
-        np.maximum.at(out, self.landing[acting], shifted[acting])
+        np.maximum(out[:n], _fold(shifted, self._by_landing), out=out[:n])
         # and an action-state is half_step from its landing state.
-        landed = self.is_action & mask[self.landing]
-        out[landed] = np.maximum(out[landed], shifted[self.landing[landed]])
+        np.maximum(out[n:], (own[:n] - offset)[self.landing[n:]], out=out[n:])
         return out
 
 
@@ -130,8 +183,8 @@ class Mdp:
         module docstring.
 
     The table is sorted by state and then by label, and checked, once:
-    :meth:`actions_of`, :meth:`edges` and :meth:`predecessors` are views of
-    it built at construction.
+    :meth:`actions_of`, :meth:`edges`, :meth:`successors` and
+    :meth:`predecessors` are views of it built at construction.
     """
 
     def __init__(self, actions, metric):
@@ -147,7 +200,8 @@ class Mdp:
         self._actions = tuple(table)
         self.num_states = len(table)
         self.metric = metric
-        src = np.repeat(np.arange(self.num_states), [len(acts) for acts in table])
+        sizes = [len(acts) for acts in table]
+        src = np.repeat(np.arange(self.num_states), sizes)
         flat = [x for acts in table for pair in acts for x in pair]
         lab, dst = np.array(flat, dtype=int).reshape(-1, 2).T.copy()
         unknown = np.flatnonzero((dst < 0) | (dst >= self.num_states))
@@ -155,6 +209,7 @@ class Mdp:
             i = unknown[0]
             raise ValueError(f"state {src[i]} action {lab[i]} leads to unknown state {dst[i]}")
         self._edges = (src, lab, dst)
+        self._successors = (np.concatenate([[0], np.cumsum(sizes)]), dst)
         into = np.bincount(dst, minlength=self.num_states)
         self._predecessors = (np.concatenate([[0], np.cumsum(into)]),
                               src[np.argsort(dst, kind="stable")])
@@ -167,6 +222,12 @@ class Mdp:
         """All transitions as parallel arrays ``(sources, labels, successors)``,
         by state and then by label."""
         return self._edges
+
+    def successors(self):
+        """Forward adjacency as ``(starts, successors)``: the successors of
+        ``s`` are ``successors[starts[s]:starts[s + 1]]``, by label, at the
+        same positions as in :meth:`edges`."""
+        return self._successors
 
     def predecessors(self):
         """Reverse adjacency as ``(starts, sources)``: the states with an
@@ -242,7 +303,9 @@ class AugmentedMdp(Mdp):
     an original state, action ``a`` leads to the action-state of ``(s, a)``;
     an action-state has exactly one action, landing on the original
     transition's successor.  Every length-``k`` path of the base MDP
-    corresponds to a length-``2k`` path here and vice versa.
+    corresponds to a length-``2k`` path here and vice versa.  The metric
+    relies on this layout, the cells first and the action-states after
+    them: it reads the two parts by slices.
 
     Attributes
     ----------

@@ -6,9 +6,13 @@ the exploration algorithm relies on, and the fixpoint variants stabilize
 after at most ``|S|`` (respectively ``|S| + 1``) applications.  Lipschitz
 safety reads one number per state from the metric's ``envelope``, and
 returnability is one reverse breadth-first search, so an application costs
-O(N + E) time and memory on grids and their augmentations.  A caller that
-reads returnability only on some states (``among``) stops the search as
-soon as those states are decided.
+O(N + E) time and memory on grids and their augmentations.  The search
+finds its first layer from the smaller side, the open states' out-edges or
+the target's in-edges: when the target is most of the set, as in
+:func:`r_eps` and the ergodic check, it pays for the shell around the
+target rather than its interior.  A caller that reads returnability only
+on some states (``among``) stops the search as soon as those states are
+decided.
 """
 
 from __future__ import annotations
@@ -59,52 +63,72 @@ def r_ret_one(mdp: Mdp, through, target) -> np.ndarray:
     return out
 
 
+def _runs(starts, states) -> np.ndarray:
+    """Positions of the runs ``starts[s]:starts[s + 1]`` of ``states``,
+    concatenated in order."""
+    lo = starts[states]
+    sizes = starts[states + 1] - lo
+    ends = np.cumsum(sizes)
+    return np.repeat(lo - ends + sizes, sizes) + np.arange(ends[-1] if ends.size else 0)
+
+
 def r_ret_fixpoint(mdp: Mdp, through, target, among=None) -> np.ndarray:
     """States that can return to ``target`` along a path inside ``through``.
 
     This is the least fixpoint of :func:`r_ret_one`, found by one reverse
     breadth-first search from ``target`` that enters only ``through``
-    states, in O(N + E): a layer costs the in-edges of its frontier.  With
-    ``among``, the result is that fixpoint intersected with ``among``, and
-    the search stops as soon as every state of ``among & through &
-    ~target`` has been entered; ``among=None`` asks about every state.
+    states, in O(N + E).  Its first layer, the ``through`` states with an
+    action into ``target``, is found from the smaller side: the out-edges
+    of the open states (``through & ~target``) or the in-edges of
+    ``target``, so a large target's interior costs nothing.  Every later
+    layer costs the in-edges of its frontier.  With ``among``, the result
+    is that fixpoint intersected with ``among``, and the search stops as
+    soon as every state of ``among & through & ~target`` has been entered;
+    ``among=None`` asks about every state.
     """
     through = _as_mask(mdp, through)
     target = _as_mask(mdp, target)
-    starts, sources = mdp.predecessors()
     among = np.ones_like(target) if among is None else _as_mask(mdp, among)
     open_ = through & ~target  # through states the search has not entered
     asked = open_ & among
     undecided = np.count_nonzero(asked)
-    slot = np.empty(mdp.num_states, dtype=np.intp)  # dedupes each layer
-    frontier = np.flatnonzero(target)
-    while frontier.size and undecided:
-        # The predecessor runs sources[lo:lo + size] of the frontier states,
-        # kept where open; each state keeps the one occurrence whose
-        # position its slot ends up holding.
-        lo = starts[frontier]
-        sizes = starts[frontier + 1] - lo
-        ends = np.cumsum(sizes)
-        found = sources[np.repeat(lo - ends + sizes, sizes) + np.arange(ends[-1])]
+    if not undecided:
+        return target & among
+    starts, sources = mdp.predecessors()
+    if np.count_nonzero(open_) < np.count_nonzero(target):
+        src, _, _ = mdp.edges()
+        out_starts, successors = mdp.successors()
+        out = _runs(out_starts, np.flatnonzero(open_))
+        found = src[out[target[successors[out]]]]
+    else:
+        found = sources[_runs(starts, np.flatnonzero(target))]
         found = found[open_[found]]
+    slot = np.empty(mdp.num_states, dtype=np.intp)  # dedupes each layer
+    while found.size:
+        # Each state found keeps the one occurrence whose position its slot
+        # ends up holding.
         order = np.arange(found.size)
         slot[found] = order
         frontier = found[slot[found] == order]
         undecided -= np.count_nonzero(asked[frontier])
         open_[frontier] = False
+        if not undecided:
+            break
+        found = sources[_runs(starts, frontier)]
+        found = found[open_[found]]
     return (target | (through & ~open_)) & among
 
 
 def r_eps(mdp: Mdp, base, r_values, eps: float, lipschitz: float, threshold: float) -> np.ndarray:
     """One expansion round: safe by Lipschitz, reachable in a step, and able
-    to return to ``base`` through the enlarged safe set."""
+    to return to ``base`` through the enlarged safe set.  The returnability
+    search answers within the reachable states, and its answer lies in
+    ``base`` and the safe states, so it is the round's set."""
     base = _as_mask(mdp, base)
     if not base.any():
         return base.copy()
     safe = r_safe_eps(mdp, base, r_values, eps, lipschitz, threshold)
-    reachable = r_reach(mdp, base)
-    returnable = r_ret_fixpoint(mdp, safe, base, among=reachable)
-    return safe & reachable & returnable
+    return r_ret_fixpoint(mdp, safe, base, among=r_reach(mdp, base))
 
 
 def r_eps_fixpoint(mdp: Mdp, seed, r_values, eps: float, lipschitz: float,

@@ -55,7 +55,8 @@ def classify_safe(bands: ConfidenceBands, prev_ergodic, threshold: float) -> np.
 
 def ergodic_safe(mdp: Mdp, safe, prev_ergodic) -> np.ndarray:
     """Subset of ``safe`` that is reachable from the previous ergodic set in
-    one step and can return to it through ``safe``."""
+    one step and can return to it through ``safe``: the returnability
+    search's answer within the reachable states, which lies in ``safe``."""
     safe = np.asarray(safe, dtype=bool)
     prev_ergodic = np.asarray(prev_ergodic, dtype=bool)
     if (prev_ergodic & ~safe).any():
@@ -64,7 +65,7 @@ def ergodic_safe(mdp: Mdp, safe, prev_ergodic) -> np.ndarray:
             "pass a safe mask that includes it, as classify_safe's does"
         )
     reachable = r_reach(mdp, prev_ergodic)
-    return safe & reachable & r_ret_fixpoint(mdp, safe, prev_ergodic, among=reachable)
+    return r_ret_fixpoint(mdp, safe, prev_ergodic, among=reachable)
 
 
 def expanders(mdp: Mdp, ergodic, safe, bands: ConfidenceBands, lipschitz: float,

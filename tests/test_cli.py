@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from safemdp import cli
 from safemdp.cli import (REQUIRED, SCHEMA, _build_parser, load_experiment_config, main,
                          write_manifest)
 from safemdp.explorer import ConfigError
@@ -234,7 +235,7 @@ def test_violation_is_a_result_not_a_failure(tmp_path):
     assert metrics["violation_step"] != ""
 
 
-def test_unsafe_seed_pocket_is_a_config_error(tmp_path, capsys):
+def test_unsafe_seed_pocket_is_a_config_error(tmp_path, capsys, monkeypatch):
     # On this 20x20 gp-sample terrain, terrain seed 1 puts two transitions
     # steeper than the conservative slope into the start cell's seed pocket;
     # terrain seed 0 puts none there.
@@ -242,13 +243,19 @@ def test_unsafe_seed_pocket_is_a_config_error(tmp_path, capsys):
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.read(config)
     parser["explorer"].update(seeds="0", max_iterations="2")
-    for terrain_seed, code in (("1", 2), ("0", 0)):
+    # The refusal comes before the two oracle fixpoints.
+    fixpoints = []
+    fixpoint = cli.r_eps_fixpoint
+    monkeypatch.setattr(cli, "r_eps_fixpoint",
+                        lambda *args: fixpoints.append(args) or fixpoint(*args))
+    for terrain_seed, code, computed in (("1", 2, 0), ("0", 0, 2)):
         parser["terrain"]["terrain_seed"] = terrain_seed
         parser["output"]["directory"] = str(tmp_path / f"terrain_{terrain_seed}")
         path = tmp_path / f"terrain_{terrain_seed}.ini"
         with open(path, "w") as handle:
             parser.write(handle)
         assert main(["explore", str(path)]) == code
+        assert len(fixpoints) == computed
     err = capsys.readouterr().err
     assert "cell (10, 10) holds 2 unsafe state(s)" in err
     assert not (tmp_path / "terrain_1").exists()
@@ -313,6 +320,23 @@ def test_oracle_on_flat_terrain_covers_the_whole_component(tmp_path):
     assert lines[0] == ORACLE_HEADER
     rows = [line.split(",") for line in lines[1:]]
     assert all(r[1] == "1" and r[2] == "1" for r in rows)
+
+
+def test_oracle_names_an_unsafe_seed_pocket(tmp_path, capsys, monkeypatch):
+    # steep-oracle.ini's seed pocket holds 4 unsafe transitions, which
+    # `explore` refuses; `oracle` names them and still writes its sets.
+    monkeypatch.setenv("SAFEMDP_OUT", str(tmp_path))
+    config = ROOT / "perfbench" / "configs" / "steep-oracle.ini"
+    assert main(["oracle", str(config)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: explorer.seed_row/seed_col: the seed pocket of cell "
+                          "(2, 2) holds 4 unsafe state(s)")
+    assert (tmp_path / "steep-oracle" / "oracle.csv").exists()
+    assert main(["explore", str(config)]) == 2
+    assert "config error: " + err.removeprefix("warning: ") == capsys.readouterr().err
+    # A safe seed pocket passes without a word.
+    assert main(["oracle", str(write_config(tmp_path, tmp_path / "flat"))]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_oracle_walled_seed_stays_home(tmp_path):

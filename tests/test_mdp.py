@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safemdp.mdp import (
+    AugmentedMetric,
     GRID_DOWN,
     GRID_LEFT,
     GRID_RIGHT,
@@ -19,7 +20,7 @@ from safemdp.mdp import (
     grid_mdp,
 )
 
-from oracles import DenseMetric, step
+from oracles import DenseMetric, dense_distances, step
 
 MOVES = {GRID_UP: (-1, 0), GRID_DOWN: (1, 0), GRID_LEFT: (0, -1), GRID_RIGHT: (0, 1)}
 
@@ -189,10 +190,13 @@ def test_manhattan_block_matches_pairwise_calls():
 
 @pytest.mark.parametrize("coords, cell_size", [([[0], [0.5], [2]], 1.0), ([[0], [math.nan]], 1.0),
                                                ([[0], [math.inf]], 1.0), ([[0], [1]], 0.0),
-                                               ([[0], [1]], math.inf)])
+                                               ([[0], [1]], math.inf),
+                                               ([[0, 1], [2, 0], [0, 1]], 1.0)])
 def test_manhattan_metric_rejects_non_integer_coordinates_and_bad_cell_sizes(coords, cell_size):
-    # Truncated, 0.5 would sit in cell 0, at distance 0 from the state at 0.
-    with pytest.raises(ValueError, match="finite integers|cell_size must be positive"):
+    # Truncated, 0.5 would sit in cell 0, at distance 0 from the state at 0;
+    # two states in one cell would share one slot of the envelope's box.
+    with pytest.raises(ValueError, match=r"finite integers|cell_size must be positive|"
+                                         r"states \[0, 2\] share the coordinates \[0, 1\]"):
         ManhattanMetric(coords, cell_size)
 
 
@@ -229,10 +233,14 @@ def test_augment_pairs():
         assert (aug.owner[s], aug.landing[s]) == (s, s)
         for label, mid in aug.actions_of(s):
             assert (aug.owner[mid], aug.landing[mid]) == (s, step(aug.base, s, label))
-    # The metric reads the very arrays the MDP holds.
+    # The metric reads the very arrays the MDP holds, in the MDP's layout:
+    # the cells first, then the action-states.
     assert aug.metric.owner is aug.owner
     assert aug.metric.landing is aug.landing
     assert aug.metric.is_action is aug.is_action_state
+    with pytest.raises(ValueError, match="the cells first, then the action-states"):
+        AugmentedMetric(aug.base.metric, aug.owner[::-1], aug.landing[::-1],
+                        aug.is_action_state[::-1], 0.5)
 
 
 def test_augmented_metric_values_on_a_grid():
@@ -260,6 +268,30 @@ def test_augmented_metric_values_on_a_grid():
     block = aug.distances(ids, ids)
     np.testing.assert_array_equal(block, block.T)
     assert (np.diag(block) == 0).all()
+
+
+def test_augmented_envelope_off_the_grid():
+    # Every grid cell has a stay action, so on grids no state lacks a way
+    # in.  Here state 5 has none, 1 -> 2 is one way, and every state leads
+    # into the hub 0, more often than the landing fold's dense table holds.
+    coords = [[0, 0], [0, 1], [2, 1], [3, 3], [5, 2], [4, 0]]
+    base = Mdp([[(0, 0), (1, 1)], [(0, 0), (1, 2)], [(0, 0), (1, 3)],
+                [(0, 0), (1, 2), (2, 4)], [(0, 0), (1, 3)], [(0, 0), (1, 4)]],
+               ManhattanMetric(coords, 1.5))
+    aug = augment(base, half_step=0.75)
+    ids = np.arange(aug.num_states)
+    dist = dense_distances(aug, ids, ids)
+    np.testing.assert_allclose(aug.distances(ids, ids), dist, rtol=0, atol=1e-12)
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        values = rng.normal(size=aug.num_states)
+        witnesses = rng.random(aug.num_states) < (0.0, 0.2, 0.6, 1.0)[trial % 4]
+        lip = float(rng.uniform(0, 3))
+        got = aug.metric.envelope(values, witnesses, lip)
+        expected = np.full(aug.num_states, -np.inf)
+        if witnesses.any():
+            expected = (values[witnesses][:, None] - lip * dist[witnesses]).max(axis=0)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_augment_half_step_defaults():

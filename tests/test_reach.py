@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safemdp.mdp import Mdp, grid_mdp
+from safemdp.mdp import Mdp, augment, grid_mdp
 from safemdp.reach import (
     r_eps,
     r_eps_fixpoint,
@@ -152,6 +152,29 @@ def test_ret_fixpoint_among_equals_the_full_fixpoint_restricted():
                           r_reach(mdp, target)):
                 got = r_ret_fixpoint(mdp, through, target, among=among)
                 np.testing.assert_array_equal(got, among & full)
+
+
+def test_ret_fixpoint_from_a_target_with_a_one_step_shell():
+    # The shape r_eps hands over: the target is the whole current set but a
+    # shell one step out of it, the shell is what is open, and r_eps asks
+    # about the states one step from the target.  The first layer then
+    # comes from the shell's out-edges, not the target's in-edges.
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        rows, cols = (int(v) for v in rng.integers(2, 7, size=2))
+        valid = rng.random(rows * cols) < 0.85
+        valid[0] = True
+        mdp = augment(grid_mdp(rows, cols, 1.0, valid), half_step=0.5)
+        n = mdp.num_states
+        target = rng.random(n) < 0.85
+        shell = r_reach(mdp, target) & ~target & (rng.random(n) < 0.7)
+        through = target | shell
+        assert np.count_nonzero(shell) < np.count_nonzero(target)
+        expected = from_set(n, oracle_ret_fixpoint(mdp, to_set(through), to_set(target)))
+        np.testing.assert_array_equal(r_ret_fixpoint(mdp, through, target), expected)
+        among = r_reach(mdp, target)
+        np.testing.assert_array_equal(r_ret_fixpoint(mdp, through, target, among=among),
+                                      expected & among)
 
 
 def test_eps_fixpoint_is_order_independent():

@@ -36,6 +36,7 @@ from .mdp import (
 from .reach import r_eps, r_eps_fixpoint, r_reach, r_ret_fixpoint, r_ret_one, r_safe_eps
 from .safeset import (
     ErgodicPreconditionError,
+    LastRound,
     SafeSets,
     acquisition_target,
     classify_safe,

@@ -23,6 +23,7 @@ from .mdp import Mdp
 from .planner import NoPathError, PathPlan, shortest_safe_path
 from .reach import r_reach, r_ret_fixpoint
 from .safeset import (
+    LastRound,
     SafeSets,
     acquisition_target,
     classify_safe,
@@ -222,10 +223,11 @@ def run_safemdp(mdp: Mdp, env: Environment, cfg: ExplorerConfig, band_model: GpB
     bands = initial_bands(mdp.num_states, seed, env.threshold)
     # Each round classifies from the last round's ergodic set, the seed's first.
     sets = SafeSets(seed, seed, np.zeros_like(seed))
+    last = LastRound()
 
     for _ in range(cfg.max_iterations):
         bands = band_model.advance(bands)
-        sets = rules.classify(mdp, bands, sets.ergodic, env.threshold, cfg)
+        sets = rules.classify(mdp, bands, sets.ergodic, env.threshold, cfg, last)
 
         widths = bands.width()
         try:
@@ -264,7 +266,7 @@ def run_safemdp(mdp: Mdp, env: Environment, cfg: ExplorerConfig, band_model: GpB
         # computation; finish it so the reported sets are its fixpoint.
         while True:
             ergodic = sets.ergodic
-            sets = rules.classify(mdp, bands, ergodic, env.threshold, cfg)
+            sets = rules.classify(mdp, bands, ergodic, env.threshold, cfg, last)
             if np.array_equal(sets.ergodic, ergodic):
                 break
     return ExplorationTrace(records, reason, violation_step, steps, sets, bands)
@@ -279,8 +281,9 @@ def run_safemdp(mdp: Mdp, env: Environment, cfg: ExplorerConfig, band_model: GpB
 class Strategy:
     """What one strategy classifies, where it walks, and when it stops.
 
-    ``classify(mdp, bands, prev_ergodic, threshold, cfg)`` returns the
-    round's :class:`~safemdp.safeset.SafeSets`.  ``plan(mdp, sets, widths,
+    ``classify(mdp, bands, prev_ergodic, threshold, cfg, last)`` returns
+    the round's :class:`~safemdp.safeset.SafeSets`; ``last`` is the run's
+    :class:`~safemdp.safeset.LastRound`.  ``plan(mdp, sets, widths,
     current, rng)``, given the round's band widths, returns the
     :class:`~safemdp.planner.PathPlan` to walk, ``None``
     when there is nothing left to target, or raises
@@ -293,11 +296,11 @@ class Strategy:
     converges: bool = True
 
 
-def _classify(mdp, bands, prev_ergodic, threshold, cfg) -> SafeSets:
-    return compute_safe_sets(mdp, bands, prev_ergodic, threshold, cfg.lipschitz)
+def _classify(mdp, bands, prev_ergodic, threshold, cfg, last) -> SafeSets:
+    return compute_safe_sets(mdp, bands, prev_ergodic, threshold, cfg.lipschitz, last)
 
 
-def _classify_without_returnability(mdp, bands, prev_ergodic, threshold, cfg) -> SafeSets:
+def _classify_without_returnability(mdp, bands, prev_ergodic, threshold, cfg, last) -> SafeSets:
     """Safe states one step from the previous ergodic set stand in for the
     ergodic set; nothing checks that the agent can come back from them."""
     safe = classify_safe(bands, prev_ergodic, threshold)

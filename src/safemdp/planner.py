@@ -44,38 +44,37 @@ def shortest_safe_path(mdp: Mdp, allowed, start: int, goal: int) -> PathPlan:
         exists inside it.
     """
     allowed = np.asarray(allowed, dtype=bool)
+    start, goal = int(start), int(goal)
     if not allowed[start]:
         raise NoPathError(f"start state {start} is not in the allowed set")
     if not allowed[goal]:
         raise NoPathError(f"goal state {goal} is not in the allowed set")
     if start == goal:
-        return PathPlan([], [int(start)])
+        return PathPlan([], [start])
 
-    prev_state = np.full(mdp.num_states, -1, dtype=int)
-    prev_action = np.full(mdp.num_states, -1, dtype=int)
-    seen = np.zeros(mdp.num_states, dtype=bool)
-    seen[start] = True
-    queue = deque([int(start)])
+    open_ = bytearray(allowed.tobytes())  # allowed states not yet seen
+    open_[start] = 0
+    prev = {}  # state -> (predecessor, action label)
+    queue = deque([start])
     while queue:
         s = queue.popleft()
         for label, succ in mdp.actions_of(s):
-            if seen[succ] or not allowed[succ]:
+            if not open_[succ]:
                 continue
-            seen[succ] = True
-            prev_state[succ] = s
-            prev_action[succ] = label
+            open_[succ] = 0
+            prev[succ] = (s, label)
             if succ == goal:
                 queue.clear()
                 break
             queue.append(succ)
 
-    if not seen[goal]:
+    if goal not in prev:
         raise NoPathError(f"no path from {start} to {goal} inside the allowed set")
-    actions, states = [], [int(goal)]
-    s = int(goal)
+    actions, states = [], [goal]
+    s = goal
     while s != start:
-        actions.append(int(prev_action[s]))
-        s = int(prev_state[s])
+        s, label = prev[s]
+        actions.append(label)
         states.append(s)
     actions.reverse()
     states.reverse()

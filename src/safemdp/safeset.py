@@ -4,6 +4,14 @@ Turns the current confidence bands into the three nested sets the explorer
 works with: states classified safe, the ergodic subset the agent may
 actually visit (reachable and able to return), and the expanders whose
 observation could enlarge the safe set.
+
+A run threads one :class:`LastRound` through its rounds, since most leave
+the safe set as it was.  A round whose safe set equals the last one's
+reuses that mask and its distances to the nearest outside state, which
+depend on the safe set alone.  If the last round's ergodic set also
+equalled its own input and is this round's input, it is reused too: it is
+a function of the safe set and that input alone.  So every mask is what a
+round without the state builds; masks are read-only, as rounds share them.
 """
 
 from __future__ import annotations
@@ -69,7 +77,7 @@ def ergodic_safe(mdp: Mdp, safe, prev_ergodic) -> np.ndarray:
 
 
 def expanders(mdp: Mdp, ergodic, safe, bands: ConfidenceBands, lipschitz: float,
-              threshold: float) -> tuple[np.ndarray, np.ndarray]:
+              threshold: float, nearest=None) -> tuple[np.ndarray, np.ndarray]:
     """Ergodic states whose optimistic band could certify an outside state.
 
     A state ``s`` is an expander when it is ergodic and
@@ -79,10 +87,13 @@ def expanders(mdp: Mdp, ergodic, safe, bands: ConfidenceBands, lipschitz: float,
     expander mask together with ``nearest``, the distance from every state
     to the nearest state outside ``safe`` (the negated envelope of zeros
     with slope 1), which is ``inf`` everywhere when every state is safe.
+    ``nearest`` depends on ``safe`` alone, so a caller that has it for
+    this ``safe`` passes it and the envelope is skipped.
     """
     ergodic = np.asarray(ergodic, dtype=bool)
     outside = ~np.asarray(safe, dtype=bool)
-    nearest = -mdp.metric.envelope(np.zeros(mdp.num_states), outside, 1.0)
+    if nearest is None:
+        nearest = -mdp.metric.envelope(np.zeros(mdp.num_states), outside, 1.0)
     if not outside.any():
         return np.zeros(mdp.num_states, dtype=bool), nearest
     return ergodic & (bands.upper - lipschitz * nearest >= threshold), nearest
@@ -102,11 +113,35 @@ def acquisition_target(candidates, widths) -> int | None:
     return int(ids[np.argmax(widths[ids])])
 
 
+@dataclass
+class LastRound:
+    """What one run's last :func:`compute_safe_sets` round leaves for the
+    next: its sets, the distances from every state to the nearest state
+    outside its safe set, and whether its ergodic set equalled its input."""
+
+    sets: SafeSets | None = None
+    nearest: np.ndarray | None = None
+    settled: bool = False
+
+
 def compute_safe_sets(mdp: Mdp, bands: ConfidenceBands, prev_ergodic, threshold: float,
-                      lipschitz: float) -> SafeSets:
+                      lipschitz: float, last: LastRound | None = None) -> SafeSets:
     """One full classification round, as used per exploration iteration;
-    ``lipschitz`` is the expander test's constant."""
+    ``lipschitz`` is the expander test's constant.  With the run's ``last``,
+    the round reuses what its inputs leave unchanged (see the module
+    docstring) and updates ``last``; the sets are the same either way."""
     safe = classify_safe(bands, prev_ergodic, threshold)
-    ergodic = ergodic_safe(mdp, safe, prev_ergodic)
-    mask, _ = expanders(mdp, ergodic, safe, bands, lipschitz, threshold)
-    return SafeSets(safe, ergodic, mask)
+    last = LastRound() if last is None else last
+    ergodic = nearest = None
+    if last.sets is not None and np.array_equal(safe, last.sets.safe):
+        safe, nearest = last.sets.safe, last.nearest
+        if last.settled and np.array_equal(prev_ergodic, last.sets.ergodic):
+            ergodic = last.sets.ergodic
+    if ergodic is None:
+        ergodic = ergodic_safe(mdp, safe, prev_ergodic)
+    mask, nearest = expanders(mdp, ergodic, safe, bands, lipschitz, threshold, nearest=nearest)
+    for built in (safe, ergodic, mask):
+        built.setflags(write=False)
+    last.sets, last.nearest = SafeSets(safe, ergodic, mask), nearest
+    last.settled = np.array_equal(ergodic, prev_ergodic)
+    return last.sets

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from safemdp import cli
+from safemdp import cli, explorer, safeset
 from safemdp.explorer import (
     REASON_CONVERGED,
     REASON_EXPANDERS_EMPTY,
@@ -253,6 +253,56 @@ def test_snapshots_keep_growing_and_stay_nested():
         assert not (prev_safe & ~s.safe).any()
         assert not (prev_erg & ~s.ergodic).any()
         prev_safe, prev_erg = s.safe, s.ergodic
+
+
+def test_record_masks_are_read_only_and_the_seed_stays_writable():
+    # Consecutive records share the masks of a round that changed nothing.
+    mdp, seed, cfg = meadow()
+    env = Environment(np.ones(9), 0.0, 1e-3, 11)
+    trace = run_safemdp(mdp, env, cfg, band_model(mdp.metric.coords))
+    for sets in (trace.records[0].sets, trace.final_sets):
+        for name in ("safe", "ergodic", "expanders"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sets, name)[0] = True
+    assert seed.flags.writeable
+
+
+def test_a_round_computes_only_what_changed_since_the_last(monkeypatch):
+    # On smoke-explore-heights most rounds repeat the last safe set.  The
+    # envelope runs once per new safe set, and the ergodic search on every
+    # round but those whose safe set and input equal the last round's, whose
+    # ergodic set equalled its own input.
+    xcfg = cli.load_experiment_config(ROOT / "perfbench" / "configs" / "smoke-explore-heights.ini")
+    grid = cli.build_grid(xcfg)
+    aug, env = build_terrain_environment(grid, xcfg.safety, xcfg.noise_std, 0)
+    pocket = cli._seed_mask(aug, grid, xcfg)
+    calls = {"envelope": 0, "ergodic_safe": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    rounds = []  # (prev_ergodic, sets) of every round, the closure's included
+    compute = explorer.compute_safe_sets
+
+    def recorded(*args, **kwargs):
+        rounds.append((args[2], compute(*args, **kwargs)))
+        return rounds[-1][1]
+
+    monkeypatch.setattr(aug.metric, "envelope", counted("envelope", aug.metric.envelope))
+    monkeypatch.setattr(safeset, "ergodic_safe", counted("ergodic_safe", safeset.ergodic_safe))
+    monkeypatch.setattr(explorer, "compute_safe_sets", recorded)
+    run_safemdp(aug, env, cli._explorer_config(xcfg, pocket),
+                cli._band_model(xcfg, aug, pocket, env.threshold))
+    pairs = list(zip(rounds, rounds[1:]))
+    changed = sum(not np.array_equal(b.safe, a.safe) for (_, a), (_, b) in pairs)
+    reusable = sum(np.array_equal(b.safe, a.safe) and np.array_equal(a.ergodic, p)
+                   and np.array_equal(q, a.ergodic) for (p, a), (q, b) in pairs)
+    assert changed > 0 and reusable > 0
+    assert calls["envelope"] == 1 + changed
+    assert calls["ergodic_safe"] == len(rounds) - reusable
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safemdp.gp import ConfidenceBands
 from safemdp.mdp import Mdp, grid_mdp
 from safemdp.safeset import (
     ErgodicPreconditionError,
+    LastRound,
     SafeSets,
     acquisition_target,
     classify_safe,
@@ -15,7 +18,7 @@ from safemdp.safeset import (
     expanders,
 )
 
-from oracles import DenseMetric, dense_distances, from_set
+from oracles import DenseMetric, dense_distances, from_set, random_mdp
 
 
 def bands_of(lower, upper):
@@ -244,3 +247,33 @@ def test_safe_and_ergodic_sets_grow_under_monotone_bands():
         assert not (prev_safe & ~sets.safe).any()
         assert not (prev & ~sets.ergodic).any()
         prev, prev_safe = sets.ergodic, sets.safe
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(st.booleans(), min_size=2, max_size=14))
+@settings(derandomize=True, deadline=None, max_examples=60)
+def test_a_threaded_last_round_changes_no_bit_of_any_round(seed, moves):
+    # Monotone bands that stand still on the rounds ``moves`` marks False:
+    # such a round repeats the last safe set, and from the second repeat on
+    # the ergodic set has settled.  Each round is checked against a round
+    # that keeps no state.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    mdp, _ = random_mdp(rng, n, 5)
+    h, lip = 0.0, float(rng.uniform(0.0, 1.0))
+    lower = rng.normal(-1.0, 1.0, size=n)
+    upper = lower + rng.uniform(0.0, 3.0, size=n)
+    prev = from_set(n, {int(rng.integers(n))})
+    last = LastRound()
+    for moved in moves:
+        if moved:
+            lower = np.minimum(lower + rng.uniform(0.0, 1.0, size=n) * (rng.random(n) < 0.4), upper)
+            upper = np.maximum(lower, upper - rng.uniform(0.0, 0.5, size=n))
+        last_safe = None if last.sets is None else last.sets.safe
+        bands = ConfidenceBands(lower, upper)
+        got = compute_safe_sets(mdp, bands, prev, h, lip, last)
+        want = compute_safe_sets(mdp, bands, prev, h, lip)
+        for name in ("safe", "ergodic", "expanders"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        if not moved and last_safe is not None:
+            assert got.safe is last_safe
+        prev = got.ergodic

@@ -6,13 +6,14 @@ posterior over all of its covariance's points, conditioned one observation
 at a time by appending a row to its packed Cholesky factor (each observed
 point's covariance row is evaluated once, when it is first observed, and
 kept; its pair covariances share the variances' whitening, none for
-zero-variance states), and monotonically intersected confidence bands.  A
-covariance maps each point to a representative and a sign, ``feature(p) =
-sign * feature(representative)``; the model conditions and whitens
-representatives only and mirrors their posterior to every point, so under
-the difference model a move and its reverse share one column.  The exploration
-run owns the bands: it starts them with :func:`initial_bands`, and its band
-model tightens them with :func:`update_bands`.
+zero-variance states, and dot slices of it without gathering columns), and
+monotonically intersected confidence bands.  A covariance maps each point to
+a representative and a sign, ``feature(p) = sign * feature(representative)``;
+the model conditions and whitens representatives only and mirrors their
+posterior to every point, so under the difference model a move and its
+reverse share one column.  The exploration run owns the bands: it starts
+them with :func:`initial_bands`, and its band model tightens them with
+:func:`update_bands`.
 
 scipy is imported by :func:`solve_triangular` on its first call, the first
 time a model conditions or whitens, so a process that never does (``safemdp
@@ -42,12 +43,10 @@ VARIANCE_FLOOR = -1e-8
 #: :data:`VARIANCE_FLOOR` and this one comes from a noiseless exact repeat.
 JITTER = 1e-10
 
-#: The budget of one block of temporaries: kernel rows are evaluated a
-#: block of rows at a time whose coordinate differences take at most this
-#: many bytes, and ``posterior_cov_pairs`` gathers its pair columns a block
-#: of at most this many bytes per side at a time.  All at once, at 2500
-#: points, the differences would take 95 MiB and the pair gathers
-#: 2 x (observations) x (pairs) floats.
+#: The budget of one block of temporaries in ``fill_rows``: kernel rows are
+#: evaluated a block of rows at a time whose coordinate differences take at
+#: most this many bytes.  All at once, at 2500 points, they would take
+#: 95 MiB.
 _BLOCK_BYTES = 2**20
 
 
@@ -239,8 +238,11 @@ class GpModel:
     y``, the whitened signed observations; no factorization is ever made
     from scratch.  The factor is kept packed, its lower triangle row by row
     in ``n (n + 1) / 2`` floats, and each solve unpacks it.  The prior
-    variances of all points, and the prior covariances, signs and live
-    columns of the ``pairs``, are evaluated once, when the model is made.
+    variances of all points, and the prior covariances and signs of the
+    ``pairs``, are evaluated once, when the model is made.  So are the
+    pairs' runs: the pairs of two live columns, grouped by the shift
+    ``second - first`` between them, sorted by ``first`` and cut wherever
+    two consecutive ``first`` columns lie more than 2 apart.
 
     Only the representatives of nonzero prior variance, ``live``, are
     whitened: the others covary with no point under a PSD kernel and keep
@@ -299,8 +301,15 @@ class GpModel:
         left, right = self._rep[left], self._rep[right]
         self._pair_prior = np.asarray(cov.pairwise(left, right), dtype=float)
         first, second = self._live_index[left], self._live_index[right]
-        self._whitened = np.flatnonzero((first >= 0) & (second >= 0))
-        self._first, self._second = first[self._whitened], second[self._whitened]
+        whitened = np.flatnonzero((first >= 0) & (second >= 0))
+        first, shift = first[whitened], second[whitened] - first[whitened]
+        order = np.lexsort((first, shift))
+        first, shift, whitened = first[order], shift[order], whitened[order]
+        starts = np.ones(len(first), dtype=bool)
+        starts[1:] = (np.diff(shift) != 0) | (np.diff(first) > 2)
+        bounds = np.append(np.flatnonzero(starts), len(first))
+        self._runs = [(int(shift[a]), int(first[a]), int(first[b - 1]) + 1, whitened[a:b],
+                       first[a:b] - first[a]) for a, b in zip(bounds[:-1], bounds[1:])]
 
     @property
     def num_observations(self) -> int:
@@ -385,20 +394,20 @@ class GpModel:
 
     def posterior_cov_pairs(self):
         """``posterior()`` and the posterior covariance of each of the
-        model's ``pairs``, from its one triangular solve.  A pair of two
-        live representatives takes one column dot product, gathered a
-        block of at most :data:`_BLOCK_BYTES` per side at a time; a pair
-        that touches a zero-variance representative keeps its prior
-        covariance.  Each pair's covariance is then multiplied by the
-        product of its two signs."""
+        model's ``pairs``, from its one triangular solve.  Each run of
+        pairs with shift ``s`` over the ``first`` columns ``lo ... hi - 1``
+        takes the column dots of the solve output's slices ``[lo, hi)`` and
+        ``[lo + s, hi + s)``, views that gather nothing, and each of its
+        pairs reads its own: at most two dots per pair.  A pair that
+        touches a zero-variance representative keeps its prior covariance.
+        Each pair's covariance is then multiplied by the product of its
+        two signs."""
         means, variances, v = self._posterior()
         cross = self._pair_prior.copy()
         if v is not None:
-            step = max(1, _BLOCK_BYTES // (v.itemsize * len(v)))
-            for lo in range(0, len(self._whitened), step):
-                block = slice(lo, lo + step)
-                cross[self._whitened[block]] -= np.einsum(
-                    "ij,ij->j", v[:, self._first[block]], v[:, self._second[block]])
+            for shift, lo, hi, positions, offsets in self._runs:
+                dots = np.einsum("ij,ij->j", v[:, lo:hi], v[:, lo + shift:hi + shift])
+                cross[positions] -= dots[offsets]
         cross *= self._pair_sign
         return means, np.maximum(variances, 0.0), cross
 

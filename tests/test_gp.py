@@ -650,10 +650,9 @@ def test_reverse_pair_reads_its_twin_and_a_self_pair_the_unclamped_variance():
         np.testing.assert_array_equal(got, expected)
 
 
-def test_pair_covariances_are_dotted_in_blocks_below_one_gather():
-    # 1770 pairs of 60 points span five blocks of 300-float columns, and
-    # they equal the one-shot dots over both full gathers bit for bit.
-    # One call holds at most a block per side, never an n x P gather.
+def test_pair_covariances_equal_the_gathered_dots_bit_for_bit_in_linear_memory():
+    # 1770 pairs of 60 points equal the one-shot dots over both full
+    # gathers bit for bit.  One call never holds an n x P gather.
     rng = np.random.default_rng(31)
     cov = StationaryCovariance(Kernel(MATERN52, 2.0, 1.0), rng.normal(size=(60, 2)) * 4)
     left, right = np.triu_indices(60, k=1)
@@ -661,7 +660,6 @@ def test_pair_covariances_are_dotted_in_blocks_below_one_gather():
     for point, value in zip(rng.integers(0, 60, size=300), rng.normal(size=300)):
         model.add_observation(point, value)
     n, pairs = model.num_observations, len(left)
-    assert pairs > 4 * (gp_module._BLOCK_BYTES // (8 * n))
     _, _, cross = model.posterior_cov_pairs()
     v = solve_triangular(model._factor(), cov.matrix(model.points, np.arange(60)), lower=True)
     one_shot = cov.pairwise(left, right) - np.einsum("ij,ij->j", v[:, left], v[:, right])
@@ -673,6 +671,64 @@ def test_pair_covariances_are_dotted_in_blocks_below_one_gather():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * pairs
+
+
+def _assert_gathered_dots_in_at_most_two_per_pair(model, left, right):
+    """``posterior_cov_pairs()`` equals the dots over gathers of the block
+    its solve returned, bit for bit, and takes at most two dot products per
+    pair: the lengths ``np.einsum`` returns beyond those of ``posterior()``."""
+    solved, lengths = [], []
+    solve, einsum = gp_module.solve_triangular, np.einsum
+
+    def keeping(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    def counting(*args, **kwargs):
+        out = einsum(*args, **kwargs)
+        lengths.append(len(out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gp_module, "solve_triangular", keeping)
+        patch.setattr(np, "einsum", counting)
+        model.posterior()
+        posterior_dots = sum(lengths)
+        _, _, cross = model.posterior_cov_pairs()
+    v = solved[-1]
+    assert v.shape[1] == model.cov.num_points  # every point is live
+    gathered = model.cov.pairwise(left, right) - np.einsum("ij,ij->j", v[:, left], v[:, right])
+    np.testing.assert_array_equal(cross, gathered)
+    assert sum(lengths) - 2 * posterior_dots <= 2 * len(left)
+
+
+def test_heights_pairs_on_a_grid_with_holes_take_the_gathered_dots_in_at_most_two_per_pair():
+    # About a fifth of the cells are NODATA, so the vertical moves' cells
+    # lie 12 down to 6 ids apart, each shift's cells are scattered over the
+    # grid, and a run of one shift is cut where its cells thin out.
+    grid = synth_terrain(CraterHill(CraterHillParams()), 10, 12, 1.0)
+    grid.nodata_mask[np.random.default_rng(2).random(120) < 0.2] = True
+    aug, _ = build_terrain_environment(grid, TerrainSafetySpec(), 0.0, 1)
+    assert len(np.unique(np.diff(aug.move_cells, axis=1))) > 4
+    model = height_gp(aug, Kernel(MATERN52, 3.0, 2.0), 0.075)
+    rng = np.random.default_rng(5)
+    for point, value in zip(rng.integers(0, aug.num_base_states, size=40), rng.normal(size=40)):
+        model.add_observation(point, value)
+    _assert_gathered_dots_in_at_most_two_per_pair(model, *aug.move_cells.T)
+
+
+def test_random_pairs_take_the_gathered_dots_in_at_most_two_per_pair():
+    # Duplicates, reversed twins and self pairs among random pairs.
+    rng = np.random.default_rng(43)
+    cov = StationaryCovariance(Kernel(MATERN52, 1.5, 1.0), rng.normal(size=(40, 2)) * 3)
+    left, right = rng.integers(0, 40, size=(2, 150))
+    selves = np.arange(0, 40, 3)
+    left, right = (np.concatenate([left, left[:20], right[20:40], selves]),
+                   np.concatenate([right, right[:20], left[20:40], selves]))
+    model = GpModel(cov, 0.1, (left, right))
+    for point, value in zip(rng.integers(0, 40, size=25), rng.normal(size=25)):
+        model.add_observation(point, value)
+    _assert_gathered_dots_in_at_most_two_per_pair(model, left, right)
 
 
 def test_pairs_out_of_range_or_of_unequal_sides_raise_value_error():

@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import solve_triangular
 
 from safemdp.explorer import Environment, GpBandModel
 from safemdp.gp import (
     ConfidenceBands,
+    GpError,
     GpModel,
     Kernel,
     MATERN52,
@@ -186,16 +186,22 @@ def test_matrix_equals_the_direct_formula_bit_for_bit(kind, monkeypatch):
             np.testing.assert_array_equal(cov.matrix(a, b), _direct_matrix(cov, a, b))
 
 
-def test_each_kernel_row_is_evaluated_once_and_only_for_observed_points(monkeypatch):
-    # The row of id p is the one kernel_eval sees with a zero distance at p.
+def _recording_kernel_rows(monkeypatch):
+    """The ids whose kernel rows ``StationaryCovariance.fill_rows``, where
+    every kernel row is evaluated, evaluates from now on."""
     evaluated = []
+    fill_rows = StationaryCovariance.fill_rows
 
-    def recording(kernel, distance, out=None):
-        if np.ndim(distance) == 2:
-            evaluated.extend(int(np.flatnonzero(row == 0)[0]) for row in distance)
-        return kernel_eval(kernel, distance, out)
+    def recording(self, ids, out):
+        evaluated.extend(np.asarray(ids).tolist())
+        return fill_rows(self, ids, out)
 
-    monkeypatch.setattr(gp_module, "kernel_eval", recording)
+    monkeypatch.setattr(StationaryCovariance, "fill_rows", recording)
+    return evaluated
+
+
+def test_each_kernel_row_is_evaluated_once_and_only_for_observed_points(monkeypatch):
+    evaluated = _recording_kernel_rows(monkeypatch)
     rng = np.random.default_rng(13)
     cov = StationaryCovariance(Kernel(MATERN52, 1.5, 1.0), rng.normal(size=(40, 2)) * 3)
     model = GpModel(cov, 0.1, (rng.integers(0, 40, 10), rng.integers(0, 40, 10)))
@@ -352,84 +358,65 @@ def test_the_dense_reference_imports_nothing_from_the_gp_or_terrain():
 
 
 def test_posterior_cov_pairs_whitens_each_distinct_point_once(monkeypatch):
+    # Repeats within each side and ids shared between the sides: the pairs
+    # read what the observations left, and a call evaluates no kernel row.
     rng = np.random.default_rng(17)
-    cov = StationaryCovariance(Kernel(MATERN52, 1.5, 1.0), rng.normal(size=(30, 2)) * 3)
-    observations = [(int(point), float(rng.normal())) for point in rng.integers(0, 30, size=12)]
-    # Repeats within each side and ids shared between the sides.
+    coords = rng.normal(size=(30, 2)) * 3
+    kernel = Kernel(MATERN52, 1.5, 1.0)
+    cov = StationaryCovariance(kernel, coords)
+    obs = rng.integers(0, 30, size=12)
+    vals = rng.normal(size=12)
     left = rng.integers(0, 12, size=60)
     right = rng.integers(6, 18, size=60)
     model = GpModel(cov, 0.1, (left, right))
-    for point, value in observations:
-        model.add_observation(point, value)
-    chol = model._factor()
-    vl = solve_triangular(chol, cov.matrix(model.points, left), lower=True)
-    vr = solve_triangular(chol, cov.matrix(model.points, right), lower=True)
-    separately = cov.pairwise(left, right) - np.einsum("ij,ij->j", vl, vr)
-
-    columns = []
-
-    def counting(a, b, **kwargs):
-        columns.append(b.shape[1])
-        return solve_triangular(a, b, **kwargs)
-
-    monkeypatch.setattr(gp_module, "solve_triangular", counting)
-    _, _, cross = model.posterior_cov_pairs()
-    np.testing.assert_array_equal(cross, separately)
-    assert columns == [30]
+    for point, value in zip(obs, vals):
+        model.add_observation(int(point), float(value))
+    evaluated = _recording_kernel_rows(monkeypatch)
+    means, variances, cross = model.posterior_cov_pairs()
+    assert evaluated == []
+    _, cov_ref = dense_posterior(kernel, coords, 0.1, point_rows(obs, 30), vals,
+                                 point_rows(left, 30), point_rows(right, 30))
+    assert rel_dev(cross, cov_ref) <= 1e-8
+    for got, expected in zip((means, variances), model.posterior()):
+        np.testing.assert_array_equal(got, expected)
 
 
 def _difference_model_with_repeats(size=6):
     """A difference GP over a size x size augmented grid: 40 observations at
-    8 states, a cell and a stay action among them.  Its pairs are the ids
-    ``(owner, landing)`` of every state."""
+    8 states, a cell and a stay action among them, and their values.  Its
+    pairs are the ids ``(owner, landing)`` of every state."""
     aug = augment(grid_mdp(size, size, 1.0), half_step=0.5)
     cov = difference_gp(aug, Kernel(MATERN52, 3.0, 2.0), 0.075).cov
     model = GpModel(cov, 0.075, (aug.owner, aug.landing))
     rng = np.random.default_rng(41)
     stays = np.flatnonzero(aug.is_action_state & (aug.owner == aug.landing))
     pool = np.concatenate([[3, stays[0]], rng.choice(aug.num_states, size=6, replace=False)])
+    values = []
     for point in pool[rng.integers(0, len(pool), size=40)]:
-        model.add_observation(int(point), float(rng.normal()))
-    return aug, model
+        values.append(float(rng.normal()))
+        model.add_observation(int(point), values[-1])
+    return aug, model, values
 
 
-def _all_observation_posterior(model):
-    """The posterior from the covariance of every observation's
-    representative with every representative, mirrored: each point reads
-    its representative's, with the mean times its sign."""
-    rep, sign = model.cov.representatives
-    ids = np.arange(len(rep))
-    reps = np.flatnonzero(rep == ids)
-    k_cross = model.cov.matrix(rep[list(model.points)], reps)
-    v = solve_triangular(model._factor(), k_cross, lower=True)
-    means, variances = np.zeros(len(rep)), model.cov.pairwise(ids, ids)
-    means[reps] = v.T @ model._white
-    variances[reps] -= np.einsum("ij,ij->j", v, v)
-    return means[rep] * sign, np.maximum(variances[rep], 0.0)
-
-
-def test_posterior_equals_the_all_observation_solve_bit_for_bit():
-    _, model = _difference_model_with_repeats()
+@pytest.mark.parametrize("size", [5, 6])
+def test_posterior_with_repeats_matches_the_dense_solve(size):
+    # BLAS treats a final partial block of four outputs apart: on a 6x6
+    # grid the 132 representatives and the 60 of nonzero variance fill
+    # whole blocks, on a 5x5 grid (90 and 40) they do not.
+    aug, model, values = _difference_model_with_repeats(size)
     assert len(set(model.points)) < model.num_observations
-    for got, expected in zip(model.posterior(), _all_observation_posterior(model)):
+    rows = difference_rows(aug)
+    mean_ref, var_ref = dense_posterior(Kernel(MATERN52, 3.0, 2.0), aug.base.metric.coords,
+                                        0.075, rows[list(model.points)], values, rows)
+    means, variances = model.posterior()
+    assert rel_dev(means, mean_ref) <= 1e-8
+    assert rel_dev(variances, np.maximum(var_ref, 0.0)) <= 1e-8
+    for got, expected in zip(model.posterior_cov_pairs(), (means, variances)):
         np.testing.assert_array_equal(got, expected)
 
 
-def test_posterior_mean_moves_at_most_in_the_last_bits_of_a_final_partial_block():
-    # BLAS computes a matrix-vector product's final (count mod 4) outputs
-    # with another kernel.  On a 6x6 grid the 132 representatives and the 60
-    # of nonzero variance both fill whole blocks of four, so the test above
-    # is exact; on a 5x5 grid (90 and 40) one mean may differ in its last
-    # bits.
-    _, model = _difference_model_with_repeats(5)
-    means, variances = model.posterior()
-    ref_means, ref_variances = _all_observation_posterior(model)
-    np.testing.assert_array_equal(variances, ref_variances)
-    np.testing.assert_allclose(means, ref_means, rtol=1e-13, atol=0.0)
-
-
 def test_zero_variance_states_get_positive_zero_mean_and_zero_variance():
-    aug, model = _difference_model_with_repeats()
+    aug, model, _ = _difference_model_with_repeats()
     ids = np.arange(aug.num_states)
     zero = model.cov.pairwise(ids, ids) == 0.0
     # Cells and stay actions: owner == landing, an identically zero feature.
@@ -528,12 +515,16 @@ def test_observing_a_reverse_conditions_as_observing_its_move_on_the_negated_val
     rng = np.random.default_rng(37)
     through_reverse = difference_gp(aug, kernel, 0.075)
     through_move = difference_gp(aug, kernel, 0.075)
-    for move in rng.choice(sorted(reverse), size=20):
+    moves = rng.choice(sorted(reverse), size=21)
+    for move in moves[:-1]:
         value = float(rng.normal())
         through_reverse.add_observation(reverse[int(move)], value)
         through_move.add_observation(int(move), -value)
-    np.testing.assert_array_equal(through_reverse._packed, through_move._packed)
-    np.testing.assert_array_equal(through_reverse._white, through_move._white)
+    for got, want in zip(through_reverse.posterior(), through_move.posterior()):
+        np.testing.assert_array_equal(got, want)
+    # What each model keeps conditions a further, shared observation alike.
+    for model in (through_reverse, through_move):
+        model.add_observation(int(moves[-1]), 0.5)
     for got, want in zip(through_reverse.posterior(), through_move.posterior()):
         np.testing.assert_array_equal(got, want)
 
@@ -562,9 +553,10 @@ def test_one_way_and_parallel_moves_match_the_dense_solve():
 
 
 def test_cross_covariance_has_one_row_per_distinct_observed_point(monkeypatch):
-    # cov.matrix runs once per newly observed representative, inside
-    # add_observation, against the live representatives; the posteriors
-    # read the kept rows only.
+    # cov.matrix runs at most once per observed representative, inside
+    # add_observation, against representatives of nonzero prior variance
+    # only, and once for each of those; the posteriors evaluate no
+    # covariance.
     calls = []
     matrix = DifferenceCovariance.matrix
 
@@ -573,51 +565,50 @@ def test_cross_covariance_has_one_row_per_distinct_observed_point(monkeypatch):
         return matrix(self, a, b)
 
     monkeypatch.setattr(DifferenceCovariance, "matrix", recording)
-    aug, model = _difference_model_with_repeats()
+    _, model, _ = _difference_model_with_repeats()
     rep, _ = model.cov.representatives
-    distinct = list(dict.fromkeys(int(rep[p]) for p in model.points))
-    assert len(distinct) < model.num_observations
-    assert [a for a, _ in calls] == [[r] for r in distinct]
+    ids = np.arange(model.cov.num_points)
+    live = np.flatnonzero((rep == ids) & (model.cov.pairwise(ids, ids) > 0))
+    distinct = {int(rep[p]) for p in model.points}
+    assert len(distinct) < model.num_observations and not distinct <= set(live)
+    rows = [r for (r,), _ in calls]
+    assert len(rows) == len(set(rows)) and distinct & set(live) <= set(rows) <= distinct
     for _, b in calls:
-        np.testing.assert_array_equal(b, model._live)
+        assert np.isin(b, live).all()
     del calls[:]
     model.posterior()
     model.posterior_cov_pairs()
     assert calls == []
 
 
-def _arrays(value):
-    """Every numpy array in ``value``, looking into containers."""
-    if isinstance(value, np.ndarray):
-        yield value
-    elif isinstance(value, dict):
-        for item in value.values():
-            yield from _arrays(item)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            yield from _arrays(item)
-
-
-def test_a_model_keeps_its_covariance_rows_a_packed_factor_and_nothing_of_n_by_points():
-    # What a finished model holds: (capacity x live) kept rows, with the
-    # capacity at most a quarter above the distinct observed
-    # representatives, the factor's n (n + 1) / 2 floats, and arrays of at
-    # most one float per point, its covariance's included.  No array is
-    # n x points.
-    aug, model = _difference_model_with_repeats()
-    model.posterior()
-    model.posterior_cov_pairs()
-    n, points, live = model.num_observations, model.cov.num_points, len(model._live)
-    distinct = len(set(model._repeats))
-    assert distinct < n and n * points > 10 * distinct * live
-    capacity = model._rows.shape[1]
-    assert model._rows.shape == (live, capacity) and distinct <= capacity <= distinct * 5 // 4
-    assert model._packed.shape == (n * (n + 1) // 2,)
-    kept = [vars(model), vars(model.cov), vars(model.cov.height_cov)]
-    others = [a for a in _arrays(kept) if a is not model._rows and a is not model._packed]
-    assert max(a.size for a in others) <= points
-    total = sum(a.size for a in _arrays(kept))
-    assert total <= capacity * live + n * (n + 1) // 2 + 16 * points
+def test_a_model_holds_memory_linear_in_observations_times_points():
+    # The bytes a conditioned model holds, traced from its construction:
+    # at most two floats per observation and point, and 16 per point.  A
+    # points x points block would not fit, nor an n x points block kept per
+    # observation.
+    aug = augment(grid_mdp(10, 10, 1.0), half_step=0.5)
+    cov = difference_gp(aug, Kernel(MATERN52, 3.0, 2.0), 0.075).cov
+    rng = np.random.default_rng(41)
+    observed = rng.integers(0, cov.num_points, size=60)
+    values = rng.normal(size=60)
+    # Whatever a first conditioning loads once per process is not the
+    # model's to hold.
+    warm = GpModel(cov, 0.075, (aug.owner, aug.landing))
+    warm.add_observation(int(np.flatnonzero(aug.owner != aug.landing)[0]), 1.0)
+    warm.posterior_cov_pairs()
+    tracemalloc.start()
+    try:
+        model = GpModel(cov, 0.075, (aug.owner, aug.landing))
+        for point, value in zip(observed.tolist(), values.tolist()):
+            model.add_observation(point, value)
+        model.posterior()
+        model.posterior_cov_pairs()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n, points = model.num_observations, cov.num_points
+    assert len(set(model.points)) < n and points > 2 * n + 16
+    assert held <= 8 * (2 * n + 16) * points
 
 
 def test_posterior_cov_diagonal_equals_posterior_variance():
@@ -634,36 +625,49 @@ def test_posterior_cov_diagonal_equals_posterior_variance():
 
 def test_reverse_pair_reads_its_twin_and_a_self_pair_the_unclamped_variance():
     rng = np.random.default_rng(29)
-    cov = StationaryCovariance(Kernel(MATERN52, 1.5, 1.0), rng.normal(size=(12, 2)) * 3)
-    points = np.arange(12)
+    coords = rng.normal(size=(12, 2)) * 3
+    kernel = Kernel(MATERN52, 1.5, 1.0)
     left = np.array([0, 3, 5, 5, 7, 2, 0])
     right = np.array([3, 0, 5, 2, 7, 5, 3])
-    model = GpModel(cov, 0.1, (left, right))
-    for point, value in zip(rng.integers(0, 12, size=20), rng.normal(size=20)):
+    model = GpModel(StationaryCovariance(kernel, coords), 0.1, (left, right))
+    obs, vals = rng.integers(0, 12, size=20), rng.normal(size=20)
+    for point, value in zip(obs, vals):
         model.add_observation(point, value)
     means, variances, cross = model.posterior_cov_pairs()
     assert cross[0] == cross[1] == cross[6] and cross[3] == cross[5]
-    v = solve_triangular(model._factor(), cov.matrix(model.points, points), lower=True)
-    unclamped = cov.pairwise(points, points) - np.einsum("ij,ij->j", v, v)
-    np.testing.assert_array_equal(cross[[2, 4]], unclamped[[5, 7]])
+    _, unclamped = dense_posterior(kernel, coords, 0.1, point_rows(obs, 12), vals,
+                                   point_rows([5, 7], 12))
+    assert rel_dev(cross[[2, 4]], unclamped) <= 1e-8
     for got, expected in zip((means, variances), model.posterior()):
         np.testing.assert_array_equal(got, expected)
 
 
-def test_pair_covariances_equal_the_gathered_dots_bit_for_bit_in_linear_memory():
-    # 1770 pairs of 60 points equal the one-shot dots over both full
-    # gathers bit for bit.  One call never holds an n x P gather.
+def _assert_pairs_match_the_dense_solve(model, kernel, coords, obs, vals, left, right):
+    """``posterior_cov_pairs()`` of a model over ``coords`` conditioned on
+    ``vals`` at ``obs``: its pair covariances match the dense solve's, and
+    its means and variances are ``posterior()``'s."""
+    means, variances, cross = model.posterior_cov_pairs()
+    rows = np.eye(len(coords))
+    _, cov_ref = dense_posterior(kernel, coords, model.noise_std, rows[obs], vals, rows[left],
+                                 rows[right])
+    assert rel_dev(cross, cov_ref) <= 1e-8
+    for got, expected in zip((means, variances), model.posterior()):
+        np.testing.assert_array_equal(got, expected)
+    return cross
+
+
+def test_pair_covariances_match_the_dense_solve_in_linear_memory():
+    # 1770 pairs of 60 points.  One call never holds an n x P block.
     rng = np.random.default_rng(31)
-    cov = StationaryCovariance(Kernel(MATERN52, 2.0, 1.0), rng.normal(size=(60, 2)) * 4)
+    coords = rng.normal(size=(60, 2)) * 4
+    kernel = Kernel(MATERN52, 2.0, 1.0)
     left, right = np.triu_indices(60, k=1)
-    model = GpModel(cov, 0.1, (left, right))
-    for point, value in zip(rng.integers(0, 60, size=300), rng.normal(size=300)):
+    model = GpModel(StationaryCovariance(kernel, coords), 0.1, (left, right))
+    obs, vals = rng.integers(0, 60, size=300), rng.normal(size=300)
+    for point, value in zip(obs, vals):
         model.add_observation(point, value)
     n, pairs = model.num_observations, len(left)
-    _, _, cross = model.posterior_cov_pairs()
-    v = solve_triangular(model._factor(), cov.matrix(model.points, np.arange(60)), lower=True)
-    one_shot = cov.pairwise(left, right) - np.einsum("ij,ij->j", v[:, left], v[:, right])
-    np.testing.assert_array_equal(cross, one_shot)
+    _assert_pairs_match_the_dense_solve(model, kernel, coords, obs, vals, left, right)
     tracemalloc.start()
     try:
         model.posterior_cov_pairs()
@@ -673,62 +677,40 @@ def test_pair_covariances_equal_the_gathered_dots_bit_for_bit_in_linear_memory()
     assert peak < 8 * n * pairs
 
 
-def _assert_gathered_dots_in_at_most_two_per_pair(model, left, right):
-    """``posterior_cov_pairs()`` equals the dots over gathers of the block
-    its solve returned, bit for bit, and takes at most two dot products per
-    pair: the lengths ``np.einsum`` returns beyond those of ``posterior()``."""
-    solved, lengths = [], []
-    solve, einsum = gp_module.solve_triangular, np.einsum
-
-    def keeping(*args, **kwargs):
-        solved.append(solve(*args, **kwargs))
-        return solved[-1]
-
-    def counting(*args, **kwargs):
-        out = einsum(*args, **kwargs)
-        lengths.append(len(out))
-        return out
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gp_module, "solve_triangular", keeping)
-        patch.setattr(np, "einsum", counting)
-        model.posterior()
-        posterior_dots = sum(lengths)
-        _, _, cross = model.posterior_cov_pairs()
-    v = solved[-1]
-    assert v.shape[1] == model.cov.num_points  # every point is live
-    gathered = model.cov.pairwise(left, right) - np.einsum("ij,ij->j", v[:, left], v[:, right])
-    np.testing.assert_array_equal(cross, gathered)
-    assert sum(lengths) - 2 * posterior_dots <= 2 * len(left)
-
-
-def test_heights_pairs_on_a_grid_with_holes_take_the_gathered_dots_in_at_most_two_per_pair():
+def test_heights_pairs_on_a_grid_with_holes_match_the_dense_solve():
     # About a fifth of the cells are NODATA, so the vertical moves' cells
-    # lie 12 down to 6 ids apart, each shift's cells are scattered over the
-    # grid, and a run of one shift is cut where its cells thin out.
+    # lie 12 down to 6 ids apart and each shift's cells are scattered over
+    # the grid.
     grid = synth_terrain(CraterHill(CraterHillParams()), 10, 12, 1.0)
     grid.nodata_mask[np.random.default_rng(2).random(120) < 0.2] = True
     aug, _ = build_terrain_environment(grid, TerrainSafetySpec(), 0.0, 1)
     assert len(np.unique(np.diff(aug.move_cells, axis=1))) > 4
-    model = height_gp(aug, Kernel(MATERN52, 3.0, 2.0), 0.075)
+    kernel = Kernel(MATERN52, 3.0, 2.0)
+    model = height_gp(aug, kernel, 0.075)
     rng = np.random.default_rng(5)
-    for point, value in zip(rng.integers(0, aug.num_base_states, size=40), rng.normal(size=40)):
+    obs, vals = rng.integers(0, aug.num_base_states, size=40), rng.normal(size=40)
+    for point, value in zip(obs, vals):
         model.add_observation(point, value)
-    _assert_gathered_dots_in_at_most_two_per_pair(model, *aug.move_cells.T)
+    coords = aug.base.metric.coords * aug.base.metric.cell_size
+    _assert_pairs_match_the_dense_solve(model, kernel, coords, obs, vals, *aug.move_cells.T)
 
 
-def test_random_pairs_take_the_gathered_dots_in_at_most_two_per_pair():
-    # Duplicates, reversed twins and self pairs among random pairs.
+def test_random_pairs_match_the_dense_solve():
+    # Duplicates, reversed twins and self pairs among random pairs; a
+    # duplicate and a twin read their first pair's covariance.
     rng = np.random.default_rng(43)
-    cov = StationaryCovariance(Kernel(MATERN52, 1.5, 1.0), rng.normal(size=(40, 2)) * 3)
+    coords = rng.normal(size=(40, 2)) * 3
+    kernel = Kernel(MATERN52, 1.5, 1.0)
     left, right = rng.integers(0, 40, size=(2, 150))
     selves = np.arange(0, 40, 3)
     left, right = (np.concatenate([left, left[:20], right[20:40], selves]),
                    np.concatenate([right, right[:20], left[20:40], selves]))
-    model = GpModel(cov, 0.1, (left, right))
-    for point, value in zip(rng.integers(0, 40, size=25), rng.normal(size=25)):
+    model = GpModel(StationaryCovariance(kernel, coords), 0.1, (left, right))
+    obs, vals = rng.integers(0, 40, size=25), rng.normal(size=25)
+    for point, value in zip(obs, vals):
         model.add_observation(point, value)
-    _assert_gathered_dots_in_at_most_two_per_pair(model, left, right)
+    cross = _assert_pairs_match_the_dense_solve(model, kernel, coords, obs, vals, left, right)
+    np.testing.assert_array_equal(cross[150:190], cross[:40])
 
 
 def test_pairs_out_of_range_or_of_unequal_sides_raise_value_error():
@@ -790,32 +772,39 @@ def test_singular_system_error_when_jitter_cannot_help():
         def representatives(self):
             return np.arange(self.num_points), np.ones(self.num_points)
 
-    for off_diagonal in (2.0, math.nan):
-        model = GpModel(MatrixCov([[1.0, off_diagonal], [off_diagonal, 1.0]]), 0.0)
-        model.add_observation(0, 1.0)
-        packed, white = model._packed.copy(), model._white.copy()
-        with pytest.raises(SingularSystemError, match="pivot"):
-            model.add_observation(1, 1.0)
-        # The failed update leaves the model conditioned on what it had.
-        assert model.points == (0,)
-        np.testing.assert_array_equal(model._packed, packed)
-        np.testing.assert_array_equal(model._white, white)
+    pairs = ([0, 1, 1], [1, 0, 1])
+    indefinite = GpModel(MatrixCov([[1.0, 2.0], [2.0, 1.0]]), 0.0, pairs)
+    indefinite.add_observation(0, 1.0)
+    with pytest.raises(SingularSystemError, match="pivot -3"):
+        indefinite.add_observation(1, 1.0)
+    assert indefinite.points == (0,)
+    # Its posterior variance at 1 is that pivot, so it has no posterior.
+    with pytest.raises(GpError, match="variance -3 fell below"):
+        indefinite.posterior_cov_pairs()
+    nan = GpModel(MatrixCov([[1.0, math.nan], [math.nan, 1.0]]), 0.0, pairs)
+    nan.add_observation(0, 1.0)
+    before = nan.posterior_cov_pairs()
+    with pytest.raises(SingularSystemError, match="pivot nan"):
+        nan.add_observation(1, 1.0)
+    # The failed update leaves the model conditioned on what it had.
+    assert nan.points == (0,)
+    for got, expected in zip(nan.posterior_cov_pairs(), before):
+        np.testing.assert_array_equal(got, expected)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_observation_is_rejected_and_leaves_the_model_as_it_was(bad):
     cov = StationaryCovariance(Kernel(MATERN52, 1.0, 1.0), np.arange(5, dtype=float))
-    model = GpModel(cov, 0.1)
+    model = GpModel(cov, 0.1, ([0, 1, 2, 4], [1, 3, 2, 3]))
     with pytest.raises(ValueError, match="finite"):
         model.add_observation(2, bad)
     assert model.num_observations == 0
     model.add_observation(1, 0.3)
-    packed, before = model._packed.copy(), model.posterior()
+    before = model.posterior_cov_pairs()
     with pytest.raises(ValueError, match="finite"):
         model.add_observation(2, bad)
     assert model.points == (1,)
-    np.testing.assert_array_equal(model._packed, packed)
-    for got, expected in zip(model.posterior(), before):
+    for got, expected in zip(model.posterior_cov_pairs(), before):
         np.testing.assert_array_equal(got, expected)
 
 
@@ -825,14 +814,14 @@ def test_observed_id_out_of_range_is_rejected_and_leaves_the_model_as_it_was(bad
     cov = StationaryCovariance(Kernel(MATERN52, 1.0, 1.0), np.arange(5.0))
     with pytest.raises(ValueError, match=f"point id {bad} "):
         GpModel(cov, 0.1).add_observation(bad, 2.0)
-    model = GpModel(cov, 0.1)
+    model = GpModel(cov, 0.1, ([0, 1, 2, 4], [1, 3, 2, 3]))
     model.add_observation(1, 0.3)
-    before = model.posterior()
+    before = model.posterior_cov_pairs()
     with pytest.raises(ValueError, match=f"point id {bad} "):
         model.add_observation(bad, 2.0)
     assert model.num_observations == 1
     assert model.points == (1,)
-    for got, expected in zip(model.posterior(), before):
+    for got, expected in zip(model.posterior_cov_pairs(), before):
         np.testing.assert_array_equal(got, expected)
 
 

@@ -5,9 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 
-from safemdp import gp as gp_module
 from safemdp.gp import (
     VARIANCE_FLOOR,
     GpError,
@@ -16,7 +14,6 @@ from safemdp.gp import (
     StationaryCovariance,
     initial_bands,
     kernel_eval,
-    update_bands,
 )
 from safemdp.mdp import GRID_DOWN, GRID_LEFT, GRID_RIGHT, GRID_STAY, augment, grid_mdp
 from safemdp.terrain import (
@@ -40,7 +37,7 @@ from safemdp.terrain import (
     synth_terrain,
 )
 
-from oracles import dense_posterior, difference_rows, point_rows, step
+from oracles import dense_posterior, difference_rows, point_rows, rel_dev, step
 
 KERNEL = Kernel("matern52", 14.5, 10.0)
 
@@ -402,46 +399,37 @@ def test_difference_variance_below_the_floor_raises():
         height_gp_to_difference_bands(below, aug, 1.0, prev)
 
 
-def _two_whitening_bands(model, aug, beta, prev):
-    """The bands as first written: ``posterior`` over the cells, then a
-    second triangular solve over the cells for the neighbour-pair
-    covariances."""
-    cells = np.arange(aug.num_base_states)
-    means, variances = model.posterior()
-    cross = model.cov.pairwise(aug.owner, aug.landing)
-    if model.num_observations:
-        v = solve_triangular(model._factor(), model.cov.matrix(model.points, cells), lower=True,
-                             check_finite=False)
-        cross = cross - np.einsum("ij,ij->j", v[:, aug.owner], v[:, aug.landing])
-    diff_var = np.maximum(variances[aug.owner] + variances[aug.landing] - 2.0 * cross, 0.0)
-    return update_bands(prev, means[aug.owner] - means[aug.landing], diff_var, beta)
-
-
 @pytest.mark.parametrize("nodata", [False, True])
-def test_height_bands_equal_the_two_whitening_formula_bit_for_bit(nodata):
+def test_height_bands_match_the_dense_solve_as_observations_repeat(nodata):
+    # Unbounded bands before each advance, so that each band is the
+    # posterior's own mean +- sqrt(beta * variance).
     grid = synth_terrain(GpSample(KERNEL, seed=3), 5, 6, 1.0)
     if nodata:
         grid.nodata_mask[8] = True
     aug, _ = build_terrain_environment(grid, TerrainSafetySpec(), 0.0, 1)
-    assert aug.num_base_states == 30 - nodata
+    cells = aug.num_base_states
+    assert cells == 30 - nodata
     model = height_gp(aug, KERNEL, 0.075)
-    prev = initial_bands(aug.num_states, np.zeros(aug.num_states, bool), 0.0)
+    unbounded = initial_bands(aug.num_states, np.zeros(aug.num_states, bool), 0.0)
+    coords = aug.base.metric.coords * aug.base.metric.cell_size
     rng = np.random.default_rng(8)
-    pool = rng.choice(aug.num_base_states, size=6, replace=False)
-    for round_ in range(4):
-        got = height_gp_to_difference_bands(model, aug, 2.0, prev)
-        expected = _two_whitening_bands(model, aug, 2.0, prev)
-        np.testing.assert_array_equal(got.lower, expected.lower)
-        np.testing.assert_array_equal(got.upper, expected.upper)
+    pool = rng.choice(cells, size=6, replace=False)
+    observed, values = [], []
+    for _ in range(4):
         for point in pool[rng.integers(0, len(pool), size=5)]:  # repeats
-            model.add_observation(int(point), float(rng.normal(scale=3.0)))
-        prev = got
+            observed.append(int(point))
+            values.append(float(rng.normal(scale=3.0)))
+            model.add_observation(observed[-1], values[-1])
+        bands = height_gp_to_difference_bands(model, aug, 2.0, unbounded)
+        mean_ref, var_ref = dense_posterior(KERNEL, coords, 0.075, point_rows(observed, cells),
+                                            values, difference_rows(aug))
+        assert rel_dev(0.5 * (bands.lower + bands.upper), mean_ref) <= 1e-8
+        assert rel_dev((0.5 * bands.width())**2 / 2.0, np.maximum(var_ref, 0.0)) <= 1e-8
     assert len(set(model.points)) < model.num_observations
 
 
 @pytest.mark.parametrize("observation_model", ["difference", "heights"])
-def test_each_advance_makes_one_solve_and_neither_sorts_nor_evaluates_a_prior(
-        monkeypatch, observation_model):
+def test_each_advance_neither_sorts_nor_evaluates_a_prior(monkeypatch, observation_model):
     grid = synth_terrain(CraterHill(CraterHillParams(tilt_col=0.1)), 4, 4, 1.0)
     aug, env = build_terrain_environment(grid, TerrainSafetySpec(), 0.075, 3)
     if observation_model == "heights":
@@ -456,10 +444,10 @@ def test_each_advance_makes_one_solve_and_neither_sorts_nor_evaluates_a_prior(
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(gp_module, "solve_triangular", counting("solve", solve_triangular))
     monkeypatch.setattr(np, "unique", counting("unique", np.unique))
     for cov in (StationaryCovariance, DifferenceCovariance):
         monkeypatch.setattr(cov, "pairwise", counting("pairwise", cov.pairwise))
+        monkeypatch.setattr(cov, "matrix", counting("matrix", cov.matrix))
     bands = initial_bands(aug.num_states, np.zeros(aug.num_states, bool), env.threshold)
     per_advance = []
     for label in (GRID_RIGHT, GRID_DOWN, GRID_LEFT):
@@ -467,7 +455,7 @@ def test_each_advance_makes_one_solve_and_neither_sorts_nor_evaluates_a_prior(
         before = len(calls)
         bands = model.advance(bands)
         per_advance.append(calls[before:])
-    assert per_advance == [["solve"]] * 3
+    assert per_advance == [[]] * 3
 
 
 def test_a_one_cell_terrain_under_the_heights_model_advances_to_zero_widths():
@@ -563,29 +551,31 @@ def test_difference_covariance_refuses_ids_out_of_range_and_unequal_lengths():
 
 @pytest.mark.parametrize("build", [difference_gp, height_gp])
 def test_the_posterior_writes_into_nothing_it_reads(build):
-    # The whitening solve overwrites its right-hand side and the difference
-    # covariance sums in place; neither may reach the model's kept
-    # covariance rows, its packed factor or its whitened observations.
+    # The difference covariance sums in place, and a posterior's arrays are
+    # the caller's to write into.  A model whose posteriors are read, and
+    # overwritten, after each observation conditions as one that is read
+    # only at the end, and two reads in a row agree.
     grid = synth_terrain(CraterHill(CraterHillParams(tilt_col=0.1, roughness=0.3)), 4, 5, 1.0)
     aug, _ = build_terrain_environment(grid, TerrainSafetySpec(), 0.075, 3)
-    model = build(aug, KERNEL, 0.075)
-    n = model.cov.num_points
-    if build is difference_gp:
-        model = GpModel(model.cov, 0.075, (np.arange(n), np.arange(n)[::-1]))
+    cov = build(aug, KERNEL, 0.075).cov
+    n = cov.num_points
+    pairs = (np.arange(n), np.arange(n)[::-1]) if build is difference_gp else aug.move_cells.T
+    read, unread = GpModel(cov, 0.075, pairs), GpModel(cov, 0.075, pairs)
+
+    def outputs(model):
+        return (*model.posterior(), *model.posterior_cov_pairs())
+
     rng = np.random.default_rng(11)
     for point in rng.integers(0, n, size=8).tolist() * 2:
-        model.add_observation(point, float(rng.normal()))
-
-    def state():
-        return model._rows.tobytes(), model._packed.tobytes(), model._white.tobytes()
-
-    before = state()
-    first = model.posterior(), model.posterior_cov_pairs()
-    assert state() == before
-    second = model.posterior(), model.posterior_cov_pairs()
-    assert state() == before
-    for got, want in zip([*second[0], *second[1]], [*first[0], *first[1]]):
-        np.testing.assert_array_equal(got, want)
+        value = float(rng.normal())
+        for model in (read, unread):
+            model.add_observation(point, value)
+        for array in outputs(read):
+            array[:] = np.nan
+    first = outputs(unread)
+    for later in (outputs(read), outputs(unread)):
+        for got, want in zip(later, first):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_observe_height_is_seeded_and_centred():

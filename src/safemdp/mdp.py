@@ -1,10 +1,17 @@
 """Finite deterministic MDPs with a state metric.
 
 States are dense integer ids.  Each state carries a sorted list of
-``(action label, successor)`` pairs; transitions are deterministic.  A
-metric between states has one method, ``envelope(values, mask, lipschitz)``,
-the Lipschitz envelope ``max_{w in W} v(w) - L * d(s, w)``; the safety
-operators read the metric only through it, and so does
+``(action label, successor)`` pairs; transitions are deterministic.  The
+forward and reverse adjacency are ``(k, N + 1)`` tables of neighbour ids,
+padded with the sentinel ``N`` and built once by the padded-table
+primitive that the envelope's folds below also use: a state of degree at
+most ``k`` fits its column, and a hub's edges beyond ``k`` go to a spill
+list, so the tables hold O(N + E) entries.  Grids and augmented grids have
+degree at most five and build no spill.
+
+A metric between states has one method, ``envelope(values, mask,
+lipschitz)``, the Lipschitz envelope ``max_{w in W} v(w) - L * d(s, w)``;
+the safety operators read the metric only through it, and so does
 :meth:`Mdp.distances`, which derives each distance ``d(s, w)`` as
 ``-envelope(0, {w}, 1)[s]``.  Grids get the Manhattan metric scaled by the
 cell size.  It holds one state per cell, and its envelope is an L1
@@ -64,6 +71,9 @@ class ManhattanMetric:
         ndim = len(self._box)
         self._ramps = [np.arange(size, dtype=float).reshape((-1,) + (1,) * (ndim - 1 - axis))
                        for axis, size in enumerate(self._box)]
+        # Per axis, the index whose view reverses the box along that axis.
+        self._reversed = [tuple(slice(None, None, -1 if a == axis else 1) for a in range(ndim))
+                          for axis in range(ndim)]
 
     def envelope(self, values, mask, lipschitz) -> np.ndarray:
         """Lipschitz envelope of ``values`` from the states in ``mask``
@@ -76,31 +86,41 @@ class ManhattanMetric:
         flat[self._flat] = np.where(mask, values, -np.inf)
         box = flat.reshape(self._box)
         step = lipschitz * self.cell_size
-        for axis, ramp in enumerate(self._ramps):
+        for axis, (ramp, reverse) in enumerate(zip(self._ramps, self._reversed)):
             ramp = step * ramp
             forward = box + ramp
             np.maximum.accumulate(forward, axis=axis, out=forward)
             forward -= ramp
-            backward = np.flip(np.subtract(box, ramp, out=box), axis)
+            backward = np.subtract(box, ramp, out=box)[reverse]
             np.maximum.accumulate(backward, axis=axis, out=backward)
             box += ramp
             np.maximum(forward, box, out=box)
-        return flat[self._flat]
+        return flat.take(self._flat)
+
+
+#: Width that a padded table may always take, whatever the mean group size:
+#: any group of at most this many members, such as a grid state's five
+#: moves or an augmented cell's five, fits the table without a spill.
+_MIN_WIDTH = 8
 
 
 def _fold_layout(groups, num_groups: int):
-    """Index layout for :func:`_fold`, built once from each member's group.
+    """Index layout ``(table, spill, spill_groups)`` for :func:`_fold` and
+    :class:`Mdp`'s adjacency, built once from each member's group.
 
-    Each group's first ``k`` members sit in a dense ``(k, num_groups)``
-    table, padded with the sentinel id ``len(groups)``; the members beyond
-    the ``k``-th of a group are kept apart with their groups.  ``k`` is at
-    most one more than twice the mean group size, so the table stays
-    linear in the members even when one group holds most of them.
+    Each group's first ``k`` members, in member order, sit in a dense
+    ``(k, num_groups)`` table, padded with the sentinel id
+    ``len(groups)``; the members beyond the ``k``-th of a group are kept
+    apart (``spill``), by group, beside their groups (``spill_groups``,
+    sorted).  ``k`` is the largest group, capped at :data:`_MIN_WIDTH` or
+    one more than twice the mean group size, whichever is more, so the
+    table stays linear in the groups and members even when one group
+    holds most of the members.
     """
     order = np.argsort(groups, kind="stable")
     counts = np.bincount(groups, minlength=num_groups)
     rank = np.arange(len(groups)) - np.repeat(np.cumsum(counts) - counts, counts)
-    k = min(counts.max(initial=1), 1 + 2 * len(groups) // max(num_groups, 1))
+    k = min(counts.max(initial=1), max(_MIN_WIDTH, 1 + 2 * len(groups) // max(num_groups, 1)))
     table = np.full((k, num_groups), len(groups))
     dense = rank < k
     table[rank[dense], groups[order[dense]]] = order[dense]
@@ -113,7 +133,7 @@ def _fold(values, layout) -> np.ndarray:
     a group without any); ``values`` holds one more entry, the sentinel,
     which must be ``-inf``."""
     table, spill, spill_groups = layout
-    out = values[table].max(axis=0)
+    out = values.take(table).max(axis=0)
     if spill.size:
         np.maximum.at(out, spill_groups, values[spill])
     return out
@@ -142,8 +162,10 @@ class AugmentedMetric:
         n = self._num_cells = np.count_nonzero(~self.is_action)
         if not self.is_action[n:].all():
             raise ValueError("an augmented metric needs the cells first, then the action-states")
-        self._by_owner = _fold_layout(self.owner[n:], n)
-        self._by_landing = _fold_layout(self.landing[n:], n)
+        self._owner_tail = self.owner[n:]
+        self._landing_tail = self.landing[n:]
+        self._by_owner = _fold_layout(self._owner_tail, n)
+        self._by_landing = _fold_layout(self._landing_tail, n)
 
     def envelope(self, values, mask, lipschitz) -> np.ndarray:
         """Fold every witness into its owner cell at ``half_step`` per
@@ -160,14 +182,23 @@ class AugmentedMetric:
         cells = np.maximum(own[:n], _fold(shifted, self._by_owner))
         out = np.empty(len(own))
         out[:n] = self.base.envelope(cells, cells > -np.inf, lipschitz)
-        np.subtract(out.take(self.owner[n:]), offset, out=out[n:])
+        np.subtract(out.take(self._owner_tail), offset, out=out[n:])
         np.maximum(out, own, out=out)
         # An original state is half_step from each witnessing action-state
         # that lands on it,
         np.maximum(out[:n], _fold(shifted, self._by_landing), out=out[:n])
         # and an action-state is half_step from its landing state.
-        np.maximum(out[n:], (own[:n] - offset)[self.landing[n:]], out=out[n:])
+        np.maximum(out[n:], (own[:n] - offset).take(self._landing_tail), out=out[n:])
         return out
+
+
+def _adjacency(states, neighbours, num_states: int):
+    """Padded neighbour table of each state, over the edges
+    ``states[i] -> neighbours[i]``, as :meth:`Mdp.successors` describes it:
+    a :func:`_fold_layout` over ``N + 1`` states, its edge ids read as
+    neighbour ids and its sentinel ``len(states)`` as ``N``."""
+    table, spill, spill_states = _fold_layout(states, num_states + 1)
+    return np.append(neighbours, num_states)[table], neighbours[spill], spill_states
 
 
 class Mdp:
@@ -184,7 +215,9 @@ class Mdp:
 
     The table is sorted by state and then by label, and checked, once:
     :meth:`actions_of`, :meth:`edges`, :meth:`successors` and
-    :meth:`predecessors` are views of it built at construction.
+    :meth:`predecessors` are views of it built at construction, the last
+    two as padded neighbour tables that a search reads one frontier at a
+    time with a single gather.
     """
 
     def __init__(self, actions, metric):
@@ -209,10 +242,8 @@ class Mdp:
             i = unknown[0]
             raise ValueError(f"state {src[i]} action {lab[i]} leads to unknown state {dst[i]}")
         self._edges = (src, lab, dst)
-        self._successors = (np.concatenate([[0], np.cumsum(sizes)]), dst)
-        into = np.bincount(dst, minlength=self.num_states)
-        self._predecessors = (np.concatenate([[0], np.cumsum(into)]),
-                              src[np.argsort(dst, kind="stable")])
+        self._successors = _adjacency(src, dst, self.num_states)
+        self._predecessors = _adjacency(dst, src, self.num_states)
 
     def actions_of(self, s: int):
         """Sorted ``(label, successor)`` pairs available in state ``s``."""
@@ -224,14 +255,20 @@ class Mdp:
         return self._edges
 
     def successors(self):
-        """Forward adjacency as ``(starts, successors)``: the successors of
-        ``s`` are ``successors[starts[s]:starts[s + 1]]``, by label, at the
-        same positions as in :meth:`edges`."""
+        """Forward adjacency as ``(table, spill, spill_states)``: column
+        ``s`` of the ``(k, N + 1)`` table holds the successors of ``s`` by
+        label, padded with the sentinel ``N`` (whose own column is all
+        sentinel); a state with more than ``k`` actions keeps the
+        successors of the rest in ``spill``, each beside its state in
+        ``spill_states``, which is sorted."""
         return self._successors
 
     def predecessors(self):
-        """Reverse adjacency as ``(starts, sources)``: the states with an
-        action leading into ``t`` are ``sources[starts[t]:starts[t + 1]]``."""
+        """Reverse adjacency as ``(table, spill, spill_states)``: column
+        ``t`` of the ``(k, N + 1)`` table holds the states with an action
+        into ``t``, by id and padded with the sentinel ``N``; a state with
+        more than ``k`` of them keeps the rest in ``spill``, each beside
+        it in ``spill_states``, which is sorted."""
         return self._predecessors
 
     def distances(self, a, b) -> np.ndarray:

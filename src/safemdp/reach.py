@@ -5,14 +5,15 @@ All operators take and return boolean masks over the states of an
 the exploration algorithm relies on, and the fixpoint variants stabilize
 after at most ``|S|`` (respectively ``|S| + 1``) applications.  Lipschitz
 safety reads one number per state from the metric's ``envelope``, and
-returnability is one reverse breadth-first search, so an application costs
-O(N + E) time and memory on grids and their augmentations.  The search
-finds its first layer from the smaller side, the open states' out-edges or
-the target's in-edges: when the target is most of the set, as in
-:func:`r_eps` and the ergodic check, it pays for the shell around the
-target rather than its interior.  A caller that reads returnability only
-on some states (``among``) stops the search as soon as those states are
-decided.
+returnability is one reverse breadth-first search over the MDP's padded
+neighbour tables, each layer one gather of its frontier's columns, so an
+application costs O(N + E) time and memory on grids and their
+augmentations.  The search finds its first layer from the smaller side,
+the open states' out-edges or the target's in-edges: when the target is
+most of the set, as in :func:`r_eps` and the ergodic check, it pays for the
+shell around the target rather than its interior.  A caller that reads
+returnability only on some states (``among``) stops the search as soon as
+those states are decided.
 """
 
 from __future__ import annotations
@@ -63,13 +64,14 @@ def r_ret_one(mdp: Mdp, through, target) -> np.ndarray:
     return out
 
 
-def _runs(starts, states) -> np.ndarray:
-    """Positions of the runs ``starts[s]:starts[s + 1]`` of ``states``,
-    concatenated in order."""
-    lo = starts[states]
-    sizes = starts[states + 1] - lo
-    ends = np.cumsum(sizes)
-    return np.repeat(lo - ends + sizes, sizes) + np.arange(ends[-1] if ends.size else 0)
+def _spill_of(spill, spill_states, states) -> np.ndarray:
+    """The spilled neighbours of ``states``.  ``spill_states`` is sorted, so
+    each state's are one run of ``spill``, and only the runs of the states
+    that have one are read."""
+    lo = np.searchsorted(spill_states, states)
+    hi = np.searchsorted(spill_states, states, side="right")
+    return np.concatenate([spill[lo[i]:hi[i]] for i in np.flatnonzero(hi > lo).tolist()]
+                          + [spill[:0]])
 
 
 def r_ret_fixpoint(mdp: Mdp, through, target, among=None) -> np.ndarray:
@@ -81,42 +83,58 @@ def r_ret_fixpoint(mdp: Mdp, through, target, among=None) -> np.ndarray:
     action into ``target``, is found from the smaller side: the out-edges
     of the open states (``through & ~target``) or the in-edges of
     ``target``, so a large target's interior costs nothing.  Every later
-    layer costs the in-edges of its frontier.  With ``among``, the result
-    is that fixpoint intersected with ``among``, and the search stops as
-    soon as every state of ``among & through & ~target`` has been entered;
-    ``among=None`` asks about every state.
+    layer is one gather of its frontier's columns of the reverse table,
+    plus the spilled in-edges of the frontier's hubs, if the MDP has any.
+    With ``among``, the result is that fixpoint intersected with ``among``,
+    and the search stops as soon as every state of ``among & through &
+    ~target`` has been entered; ``among=None`` asks about every state.
     """
     through = _as_mask(mdp, through)
     target = _as_mask(mdp, target)
     among = np.ones_like(target) if among is None else _as_mask(mdp, among)
-    open_ = through & ~target  # through states the search has not entered
-    asked = open_ & among
+    n = mdp.num_states
+    # The through states the search has not entered, and a closed slot for
+    # the tables' sentinel.
+    open_ = np.zeros(n + 1, dtype=bool)
+    open_[:n] = through & ~target
+    asked = open_[:n] & among
     undecided = np.count_nonzero(asked)
     if not undecided:
         return target & among
-    starts, sources = mdp.predecessors()
+    into, into_spill, into_spill_states = mdp.predecessors()
     if np.count_nonzero(open_) < np.count_nonzero(target):
-        src, _, _ = mdp.edges()
-        out_starts, successors = mdp.successors()
-        out = _runs(out_starts, np.flatnonzero(open_))
-        found = src[out[target[successors[out]]]]
+        out, out_spill, out_spill_states = mdp.successors()
+        inside = np.zeros(n + 1, dtype=bool)
+        inside[:n] = target
+        candidates = np.flatnonzero(open_)
+        found = candidates[inside[out.take(candidates, axis=1)].any(axis=0)]
+        if out_spill.size:
+            hits = open_[out_spill_states] & inside[out_spill]
+            found = np.concatenate([found, out_spill_states[hits]])
     else:
-        found = sources[_runs(starts, np.flatnonzero(target))]
+        found = into.take(np.flatnonzero(target), axis=1)
         found = found[open_[found]]
-    slot = np.empty(mdp.num_states, dtype=np.intp)  # dedupes each layer
+        if into_spill.size:
+            hits = target[into_spill_states] & open_[into_spill]
+            found = np.concatenate([found, into_spill[hits]])
+    slot = np.empty(n, dtype=np.intp)
     while found.size:
-        # Each state found keeps the one occurrence whose position its slot
-        # ends up holding.
+        # A state found from several frontier states is kept once, at the
+        # position its slot ends up holding; left twice, it would be
+        # gathered twice in the next layer, and the copies would multiply
+        # along every shortest path.
         order = np.arange(found.size)
         slot[found] = order
-        frontier = found[slot[found] == order]
-        undecided -= np.count_nonzero(asked[frontier])
-        open_[frontier] = False
+        found = found[slot[found] == order]
+        undecided -= np.count_nonzero(asked[found])
+        open_[found] = False
         if not undecided:
             break
-        found = sources[_runs(starts, frontier)]
-        found = found[open_[found]]
-    return (target | (through & ~open_)) & among
+        layer = into.take(found, axis=1)
+        if into_spill.size:
+            layer = np.concatenate([layer.ravel(), _spill_of(into_spill, into_spill_states, found)])
+        found = layer[open_[layer]]
+    return (target | (through & ~open_[:n])) & among
 
 
 def r_eps(mdp: Mdp, base, r_values, eps: float, lipschitz: float, threshold: float) -> np.ndarray:

@@ -404,9 +404,10 @@ def height_gp_to_difference_bands(height_model: GpModel, aug: AugmentedMdp, beta
     ``var(s) + var(s') - 2 cov(s, s')``, scaled by ``sqrt(beta)`` and
     intersected into ``prev``; a cell or a stay action has variance 0.  All
     of these come from one :meth:`GpModel.posterior_cov_pairs` call, which
-    whitens the cells once and takes one dot product per move of ``aug``,
-    the model's pairs; a model with another number of pairs raises
-    :class:`ValueError`.  As in :meth:`GpModel.posterior`, variances are
+    whitens the cells once and dots the pairs, the moves of ``aug``, in
+    runs grouped by column shift: at most two dots per pair (1769 for the
+    1740 moves of a 30x30 grid).  A model with another number of pairs
+    raises :class:`ValueError`.  As in :meth:`GpModel.posterior`, variances are
     clamped at zero, and one below ``VARIANCE_FLOOR`` raises
     :class:`GpError`.
     """

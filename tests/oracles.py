@@ -21,7 +21,8 @@ and arrays both serve.  ``bfs_hops`` is the hop count of a shortest path
 inside an allowed set, ``None`` when there is none.  ``trapdoor`` is a
 four-state MDP whose lure only checking returnability keeps the agent out
 of.  ``random_mdp`` draws a small deterministic MDP with its distance
-matrix, and ``operator_mismatches`` names the operators of
+matrix, ``hub_mdp`` one with a hub of high in- and out-degree, and
+``operator_mismatches`` names the operators of
 ``safemdp.reach`` that disagree with their references on given inputs.
 ``readme_example`` is the README's example config, and ``write_config``
 writes a config with its ``[explorer]`` keys and output directory set.
@@ -190,6 +191,19 @@ def random_mdp(rng, n, span):
                for _ in range(n)]
     dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2).astype(float)
     return Mdp(actions, DenseMetric(dist)), dist
+
+
+def hub_mdp(rng, n, span):
+    """``(mdp, dist)`` as :func:`random_mdp` draws them, plus a hub: one
+    random state gets an action into every state, and every other state an
+    action into it, so its out- and in-degree are at least ``n``.  With at
+    most ``5n`` edges the padded adjacency tables are at most ten wide, so
+    for ``n`` above ten the hub spills both ways."""
+    mdp, dist = random_mdp(rng, n, span)
+    hub = int(rng.integers(n))
+    actions = [mdp.actions_of(s) + ((3, hub),) for s in range(n)]
+    actions[hub] = list(enumerate(rng.permutation(n).tolist()))
+    return Mdp(actions, mdp.metric), dist
 
 
 def operator_mismatches(mdp, dist, r, eps, lip, h, base, through, target):

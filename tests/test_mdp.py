@@ -20,7 +20,7 @@ from safemdp.mdp import (
     grid_mdp,
 )
 
-from oracles import DenseMetric, dense_distances, step
+from oracles import DenseMetric, dense_distances, hub_mdp, step
 
 MOVES = {GRID_UP: (-1, 0), GRID_DOWN: (1, 0), GRID_LEFT: (0, -1), GRID_RIGHT: (0, 1)}
 
@@ -55,7 +55,9 @@ def test_edges_match_action_table():
     valid[[1, 6]] = False
     unsorted = Mdp([[(7, 2), (1, 0), (4, 1)], [(9, 1), (2, 2)], [(5, 0), (0, 2), (3, 0)]],
                    DenseMetric(np.ones((3, 3)) - np.eye(3)))
-    for mdp in (grid_mdp(2, 3, 1.0), augment(grid_mdp(3, 4, 1.0, valid=valid), 0.5), unsorted):
+    hub, _ = hub_mdp(np.random.default_rng(4), 12, 6)
+    for mdp in (grid_mdp(2, 3, 1.0), augment(grid_mdp(3, 4, 1.0, valid=valid), 0.5), unsorted,
+                hub):
         src, lab, dst = mdp.edges()
         listed = list(zip(src.tolist(), lab.tolist(), dst.tolist()))
         expected = [
@@ -67,13 +69,45 @@ def test_edges_match_action_table():
         for s in range(mdp.num_states):
             labels = [label for label, _ in mdp.actions_of(s)]
             assert labels == sorted(labels)
-        # The reverse adjacency, brute force: every edge into t, by source.
-        starts, sources = mdp.predecessors()
-        assert len(starts) == mdp.num_states + 1
-        for t in range(mdp.num_states):
-            into = [s for s in range(mdp.num_states) for _, succ in mdp.actions_of(s)
-                    if succ == t]
-            assert sources[starts[t]:starts[t + 1]].tolist() == into
+        # The padded tables, brute force: the successors of s by label, and
+        # every edge into t by source, each a column and then its spill.
+        n = mdp.num_states
+        for s in range(n):
+            assert neighbours(mdp.successors(), s, n) == [succ for _, succ in mdp.actions_of(s)]
+            into = [u for u in range(n) for _, succ in mdp.actions_of(u) if succ == s]
+            assert neighbours(mdp.predecessors(), s, n) == into
+        for table, _, _ in (mdp.successors(), mdp.predecessors()):
+            assert table.shape[1] == n + 1
+            assert (table[:, n] == n).all()
+
+
+def neighbours(layout, s, sentinel):
+    """State ``s``'s neighbours in a padded table layout: its column
+    without the sentinel, then its spill."""
+    table, spill, spill_states = layout
+    return [u for u in table[:, s].tolist() if u != sentinel] + spill[spill_states == s].tolist()
+
+
+def test_hub_tables_spill_and_stay_linear():
+    # Without a spill, a hub of degree n would widen both tables to n rows
+    # of N + 1 entries, quadratic in the states.
+    rng = np.random.default_rng(8)
+    for n in (40, 400):
+        mdp, _ = hub_mdp(rng, n, 6)
+        edges = len(mdp.edges()[0])
+        for table, spill, spill_states in (mdp.successors(), mdp.predecessors()):
+            assert spill.size and spill_states.size == spill.size
+            assert table.size + spill.size <= 9 * (n + 1) + 3 * edges < n * (n + 1)
+
+
+def test_grid_tables_build_no_spill():
+    # Grids and their augmentations have degree at most five.
+    valid = np.random.default_rng(9).random(48) < 0.8
+    for mdp in (grid_mdp(1, 1, 1.0), grid_mdp(6, 8, 1.0), grid_mdp(6, 8, 1.0, valid=valid),
+                augment(grid_mdp(6, 8, 1.0), 0.5), augment(grid_mdp(6, 8, 1.0, valid=valid), 0.5)):
+        for table, spill, _ in (mdp.successors(), mdp.predecessors()):
+            assert spill.size == 0
+            assert table.shape == (5 if mdp.num_states > 1 else 1, mdp.num_states + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from safemdp.reach import (
 from oracles import (
     DenseMetric,
     from_set,
+    hub_mdp,
     operator_mismatches,
     oracle_eps,
     oracle_ret_fixpoint,
@@ -98,10 +99,16 @@ def test_mask_shape_is_validated():
 
 
 def test_operators_match_bruteforce_on_random_mdps():
+    # Every fourth MDP has a hub whose in- and out-degree exceed the width
+    # of the padded adjacency tables, so its extra edges are in the spill.
     rng = np.random.default_rng(42)
-    for _ in range(120):
-        n = int(rng.integers(2, 9))
-        mdp, dist = random_mdp(rng, n, 6)
+    for i in range(120):
+        if i % 4:
+            n = int(rng.integers(2, 9))
+            mdp, dist = random_mdp(rng, n, 6)
+        else:
+            n = int(rng.integers(10, 25))
+            mdp, dist = hub_mdp(rng, n, 6)
         r = rng.normal(size=n)
         eps = float(rng.uniform(0.0, 0.5))
         lip = float(rng.uniform(0.0, 1.5))
@@ -116,17 +123,40 @@ def test_ret_fixpoint_equals_reverse_bfs():
     # The oracle grows the target backwards one layer of predecessors at a
     # time, a breadth-first walk of the reversed edges inside `through`.
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        mdp, _ = random_mdp(rng, 8, 6)
-        through = random_subset(rng, 8)
-        target = random_subset(rng, 8)
-        got = to_set(r_ret_fixpoint(mdp, from_set(8, through), from_set(8, target)))
+    for i in range(200):
+        n = 8 if i % 4 else 30
+        mdp, _ = (random_mdp if i % 4 else hub_mdp)(rng, n, 6)
+        through = random_subset(rng, n)
+        target = random_subset(rng, n)
+        got = to_set(r_ret_fixpoint(mdp, from_set(n, through), from_set(n, target)))
         assert got == oracle_ret_fixpoint(mdp, through, target)
 
 
-def hub_mdp(n):
+def test_ret_fixpoint_reads_the_spill_of_every_hub_it_enters():
+    # States 1 and 2 are each entered from eleven states, three past the
+    # tables' eight columns, and both lead into 0; state 25 leads into 0
+    # only through its twelfth action, past its eight columns.  From the
+    # target {0} the second layer needs both hubs' spills, and from the
+    # target {0, 1, 2} the open state 25 is found from the smaller side,
+    # its out-edges, through its spill alone.
+    actions = [[(0, 0)], [(0, 0)], [(0, 0)]] + [[(0, 1 + s % 2)] for s in range(3, 25)]
+    actions.append([(a, 3 + a) for a in range(11)] + [(11, 0)])
+    mdp = Mdp(actions, DenseMetric(np.ones((26, 26)) - np.eye(26)))
+    assert all(spill.size for spill, _ in (mdp.successors()[1:], mdp.predecessors()[1:]))
+    rng = np.random.default_rng(31)
+    cases = [(set(range(26)), {0}), ({25}, {0, 1, 2})]
+    cases += [(random_subset(rng, 26) | {1, 2}, {0}) for _ in range(20)]
+    for through, target in cases:
+        got = to_set(r_ret_fixpoint(mdp, from_set(26, through), from_set(26, target)))
+        assert got == oracle_ret_fixpoint(mdp, through, target)
+    assert to_set(r_ret_fixpoint(mdp, from_set(26, {25}), from_set(26, {0, 1, 2}))) == {0, 1, 2, 25}
+    assert to_set(r_ret_fixpoint(mdp, np.ones(26, bool), from_set(26, {0}))) == set(range(26))
+
+
+def ring_with_a_hub(n):
     """The ring ``0 -> 1 -> ... -> n - 1 -> 0`` in which each state but 0
-    also has an action into state 0, a hub with ``n - 1`` predecessors."""
+    also has an action into state 0, a hub with ``n - 1`` predecessors, so
+    a search from one state walks the whole ring."""
     actions = [[(0, 1)]] + [[(0, 0), (1, (s + 1) % n)] for s in range(1, n)]
     coords = np.arange(n, dtype=float)
     return Mdp(actions, DenseMetric(np.abs(np.subtract.outer(coords, coords))))
@@ -135,7 +165,8 @@ def hub_mdp(n):
 def test_ret_fixpoint_among_equals_the_full_fixpoint_restricted():
     rng = np.random.default_rng(23)
     mdps = [random_mdp(rng, int(rng.integers(2, 25)), 6)[0] for _ in range(80)]
-    mdps += [hub_mdp(n) for n in (2, 5, 40)]
+    mdps += [ring_with_a_hub(n) for n in (2, 5, 40)]
+    mdps += [hub_mdp(rng, n, 6)[0] for n in (2, 5, 40)]
     for mdp in mdps:
         n = mdp.num_states
         for _ in range(3):

@@ -9,13 +9,13 @@ most ``k`` fits its column, and a hub's edges beyond ``k`` go to a spill
 list, so the tables hold O(N + E) entries.  Grids and augmented grids have
 degree at most five and build no spill.
 
-A metric between states has one method, ``envelope(values, mask,
-lipschitz)``, the Lipschitz envelope ``max_{w in W} v(w) - L * d(s, w)``;
-the safety operators read the metric only through it, and so does
-:meth:`Mdp.distances`, which derives each distance ``d(s, w)`` as
-``-envelope(0, {w}, 1)[s]``.  Grids get the Manhattan metric scaled by the
-cell size.  It holds one state per cell, and its envelope is an L1
-distance transform over the cells' bounding box, in place: O(box) time.
+A metric between states has one method, ``envelope(values, lipschitz)``,
+the Lipschitz envelope ``max_w v(w) - L * d(s, w)`` in which a state at
+``-inf`` is no witness; the safety operators read the metric only through
+it, and so does :meth:`Mdp.distances`: ``d(., w)`` is minus the envelope at
+``L = 1`` of 0 at ``w`` and ``-inf`` elsewhere.  Grids get the Manhattan
+metric scaled by the cell size, one state per cell, and its envelope is an
+L1 distance transform over the cells' bounding box, in place: O(box) time.
 
 ``augment`` re-expresses safety-on-transitions as safety-on-states by
 inserting one artificial "action-state" per (state, action) pair, so that
@@ -44,13 +44,15 @@ _GRID_MOVES = ((GRID_UP, -1, 0), (GRID_DOWN, 1, 0), (GRID_LEFT, 0, -1), (GRID_RI
 class ManhattanMetric:
     """Manhattan distance between per-state integer coordinates, scaled.
 
-    Coordinates that are not finite integers, two states with the same
-    coordinates, or a ``cell_size`` that is not positive and finite, raise
-    :class:`ValueError`.
+    ``coords`` is ``(N, d)``, or ``(N,)`` for one axis.  Coordinates that
+    are not finite integers, two states sharing them, or a ``cell_size``
+    that is not positive and finite, raise :class:`ValueError`.
     """
 
     def __init__(self, coords, cell_size: float):
         self.coords = np.asarray(coords, dtype=float)
+        if self.coords.ndim == 1:
+            self.coords = self.coords[:, None]
         self.cell_size = float(cell_size)
         if not np.isfinite(self.coords).all() or (self.coords != np.round(self.coords)).any():
             raise ValueError("Manhattan coordinates must be finite integers")
@@ -75,15 +77,15 @@ class ManhattanMetric:
         self._reversed = [tuple(slice(None, None, -1 if a == axis else 1) for a in range(ndim))
                           for axis in range(ndim)]
 
-    def envelope(self, values, mask, lipschitz) -> np.ndarray:
-        """Lipschitz envelope of ``values`` from the states in ``mask``
-        (``-inf`` everywhere when ``mask`` is empty), as the exact L1
-        distance transform of a sampled function (Felzenszwalb &
-        Huttenlocher, 2012) on the coordinates' bounding box: one forward
+    def envelope(self, values, lipschitz) -> np.ndarray:
+        """Lipschitz envelope of ``values``, a state at ``-inf`` being no
+        witness, as the exact L1 distance transform of a sampled function
+        (Felzenszwalb & Huttenlocher, 2012) on the coordinates' bounding
+        box, whose cells without a state start at ``-inf`` too: one forward
         and one backward running maximum per axis, in place, O(box) time
-        and memory.  Box cells without a witness start at ``-inf``."""
+        and memory."""
         flat = np.full(math.prod(self._box), -np.inf)
-        flat[self._flat] = np.where(mask, values, -np.inf)
+        flat[self._flat] = values
         box = flat.reshape(self._box)
         step = lipschitz * self.cell_size
         for axis, (ramp, reverse) in enumerate(zip(self._ramps, self._reversed)):
@@ -167,21 +169,21 @@ class AugmentedMetric:
         self._by_owner = _fold_layout(self._owner_tail, n)
         self._by_landing = _fold_layout(self._landing_tail, n)
 
-    def envelope(self, values, mask, lipschitz) -> np.ndarray:
-        """Fold every witness into its owner cell at ``half_step`` per
-        action-state endpoint, take the base metric's envelope over cells,
-        then apply the two exceptions in O(N): a witness is at distance 0
-        from itself, and an action-state and its landing state are
-        ``half_step`` apart (owner adjacency already matches the fold)."""
+    def envelope(self, values, lipschitz) -> np.ndarray:
+        """Fold every witness, a state not at ``-inf``, into its owner cell
+        at ``half_step`` per action-state endpoint, take the base envelope
+        over cells, then apply the two exceptions in O(N): a witness is at
+        distance 0 from itself, and an action-state and its landing state
+        are ``half_step`` apart (owner adjacency already matches the fold)."""
         n = self._num_cells
         offset = lipschitz * self.half_step
-        own = np.where(mask, np.asarray(values, dtype=float), -np.inf)
+        own = np.asarray(values, dtype=float)
         # The action-state witnesses, one endpoint away, and the sentinel.
         shifted = np.full(len(own) - n + 1, -np.inf)
         np.subtract(own[n:], offset, out=shifted[:-1])
         cells = np.maximum(own[:n], _fold(shifted, self._by_owner))
         out = np.empty(len(own))
-        out[:n] = self.base.envelope(cells, cells > -np.inf, lipschitz)
+        out[:n] = self.base.envelope(cells, lipschitz)
         np.subtract(out.take(self._owner_tail), offset, out=out[n:])
         np.maximum(out, own, out=out)
         # An original state is half_step from each witnessing action-state
@@ -274,15 +276,13 @@ class Mdp:
     def distances(self, a, b) -> np.ndarray:
         """Metric distance matrix between id arrays ``a`` (rows) and ``b``
         (columns), one envelope per column: ``d(., w)`` is minus the
-        envelope of zero from the witness ``w`` at ``L = 1``."""
+        envelope at ``L = 1`` of 0 at the witness ``w`` and ``-inf`` elsewhere."""
         a = np.asarray(a, dtype=int)
         b = np.asarray(b, dtype=int)
         out = np.empty((len(a), len(b)))
-        zero = np.zeros(self.num_states)
+        ids = np.arange(self.num_states)
         for j, w in enumerate(b):
-            witness = np.zeros(self.num_states, dtype=bool)
-            witness[w] = True
-            out[:, j] = -self.metric.envelope(zero, witness, 1.0)[a]
+            out[:, j] = -self.metric.envelope(np.where(ids == w, 0.0, -np.inf), 1.0)[a]
         return out
 
 

@@ -39,8 +39,8 @@ def r_safe_eps(mdp: Mdp, base, r_values, eps: float, lipschitz: float, threshold
     itself is always included.
     """
     base = _as_mask(mdp, base)
-    values = np.asarray(r_values, dtype=float) - eps
-    return base | (mdp.metric.envelope(values, base, lipschitz) >= threshold)
+    values = np.where(base, np.asarray(r_values, dtype=float) - eps, -np.inf)
+    return base | (mdp.metric.envelope(values, lipschitz) >= threshold)
 
 
 def r_reach(mdp: Mdp, base) -> np.ndarray:

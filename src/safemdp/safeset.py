@@ -85,15 +85,15 @@ def expanders(mdp: Mdp, ergodic, safe, bands: ConfidenceBands, lipschitz: float,
     outside ``safe``; the nearest outside state decides, so this is
     ``upper(s) - lipschitz * nearest(s) >= threshold``.  Returns the
     expander mask together with ``nearest``, the distance from every state
-    to the nearest state outside ``safe`` (the negated envelope of zeros
-    with slope 1), which is ``inf`` everywhere when every state is safe.
+    to the nearest state outside ``safe`` (minus the slope-1 envelope of 0
+    outside ``safe`` and ``-inf`` in it), ``inf`` when every state is safe.
     ``nearest`` depends on ``safe`` alone, so a caller that has it for
     this ``safe`` passes it and the envelope is skipped.
     """
     ergodic = np.asarray(ergodic, dtype=bool)
     outside = ~np.asarray(safe, dtype=bool)
     if nearest is None:
-        nearest = -mdp.metric.envelope(np.zeros(mdp.num_states), outside, 1.0)
+        nearest = -mdp.metric.envelope(np.where(outside, 0.0, -np.inf), 1.0)
     if not outside.any():
         return np.zeros(mdp.num_states, dtype=bool), nearest
     return ergodic & (bands.upper - lipschitz * nearest >= threshold), nearest

@@ -1,7 +1,7 @@
 """Brute-force stand-ins for library pieces that only tests need.
 
 ``DenseMetric`` is a metric given by an explicit distance matrix, whose
-``envelope`` takes the plain maximum over the witness rows.
+``envelope`` takes the plain maximum over all rows; rows at ``-inf`` drop out.
 ``dense_distances`` is the dense distance block of an MDP's metric, from
 each metric's own closed-form definition rather than through its
 envelope: the independent reference the envelope and ``Mdp.distances``
@@ -59,12 +59,9 @@ class DenseMetric:
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)
 
-    def envelope(self, values, mask, lipschitz) -> np.ndarray:
+    def envelope(self, values, lipschitz) -> np.ndarray:
         values = np.asarray(values, dtype=float)
-        mask = np.asarray(mask, dtype=bool)
-        if not mask.any():
-            return np.full(len(mask), -np.inf)
-        return (values[mask][:, None] - lipschitz * self.matrix[mask]).max(axis=0)
+        return (values[:, None] - lipschitz * self.matrix).max(axis=0)
 
 
 def dense_distances(mdp, a, b) -> np.ndarray:
@@ -212,8 +209,10 @@ def operator_mismatches(mdp, dist, r, eps, lip, h, base, through, target):
     python sets."""
     n = mdp.num_states
     bm, tm, gm = from_set(n, base), from_set(n, through), from_set(n, target)
+    # r_safe_eps reads r only on base: NaN, +inf or -inf elsewhere change nothing.
+    unread = np.where(bm, r, np.resize([np.nan, np.inf, -np.inf], n))
     pairs = {
-        "r_safe_eps": (r_safe_eps(mdp, bm, r, eps, lip, h),
+        "r_safe_eps": (r_safe_eps(mdp, bm, unread, eps, lip, h),
                        oracle_safe(mdp, dist, base, r, eps, lip, h)),
         "r_reach": (r_reach(mdp, bm), oracle_reach(mdp, base)),
         "r_ret_one": (r_ret_one(mdp, tm, gm), oracle_ret_one(mdp, through, target)),

@@ -232,10 +232,9 @@ def test_envelope_matches_bruteforce(capsys):
         witnesses = (np.zeros(n, bool), np.ones(n, bool), rng.random(n) < 0.3)[i % 3]
         values = rng.normal(size=n)
 
-        got = mdp.metric.envelope(values, witnesses, lip)
-        expected = np.full(n, -np.inf)
-        if witnesses.any():
-            expected = (values[witnesses][:, None] - lip * dist[witnesses]).max(axis=0)
+        encoded = np.where(witnesses, values, -np.inf)
+        got = mdp.metric.envelope(encoded, lip)
+        expected = (encoded[:, None] - lip * dist).max(axis=0)
         mismatches += not np.array_equal(np.isinf(got), np.isinf(expected))
         finite = np.isfinite(expected)
         if finite.any():
@@ -244,7 +243,9 @@ def test_envelope_matches_bruteforce(capsys):
         h = float(rng.normal(scale=0.5))
         eps = float(rng.uniform(0, 0.4))
         base = to_set(witnesses)
-        mismatches += to_set(r_safe_eps(mdp, witnesses, values, eps, lip, h)) != oracle_safe(
+        # r_safe_eps reads values only on its base: NaN, +inf or -inf elsewhere are ignored.
+        unread = np.where(witnesses, values, np.resize([np.nan, np.inf, -np.inf], n))
+        mismatches += to_set(r_safe_eps(mdp, witnesses, unread, eps, lip, h)) != oracle_safe(
             mdp, dist, base, values, eps, lip, h)
         bands = ConfidenceBands(values, values + rng.uniform(0, 2, size=n))
         safe = witnesses | (rng.random(n) < 0.5)

@@ -211,15 +211,15 @@ def test_manhattan_metric_axioms_exhaustively():
 
 
 def test_manhattan_block_matches_pairwise_calls():
-    # Mdp.distances reads the metric's envelope, one column per witness.
-    coords = [[0, 0], [2, 1], [5, 5]]
-    mdp = Mdp([[(0, s)] for s in range(3)], ManhattanMetric(coords, 0.5))
-    a, b = [0, 2], [0, 1, 2]
-    block = mdp.distances(a, b)
-    for i, s in enumerate(a):
-        for j, s2 in enumerate(b):
-            dr, dc = coords[s][0] - coords[s2][0], coords[s][1] - coords[s2][1]
-            assert block[i, j] == (abs(dr) + abs(dc)) * 0.5
+    # Mdp.distances reads the metric's envelope, one column per witness; a
+    # flat coordinate vector is one axis.
+    for coords in ([[0, 0], [2, 1], [5, 5]], [0, 3, 1]):
+        mdp = Mdp([[(0, s)] for s in range(3)], ManhattanMetric(coords, 0.5))
+        a, b = [0, 2], [0, 1, 2]
+        block = mdp.distances(a, b)
+        for i, s in enumerate(a):
+            for j, s2 in enumerate(b):
+                assert block[i, j] == np.abs(np.subtract(coords[s], coords[s2])).sum() * 0.5
 
 
 @pytest.mark.parametrize("coords, cell_size", [([[0], [0.5], [2]], 1.0), ([[0], [math.nan]], 1.0),
@@ -319,12 +319,10 @@ def test_augmented_envelope_off_the_grid():
     rng = np.random.default_rng(5)
     for trial in range(60):
         values = rng.normal(size=aug.num_states)
-        witnesses = rng.random(aug.num_states) < (0.0, 0.2, 0.6, 1.0)[trial % 4]
+        values[rng.random(aug.num_states) >= (0.0, 0.2, 0.6, 1.0)[trial % 4]] = -np.inf
         lip = float(rng.uniform(0, 3))
-        got = aug.metric.envelope(values, witnesses, lip)
-        expected = np.full(aug.num_states, -np.inf)
-        if witnesses.any():
-            expected = (values[witnesses][:, None] - lip * dist[witnesses]).max(axis=0)
+        got = aug.metric.envelope(values, lip)
+        expected = (values[:, None] - lip * dist).max(axis=0)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 

@@ -216,18 +216,23 @@ def _gp_kernel(values) -> Kernel:
     return Kernel(values.kernel, values.lengthscale, values.prior_std)
 
 
-def _synth_grid(values) -> TerrainGrid:
+def _synth_grid(values, names) -> TerrainGrid:
     """The synthetic terrain ``values`` describe.  ``values`` holds the
     ``[terrain]`` and ``[gp]`` keys as attributes: an
     :class:`ExperimentConfig`, or the ``synth`` flags, which are named
-    after them."""
+    after them.  A singular gp-sample prior raises :class:`ConfigError`
+    naming ``names``, the keys or flags of its three scales."""
     if values.kind == "gp-sample":
         kind = GpSample(_gp_kernel(values), values.terrain_seed)
     else:
         params = CraterHillParams(**{f.name: getattr(values, f.name)
                                      for f in fields(CraterHillParams)})
         kind = CraterHill(params, values.terrain_seed)
-    return synth_terrain(kind, values.rows, values.cols, values.cell_size)
+    try:
+        return synth_terrain(kind, values.rows, values.cols, values.cell_size)
+    except np.linalg.LinAlgError:
+        raise ConfigError(f"{names}: the gp-sample prior is not positive definite; raise "
+                          f"the cell size or lower the lengthscale or prior_std") from None
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -288,7 +293,7 @@ def build_grid(cfg: ExperimentConfig) -> TerrainGrid:
         if grid.nodata_mask.all():
             raise ConfigError(f"terrain.dem_path: {cfg.dem_path!r} has no cells with data")
         return grid
-    return _synth_grid(cfg)
+    return _synth_grid(cfg, "terrain.cell_size, gp.lengthscale and gp.prior_std")
 
 
 def _seed_mask(aug, grid, cfg):
@@ -465,7 +470,7 @@ def cmd_oracle(config_path: str) -> int:
 def cmd_synth(args) -> int:
     """Synthesize terrain from command-line flags and write an .asc file."""
     _check_cell_count(args.kind, args.rows, args.cols, "--rows/--cols")
-    grid = _synth_grid(args)
+    grid = _synth_grid(args, "--cell-size, --lengthscale and --prior-std")
     out = resolve_output_dir(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(dump_esri_ascii(grid))

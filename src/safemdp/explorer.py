@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gp import ConfidenceBands, GpModel, initial_bands, update_bands
+from .gp import ConfidenceBands, GpModel, initial_bands, point_ids, update_bands
 from .mdp import Mdp
 from .planner import NoPathError, PathPlan, shortest_safe_path
 from .reach import r_reach, r_ret_fixpoint
@@ -102,30 +102,43 @@ class ExplorerConfig:
     seed_set: np.ndarray
 
 
+def check_beta(beta: float) -> float:
+    """A confidence scale as a float; :class:`ValueError` unless positive and finite."""
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
+    return float(beta)
+
+
 class GpBandModel:
     """Tightens the run's confidence bands with a GP over the working states.
 
-    The model holds the GP and the confidence scale ``beta`` (a positive,
-    finite float; intervals are ``mean +- sqrt(beta * variance)``).  The
-    run owns the bands: each ``advance`` intersects the posterior intervals
-    of all states into the bands it is handed, and each ``measure``
-    conditions the GP in place.
+    The model holds the GP, the confidence scale ``beta`` (intervals are
+    ``mean +- sqrt(beta * variance)``) and the GP covariance's ``states``
+    readout, read when it is made: per state, its ``point`` (-1 where the
+    feature is exactly 0) and ``sign``.  The run owns the bands: each
+    ``advance`` intersects the posterior intervals of all states, read
+    through the readout, into the bands it is handed, and each ``measure``
+    conditions the GP in place on ``sign * value`` at the state's point, or
+    on nothing where it has none, so ``num_observations`` counts conditionings.
     """
 
     def __init__(self, gp: GpModel, beta: float):
-        if not 0 < beta < math.inf:
-            raise ValueError(f"beta must be positive and finite, got {beta!r}")
-        self.gp = gp
-        self.beta = float(beta)
+        self.gp, self.beta = gp, check_beta(beta)
+        self.point, self.sign = gp.cov.states
 
     def advance(self, prev: ConfidenceBands) -> ConfidenceBands:
         means, variances = self.gp.posterior()
-        return update_bands(prev, means, variances, self.beta)
+        # Index -1 reads the appended 0: a state whose feature is exactly 0.
+        means = np.append(means, 0.0)[self.point]
+        means *= self.sign
+        return update_bands(prev, means, np.append(variances, 0.0)[self.point], self.beta)
 
     def measure(self, env: Environment, state: int) -> float:
-        """Take one measurement at ``state`` and fold it into the GP."""
+        """Check ``state``, take one measurement there, fold it into the GP."""
+        point = self.point[point_ids(state, len(self.point))]
         value = env.observe(state)
-        self.gp.add_observation(state, value)
+        if point >= 0:
+            self.gp.add_observation(point, self.sign[state] * value)
         return value
 
 
@@ -171,12 +184,13 @@ def validate_config(mdp: Mdp, cfg: ExplorerConfig) -> None:
         raise ConfigError(f"seed_set must be a mask over {mdp.num_states} states")
     if not seed.any():
         raise ConfigError("seed_set must contain at least one state")
-    if not cfg.epsilon > 0:
-        raise ConfigError("epsilon must be positive")
-    if cfg.max_iterations < 1:
-        raise ConfigError("max_iterations must be at least 1")
-    if not cfg.lipschitz >= 0:
-        raise ConfigError("lipschitz must be non-negative")
+    if not 0 < cfg.epsilon < math.inf:
+        raise ConfigError(f"epsilon must be positive and finite, got {cfg.epsilon!r}")
+    if not isinstance(cfg.max_iterations, (int, np.integer)) or cfg.max_iterations < 1:
+        raise ConfigError(f"max_iterations must be an integer of at least 1, "
+                          f"got {cfg.max_iterations!r}")
+    if not 0 <= cfg.lipschitz < math.inf:
+        raise ConfigError(f"lipschitz must be non-negative and finite, got {cfg.lipschitz!r}")
     for s in np.flatnonzero(seed):
         target = np.zeros(mdp.num_states, dtype=bool)
         target[s] = True

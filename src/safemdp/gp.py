@@ -5,15 +5,15 @@ safety feature: stationary kernels evaluated on distances, an exact GP
 posterior over all of its covariance's points, conditioned one observation
 at a time by appending a row to its packed Cholesky factor (each observed
 point's covariance row is evaluated once, when it is first observed, and
-kept; its pair covariances share the variances' whitening, none for
-zero-variance states, and dot slices of it without gathering columns), and
-monotonically intersected confidence bands.  A covariance maps each point to
-a representative and a sign, ``feature(p) = sign * feature(representative)``;
-the model conditions and whitens representatives only and mirrors their
-posterior to every point, so under the difference model a move and its
-reverse share one column.  The exploration run owns the bands: it starts
-them with :func:`initial_bands`, and its band model tightens them with
-:func:`update_bands`.
+kept; its pair covariances share the variances' whitening and dot slices
+of it without gathering columns), and monotonically intersected confidence
+bands.  A :class:`GpModel` is a GP over its covariance's points and nothing
+else.  How the states of an MDP read those points is the covariance's
+``states`` readout, which a band model reads: each state's point (-1 for
+a state whose feature is exactly 0) and its sign.  So under the
+difference model a move and its reverse read one point.  The exploration
+run owns the bands: it starts them with :func:`initial_bands`, and its
+band model tightens them with :func:`update_bands`.
 
 scipy is imported by :func:`solve_triangular` on its first call, the first
 time a model conditions or whitens, so a process that never does (``safemdp
@@ -154,7 +154,7 @@ def point_ids(ids, num_points: int) -> np.ndarray:
     ids = ids.astype(np.intp, copy=False)
     # Viewed as unsigned, a negative id is at least 2**63, so one maximum
     # finds an id outside the range on either side.
-    if ids.view(np.uintp).max(initial=0) >= num_points:
+    if ids.size and ids.view(np.uintp).max() >= num_points:
         bad = ids[(ids < 0) | (ids >= num_points)].flat[0]
         raise ValueError(f"point id {bad} is out of range [0, {num_points})")
     return ids
@@ -169,9 +169,10 @@ class StationaryCovariance:
     ``matrix(a, b)`` evaluates the rows of the distinct ids of ``a`` with
     :meth:`fill_rows` and gathers ``b`` from them; it keeps nothing, so
     each call evaluates its rows afresh.  :class:`GpModel` calls it once
-    per observed representative.  A coordinate that is not finite, an id
-    outside ``[0, num_points)``, or ``pairwise`` sequences of unequal
-    length, raise :class:`ValueError`.
+    per observed point.  A coordinate that is not finite, an id outside
+    ``[0, num_points)``, or ``pairwise`` sequences of unequal length, raise
+    :class:`ValueError`.  Its ``states`` readout is the identity: state
+    ``s`` reads point ``s`` with sign +1.
     """
 
     def __init__(self, kernel: Kernel, coords):
@@ -188,8 +189,8 @@ class StationaryCovariance:
         return len(self.coords)
 
     @property
-    def representatives(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each point is its own representative, with sign +1."""
+    def states(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each state reads its own point, with sign +1."""
         return np.arange(self.num_points), np.ones(self.num_points)
 
     def matrix(self, a, b) -> np.ndarray:
@@ -223,51 +224,40 @@ class StationaryCovariance:
 
 
 class GpModel:
-    """Exact GP posterior over the points ``0 ... cov.num_points - 1``,
+    """Exact GP posterior over the points ``0 ... cov.num_points - 1`` and
+    nothing else (how states read them is a band model's concern),
     conditioned in place, one observation at a time.
-
-    The model works on representatives: ``cov.representatives`` maps each
-    point ``p`` to a point ``rep[p]`` and a sign with ``feature(p) =
-    sign[p] * feature(rep[p])``.  An observation of ``y`` at ``p``
-    conditions ``rep[p]`` on ``sign[p] * y``, and the posterior at ``p`` is
-    that of ``rep[p]`` with its mean times ``sign[p]``.
 
     ``add_observation`` is the only way a model is conditioned.  It appends
     one row to the lower Cholesky factor ``chol`` of ``K + noise_std**2 I``
-    over the observed representatives and one entry to ``white = chol^-1
-    y``, the whitened signed observations; no factorization is ever made
-    from scratch.  The factor is kept packed, its lower triangle row by row
-    in ``n (n + 1) / 2`` floats, and each solve unpacks it.  The prior
-    variances of all points, and the prior covariances and signs of the
-    ``pairs``, are evaluated once, when the model is made.  So are the
-    pairs' runs: the pairs of two live columns, grouped by the shift
-    ``second - first`` between them, sorted by ``first`` and cut wherever
-    two consecutive ``first`` columns lie more than 2 apart.
+    over the observed points and one entry to ``white = chol^-1 y``, the
+    whitened observations; no factorization is ever made from scratch.
+    The factor is kept packed, its lower triangle row by row in ``n (n +
+    1) / 2`` floats, and each solve unpacks it.  The prior variances of
+    all points, and the prior covariances of the ``pairs``, are evaluated
+    once, when the model is made.  So are the pairs' runs: the pairs,
+    grouped by the shift ``second - first`` between their points, sorted
+    by ``first`` and cut wherever two consecutive ``first`` points lie
+    more than 2 apart.
 
-    Only the representatives of nonzero prior variance, ``live``, are
-    whitened: the others covary with no point under a PSD kernel and keep
-    mean 0 and their prior variance.  The first time a representative is
-    observed, its covariance with ``live`` is evaluated by one
-    ``cov.matrix`` call and kept as a column of a (live x capacity) array,
-    whose capacity grows by a quarter when full; so the model keeps at
-    most ``d + d // 4`` columns for ``d`` distinct observed
-    representatives, and nothing else calls ``cov.matrix``.  A new observation reads its
-    covariances with the observed representatives from its
-    representative's row of that array.  ``posterior`` and
-    ``posterior_cov_pairs`` take the kept columns in observation order and
-    whiten them with one triangular solve, and read the means from that
-    same whitening.  A point id out of range raises :class:`ValueError` in
-    ``add_observation`` before the model changes.
+    The first time a point is observed, its covariance with every point is
+    evaluated by one ``cov.matrix`` call and kept as a column of a (points
+    x capacity) array, whose capacity grows by a quarter when full; so the
+    model keeps at most ``d + d // 4`` columns for ``d`` distinct observed
+    points, and nothing else calls ``cov.matrix``.  A new observation reads
+    its covariances with the observed points from its own row of that
+    array.  ``posterior`` and ``posterior_cov_pairs`` take the kept
+    columns in observation order and whiten them with one triangular
+    solve, and read the means from that same whitening.  A point id out of
+    range raises :class:`ValueError` in ``add_observation`` before the
+    model changes.
 
     Parameters
     ----------
     cov :
-        Covariance object with ``num_points`` and ``representatives``
-        attributes and ``matrix(a, b)`` and ``pairwise(a, b)`` methods over
-        the integer point ids ``0 ... num_points - 1``.  ``representatives``
-        is a pair of arrays over the points: each point's representative,
-        itself a representative, and the sign (+1.0 or -1.0) of its feature
-        relative to that representative's.
+        Covariance object with a ``num_points`` attribute and ``matrix(a,
+        b)`` and ``pairwise(a, b)`` methods over the integer point ids ``0
+        ... num_points - 1``.
     noise_std : float
         Finite, non-negative observation noise standard deviation.
     pairs : (left, right)
@@ -281,34 +271,25 @@ class GpModel:
             raise ValueError(f"noise_std must be finite and non-negative, got {noise_std!r}")
         self.cov = cov
         self.noise_std = float(noise_std)
-        everywhere = np.arange(cov.num_points)
-        self._prior = np.asarray(cov.pairwise(everywhere, everywhere), dtype=float)
-        self._rep, self._sign = cov.representatives
-        reps = np.flatnonzero(self._rep == everywhere)
-        self._live = reps[self._prior[reps] > 0]
-        self._live_index = np.full(cov.num_points, -1, dtype=np.intp)
-        self._live_index[self._live] = np.arange(len(self._live))
+        self._everywhere = np.arange(cov.num_points)
+        self._prior = np.asarray(cov.pairwise(self._everywhere, self._everywhere), dtype=float)
         self._points = ()
         self._packed = np.zeros(0)
         self._white = np.zeros(0)
-        self._rows = np.empty((len(self._live), 0))
+        self._rows = np.empty((cov.num_points, 0))
         self._distinct = {}
         self._repeats = []
-        left, right = (point_ids(side, cov.num_points) for side in pairs)
-        if len(left) != len(right):
-            raise ValueError(f"left and right differ in length: {len(left)} and {len(right)}")
-        self._pair_sign = self._sign[left] * self._sign[right]
-        left, right = self._rep[left], self._rep[right]
-        self._pair_prior = np.asarray(cov.pairwise(left, right), dtype=float)
-        first, second = self._live_index[left], self._live_index[right]
-        whitened = np.flatnonzero((first >= 0) & (second >= 0))
-        first, shift = first[whitened], second[whitened] - first[whitened]
+        first, second = (point_ids(side, cov.num_points) for side in pairs)
+        if len(first) != len(second):
+            raise ValueError(f"left and right differ in length: {len(first)} and {len(second)}")
+        self._pair_prior = np.asarray(cov.pairwise(first, second), dtype=float)
+        shift = second - first
         order = np.lexsort((first, shift))
-        first, shift, whitened = first[order], shift[order], whitened[order]
+        first, shift = first[order], shift[order]
         starts = np.ones(len(first), dtype=bool)
         starts[1:] = (np.diff(shift) != 0) | (np.diff(first) > 2)
         bounds = np.append(np.flatnonzero(starts), len(first))
-        self._runs = [(int(shift[a]), int(first[a]), int(first[b - 1]) + 1, whitened[a:b],
+        self._runs = [(int(shift[a]), int(first[a]), int(first[b - 1]) + 1, order[a:b],
                        first[a:b] - first[a]) for a, b in zip(bounds[:-1], bounds[1:])]
 
     @property
@@ -323,55 +304,52 @@ class GpModel:
     def add_observation(self, point: int, value: float) -> None:
         """Condition the model on ``(point, value)`` as well.
 
-        With ``r = rep[point]``, ``c = chol^-1 k(observed representatives,
-        r)`` and ``pivot = k(r, r) + noise_std**2 - c @ c``, the factor
-        gains the row ``[c, sqrt(pivot)]`` and ``white`` the entry
-        ``(sign[point] * value - c @ white) / sqrt(pivot)``.  A pivot in
-        ``[VARIANCE_FLOOR, JITTER)`` comes from a noiseless exact repeat and
-        is raised to :data:`JITTER` for this row.  A non-finite ``value`` or
-        a ``point`` out of range raises :class:`ValueError` (the latter
-        through :func:`point_ids`), and a pivot that is NaN or below
-        :data:`VARIANCE_FLOOR` raises :class:`SingularSystemError`; either
-        way the model is left as it was.
+        With ``c = chol^-1 k(observed points, point)`` and ``pivot =
+        k(point, point) + noise_std**2 - c @ c``, the factor gains the row
+        ``[c, sqrt(pivot)]`` and ``white`` the entry ``(value - c @ white)
+        / sqrt(pivot)``.  A pivot in ``[VARIANCE_FLOOR, JITTER)`` comes
+        from a noiseless exact repeat and is raised to :data:`JITTER` for
+        this row.  A non-finite ``value`` or a ``point`` out of range
+        raises :class:`ValueError` (the latter through :func:`point_ids`),
+        and a pivot that is NaN or below :data:`VARIANCE_FLOOR` raises
+        :class:`SingularSystemError`; either way the model is left as it
+        was.
         """
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"observed value must be finite, got {value!r}")
         point = int(point_ids(point, len(self._prior)))
-        rep, value = int(self._rep[point]), self._sign[point] * value
         n = len(self._points)
-        # The kept covariances with r, repeated as in _cross; a zero-variance
-        # r covaries with nothing.
-        live = self._live_index[rep]
-        k_vec = self._rows[live].take(self._repeats) if live >= 0 else np.zeros(n)
+        # The kept covariances with point, repeated as in _cross.
+        k_vec = self._rows[point].take(self._repeats)
         c = solve_triangular(self._factor(), k_vec, lower=True, check_finite=False)
-        pivot = float(self._prior[rep]) + self.noise_std**2 - c @ c
+        pivot = float(self._prior[point]) + self.noise_std**2 - c @ c
         if not pivot >= VARIANCE_FLOOR:
             raise SingularSystemError(
                 f"observation {n + 1}, at point {point}, has pivot {pivot:g}: "
                 "the covariance is not positive semi-definite"
             )
         root = math.sqrt(max(pivot, JITTER))
-        if rep not in self._distinct:
-            self._keep_row(rep)
+        if point not in self._distinct:
+            self._keep_row(point)
         self._packed = np.concatenate([self._packed, c, [root]])
         self._white = np.append(self._white, (value - c @ self._white) / root)
         self._points += (point,)
-        self._repeats.append(self._distinct[rep])
+        self._repeats.append(self._distinct[point])
 
-    def _keep_row(self, rep):
-        """Evaluate the covariance of the newly observed representative
-        ``rep`` with ``live`` into the next column of the kept rows.  Their
-        capacity grows by a quarter when full: every finished model keeps
-        its rows, so the slack is kept small, and the copies still add up
-        to a few times the final size."""
+    def _keep_row(self, point):
+        """Evaluate the covariance of the newly observed ``point`` with
+        every point into the next column of the kept rows.  Their capacity
+        grows by a quarter when full: every finished model keeps its rows,
+        so the slack is kept small, and the copies still add up to a few
+        times the final size."""
         d = len(self._distinct)
         if d == self._rows.shape[1]:
-            grown = np.empty((len(self._live), d + 1 + d // 4))
+            grown = np.empty((len(self._prior), d + 1 + d // 4))
             grown[:, :d] = self._rows
             self._rows = grown
-        self._rows[:, d] = self.cov.matrix([rep], self._live)[0]
-        self._distinct[rep] = d
+        self._rows[:, d] = self.cov.matrix([point], self._everywhere)[0]
+        self._distinct[point] = d
 
     def _factor(self) -> np.ndarray:
         """The square lower Cholesky factor, unpacked into a fresh array."""
@@ -395,45 +373,34 @@ class GpModel:
     def posterior_cov_pairs(self):
         """``posterior()`` and the posterior covariance of each of the
         model's ``pairs``, from its one triangular solve.  Each run of
-        pairs with shift ``s`` over the ``first`` columns ``lo ... hi - 1``
+        pairs with shift ``s`` over the ``first`` points ``lo ... hi - 1``
         takes the column dots of the solve output's slices ``[lo, hi)`` and
         ``[lo + s, hi + s)``, views that gather nothing, and each of its
-        pairs reads its own: at most two dots per pair.  A pair that
-        touches a zero-variance representative keeps its prior covariance.
-        Each pair's covariance is then multiplied by the product of its
-        two signs."""
+        pairs reads its own: at most two dots per pair."""
         means, variances, v = self._posterior()
         cross = self._pair_prior.copy()
         if v is not None:
             for shift, lo, hi, positions, offsets in self._runs:
                 dots = np.einsum("ij,ij->j", v[:, lo:hi], v[:, lo + shift:hi + shift])
                 cross[positions] -= dots[offsets]
-        cross *= self._pair_sign
         return means, np.maximum(variances, 0.0), cross
 
     def _posterior(self):
         """Means and unclamped variances at every point, and ``chol^-1
-        k_cross`` at ``live``; the representatives outside ``live`` skip
-        the solve and keep mean 0 and prior variance.  Once conditioned,
-        each point reads its representative's, with the mean times its
-        sign."""
-        means, variances = np.zeros(len(self._prior)), self._prior.copy()
+        k_cross``, or ``None`` before the first observation."""
         if not self._points:
-            return means, variances, None
+            return np.zeros(len(self._prior)), self._prior.copy(), None
         v = self._cross()
-        means[self._live] = v.T @ self._white
-        variances[self._live] -= np.einsum("ij,ij->j", v, v)
+        variances = self._prior - np.einsum("ij,ij->j", v, v)
         low = variances.min(initial=0.0)
         if low < VARIANCE_FLOOR:
             raise GpError(f"posterior variance {low:g} fell below the numerical floor")
-        means = means[self._rep]
-        means *= self._sign
-        return means, variances[self._rep], v
+        return v.T @ self._white, variances, v
 
     def _cross(self):
-        """``chol^-1`` times the observations' covariance with ``live``: the
-        kept columns taken in observation order, which lays them out
-        column-major as (observations x live), the layout the solve works
+        """``chol^-1`` times the observations' covariance with every point:
+        the kept columns taken in observation order, which lays them out
+        column-major as (observations x points), the layout the solve works
         in.  The take is this call's own copy, so the solve overwrites it
         (``overwrite_b=True``) instead of copying it again."""
         k_cross = np.take(self._rows, self._repeats, axis=1).T

@@ -357,9 +357,10 @@ class AugmentedMdp(Mdp):
         Per state, whether it is an action-state.
     move_of, move_cells, move_first : np.ndarray of int
         The undirected moves, one per unordered ``{owner, landing}`` pair of
-        distinct cells that an action-state joins: per state, its move (-1
-        for a cell or a stay action); each move's ``(low, high)`` cells,
-        shape (moves, 2), sorted; and each move's lowest action-state.
+        distinct cells that an action-state joins, numbered in the order
+        of their lowest action-states: per state, its move (-1 for a cell
+        or a stay action); each move's ``(low, high)`` cells, shape (moves,
+        2); and each move's lowest action-state, an increasing array.
 
     The metric (an :class:`AugmentedMetric`) reads the first three arrays.
     """
@@ -376,6 +377,8 @@ class AugmentedMdp(Mdp):
         joins = np.flatnonzero(src != dst)
         low, high = np.minimum(src, dst)[joins], np.maximum(src, dst)[joins]
         _, first, inverse = np.unique(low * n + high, return_index=True, return_inverse=True)
+        # Renumbered in the order of each move's first join.
+        first, inverse = np.unique(first[inverse], return_inverse=True)
         self.move_of = np.full(n + len(src), -1, dtype=np.intp)
         self.move_of[n + joins] = inverse
         self.move_cells = np.stack([low[first], high[first]], axis=1)

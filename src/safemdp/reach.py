@@ -18,6 +18,8 @@ those states are decided.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .mdp import Mdp
@@ -30,14 +32,21 @@ def _as_mask(mdp: Mdp, mask) -> np.ndarray:
     return mask
 
 
+def check_lipschitz(lipschitz: float) -> None:
+    """Raise :class:`ValueError` unless ``lipschitz`` is finite and non-negative."""
+    if not 0 <= lipschitz < math.inf:
+        raise ValueError(f"lipschitz must be finite and non-negative, got {lipschitz!r}")
+
+
 def r_safe_eps(mdp: Mdp, base, r_values, eps: float, lipschitz: float, threshold: float) -> np.ndarray:
     """States whose safety follows from ``base`` by a Lipschitz argument.
 
     A state ``s`` is included when some ``s'`` in ``base`` satisfies
     ``r(s') - eps - lipschitz * d(s, s') >= threshold``, that is when the
     envelope of ``r - eps`` over ``base`` clears the threshold; ``base``
-    itself is always included.
+    itself is always included.  See :func:`check_lipschitz`.
     """
+    check_lipschitz(lipschitz)
     base = _as_mask(mdp, base)
     values = np.where(base, np.asarray(r_values, dtype=float) - eps, -np.inf)
     return base | (mdp.metric.envelope(values, lipschitz) >= threshold)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gp import ConfidenceBands
 from .mdp import Mdp
-from .reach import r_reach, r_ret_fixpoint
+from .reach import check_lipschitz, r_reach, r_ret_fixpoint
 
 
 class ErgodicPreconditionError(ValueError):
@@ -88,8 +88,10 @@ def expanders(mdp: Mdp, ergodic, safe, bands: ConfidenceBands, lipschitz: float,
     to the nearest state outside ``safe`` (minus the slope-1 envelope of 0
     outside ``safe`` and ``-inf`` in it), ``inf`` when every state is safe.
     ``nearest`` depends on ``safe`` alone, so a caller that has it for
-    this ``safe`` passes it and the envelope is skipped.
+    this ``safe`` passes it and the envelope is skipped.  ``lipschitz`` is
+    checked by :func:`~safemdp.reach.check_lipschitz`.
     """
+    check_lipschitz(lipschitz)
     ergodic = np.asarray(ergodic, dtype=bool)
     outside = ~np.asarray(safe, dtype=bool)
     if nearest is None:

@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .explorer import Environment, GpBandModel
+from .explorer import Environment, GpBandModel, check_beta
 from .gp import (
     VARIANCE_FLOOR,
     ConfidenceBands,
@@ -326,43 +326,40 @@ def height_covariance(aug: AugmentedMdp, kernel: Kernel) -> StationaryCovariance
 class DifferenceCovariance:
     """Covariance that a GP over cell heights induces on height differences.
 
-    Points are the ids of ``aug``'s states, ``num_points`` of them; each
-    maps to its ``(owner, landing)`` cell pair and covariances expand to the
-    four-term combination ``k(s,u) - k(s,u') - k(s',u) + k(s',u')``.
-    Original states map to the degenerate pair ``(s, s)`` and so have zero
-    variance — their "height difference" is identically zero.  Ids and
-    lengths are checked as :class:`StationaryCovariance` checks them.
+    Points are ``aug``'s undirected moves (``aug.move_of``), ``num_points``
+    of them, in ``aug``'s move order, which is the order of their lowest
+    action-states.  Each point reads as its move's lowest action-state, so
+    maps to that state's ``(owner, landing)`` cell pair, and covariances
+    expand to the four-term combination ``k(s,u) - k(s,u') - k(s',u) +
+    k(s',u')``.  Ids and lengths are checked as
+    :class:`StationaryCovariance` checks them.
 
-    ``representatives`` maps every action-state of a move (``aug.move_of``)
-    to the move's lowest action-state, with sign -1.0 where its direction
-    is the reverse of that one's, as ``h(u) - h(v) = -(h(v) - h(u))``, and
-    +1.0 otherwise.  So a move and its reverse share one representative,
-    parallel moves share one with sign +1.0, and a move with no reverse, a
-    stay action and every original state keep themselves.
+    ``states`` is the per-state readout over ``aug``'s states: each
+    state's point, -1 for a cell or a stay action, whose height difference
+    is exactly 0 and covaries with no move; and its sign, -1.0 where its
+    direction is the reverse of its point's, as ``h(u) - h(v) = -(h(v) -
+    h(u))``, and +1.0 otherwise.  So a move and its reverse read one
+    point, and parallel moves read it with sign +1.0.
     """
 
     def __init__(self, height_cov: StationaryCovariance, aug: AugmentedMdp):
         self.height_cov = height_cov
-        self.aug = aug
-        rep = np.arange(aug.num_states)
-        moving = aug.move_of >= 0
-        rep[moving] = aug.move_first[aug.move_of[moving]]
-        self._representatives = rep, np.where(aug.owner == aug.owner[rep], 1.0, -1.0)
+        self._owner, self._landing = aug.owner[aug.move_first], aug.landing[aug.move_first]
+        # A state runs against its point when it leaves the point's landing
+        # cell; the -1 that a cell or a stay reads matches no cell.
+        reverse = aug.owner == np.append(self._landing, -1)[aug.move_of]
+        self.states = aug.move_of, np.where(reverse, -1.0, 1.0)
 
     @property
     def num_points(self) -> int:
-        return self.aug.num_states
-
-    @property
-    def representatives(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._representatives
+        return len(self._owner)
 
     def matrix(self, a, b) -> np.ndarray:
         """``((k(oa, ob) - k(oa, lb)) - k(la, ob)) + k(la, lb)``, read from
         one height block between the owners then the landings of ``a`` and
         those of ``b``, so each distinct cell row is evaluated once."""
         a, b = point_ids(a, self.num_points), point_ids(b, self.num_points)
-        owner, landing = self.aug.owner, self.aug.landing
+        owner, landing = self._owner, self._landing
         k = self.height_cov.matrix(np.concatenate([owner[a], landing[a]]),
                                    np.concatenate([owner[b], landing[b]]))
         na, nb = len(a), len(b)
@@ -374,7 +371,7 @@ class DifferenceCovariance:
     def pairwise(self, a, b) -> np.ndarray:
         """The same sum element by element, summed into the first term."""
         a, b = point_ids(a, self.num_points), point_ids(b, self.num_points)
-        owner, landing = self.aug.owner, self.aug.landing
+        owner, landing = self._owner, self._landing
         oa, la, ob, lb = owner[a], landing[a], owner[b], landing[b]
         k = self.height_cov.pairwise
         out = k(oa, ob)
@@ -385,7 +382,8 @@ class DifferenceCovariance:
 
 
 def difference_gp(aug: AugmentedMdp, kernel: Kernel, noise_std: float) -> GpModel:
-    """Empty GP over augmented states with the induced difference kernel."""
+    """Empty GP over ``aug``'s undirected moves with the induced difference
+    kernel; its covariance's ``states`` reads it over ``aug``'s states."""
     return GpModel(DifferenceCovariance(height_covariance(aug, kernel), aug), noise_std)
 
 
@@ -433,12 +431,11 @@ class HeightGpBandModel(GpBandModel):
     transition's two cells); ``advance`` derives bands over augmented
     states from the height posterior via
     :func:`height_gp_to_difference_bands` and intersects them into the
-    run's bands.
+    run's bands.  Its GP is over cells, so it reads no per-state readout.
     """
 
     def __init__(self, height_model: GpModel, aug: AugmentedMdp, beta: float):
-        super().__init__(height_model, beta)
-        self.aug = aug
+        self.gp, self.beta, self.aug = height_model, check_beta(beta), aug
 
     def advance(self, prev: ConfidenceBands) -> ConfidenceBands:
         return height_gp_to_difference_bands(self.gp, self.aug, self.beta, prev)
@@ -457,5 +454,7 @@ class HeightGpBandModel(GpBandModel):
 
 def difference_band_model(aug: AugmentedMdp, kernel: Kernel, noise_std: float,
                           beta: float) -> GpBandModel:
-    """Default observation model: a GP directly over height differences."""
+    """Default observation model: a GP directly over height differences,
+    one point per undirected move.  A measurement at a cell or a stay
+    action, whose difference is exactly 0, conditions it on nothing."""
     return GpBandModel(difference_gp(aug, kernel, noise_std), beta)

@@ -32,12 +32,14 @@ The dense GP reference reads every quantity as a row over a GP's points:
 e_landing (a transition's height difference).  ``dense_posterior``
 conditions on such rows with one ``np.linalg.solve``, no factor, over the
 kernel that ``kernel_value`` transcribes from its formulas; ``rel_dev`` is
-acceptance gate 1's deviation.  ``representatives`` is the difference
-model's representative map, read from a dict over each state's ``(owner,
-landing)``, and ``moves`` the augmented MDP's undirected move index, read
-from a dict over each action-state's unordered ``{owner, landing}``.  None
-of it reads ``safemdp.gp`` or ``safemdp.terrain``, the
-code it checks.
+acceptance gate 1's deviation.  ``representatives`` maps each state to
+the lowest state with its own or its reverse ``(owner, landing)``, read
+from a dict over each state's ``(owner, landing)``: the action-state that
+the difference model's readout reads it as.  ``moves`` is the augmented
+MDP's undirected move index, read from a dict over each action-state's
+unordered ``{owner, landing}``.  ``band_posterior`` reads a posterior
+mean and variance back off bands of one ``advance`` from unbounded bands.
+None of it reads ``safemdp.gp`` or ``safemdp.terrain``, the code it checks.
 """
 
 import configparser
@@ -318,17 +320,17 @@ def moves(aug):
     """The undirected moves of ``aug``: per state, the index of its
     unordered ``{owner, landing}`` among those of the action-states that
     join two distinct cells, -1 for the rest; each move's ``(low, high)``
-    cells, the moves sorted by them; and each move's lowest action-state."""
+    cells; and each move's lowest action-state, the moves sorted by it."""
     states = list(zip(aug.owner.tolist(), aug.landing.tolist(), aug.is_action_state.tolist()))
     first = {}
     for s, (owner, landing, acting) in enumerate(states):
         if acting and owner != landing:
             first.setdefault(frozenset((owner, landing)), s)
-    cells = sorted(sorted(pair) for pair in first)
-    index = {frozenset(pair): i for i, pair in enumerate(cells)}
+    pairs = sorted(first, key=first.get)
+    index = {pair: i for i, pair in enumerate(pairs)}
     move_of = [index.get(frozenset((owner, landing)), -1) for owner, landing, _ in states]
-    return (np.array(move_of), np.array(cells, dtype=int).reshape(-1, 2),
-            np.array([first[frozenset(pair)] for pair in cells], dtype=int))
+    cells = np.array([sorted(pair) for pair in pairs], dtype=int).reshape(-1, 2)
+    return np.array(move_of), cells, np.array([first[pair] for pair in pairs], dtype=int)
 
 
 def dense_posterior(kernel, coords, noise_std, obs_rows, values, left_rows, right_rows=None):
@@ -350,3 +352,10 @@ def rel_dev(got, want):
     """Largest deviation of ``got`` from ``want``, relative where ``|want|``
     exceeds 1: acceptance gate 1's measure."""
     return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
+def band_posterior(bands, beta):
+    """The posterior mean and variance at every state read off ``bands``,
+    one ``advance`` at confidence scale ``beta`` from unbounded bands: their
+    midpoints, and their half-widths squared over ``beta``."""
+    return 0.5 * (bands.lower + bands.upper), (0.5 * (bands.upper - bands.lower))**2 / beta

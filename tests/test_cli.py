@@ -103,6 +103,13 @@ def test_unknown_keys_and_sections_are_rejected(tmp_path):
         load_experiment_config(path)
 
 
+#: A 3x3 gp-sample draw whose prior the 1e-10 jitter cannot keep positive
+#: definite: cells 1e-3 apart at lengthscale 3 and prior_std 1000.
+SINGULAR_GP_SAMPLE = {"terrain.kind": "gp-sample", "terrain.rows": "3", "terrain.cols": "3",
+                      "terrain.cell_size": "1e-3", "gp.lengthscale": "3",
+                      "gp.prior_std": "1000"}
+
+
 def test_bad_values_name_their_field(tmp_path, capsys):
     cases = [
         ({"explorer.max_iterations": "soon"}, "explorer.max_iterations"),
@@ -138,6 +145,14 @@ def test_bad_values_name_their_field(tmp_path, capsys):
             load_experiment_config(path)
         assert main(["explore", str(path)]) == 2
         assert needle in capsys.readouterr().err
+    # A gp-sample prior that the draw's fixed jitter cannot keep positive
+    # definite parses, and is refused when the grid is drawn; it used to
+    # exit 1 with numpy's "Matrix is not positive definite".
+    path = write_config(tmp_path, tmp_path / "out", **SINGULAR_GP_SAMPLE)
+    for command in ("explore", "oracle"):
+        assert main([command, str(path)]) == 2
+        assert ("config error: terrain.cell_size, gp.lengthscale and gp.prior_std: "
+                "the gp-sample prior is not positive definite") in capsys.readouterr().err
 
 
 def test_multiple_seeds_parse_with_commas(tmp_path):
@@ -405,6 +420,17 @@ def test_synth_over_the_cell_limit_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
     # The limit is gp-sample's own.
     assert main(["synth", "--rows", "60", "--cols", "60", "--out", str(out)]) == 0
+
+
+def test_synth_of_a_singular_gp_sample_is_a_config_error(tmp_path, capsys):
+    # The draw's prior is not positive definite: exit 2 naming the flags
+    # that set it, with the check that names their keys in a config.
+    out = tmp_path / "singular.asc"
+    assert main(["synth", "--kind", "gp-sample", "--rows", "3", "--cols", "3", "--cell-size",
+                 "1e-3", "--lengthscale", "3", "--prior-std", "1000", "--out", str(out)]) == 2
+    assert ("config error: --cell-size, --lengthscale and --prior-std: the gp-sample prior "
+            "is not positive definite") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_flag_defaults_are_the_config_defaults():

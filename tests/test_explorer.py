@@ -1,5 +1,6 @@
 """End-to-end tests of the exploration loop and its baselines."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,13 @@ def test_config_validation_errors():
         run_with(lipschitz=-1.0)
     with pytest.raises(ConfigError):
         run_with(lipschitz=float("nan"))
+    # What the config schema refuses, the library refuses too: an infinite
+    # constant ended the run at iteration 0 after a 0 * inf warning, and a
+    # fractional cap raised TypeError.
+    for changes in ({"lipschitz": math.inf}, {"epsilon": math.inf}, {"epsilon": math.nan},
+                    {"max_iterations": 2.5}, {"max_iterations": 3.0}):
+        with pytest.raises(ConfigError, match=next(iter(changes))):
+            run_with(**changes)
     run_with(lipschitz=0.0)
     # Seed states 0 and 2 cannot reach each other without crossing the
     # non-seed state in between.

@@ -39,6 +39,7 @@ from safemdp.terrain import (
 )
 
 from oracles import (
+    band_posterior,
     dense_posterior,
     difference_rows,
     kernel_value,
@@ -247,38 +248,61 @@ def test_prior_variances_are_evaluated_once_per_model(monkeypatch, observation_m
     assert per_step == [0, 0, 0, 0]
 
 
+class _Replay:
+    """Stands in for an environment: ``observe`` returns ``values`` in turn."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def observe(self, state):
+        return float(next(self._values))
+
+
+def _state_posterior(model, num_states):
+    """The posterior mean and variance at every state that one ``advance``
+    of the band model ``model`` from unbounded bands reads."""
+    bands = model.advance(initial_bands(num_states, np.zeros(num_states, bool), 0.0))
+    return band_posterior(bands, model.beta)
+
+
 def test_incremental_difference_gp_matches_dense_solve():
+    # Measured at states, cells and stay actions among them, and read at
+    # every state through the band model; the dense solve conditions on a
+    # cell's zero row too, which carries no information.
     aug = augment(grid_mdp(6, 6, 1.0), half_step=0.5)
     kernel = Kernel(MATERN52, 3.0, 2.0)
     noise = 0.075
     rng = np.random.default_rng(31)
     obs = rng.integers(0, aug.num_states, size=94)
     vals = rng.normal(size=len(obs))
-    model = difference_gp(aug, kernel, noise)
-    for p, v in zip(obs, vals):
-        model.add_observation(int(p), float(v))
+    model = difference_band_model(aug, kernel, noise, 1.0)
+    replay = _Replay(vals)
+    for p in obs:
+        model.measure(replay, int(p))
+    assert 0 < model.gp.num_observations < len(obs)
     rows = difference_rows(aug)
     mean_ref, var_ref = dense_posterior(kernel, aug.base.metric.coords, noise, rows[obs], vals, rows)
-    mean, var = model.posterior()
+    mean, var = _state_posterior(model, aug.num_states)
     assert rel_dev(mean, mean_ref) <= 1e-8
     assert rel_dev(var, np.maximum(var_ref, 0.0)) <= 1e-8
 
 
 def test_a_525_observation_append_chain_matches_dense_solve():
-    # The CLI's default iteration cap, at 150 distinct states: the drift of
-    # 525 appended rows stays within acceptance gate 1's bound.
+    # The CLI's default iteration cap, at 150 distinct moves: the drift of
+    # 525 appended rows stays within acceptance gate 1's bound.  Each point
+    # is a move, whose row is its lowest action-state's.
     aug = augment(grid_mdp(12, 12, 1.0), half_step=0.5)
     kernel = Kernel(MATERN52, 3.0, 2.0)
     noise = 0.075
     rng = np.random.default_rng(43)
-    pool = rng.choice(aug.num_states, size=150, replace=False)
+    model = difference_gp(aug, kernel, noise)
+    pool = rng.choice(model.cov.num_points, size=150, replace=False)
     obs = pool[rng.integers(0, len(pool), size=525)]
     vals = rng.normal(size=len(obs))
-    model = difference_gp(aug, kernel, noise)
     for p, v in zip(obs, vals):
         model.add_observation(int(p), float(v))
     assert model.num_observations == 525 and len(set(model.points)) < 525
-    rows = difference_rows(aug)
+    rows = difference_rows(aug)[aug.move_first]
     mean_ref, var_ref = dense_posterior(kernel, aug.base.metric.coords, noise, rows[obs], vals, rows)
     mean, var = model.posterior()
     assert rel_dev(mean, mean_ref) <= 1e-8
@@ -381,49 +405,56 @@ def test_posterior_cov_pairs_whitens_each_distinct_point_once(monkeypatch):
         np.testing.assert_array_equal(got, expected)
 
 
-def _difference_model_with_repeats(size=6):
-    """A difference GP over a size x size augmented grid: 40 observations at
-    8 states, a cell and a stay action among them, and their values.  Its
-    pairs are the ids ``(owner, landing)`` of every state."""
-    aug = augment(grid_mdp(size, size, 1.0), half_step=0.5)
+def _difference_model_with_repeats(rows=6):
+    """A difference band model over a rows x 6 augmented grid, measured 40
+    times at 8 states, a cell and a stay action among them; the measured
+    states and their values.  Its GP's pairs are every point with its
+    mirror ``num_points - 1 - point``."""
+    aug = augment(grid_mdp(rows, 6, 1.0), half_step=0.5)
     cov = difference_gp(aug, Kernel(MATERN52, 3.0, 2.0), 0.075).cov
-    model = GpModel(cov, 0.075, (aug.owner, aug.landing))
+    points = np.arange(cov.num_points)
+    model = GpBandModel(GpModel(cov, 0.075, (points, points[::-1])), 1.0)
     rng = np.random.default_rng(41)
     stays = np.flatnonzero(aug.is_action_state & (aug.owner == aug.landing))
     pool = np.concatenate([[3, stays[0]], rng.choice(aug.num_states, size=6, replace=False)])
-    values = []
-    for point in pool[rng.integers(0, len(pool), size=40)]:
-        values.append(float(rng.normal()))
-        model.add_observation(int(point), values[-1])
-    return aug, model, values
+    states = pool[rng.integers(0, len(pool), size=40)]
+    values = rng.normal(size=len(states))
+    replay = _Replay(values)
+    for state in states:
+        model.measure(replay, int(state))
+    return aug, model, states, values
 
 
-@pytest.mark.parametrize("size", [5, 6])
-def test_posterior_with_repeats_matches_the_dense_solve(size):
+@pytest.mark.parametrize("rows", [5, 6])
+def test_posterior_with_repeats_matches_the_dense_solve(rows):
     # BLAS treats a final partial block of four outputs apart: on a 6x6
-    # grid the 132 representatives and the 60 of nonzero variance fill
-    # whole blocks, on a 5x5 grid (90 and 40) they do not.
-    aug, model, values = _difference_model_with_repeats(size)
-    assert len(set(model.points)) < model.num_observations
+    # grid the 60 points fill whole blocks, on a 5x6 grid the 49 do not.
+    aug, model, states, values = _difference_model_with_repeats(rows)
+    gp = model.gp
+    assert len(set(gp.points)) < gp.num_observations < len(states)
     rows = difference_rows(aug)
     mean_ref, var_ref = dense_posterior(Kernel(MATERN52, 3.0, 2.0), aug.base.metric.coords,
-                                        0.075, rows[list(model.points)], values, rows)
-    means, variances = model.posterior()
+                                        0.075, rows[states], values, rows)
+    means, variances = _state_posterior(model, aug.num_states)
     assert rel_dev(means, mean_ref) <= 1e-8
     assert rel_dev(variances, np.maximum(var_ref, 0.0)) <= 1e-8
-    for got, expected in zip(model.posterior_cov_pairs(), (means, variances)):
+    for got, expected in zip(gp.posterior_cov_pairs(), gp.posterior()):
         np.testing.assert_array_equal(got, expected)
 
 
 def test_zero_variance_states_get_positive_zero_mean_and_zero_variance():
-    aug, model, _ = _difference_model_with_repeats()
-    ids = np.arange(aug.num_states)
-    zero = model.cov.pairwise(ids, ids) == 0.0
-    # Cells and stay actions: owner == landing, an identically zero feature.
-    np.testing.assert_array_equal(zero, aug.owner == aug.landing)
-    means, variances = model.posterior()
-    assert not np.signbit(means[zero]).any() and (means[zero] == 0.0).all()
-    assert not np.signbit(variances[zero]).any() and (variances[zero] == 0.0).all()
+    aug, model, _, _ = _difference_model_with_repeats()
+    # Cells and stay actions: owner == landing, an identically zero
+    # feature, read as no point.
+    zero = aug.owner == aug.landing
+    np.testing.assert_array_equal(model.point < 0, zero)
+    # Bit for bit on the bands themselves: a -0 mean there would give a -0
+    # lower bound, which the band's midpoint and width both hide.
+    bands = model.advance(initial_bands(aug.num_states, np.zeros(aug.num_states, bool), 0.0))
+    for bound in (bands.lower, bands.upper):
+        assert not np.signbit(bound[zero]).any() and (bound[zero] == 0.0).all()
+    means, variances = band_posterior(bands, model.beta)
+    assert (means[zero] == 0.0).all() and (variances[zero] == 0.0).all()
     assert (variances[~zero] > 0.0).all()
 
 
@@ -447,12 +478,16 @@ def _hand_built_aug():
 @pytest.mark.parametrize("build", [lambda: augment(grid_mdp(5, 6, 1.0), half_step=0.5),
                                    _hand_built_aug], ids=["grid", "hand-built"])
 def test_the_difference_representative_map_equals_the_brute_force_map(build):
+    # The readout's point of a state is the move of its representative,
+    # which the point reads as; a cell and a stay action read no point.
     aug = build()
-    rep, sign = difference_gp(aug, Kernel(MATERN52, 3.0, 2.0), 0.075).cov.representatives
+    point, sign = difference_gp(aug, Kernel(MATERN52, 3.0, 2.0), 0.075).cov.states
     want_rep, want_sign = representatives(aug)
-    np.testing.assert_array_equal(rep, want_rep)
+    moving = aug.owner != aug.landing
+    np.testing.assert_array_equal(point < 0, ~moving)
+    np.testing.assert_array_equal(aug.move_first[point[moving]], want_rep[moving])
+    np.testing.assert_array_equal(point[want_rep], point)
     np.testing.assert_array_equal(sign, want_sign)
-    assert (rep[rep] == rep).all()
 
 
 def _grid_with_nodata_aug():
@@ -483,21 +518,21 @@ def test_the_move_index_equals_the_brute_force_index(build):
 
 
 def test_a_stationary_covariance_represents_each_point_by_itself():
-    rep, sign = StationaryCovariance(Kernel(MATERN52, 1.0, 1.0), np.arange(7.0)).representatives
-    np.testing.assert_array_equal(rep, np.arange(7))
+    point, sign = StationaryCovariance(Kernel(MATERN52, 1.0, 1.0), np.arange(7.0)).states
+    np.testing.assert_array_equal(point, np.arange(7))
     np.testing.assert_array_equal(sign, np.ones(7))
 
 
 def test_a_reversed_move_reads_exactly_the_negated_mean_and_the_same_variance():
     aug = augment(grid_mdp(5, 5, 1.0), half_step=0.5)
-    model = difference_gp(aug, Kernel(MATERN52, 3.0, 2.0), 0.075)
+    model = difference_band_model(aug, Kernel(MATERN52, 3.0, 2.0), 0.075, 1.0)
     reverse = _reverse_of(aug)
     rng = np.random.default_rng(23)
     moves = rng.choice(sorted(reverse), size=12, replace=False)
-    for move in moves:  # each observed both ways, some of them twice
-        for point in (move, reverse[move]) * int(rng.integers(1, 3)):
-            model.add_observation(int(point), float(rng.normal()))
-    means, variances = model.posterior()
+    for move in moves:  # each measured both ways, some of them twice
+        for state in (move, reverse[move]) * int(rng.integers(1, 3)):
+            model.measure(_Replay([rng.normal()]), int(state))
+    means, variances = _state_posterior(model, aug.num_states)
     forward = np.array(sorted(reverse))
     backward = np.array([reverse[s] for s in forward])
     np.testing.assert_array_equal(means[backward], -means[forward])
@@ -513,49 +548,55 @@ def test_observing_a_reverse_conditions_as_observing_its_move_on_the_negated_val
     kernel = Kernel(MATERN52, 3.0, 2.0)
     reverse = _reverse_of(aug)
     rng = np.random.default_rng(37)
-    through_reverse = difference_gp(aug, kernel, 0.075)
-    through_move = difference_gp(aug, kernel, 0.075)
+    through_reverse = difference_band_model(aug, kernel, 0.075, 2.0)
+    through_move = difference_band_model(aug, kernel, 0.075, 2.0)
     moves = rng.choice(sorted(reverse), size=21)
     for move in moves[:-1]:
         value = float(rng.normal())
-        through_reverse.add_observation(reverse[int(move)], value)
-        through_move.add_observation(int(move), -value)
-    for got, want in zip(through_reverse.posterior(), through_move.posterior()):
+        through_reverse.measure(_Replay([value]), reverse[int(move)])
+        through_move.measure(_Replay([-value]), int(move))
+    for got, want in zip(through_reverse.gp.posterior(), through_move.gp.posterior()):
         np.testing.assert_array_equal(got, want)
-    # What each model keeps conditions a further, shared observation alike.
+    # What each model keeps conditions a further, shared measurement alike.
     for model in (through_reverse, through_move):
-        model.add_observation(int(moves[-1]), 0.5)
-    for got, want in zip(through_reverse.posterior(), through_move.posterior()):
+        model.measure(_Replay([0.5]), int(moves[-1]))
+    for got, want in zip(through_reverse.gp.posterior(), through_move.gp.posterior()):
         np.testing.assert_array_equal(got, want)
 
 
 def test_one_way_and_parallel_moves_match_the_dense_solve():
+    # Measured and read at states through the band model; the pairs are
+    # every pair of points, each point read as its lowest action-state.
     aug = _hand_built_aug()
     kernel, noise = Kernel(MATERN52, 2.0, 1.5), 0.075
     rng = np.random.default_rng(19)
     obs = rng.integers(0, aug.num_states, size=30)
     vals = rng.normal(size=len(obs))
-    left, right = np.divmod(np.arange(aug.num_states**2), aug.num_states)
-    model = GpModel(difference_gp(aug, kernel, noise).cov, noise, (left, right))
-    for p, v in zip(obs, vals):
-        model.add_observation(int(p), float(v))
+    cov = difference_gp(aug, kernel, noise).cov
+    left, right = np.divmod(np.arange(cov.num_points**2), cov.num_points)
+    model = GpBandModel(GpModel(cov, noise, (left, right)), 1.0)
+    replay = _Replay(vals)
+    for p in obs:
+        model.measure(replay, int(p))
     rows = difference_rows(aug)
     coords = aug.base.metric.coords
     mean_ref, var_ref = dense_posterior(kernel, coords, noise, rows[obs], vals, rows)
-    means, variances = model.posterior()
+    means, variances = _state_posterior(model, aug.num_states)
     assert rel_dev(means, mean_ref) <= 1e-8
     assert rel_dev(variances, np.maximum(var_ref, 0.0)) <= 1e-8
-    _, cov_ref = dense_posterior(kernel, coords, noise, rows[obs], vals, rows[left], rows[right])
-    pair_means, pair_variances, cross = model.posterior_cov_pairs()
+    at_points = rows[aug.move_first]
+    mean_ref, var_ref = dense_posterior(kernel, coords, noise, rows[obs], vals, at_points)
+    _, cov_ref = dense_posterior(kernel, coords, noise, rows[obs], vals, at_points[left],
+                                 at_points[right])
+    pair_means, pair_variances, cross = model.gp.posterior_cov_pairs()
     assert rel_dev(pair_means, mean_ref) <= 1e-8
     assert rel_dev(pair_variances, np.maximum(var_ref, 0.0)) <= 1e-8
     assert rel_dev(cross, cov_ref) <= 1e-8
 
 
 def test_cross_covariance_has_one_row_per_distinct_observed_point(monkeypatch):
-    # cov.matrix runs at most once per observed representative, inside
-    # add_observation, against representatives of nonzero prior variance
-    # only, and once for each of those; the posteriors evaluate no
+    # cov.matrix runs once per distinct observed point, inside
+    # add_observation, against every point; the posteriors evaluate no
     # covariance.
     calls = []
     matrix = DifferenceCovariance.matrix
@@ -565,19 +606,17 @@ def test_cross_covariance_has_one_row_per_distinct_observed_point(monkeypatch):
         return matrix(self, a, b)
 
     monkeypatch.setattr(DifferenceCovariance, "matrix", recording)
-    _, model, _ = _difference_model_with_repeats()
-    rep, _ = model.cov.representatives
-    ids = np.arange(model.cov.num_points)
-    live = np.flatnonzero((rep == ids) & (model.cov.pairwise(ids, ids) > 0))
-    distinct = {int(rep[p]) for p in model.points}
-    assert len(distinct) < model.num_observations and not distinct <= set(live)
+    _, model, _, _ = _difference_model_with_repeats()
+    gp = model.gp
+    distinct = set(gp.points)
+    assert len(distinct) < gp.num_observations
     rows = [r for (r,), _ in calls]
-    assert len(rows) == len(set(rows)) and distinct & set(live) <= set(rows) <= distinct
+    assert sorted(rows) == sorted(distinct)
     for _, b in calls:
-        assert np.isin(b, live).all()
+        np.testing.assert_array_equal(b, np.arange(gp.cov.num_points))
     del calls[:]
-    model.posterior()
-    model.posterior_cov_pairs()
+    gp.posterior()
+    gp.posterior_cov_pairs()
     assert calls == []
 
 
@@ -593,12 +632,13 @@ def test_a_model_holds_memory_linear_in_observations_times_points():
     values = rng.normal(size=60)
     # Whatever a first conditioning loads once per process is not the
     # model's to hold.
-    warm = GpModel(cov, 0.075, (aug.owner, aug.landing))
-    warm.add_observation(int(np.flatnonzero(aug.owner != aug.landing)[0]), 1.0)
+    pairs = (np.arange(cov.num_points), np.arange(cov.num_points)[::-1])
+    warm = GpModel(cov, 0.075, pairs)
+    warm.add_observation(0, 1.0)
     warm.posterior_cov_pairs()
     tracemalloc.start()
     try:
-        model = GpModel(cov, 0.075, (aug.owner, aug.landing))
+        model = GpModel(cov, 0.075, pairs)
         for point, value in zip(observed.tolist(), values.tolist()):
             model.add_observation(point, value)
         model.posterior()
@@ -768,10 +808,6 @@ def test_singular_system_error_when_jitter_cannot_help():
         def pairwise(self, a, b):
             return self._k[np.asarray(a, int), np.asarray(b, int)]
 
-        @property
-        def representatives(self):
-            return np.arange(self.num_points), np.ones(self.num_points)
-
     pairs = ([0, 1, 1], [1, 0, 1])
     indefinite = GpModel(MatrixCov([[1.0, 2.0], [2.0, 1.0]]), 0.0, pairs)
     indefinite.add_observation(0, 1.0)
@@ -823,6 +859,11 @@ def test_observed_id_out_of_range_is_rejected_and_leaves_the_model_as_it_was(bad
     assert model.points == (1,)
     for got, expected in zip(model.posterior_cov_pairs(), before):
         np.testing.assert_array_equal(got, expected)
+    # A band model checks the state before it measures: -1 would read the
+    # last state's point.
+    with pytest.raises(ValueError, match=f"point id {bad} "):
+        GpBandModel(model, 1.0).measure(Environment(np.ones(5), 0.0, 0.1, 0), bad)
+    assert model.num_observations == 1
 
 
 def test_factor_runs_without_numpys_cholesky(monkeypatch):

@@ -92,6 +92,14 @@ def test_mask_shape_is_validated():
     mdp = grid_mdp(2, 2, 1.0)
     with pytest.raises(ValueError):
         r_reach(mdp, np.zeros(5, bool))
+    # So is the Lipschitz constant: an infinite one made the envelope
+    # compute 0 * inf, and a NaN one returned the seed, certifying nothing.
+    seed, r = from_set(4, {0}), np.ones(4)
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="lipschitz must be finite and non-negative"):
+            r_safe_eps(mdp, seed, r, 0.1, bad, 0.0)
+        with pytest.raises(ValueError, match="lipschitz must be finite and non-negative"):
+            r_eps_fixpoint(mdp, seed, r, 0.1, bad, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,11 @@ def test_no_outside_states_means_no_expanders():
         mask_, nearest = expanders(mdp, np.ones(4, bool), np.ones(4, bool), bands, lip, 0.0)
         assert not mask_.any()
         assert (nearest == np.inf).all()
+    # An infinite constant would compute that 0 * inf; it is refused, as
+    # are NaN and negative ones.
+    for lip in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError, match="lipschitz must be finite and non-negative"):
+            expanders(mdp, np.ones(4, bool), np.ones(4, bool), bands, lip, 0.0)
 
 
 def test_boundary_certificate_counts_inclusively():

@@ -37,7 +37,7 @@ from safemdp.terrain import (
     synth_terrain,
 )
 
-from oracles import dense_posterior, difference_rows, point_rows, rel_dev, step
+from oracles import band_posterior, dense_posterior, difference_rows, point_rows, rel_dev, step
 
 KERNEL = Kernel("matern52", 14.5, 10.0)
 
@@ -316,29 +316,35 @@ def flat_aug(rows=3, cols=3, cell=1.0):
 
 def test_prior_difference_variance_doubles_for_independent_cells():
     # A tiny lengthscale makes neighbouring cells effectively independent,
-    # so the prior variance of their height difference is 2 sigma^2.
+    # so the prior variance of their height difference is 2 sigma^2.  The
+    # GP's points are the moves, one per pair of neighbouring cells.
     aug = flat_aug()
     kernel = Kernel("matern52", 1e-3, 10.0)
     gp = difference_gp(aug, kernel, 0.075)
-    moving = aug.is_action_state & (aug.owner != aug.landing)
     _, variances = gp.posterior()
-    np.testing.assert_allclose(variances[moving], 200.0, rtol=1e-6)
+    assert len(variances) == len(aug.move_cells) == 12
+    np.testing.assert_allclose(variances, 200.0, rtol=1e-6)
 
 
 def test_self_pairs_have_zero_mean_and_variance():
+    # Cells and stay actions read no point, so their bands are [0, 0].
     aug = flat_aug()
-    gp = difference_gp(aug, KERNEL, 0.075)
+    model = difference_band_model(aug, KERNEL, 0.075, 1.0)
     degenerate = ~aug.is_action_state | (aug.owner == aug.landing)
-    means, variances = gp.posterior()
+    np.testing.assert_array_equal(model.point < 0, degenerate)
+    prev = initial_bands(aug.num_states, np.zeros(aug.num_states, bool), 0.0)
+    means, variances = band_posterior(model.advance(prev), model.beta)
     np.testing.assert_allclose(means[degenerate], 0.0, atol=1e-12)
     np.testing.assert_allclose(variances[degenerate], 0.0, atol=1e-9)
 
 
 def test_difference_prior_variance_formula():
+    # Read at the moving states through the band model's readout.
     aug = flat_aug()
-    gp = difference_gp(aug, KERNEL, 0.075)
+    model = difference_band_model(aug, KERNEL, 0.075, 1.0)
     moving = aug.is_action_state & (aug.owner != aug.landing)
-    _, variances = gp.posterior()
+    prev = initial_bands(aug.num_states, np.zeros(aug.num_states, bool), 0.0)
+    _, variances = band_posterior(model.advance(prev), model.beta)
     # Adjacent cells sit one cell_size apart: var = 2 (k(0) - k(d)).
     expected = 2.0 * (kernel_eval(KERNEL, 0.0) - kernel_eval(KERNEL, 1.0))
     np.testing.assert_allclose(variances[moving], expected, atol=1e-8)
@@ -508,14 +514,43 @@ def test_stay_measurement_observes_one_cell_and_returns_zero():
     assert model.gp.num_observations == 3
 
 
+def test_a_difference_measurement_at_a_cell_or_a_stay_conditions_on_nothing():
+    # The measurement is still taken, and returned, but its feature is
+    # exactly 0 and covaries with no move: num_observations counts
+    # conditionings.
+    grid = synth_terrain(CraterHill(), 3, 3, 1.0)
+    aug, env = build_terrain_environment(grid, TerrainSafetySpec(), 0.075, 5)
+    _, twin = build_terrain_environment(grid, TerrainSafetySpec(), 0.075, 5)
+    model = difference_band_model(aug, KERNEL, 0.075, 2.0)
+    for state in (4, step(aug, 4, GRID_STAY)):
+        assert model.measure(env, state) == twin.observe(state)
+        assert model.gp.num_observations == 0
+    model.measure(env, step(aug, 4, GRID_RIGHT))
+    assert model.gp.num_observations == 1
+
+
+def test_a_one_cell_terrain_under_the_difference_model_advances_to_zero_widths():
+    # One cell and its stay action: no move, so the GP has no points.
+    grid = synth_terrain(CraterHill(), 1, 1, 1.0)
+    aug, env = build_terrain_environment(grid, TerrainSafetySpec(), 0.075, 4)
+    model = difference_band_model(aug, KERNEL, 0.075, 2.0)
+    assert model.gp.cov.num_points == 0
+    bands = initial_bands(aug.num_states, np.ones(2, bool), env.threshold)
+    for _ in range(2):
+        bands = model.advance(bands)
+        np.testing.assert_array_equal(bands.width(), 0.0)
+        model.measure(env, 1)
+    assert model.gp.num_observations == 0
+
+
 def test_difference_covariance_blocks_are_consistent():
     aug = flat_aug()
     gp = difference_gp(aug, KERNEL, 0.075)
-    ids = np.arange(aug.num_states)
+    ids = np.arange(gp.cov.num_points)
     full = gp.cov.matrix(ids, ids)
     np.testing.assert_allclose(np.diag(full), gp.cov.pairwise(ids, ids), atol=1e-12)
     np.testing.assert_allclose(full, full.T, atol=1e-12)
-    some = np.array([0, 5, 11, 17])
+    some = np.array([0, 5, 11, 7])
     np.testing.assert_allclose(gp.cov.pairwise(some, some[::-1]),
                                full[some, some[::-1]], atol=1e-12)
 
@@ -525,13 +560,15 @@ def test_difference_covariance_is_the_four_term_sum_bit_for_bit():
     # sequences it must still equal ((A - B) - C) + D of fresh gathers.
     grid = synth_terrain(CraterHill(CraterHillParams(tilt_col=0.1, roughness=0.3)), 4, 5, 1.0)
     aug, _ = build_terrain_environment(grid, TerrainSafetySpec(), 0.075, 3)
+    # Each point is its move's lowest action-state.
     cov = difference_gp(aug, KERNEL, 0.075).cov
     rng = np.random.default_rng(5)
-    a = rng.integers(0, aug.num_states, size=9)
+    a = rng.integers(0, cov.num_points, size=9)
     a[3] = a[7] = a[0]
-    b = np.concatenate([np.arange(aug.num_states), a])
+    b = np.concatenate([np.arange(cov.num_points), a])
     k = height_covariance(aug, KERNEL).matrix
-    oa, la, ob, lb = aug.owner[a], aug.landing[a], aug.owner[b], aug.landing[b]
+    sa, sb = aug.move_first[a], aug.move_first[b]
+    oa, la, ob, lb = aug.owner[sa], aug.landing[sa], aug.owner[sb], aug.landing[sb]
     np.testing.assert_array_equal(cov.matrix(a, b),
                                   ((k(oa, ob) - k(oa, lb)) - k(la, ob)) + k(la, lb))
 
@@ -539,7 +576,7 @@ def test_difference_covariance_is_the_four_term_sum_bit_for_bit():
 def test_difference_covariance_refuses_ids_out_of_range_and_unequal_lengths():
     aug = flat_aug()
     cov = difference_gp(aug, KERNEL, 0.075).cov
-    n = aug.num_states
+    n = cov.num_points
     for a, b in (([-1], [0]), ([n], [0]), ([0], [-1]), ([0], [n])):
         for method in (cov.matrix, cov.pairwise):
             with pytest.raises(ValueError, match=f"point id {min(a + b)} is out of range"
